@@ -126,10 +126,10 @@ func BenchmarkTable2(b *testing.B) {
 	d := lubmDataset()
 	queries := parseAll(b, lubmNamed())
 	benchEngines(b, []bench.Engine{
-		d.PARJ("PARJ-1", 1, core.AdaptiveIndex),
+		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
 		d.RDF3X(),
-		d.PARJ("PARJ-N", 0, core.AdaptiveIndex),
+		d.PARJ("PARJ-N", core.Options{Strategy: core.AdaptiveIndex}),
 		d.TriAD(0),
 		d.TriAD(256),
 	}, queries)
@@ -140,10 +140,10 @@ func BenchmarkTable3(b *testing.B) {
 	d := watdivDataset()
 	queries := parseAll(b, watdivNamed(watdiv.BasicQueries()))
 	benchEngines(b, []bench.Engine{
-		d.PARJ("PARJ-1", 1, core.AdaptiveIndex),
+		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
 		d.RDF3X(),
-		d.PARJ("PARJ-N", 0, core.AdaptiveIndex),
+		d.PARJ("PARJ-N", core.Options{Strategy: core.AdaptiveIndex}),
 		d.TriAD(0),
 		d.TriAD(256),
 	}, queries)
@@ -156,10 +156,10 @@ func BenchmarkTable4(b *testing.B) {
 	qs := append(watdivNamed(watdiv.ILQueries()), watdivNamed(watdiv.MLQueries())...)
 	queries := parseAll(b, qs)
 	benchEngines(b, []bench.Engine{
-		d.PARJ("PARJ-1", 1, core.AdaptiveIndex),
+		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
 		d.RDF3X(),
-		d.PARJ("PARJ-N", 0, core.AdaptiveIndex),
+		d.PARJ("PARJ-N", core.Options{Strategy: core.AdaptiveIndex}),
 		d.TriAD(0),
 		d.TriAD(256),
 	}, queries)
@@ -171,10 +171,10 @@ func BenchmarkTable5(b *testing.B) {
 	d := lubmDataset()
 	queries := parseAll(b, lubmNamed())
 	benchEngines(b, []bench.Engine{
-		d.PARJ("Binary", 1, core.BinaryOnly),
-		d.PARJ("AdBinary", 1, core.AdaptiveBinary),
-		d.PARJ("Index", 1, core.IndexOnly),
-		d.PARJ("AdIndex", 1, core.AdaptiveIndex),
+		d.PARJ("Binary", core.Options{Threads: 1, Strategy: core.BinaryOnly}),
+		d.PARJ("AdBinary", core.Options{Threads: 1, Strategy: core.AdaptiveBinary}),
+		d.PARJ("Index", core.Options{Threads: 1, Strategy: core.IndexOnly}),
+		d.PARJ("AdIndex", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 	}, queries)
 }
 
@@ -227,7 +227,7 @@ func BenchmarkFig2(b *testing.B) {
 	queries := parseAll(b, qs)
 	for _, threads := range []int{1, 2, 4, 8, 16} {
 		threads := threads
-		e := d.PARJ(fmt.Sprintf("threads-%d", threads), threads, core.AdaptiveIndex)
+		e := d.PARJ(fmt.Sprintf("threads-%d", threads), core.Options{Threads: threads, Strategy: core.AdaptiveIndex})
 		b.Run(e.Name(), func(b *testing.B) {
 			runWorkload(b, e, queries)
 			b.ResetTimer()
@@ -258,7 +258,7 @@ func BenchmarkFig3(b *testing.B) {
 		scale := scale
 		b.Run(fmt.Sprintf("scale-%d", scale), func(b *testing.B) {
 			d := bench.NewDataset(lubm.Triples(scale, lubm.Config{}), 16)
-			e := d.PARJ("PARJ-N", 16, core.AdaptiveIndex)
+			e := d.PARJ("PARJ-N", core.Options{Threads: 16, Strategy: core.AdaptiveIndex})
 			runWorkload(b, e, queries)
 			b.ResetTimer()
 			var simMS float64

@@ -109,8 +109,8 @@ const CyclicWorkers = 8
 // operator versus the forced pipeline, same strategy and worker count.
 func CyclicEngines(d *Dataset) []Engine {
 	return []Engine{
-		d.PARJJoin("WCOJ-8", CyclicWorkers, core.AdaptiveIndex, core.JoinWCOJ, cyclicMorselSize),
-		d.PARJJoin("Pipe-8", CyclicWorkers, core.AdaptiveIndex, core.JoinPipeline, cyclicMorselSize),
+		d.PARJ("WCOJ-8", core.Options{Threads: CyclicWorkers, Strategy: core.AdaptiveIndex, Join: core.JoinWCOJ, MorselSize: cyclicMorselSize}),
+		d.PARJ("Pipe-8", core.Options{Threads: CyclicWorkers, Strategy: core.AdaptiveIndex, Join: core.JoinPipeline, MorselSize: cyclicMorselSize}),
 	}
 }
 

@@ -46,58 +46,21 @@ func (d *Dataset) Store() (*store.Store, *stats.Stats) {
 	return d.store, d.storeStats
 }
 
-// PARJ returns a PARJ engine with the given thread count and strategy.
-// When the requested thread count exceeds the host's cores (threads 0
-// resolves to GOMAXPROCS, which never does), the engine measures its
-// shards sequentially and reports the simulated N-core elapsed time —
-// valid because PARJ workers are communication-free, so a real N-core run
-// takes as long as its slowest shard.
-func (d *Dataset) PARJ(name string, threads int, strategy core.Strategy) Engine {
+// PARJ returns a silent (counting) PARJ engine running with opts. When the
+// requested thread count exceeds the host's cores (threads 0 resolves to
+// GOMAXPROCS, which never does), or when opts asks for it, the engine
+// measures its morsels sequentially and reports the simulated N-core elapsed
+// time — valid because PARJ workers are communication-free, so a real
+// N-core run lasts as long as the list-schedule makespan of its morsels
+// (its slowest shard when they are left uncut), for the pipeline and the
+// WCOJ operator alike.
+func (d *Dataset) PARJ(name string, opts core.Options) Engine {
 	st, ss := d.Store()
-	simulate := threads > runtime.NumCPU()
-	return &parjEngine{name: name, st: st, stats: ss, simulate: simulate, opts: core.Options{
-		Threads:       threads,
-		Strategy:      strategy,
-		Silent:        true,
-		MeasureShards: simulate,
-	}}
-}
-
-// PARJWith is PARJ with explicit scheduling knobs: static selects the
-// paper's one-shot sharding, morselSize bounds the morsel tuple count in
-// scheduler mode (0 = DefaultMorselSize). Simulation follows the same rule
-// as PARJ; in morsel mode the simulated elapsed time is the list-schedule
-// makespan of the measured morsels.
-func (d *Dataset) PARJWith(name string, threads int, strategy core.Strategy, static bool, morselSize int) Engine {
-	st, ss := d.Store()
-	simulate := threads > runtime.NumCPU()
-	return &parjEngine{name: name, st: st, stats: ss, simulate: simulate, opts: core.Options{
-		Threads:       threads,
-		Strategy:      strategy,
-		Silent:        true,
-		MeasureShards: simulate,
-		StaticShards:  static,
-		MorselSize:    morselSize,
-	}}
-}
-
-// PARJJoin is PARJWith with a forced join operator, for A/B comparisons of
-// the worst-case-optimal operator against the left-deep pipeline on the
-// same store. The simulation contract is unchanged: thread counts above the
-// host's cores measure shards sequentially and report the simulated
-// parallel elapsed time, which stays valid for WCOJ because its domain
-// shards are communication-free like the pipeline's.
-func (d *Dataset) PARJJoin(name string, threads int, strategy core.Strategy, join core.JoinAlgo, morselSize int) Engine {
-	st, ss := d.Store()
-	simulate := threads > runtime.NumCPU()
-	return &parjEngine{name: name, st: st, stats: ss, simulate: simulate, opts: core.Options{
-		Threads:       threads,
-		Strategy:      strategy,
-		Silent:        true,
-		MeasureShards: simulate,
-		MorselSize:    morselSize,
-		Join:          join,
-	}}
+	opts.Silent = true
+	if opts.Threads > runtime.NumCPU() {
+		opts.MeasureShards = true
+	}
+	return &parjEngine{name: name, st: st, stats: ss, opts: opts}
 }
 
 // HashJoin returns the RDFox-like single-threaded baseline.
@@ -170,11 +133,10 @@ func (t *triadEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) 
 }
 
 type parjEngine struct {
-	name     string
-	st       *store.Store
-	stats    *stats.Stats
-	opts     core.Options
-	simulate bool
+	name  string
+	st    *store.Store
+	stats *stats.Stats
+	opts  core.Options
 }
 
 func (e *parjEngine) Name() string { return e.name }
@@ -185,8 +147,9 @@ func (e *parjEngine) Count(q *sparql.Query) (int64, error) {
 }
 
 // CountTimed includes query optimization in the elapsed time, as the paper
-// does. Under simulation the shard execution portion is replaced by the
-// slowest shard's time; planning and result merging stay serial.
+// does. Under simulation (opts.MeasureShards) the morsel execution portion
+// is replaced by its simulated parallel makespan; planning and result
+// merging stay serial.
 func (e *parjEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) {
 	start := time.Now()
 	plan, err := optimizer.Optimize(q, e.st, e.stats)
@@ -198,7 +161,7 @@ func (e *parjEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) {
 		return 0, 0, err
 	}
 	wall := time.Since(start)
-	if e.simulate {
+	if e.opts.MeasureShards {
 		wall -= res.SumShardTime() - res.MaxShardTime()
 		if wall < 0 {
 			wall = 0
@@ -231,52 +194,18 @@ type rowEngine struct {
 func (e rowEngine) Name() string                                 { return e.name }
 func (e rowEngine) Evaluate(q *sparql.Query) ([][]string, error) { return e.fn(q) }
 
-// PARJRows returns a row-materializing PARJ engine. x, when non-nil, plans
-// with hierarchy expansion (RDFS entailment); pass nil for plain BGP
-// semantics.
-func (d *Dataset) PARJRows(name string, threads int, strategy core.Strategy, x optimizer.Expander) RowEngine {
+// PARJRows returns a row-materializing PARJ engine running with opts — the
+// engine the differential matrix builds for every point of its strategy ×
+// workers × morsel size × join operator axes. x, when non-nil, plans with
+// hierarchy expansion (RDFS entailment); pass nil for plain BGP semantics.
+func (d *Dataset) PARJRows(name string, opts core.Options, x optimizer.Expander) RowEngine {
 	st, ss := d.Store()
 	return rowEngine{name, func(q *sparql.Query) ([][]string, error) {
 		plan, err := optimizer.OptimizeExpanded(q, st, ss, x)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Execute(st, plan, core.Options{Threads: threads, Strategy: strategy})
-		if err != nil {
-			return nil, err
-		}
-		return res.StringRows(st), nil
-	}}
-}
-
-// PARJRowsWith is PARJRows with an explicit morsel-size bound, for the
-// scheduler axis of the differential matrix (morselSize 0 selects
-// core.DefaultMorselSize).
-func (d *Dataset) PARJRowsWith(name string, threads int, strategy core.Strategy, morselSize int, x optimizer.Expander) RowEngine {
-	st, ss := d.Store()
-	return rowEngine{name, func(q *sparql.Query) ([][]string, error) {
-		plan, err := optimizer.OptimizeExpanded(q, st, ss, x)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Execute(st, plan, core.Options{Threads: threads, Strategy: strategy, MorselSize: morselSize})
-		if err != nil {
-			return nil, err
-		}
-		return res.StringRows(st), nil
-	}}
-}
-
-// PARJRowsJoin is PARJRowsWith with a forced join operator, the engine the
-// differential matrix uses for its WCOJ × pipeline × auto axis.
-func (d *Dataset) PARJRowsJoin(name string, threads int, strategy core.Strategy, join core.JoinAlgo, morselSize int, x optimizer.Expander) RowEngine {
-	st, ss := d.Store()
-	return rowEngine{name, func(q *sparql.Query) ([][]string, error) {
-		plan, err := optimizer.OptimizeExpanded(q, st, ss, x)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Execute(st, plan, core.Options{Threads: threads, Strategy: strategy, MorselSize: morselSize, Join: join})
+		res, err := core.Execute(st, plan, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -83,10 +83,10 @@ func watdivNamed(qs []watdiv.Query) []NamedQuery {
 func engineMatrix(d *Dataset, cfg *ExpConfig) []Engine {
 	sgBuckets := 256
 	return []Engine{
-		d.PARJ("PARJ-1", 1, core.AdaptiveIndex),
+		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
 		d.RDF3X(),
-		d.PARJ("PARJ-N", cfg.Threads, core.AdaptiveIndex),
+		d.PARJ("PARJ-N", core.Options{Threads: cfg.Threads, Strategy: core.AdaptiveIndex}),
 		d.TriAD(0),
 		d.TriAD(sgBuckets),
 	}
@@ -135,8 +135,8 @@ func Table5(cfg ExpConfig) *Table {
 	}
 	var lubmEngines, watdivEngines []Engine
 	for _, st := range strategies {
-		lubmEngines = append(lubmEngines, ld.PARJ(st.name, 1, st.s))
-		watdivEngines = append(watdivEngines, wd.PARJ(st.name, 1, st.s))
+		lubmEngines = append(lubmEngines, ld.PARJ(st.name, core.Options{Threads: 1, Strategy: st.s}))
+		watdivEngines = append(watdivEngines, wd.PARJ(st.name, core.Options{Threads: 1, Strategy: st.s}))
 	}
 	title := fmt.Sprintf("Table 5: impact of adaptive processing, 1 thread (LUBM scale %d, WatDiv scale %d), times in ms",
 		cfg.LUBMScale, cfg.WatDivScale)
@@ -243,7 +243,7 @@ func Fig2(cfg ExpConfig) *Table {
 	d := cfg.lubmDataset()
 	var engines []Engine
 	for _, th := range fig2Threads {
-		engines = append(engines, d.PARJ(fmt.Sprintf("%d-thr", th), th, core.AdaptiveIndex))
+		engines = append(engines, d.PARJ(fmt.Sprintf("%d-thr", th), core.Options{Threads: th, Strategy: core.AdaptiveIndex}))
 	}
 	var qs []NamedQuery
 	for _, q := range lubm.Queries() {
@@ -280,7 +280,7 @@ func Fig3(cfg ExpConfig) *Table {
 	var engines []Engine
 	for _, s := range scales {
 		d := NewDataset(lubm.Triples(s, lubm.Config{}), cfg.Threads)
-		engines = append(engines, d.PARJ(fmt.Sprintf("scale-%d", s), cfg.Threads, core.AdaptiveIndex))
+		engines = append(engines, d.PARJ(fmt.Sprintf("scale-%d", s), core.Options{Threads: cfg.Threads, Strategy: core.AdaptiveIndex}))
 	}
 	title := fmt.Sprintf("Figure 3: LUBM execution times (ms) with %s threads for varying dataset sizes",
 		threadsLabel(cfg.Threads))
@@ -306,7 +306,7 @@ func ResultHandling(cfg ExpConfig) *Table {
 	d := cfg.lubmDataset()
 	st, ss := d.Store()
 	engines := []Engine{
-		d.PARJ("Silent", cfg.Threads, core.AdaptiveIndex),
+		d.PARJ("Silent", core.Options{Threads: cfg.Threads, Strategy: core.AdaptiveIndex}),
 		&fullResultEngine{name: "Full", st: st, ss: ss, threads: cfg.Threads},
 		&streamResultEngine{name: "Stream", st: st, ss: ss, threads: cfg.Threads},
 	}

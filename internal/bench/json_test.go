@@ -28,23 +28,23 @@ func TestMedian(t *testing.T) {
 
 func TestCompareReports(t *testing.T) {
 	base := &Report{Medians: map[string]float64{
-		"L1/AdIndex-static": 100,
-		"L2/AdIndex-static": 100,
-		"L3/AdIndex-static": 0.4, // below the absolute floor
+		"L1/AdIndex-morsel": 100,
+		"L2/AdIndex-morsel": 100,
+		"L3/AdIndex-morsel": 0.4, // below the absolute floor
 		"L4/gone":           100, // engine removed in cur
 	}}
 	cur := &Report{Medians: map[string]float64{
-		"L1/AdIndex-static": 108, // +8%: within tolerance
-		"L2/AdIndex-static": 115, // +15%: regression
-		"L3/AdIndex-static": 4.0, // 10x, but sub-floor baseline
+		"L1/AdIndex-morsel": 108, // +8%: within tolerance
+		"L2/AdIndex-morsel": 115, // +15%: regression
+		"L3/AdIndex-morsel": 4.0, // 10x, but sub-floor baseline
 		"L5/new":            50,  // engine added in cur
 	}}
 	regs := CompareReports(base, cur, 0.10)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions %v, want exactly 1 (L2)", len(regs), regs)
 	}
-	if want := "L2/AdIndex-static"; len(regs[0]) < len(want) || regs[0][:len(want)] != want {
-		t.Fatalf("regression %q does not name L2/AdIndex-static", regs[0])
+	if want := "L2/AdIndex-morsel"; len(regs[0]) < len(want) || regs[0][:len(want)] != want {
+		t.Fatalf("regression %q does not name L2/AdIndex-morsel", regs[0])
 	}
 }
 

@@ -196,11 +196,17 @@ const skewMorselSize = 2048
 const SkewWorkers = 8
 
 // SkewEngines returns the A/B pair: the paper's static sharding versus the
-// morsel scheduler, same strategy and worker count.
+// morsel scheduler, same strategy and worker count. Static sharding is the
+// engine with its shards left uncut — one morsel per worker, nothing to
+// rebalance — and is always measured under MeasureShards, where the
+// makespan of W uncut morsels on W workers is the slowest shard; on any
+// host the Static-8 figure is therefore the simulated one, never a mix.
 func SkewEngines(d *Dataset) []Engine {
 	return []Engine{
-		d.PARJWith("Static-8", SkewWorkers, core.AdaptiveIndex, true, 0),
-		d.PARJWith("Morsel-8", SkewWorkers, core.AdaptiveIndex, false, skewMorselSize),
+		d.PARJ("Static-8", core.Options{Threads: SkewWorkers, Strategy: core.AdaptiveIndex,
+			MorselSize: math.MaxInt32, MeasureShards: true}),
+		d.PARJ("Morsel-8", core.Options{Threads: SkewWorkers, Strategy: core.AdaptiveIndex,
+			MorselSize: skewMorselSize}),
 	}
 }
 

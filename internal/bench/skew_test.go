@@ -69,7 +69,8 @@ func TestSkewJoinOrder(t *testing.T) {
 }
 
 // TestSkewEnginesAgree runs the A/B pair on the triangle query and checks
-// both schedulers produce the same count. Small config keeps it fast.
+// the uncut and the cut engine produce the same count. Small config keeps
+// it fast.
 func TestSkewEnginesAgree(t *testing.T) {
 	d := NewDataset(SkewTriples(SkewConfig{
 		Users: 2000, Pages: 5000, Interests: 4000, Likes: 10_000, Topics: 64,

@@ -19,9 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"parj/internal/governance"
@@ -83,25 +81,21 @@ type Options struct {
 	// procedures only. Tracing is only meaningful with Threads = 1; the
 	// paper's Table 6 runs single-threaded.
 	MemTracer search.Tracer
-	// MeasureShards runs the work units one at a time (no goroutine
-	// concurrency) and records each unit's execution time in
+	// MeasureShards runs the morsels one at a time (no goroutine
+	// concurrency) and records each morsel's execution time in
 	// Result.ShardDurations. Because PARJ workers share nothing and never
 	// communicate, the elapsed time of a communication-free N-core run is
-	// the maximum shard duration (static mode) or the list-scheduling
-	// makespan of the morsel durations (default scheduler mode) — which
-	// lets hosts with fewer cores than the requested thread count simulate
-	// the paper's multicore wall clock. See Result.MaxShardTime.
+	// the list-scheduling makespan of the morsel durations over N workers —
+	// which lets hosts with fewer cores than the requested thread count
+	// simulate the paper's multicore wall clock. See Result.MaxShardTime.
 	MeasureShards bool
 	// MorselSize bounds the number of outer tuples per scheduler morsel
 	// (0 = DefaultMorselSize). Smaller morsels rebalance skew at finer
 	// grain at the cost of more dispatch traffic; tests use extreme values
-	// to fuzz the stealing protocol.
+	// to fuzz the stealing protocol. A bound at or above the shard size
+	// leaves every shard uncut — one morsel per worker, which is the paper's
+	// one-shot static sharding (§3).
 	MorselSize int
-	// StaticShards restores the paper's one-shot static sharding (§3): one
-	// worker per shard, no morsel queue, no stealing. The default (false)
-	// runs the morsel-driven work-stealing scheduler; static mode remains
-	// as the A/B benchmarking baseline and reference semantics in tests.
-	StaticShards bool
 	// Join selects the join operator: JoinAuto (default) follows the
 	// optimizer's shape classifier (Plan.PreferWCOJ), JoinPipeline and
 	// JoinWCOJ force one operator — the knob difftest and bench use to A/B
@@ -178,36 +172,26 @@ type Result struct {
 	Stats search.Stats
 	// Plan is the executed plan, kept for decoding and explain output.
 	Plan *optimizer.Plan
-	// ShardDurations holds per-unit execution times when
-	// Options.MeasureShards was set: one entry per static shard, or one
-	// entry per morsel in the default scheduler mode.
+	// ShardDurations holds the per-morsel execution times, in dispatch
+	// order, when Options.MeasureShards was set. With morsels left uncut
+	// (MorselSize ≥ shard size) that is one entry per shard range.
 	ShardDurations []time.Duration
 	// Sched reports per-worker scheduler activity (morsel pulls, steals,
 	// claimed tuples, produced rows, busy time), one entry per worker.
 	Sched SchedStats
 
-	// simMakespan is the simulated parallel elapsed time of a morsel-mode
-	// MeasureShards run: the greedy list-scheduling makespan of the
-	// measured morsel durations over the requested worker count.
+	// simMakespan is the simulated parallel elapsed time of a MeasureShards
+	// run: the greedy list-scheduling makespan of the measured morsel
+	// durations over the requested worker count.
 	simMakespan time.Duration
 }
 
 // MaxShardTime returns the simulated communication-free parallel elapsed
 // time of a MeasureShards run (zero otherwise): the list-scheduling
-// makespan of the morsel durations in scheduler mode, or the longest shard
-// duration in static mode.
-func (r *Result) MaxShardTime() time.Duration {
-	if r.simMakespan > 0 {
-		return r.simMakespan
-	}
-	var m time.Duration
-	for _, d := range r.ShardDurations {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
+// makespan of the morsel durations over the requested workers. With no more
+// morsels than workers — uncut shards — that is the longest shard duration,
+// the paper's "a query lasts as long as its slowest shard".
+func (r *Result) MaxShardTime() time.Duration { return r.simMakespan }
 
 // SumShardTime returns the total worker time (zero unless MeasureShards).
 func (r *Result) SumShardTime() time.Duration {
@@ -261,156 +245,40 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 	for _, slot := range plan.Project {
 		res.Vars = append(res.Vars, plan.SlotVars[slot])
 	}
-	if opts.Context != nil && opts.Context.Err() != nil {
-		// Dead on arrival: don't start workers for an expired context.
-		return res, governance.CtxError(opts.Context)
+	x, err := prepare(st, plan, &opts, from, to)
+	if err != nil {
+		return res, err
 	}
-	if plan.Empty {
-		return res, nil
-	}
-	if opts.Strategy.NeedsIndex() {
-		for p := 1; p <= st.NumPredicates(); p++ {
-			if st.SO(uint32(p)).Index == nil {
-				return nil, errNeedsIndex(opts.Strategy)
-			}
-		}
-	}
-	if len(plan.Patterns) == 0 {
-		// All patterns were constant and verified at plan time: one empty
-		// solution, produced by the range holding shard 0 so a cluster
-		// emits it exactly once.
-		if from == 0 {
-			res.Count = 1
-			if !opts.Silent {
-				res.Rows = [][]uint32{make([]uint32, len(plan.Project))}
-			}
+	defer x.gov.ReleasePool()
+	if x.constant {
+		res.Count = 1
+		if !opts.Silent {
+			res.Rows = [][]uint32{make([]uint32, len(plan.Project))}
 		}
 		return res, nil
 	}
 
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	// A full-range execution spreads the morsels over `threads` workers; an
-	// explicit sub-range (a cluster node) gets one worker per shard of its
-	// range, preserving the deterministic per-node thread allotment.
-	fullRange := from <= 0 && to < 0
-	// Operator choice: the worst-case-optimal join shards the first
-	// variable's materialized domain at this same layer, so the cluster's
-	// deterministic [from, to) shard-range contract is preserved.
-	wp := wcojFor(st, plan, &opts)
-	var shards []shard
-	if wp != nil {
-		shards = makeWCOJShards(wp, threads)
-	} else {
-		shards = makeShards(st, plan, threads)
-	}
-	if from < 0 {
-		from = 0
-	}
-	if to < 0 || to > len(shards) {
-		to = len(shards)
-	}
-	if from > len(shards) {
-		from = len(shards)
-	}
-	if from > to {
-		from = to
-	}
-	shards = shards[from:to]
-
-	// DISTINCT must see the projected rows even in silent mode.
-	materialize := !opts.Silent || plan.Distinct
-
-	// The governor always exists (it is where a contained worker panic
-	// lands); per-step gates are only handed out when the options actually
-	// constrain the query, so ungoverned execution pays nothing per step.
-	gov := governance.New(opts.governanceConfig())
-	governed := opts.governanceConfig().Enabled()
-	defer gov.ReleasePool()
-
-	var workers []*worker
-	if opts.StaticShards {
-		workers = make([]*worker, len(shards))
-		for i := range shards {
-			workers[i] = newWorker(st, plan, &opts, gov, governed, materialize)
-			workers[i].setWCOJ(wp)
-		}
-		if opts.MeasureShards {
-			res.ShardDurations = make([]time.Duration, len(shards))
-			for i, w := range workers {
-				if gov.Stopped() {
-					break
-				}
-				start := time.Now()
-				runShardContained(gov, w, shards[i])
-				res.ShardDurations[i] = time.Since(start)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i, w := range workers {
-				wg.Add(1)
-				go func(w *worker, sh shard) {
-					defer wg.Done()
-					runShardContained(gov, w, sh)
-				}(w, shards[i])
-			}
-			wg.Wait()
-		}
-	} else {
-		morsels := makeMorsels(st, plan, shards, opts.MorselSize)
-		nworkers := threads
-		if !fullRange {
-			nworkers = len(shards)
-		}
-		if nworkers > len(morsels) {
-			nworkers = len(morsels)
-		}
-		switch {
-		case len(morsels) == 0:
-			// Empty range: nothing to run.
-		case opts.MeasureShards:
-			w := newWorker(st, plan, &opts, gov, governed, materialize)
-			w.setWCOJ(wp)
-			workers = []*worker{w}
-			res.ShardDurations = runMorselsMeasured(gov, w, morsels)
-			res.simMakespan = listScheduleMakespan(res.ShardDurations, nworkers)
-		default:
-			workers = make([]*worker, nworkers)
-			s := newScheduler(morsels, nworkers, gov)
-			var wg sync.WaitGroup
-			for id := range workers {
-				workers[id] = newWorker(st, plan, &opts, gov, governed, materialize)
-				workers[id].setWCOJ(wp)
-				wg.Add(1)
-				go func(w *worker, id int) {
-					defer wg.Done()
-					runSchedulerContained(gov, s, w, id)
-				}(workers[id], id)
-			}
-			wg.Wait()
-		}
+	s, workers := x.launch(nil)
+	s.wg.Wait()
+	if opts.MeasureShards {
+		res.ShardDurations = s.durations
+		res.simMakespan = listScheduleMakespan(s.durations, x.nworkers)
 	}
 
 	for _, w := range workers {
 		res.Stats.Add(w.stats)
 		res.Sched.Workers = append(res.Sched.Workers, w.wstat)
 	}
-	if err := gov.Err(); err != nil {
+	if err := x.gov.Err(); err != nil {
 		// Governed failure or contained panic: report partial progress
 		// (count and probe stats) alongside the typed error, but never hand
 		// out partial rows.
 		for _, w := range workers {
-			if w.materialize {
-				res.Count += int64(len(w.rows))
-			} else {
-				res.Count += w.count
-			}
+			res.Count += w.produced()
 		}
 		return res, err
 	}
-	if materialize {
+	if x.materialize {
 		var rows [][]uint32
 		for _, w := range workers {
 			rows = append(rows, w.rows...)
@@ -436,57 +304,178 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 	return res, nil
 }
 
+// execution is one query's resolved configuration — everything Execute,
+// ExecuteShardRange and ExecuteStream derive from (store, plan, options,
+// shard range) before the first worker starts.
+type execution struct {
+	st   *store.Store
+	plan *optimizer.Plan
+	opts *Options
+
+	// constant marks an all-constant plan verified at plan time: one empty
+	// solution and no work.
+	constant bool
+	// wp is non-nil when the worst-case-optimal operator runs (wcoj.go).
+	wp *wcojPlan
+	// morsels is the range's outer-relation work in dispatch order; nworkers
+	// is how many workers it is spread over.
+	morsels  []*morsel
+	nworkers int
+
+	// materialize: DISTINCT must see the projected rows even in silent mode.
+	materialize bool
+	// The governor always exists (it is where a contained worker panic
+	// lands); per-step gates are only handed out when the options actually
+	// constrain the query, so ungoverned execution pays nothing per step.
+	gov      *governance.Governor
+	governed bool
+}
+
+// prepare validates the options against store and plan and resolves the
+// execution: thread count, join operator, the deterministic partition of the
+// first relation clamped to shard range [from, to) and cut into morsels, and
+// the governor. An execution without morsels (empty plan, empty range) runs
+// no workers and yields the empty result.
+func prepare(st *store.Store, plan *optimizer.Plan, opts *Options, from, to int) (*execution, error) {
+	if opts.Context != nil && opts.Context.Err() != nil {
+		// Dead on arrival: don't start workers for an expired context.
+		return nil, governance.CtxError(opts.Context)
+	}
+	cfg := opts.governanceConfig()
+	x := &execution{
+		st: st, plan: plan, opts: opts,
+		materialize: !opts.Silent || plan.Distinct,
+		gov:         governance.New(cfg),
+		governed:    cfg.Enabled(),
+	}
+	if plan.Empty {
+		return x, nil
+	}
+	if opts.Strategy.NeedsIndex() {
+		for p := 1; p <= st.NumPredicates(); p++ {
+			if st.SO(uint32(p)).Index == nil {
+				return nil, fmt.Errorf("core: strategy %v requires a store built with BuildPosIndex", opts.Strategy)
+			}
+		}
+	}
+	if len(plan.Patterns) == 0 {
+		// All patterns were constant and verified at plan time: one empty
+		// solution, produced by the range holding shard 0 so a cluster
+		// emits it exactly once.
+		x.constant = from == 0
+		return x, nil
+	}
+
+	threads := opts.Threads
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	// Operator choice: the worst-case-optimal join shards the first
+	// variable's materialized domain at this same layer, so the cluster's
+	// deterministic [from, to) shard-range contract is preserved.
+	x.wp = wcojFor(st, plan, opts)
+	var shards [][]*morsel
+	if x.wp != nil {
+		shards = makeWCOJShards(x.wp, threads)
+	} else {
+		shards = makeShards(st, plan, threads)
+	}
+	// A full-range execution spreads the morsels over `threads` workers; an
+	// explicit sub-range (a cluster node) gets one worker per shard of its
+	// range, preserving the deterministic per-node thread allotment.
+	fullRange := from <= 0 && to < 0
+	if from < 0 {
+		from = 0
+	}
+	if to < 0 || to > len(shards) {
+		to = len(shards)
+	}
+	if from > len(shards) {
+		from = len(shards)
+	}
+	if from > to {
+		from = to
+	}
+	shards = shards[from:to]
+
+	x.morsels = makeMorsels(shards, opts.MorselSize)
+	x.nworkers = threads
+	if !fullRange {
+		x.nworkers = len(shards)
+	}
+	if x.nworkers > len(x.morsels) {
+		x.nworkers = len(x.morsels)
+	}
+	return x, nil
+}
+
+// launch starts the execution's workers over one scheduler, one goroutine
+// each, and returns both; s.wg is done when the last worker has finished.
+// newSink, when non-nil, gives every worker a stream sink (ExecuteStream).
+// Under MeasureShards a single worker drains the morsels one at a time and
+// the scheduler records each morsel's duration.
+func (x *execution) launch(newSink func() *streamSink) (*scheduler, []*worker) {
+	n := x.nworkers
+	if x.opts.MeasureShards && n > 1 {
+		n = 1
+	}
+	s := newScheduler(x.morsels, n, x.gov)
+	s.measure = x.opts.MeasureShards
+	workers := make([]*worker, n)
+	for id := range workers {
+		var sink *streamSink
+		if newSink != nil {
+			sink = newSink()
+		}
+		workers[id] = x.newWorker(sink)
+		s.wg.Add(1)
+		go func(w *worker, id int) {
+			defer s.wg.Done()
+			runContained(x.gov, s, w, id)
+		}(workers[id], id)
+	}
+	return s, workers
+}
+
 // rowFootprint estimates the materialized size of one projected row: the
 // uint32 payload plus the slice header, the figure the memory budget
 // charges per row.
 func rowFootprint(projected int) int64 { return int64(projected)*4 + 24 }
 
-// newWorker constructs one pipeline worker wired to the query's governor.
-func newWorker(st *store.Store, plan *optimizer.Plan, opts *Options, gov *governance.Governor, governed, materialize bool) *worker {
+// newWorker constructs one worker wired to the query's governor. A worker
+// with a sink streams its rows instead of holding them: it charges produced
+// rows against MaxResultRows but no memory — the whole point of the iterator
+// path (§5.2) is that it never accumulates the result.
+func (x *execution) newWorker(sink *streamSink) *worker {
+	plan := x.plan
 	w := &worker{
-		st:          st,
+		st:          x.st,
 		plan:        plan,
-		strategy:    opts.Strategy,
-		tracer:      opts.MemTracer,
+		strategy:    x.opts.Strategy,
+		tracer:      x.opts.MemTracer,
 		fault:       probeFaultHook,
-		hooked:      opts.MemTracer != nil || probeFaultHook != nil,
+		hooked:      x.opts.MemTracer != nil || probeFaultHook != nil,
 		binding:     make([]uint32, plan.NumSlots),
 		cursors:     make([]int, len(plan.Patterns)),
-		materialize: materialize,
+		materialize: x.materialize && sink == nil,
 		limit:       plan.Limit,
 		tick:        ungovernedTick,
+		stream:      sink,
 	}
 	if plan.Distinct && plan.Limit > 0 {
 		w.seen = make(map[string]bool)
 	}
-	if governed {
-		w.gate = gov.NewGate()
-		w.tick = int64(gov.Interval())
-		if materialize {
+	if x.governed {
+		w.gate = x.gov.NewGate()
+		w.tick = int64(x.gov.Interval())
+		if w.materialize {
 			w.rowBytes = rowFootprint(len(plan.Project))
 		}
 	}
+	if x.wp != nil {
+		w.wcoj = &wcojExec{plan: x.wp, bufs: make([][]uint32, len(x.wp.vars))}
+	}
 	return w
-}
-
-// runShardContained drives one worker over its shard with panic
-// containment: a panic anywhere inside the pipeline is recovered, converted
-// into a typed query error on the governor (stack attached), and stops the
-// remaining workers at their next governance check instead of crashing the
-// process. On normal completion the worker's gate is flushed so budget
-// accounting is exact.
-func runShardContained(gov *governance.Governor, w *worker, sh shard) {
-	start := time.Now()
-	defer func() {
-		w.wstat.Morsels++
-		w.wstat.Rows = w.produced()
-		w.wstat.Busy += time.Since(start)
-		if r := recover(); r != nil {
-			gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
-	w.runShard(sh)
-	w.closeGate()
 }
 
 // DedupRows removes duplicate rows in place, keeping first occurrences in
@@ -517,7 +506,7 @@ func rowKey(dst []byte, row []uint32) []byte {
 	return dst
 }
 
-// worker executes one shard of the first relation through the whole
+// worker executes morsels of the first relation through the whole
 // pipeline. Workers share only immutable data.
 type worker struct {
 	st       *store.Store
@@ -537,7 +526,7 @@ type worker struct {
 	// seen, non-nil only under DISTINCT+LIMIT, dedups incrementally so
 	// the limit cutoff below counts distinct rows, not produced rows —
 	// stopping at `limit` produced rows could dedup to fewer than the
-	// distinct rows the shard actually holds.
+	// distinct rows its morsels actually hold.
 	seen    map[string]bool
 	seenKey []byte
 
@@ -609,22 +598,6 @@ func (w *worker) table(pi int, p uint32) *store.Table {
 	return w.st.SO(p)
 }
 
-// locateKeyHooked is the cold probe variant for fault injection and
-// tracing, dispatched to by stepWithPred when w.hooked is set. Kept out of
-// line: an inline indirect call would force register spills into the hot
-// probe path and slow the inlined search loops in locate below.
-//
-//go:noinline
-func (w *worker) locateKeyHooked(t *store.Table, v uint32, cur *int) (int, bool) {
-	if w.fault != nil {
-		w.fault()
-	}
-	if w.tracer != nil {
-		return w.locateKeyTraced(t, v, cur)
-	}
-	return w.locate(t, v, cur)
-}
-
 // locate runs the configured probe strategy; the search kernels inline
 // into this body.
 func (w *worker) locate(t *store.Table, v uint32, cur *int) (int, bool) {
@@ -667,9 +640,20 @@ func (w *worker) locate(t *store.Table, v uint32, cur *int) (int, bool) {
 	}
 }
 
-// locateKeyTraced mirrors locateKey but replays every array access through
-// the tracer (Table 6 instrumentation).
-func (w *worker) locateKeyTraced(t *store.Table, v uint32, cur *int) (int, bool) {
+// locateKeyHooked is the cold probe variant for fault injection and Table-6
+// memory tracing, dispatched to by stepWithPred when w.hooked is set. Under a
+// tracer it mirrors locate with every array access replayed through the
+// tracer. Kept out of line: an inline indirect call would force register
+// spills into the hot probe path and slow the inlined search loops in locate.
+//
+//go:noinline
+func (w *worker) locateKeyHooked(t *store.Table, v uint32, cur *int) (int, bool) {
+	if w.fault != nil {
+		w.fault()
+	}
+	if w.tracer == nil {
+		return w.locate(t, v, cur)
+	}
 	switch w.strategy {
 	case BinaryOnly:
 		w.stats.Binary++
@@ -863,126 +847,21 @@ func (w *worker) values(pi int, pp *optimizer.PatternPlan, t *store.Table, pos i
 	}
 }
 
-// shard describes one worker's slice of the first pattern.
-type shard struct {
-	// ranges lists (pred, key or value range) assignments. For constant
-	// predicates there is exactly one entry.
-	ranges []predRange
-
-	// Hierarchy-expanded first patterns are sharded over materialized
-	// union arrays instead (see makeExpandedShards): unionKeys slices the
-	// deduplicated key union (Key is a new variable), unionVals slices the
-	// deduplicated value union of a constant-key lookup. whole marks a
-	// fallback shard evaluating the entire pattern.
-	unionKeys []uint32
-	unionVals []uint32
-	whole     bool
-
-	// wcojDom slices the materialized first-variable domain of a
-	// worst-case-optimal join (see makeWCOJShards); the other fields are
-	// unused then.
-	wcojDom []uint32
-}
-
-type predRange struct {
-	pred uint32
-	// keyFrom/keyTo slice the key array when the first pattern's key is a
-	// variable; valFrom/valTo slice the run of keyPos when the key is a
-	// constant (Example 3.2: sharding the subject vector of a selective
-	// O-S lookup).
-	keyFrom, keyTo int
-	keyPos         int // -1 when sharding keys
-	valFrom, valTo int
-}
-
-// runShard drives the first pattern over the worker's shard, then pipelines
-// into the remaining patterns.
-func (w *worker) runShard(sh shard) {
-	if sh.wcojDom != nil {
-		w.wcojRange(sh.wcojDom)
-		return
-	}
-	pp := &w.plan.Patterns[0]
-	switch {
-	case sh.whole:
-		w.step(0)
-		return
-	case sh.unionKeys != nil:
-		tables := w.expandedTables(0, pp)
-		for _, k := range sh.unionKeys {
-			if w.tick--; w.tick <= 0 && !w.slowTick() {
-				return
-			}
-			w.binding[pp.Key.Slot] = k
-			if !w.valuesUnion(0, pp, w.collectRuns(tables, []uint32{k})) {
-				return
-			}
-		}
-		return
-	case sh.unionVals != nil:
-		for _, v := range sh.unionVals {
-			if w.tick--; w.tick <= 0 && !w.slowTick() {
-				return
-			}
-			w.binding[pp.Val.Slot] = v
-			if !w.step(1) {
-				return
-			}
-		}
-		return
-	}
-	for _, r := range sh.ranges {
-		if pp.PredSlot >= 0 {
-			w.binding[pp.PredSlot] = r.pred
-		}
-		t := w.table(0, r.pred)
-		if r.keyPos >= 0 {
-			// Constant key: iterate a slice of its run.
-			run := t.Run(r.keyPos)[r.valFrom:r.valTo]
-			for _, v := range run {
-				if w.tick--; w.tick <= 0 && !w.slowTick() {
-					return
-				}
-				switch pp.Val.Kind {
-				case optimizer.NewVar:
-					w.binding[pp.Val.Slot] = v
-					if !w.step(1) {
-						return
-					}
-				case optimizer.Const:
-					if v == pp.Val.Const && !w.step(1) {
-						return
-					}
-				default: // BoundVar: impossible on the first pattern
-					if v == w.binding[pp.Val.Slot] && !w.step(1) {
-						return
-					}
-				}
-			}
-			continue
-		}
-		for pos := r.keyFrom; pos < r.keyTo; pos++ {
-			if pp.Key.Kind == optimizer.NewVar {
-				w.binding[pp.Key.Slot] = t.Keys[pos]
-			}
-			if !w.values(0, pp, t, pos) {
-				return
-			}
-		}
-	}
-}
-
 // makeShards splits the first pattern into at most threads balanced shards
 // (paper §3: the degree of parallelism comes from sharding the first
-// table, or the matching vector when the first pattern is selective).
-func makeShards(st *store.Store, plan *optimizer.Plan, threads int) []shard {
+// table, or the matching vector when the first pattern is selective). A
+// shard is a list of uncut morsels — one per (predicate, key or value range)
+// it covers, so exactly one for a constant predicate; makeMorsels re-cuts
+// them to the scheduler's bound.
+func makeShards(st *store.Store, plan *optimizer.Plan, threads int) [][]*morsel {
 	pp := &plan.Patterns[0]
 	if pp.Expanded() {
 		return makeExpandedShards(st, pp, threads)
 	}
 
-	// Enumerate the work units: one (pred, size) per candidate predicate.
+	// Enumerate the work units: one (table, size) per candidate predicate.
 	type unit struct {
+		t      *store.Table
 		pred   uint32
 		keyPos int // -1 = shard keys, else shard this run
 		size   int
@@ -1015,9 +894,9 @@ func makeShards(st *store.Store, plan *optimizer.Plan, threads int) []shard {
 				continue
 			}
 			lo, hi := t.RunBounds(pos)
-			units = append(units, unit{pred: p, keyPos: pos, size: hi - lo})
+			units = append(units, unit{t: t, pred: p, keyPos: pos, size: hi - lo})
 		} else {
-			units = append(units, unit{pred: p, keyPos: -1, size: t.NumKeys()})
+			units = append(units, unit{t: t, pred: p, keyPos: -1, size: t.NumKeys()})
 		}
 	}
 	total := 0
@@ -1031,19 +910,19 @@ func makeShards(st *store.Store, plan *optimizer.Plan, threads int) []shard {
 		threads = total
 	}
 
-	// Assign contiguous global ranges of size ≈ total/threads.
-	shards := make([]shard, 0, threads)
+	// Assign contiguous global ranges of size ≈ total/threads: key positions
+	// when the first pattern's key is a variable, run-relative value
+	// positions of a constant key's run otherwise (Example 3.2: sharding the
+	// subject vector of a selective O-S lookup).
+	shards := make([][]*morsel, 0, threads)
 	per := (total + threads - 1) / threads
-	cur := shard{}
+	var cur []*morsel
 	curSize := 0
-	flush := func() {
-		if len(cur.ranges) > 0 {
-			shards = append(shards, cur)
-			cur = shard{}
-			curSize = 0
-		}
-	}
 	for _, u := range units {
+		kind := morselKeys
+		if u.keyPos >= 0 {
+			kind = morselRun
+		}
 		offset := 0
 		for offset < u.size {
 			room := per - curSize
@@ -1051,29 +930,27 @@ func makeShards(st *store.Store, plan *optimizer.Plan, threads int) []shard {
 			if n > room {
 				n = room
 			}
-			pr := predRange{pred: u.pred, keyPos: u.keyPos}
-			if u.keyPos >= 0 {
-				pr.valFrom, pr.valTo = offset, offset+n
-			} else {
-				pr.keyFrom, pr.keyTo = offset, offset+n
-			}
-			cur.ranges = append(cur.ranges, pr)
+			cur = append(cur, newMorsel(kind, u.t, u.pred, u.keyPos, nil, offset, offset+n))
 			curSize += n
 			offset += n
 			if curSize >= per {
-				flush()
+				shards = append(shards, cur)
+				cur, curSize = nil, 0
 			}
 		}
 	}
-	flush()
+	if len(cur) > 0 {
+		shards = append(shards, cur)
+	}
 	return shards
 }
 
 // makeExpandedShards shards a hierarchy-expanded first pattern. The two
 // parallelizable forms materialize the deduplicated union once and slice
-// it; anything else (e.g. an all-constant expanded pattern) falls back to
-// a single whole-pattern shard.
-func makeExpandedShards(st *store.Store, pp *optimizer.PatternPlan, threads int) []shard {
+// it — the key union when the key is a new variable, the value union of a
+// constant-key lookup; anything else (e.g. an all-constant expanded pattern)
+// falls back to a single unsplittable whole-pattern morsel.
+func makeExpandedShards(st *store.Store, pp *optimizer.PatternPlan, threads int) [][]*morsel {
 	tables := make([]*store.Table, 0, len(pp.Preds()))
 	for _, p := range pp.Preds() {
 		if pp.UseOS {
@@ -1082,35 +959,33 @@ func makeExpandedShards(st *store.Store, pp *optimizer.PatternPlan, threads int)
 			tables = append(tables, st.SO(p))
 		}
 	}
-	var merged []uint32
-	keysMode := false
 	switch {
 	case pp.Key.Kind == optimizer.NewVar:
-		merged = mergedUnionKeys(tables)
-		keysMode = true
+		return sliceShards(morselUnionKeys, mergedUnionKeys(tables), threads)
 	case pp.Key.Kind == optimizer.Const && pp.Val.Kind == optimizer.NewVar:
-		merged = mergedUnionValues(tables, keyConstants(pp))
+		return sliceShards(morselUnionVals, mergedUnionValues(tables, keyConstants(pp)), threads)
 	default:
-		return []shard{{whole: true}}
+		return [][]*morsel{{newMorsel(morselWhole, nil, 0, 0, nil, 0, 1)}}
 	}
-	if len(merged) == 0 {
+}
+
+// sliceShards splits a materialized array into at most threads contiguous
+// shards of ⌈len/threads⌉ entries, one uncut morsel each.
+func sliceShards(kind morselKind, u []uint32, threads int) [][]*morsel {
+	if len(u) == 0 {
 		return nil
 	}
-	if threads > len(merged) {
-		threads = len(merged)
+	if threads > len(u) {
+		threads = len(u)
 	}
-	per := (len(merged) + threads - 1) / threads
-	var shards []shard
-	for from := 0; from < len(merged); from += per {
+	per := (len(u) + threads - 1) / threads
+	shards := make([][]*morsel, 0, threads)
+	for from := 0; from < len(u); from += per {
 		to := from + per
-		if to > len(merged) {
-			to = len(merged)
+		if to > len(u) {
+			to = len(u)
 		}
-		if keysMode {
-			shards = append(shards, shard{unionKeys: merged[from:to]})
-		} else {
-			shards = append(shards, shard{unionVals: merged[from:to]})
-		}
+		shards = append(shards, []*morsel{newMorsel(kind, nil, 0, 0, u, from, to)})
 	}
 	return shards
 }

@@ -9,15 +9,17 @@ package core
 // with a hundred-thousand-triple run) lands entirely inside one shard and
 // N−1 workers go idle while one drags the query.
 //
-// This file replaces the one-shot shard list with a morsel scheduler in the
-// style of HyPer/HoneyComb morsel-driven parallelism, adapted to PARJ's
-// share-nothing workers:
+// The morsel is therefore the only unit of outer-relation work, scheduled
+// in the style of HyPer/HoneyComb morsel-driven parallelism, adapted to
+// PARJ's share-nothing workers:
 //
-//   - makeShards' output is cut into bounded-size morsels (at most
-//     Options.MorselSize outer tuples each). Constant-key runs, expanded
-//     union vectors and — crucially — the runs of individual hot keys are
-//     all cut, so no single morsel exceeds the bound (except the rare
-//     unsplittable whole-pattern fallback).
+//   - makeShards' output — one uncut morsel per shard range — is re-cut into
+//     bounded-size morsels (at most Options.MorselSize outer tuples each).
+//     Constant-key runs, expanded union vectors and — crucially — the runs
+//     of individual hot keys are all cut, so no single morsel exceeds the
+//     bound (except the rare unsplittable whole-pattern fallback). A bound
+//     at or above the shard size cuts nothing: one morsel per worker is the
+//     paper's static sharding, as a configuration rather than a code path.
 //   - Morsels sit in a fixed array behind an atomic dispatch cursor; taking
 //     the next morsel is one atomic add, with no locks and no channels.
 //   - Every morsel carries a claim span: cursor and end packed into one
@@ -29,7 +31,7 @@ package core
 //   - Workers keep their per-pattern sequential-search cursors across
 //     chunks of the same morsel, and morsels are contiguous ranges, so the
 //     adaptive probes (Algorithm 1) still see mostly-ascending keys within
-//     a morsel exactly as they did within a static shard.
+//     a morsel exactly as they do within a whole shard.
 //
 // Workers never block on one another: a worker with no morsel to take and
 // nothing worth stealing simply exits, leaving in-flight owners to finish
@@ -38,6 +40,7 @@ package core
 import (
 	"runtime/debug"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,7 +127,7 @@ const (
 	// morselRun spans run-relative value positions [from, to) within
 	// Run(keyPos) of table t — a slice of one key's run, used for
 	// constant-key first patterns (Example 3.2) and for splitting the run
-	// of a hot key, which static sharding cannot do for variable keys.
+	// of a hot key, which a cut at key granularity cannot do.
 	morselRun
 	// morselUnionKeys spans indices of a materialized expanded key union.
 	morselUnionKeys
@@ -171,86 +174,65 @@ func (m *morsel) child(from, to int) *morsel {
 	return newMorsel(m.kind, m.t, m.pred, m.keyPos, m.union, from, to)
 }
 
-// makeMorsels cuts the static shard list into bounded-size morsels. Cutting
-// happens within each shard, so the deterministic shard→node assignment of
-// the cluster extension is preserved exactly: a node cuts only the shards
-// of its own range, and the union over nodes still partitions the input.
-func makeMorsels(st *store.Store, plan *optimizer.Plan, shards []shard, size int) []*morsel {
+// makeMorsels re-cuts the shards' uncut morsels into morsels of at most size
+// outer tuples, in shard order. Cutting happens within each shard, so the
+// deterministic shard→node assignment of the cluster extension is preserved
+// exactly: a node cuts only the shards of its own range, and the union over
+// nodes still partitions the input.
+func makeMorsels(shards [][]*morsel, size int) []*morsel {
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
 	if size > maxMorselSize {
 		size = maxMorselSize
 	}
-	pp := &plan.Patterns[0]
 	var out []*morsel
-	cutSlice := func(kind morselKind, u []uint32) {
-		for from := 0; from < len(u); from += size {
-			to := from + size
-			if to > len(u) {
-				to = len(u)
-			}
-			out = append(out, newMorsel(kind, nil, 0, 0, u, from, to))
-		}
-	}
 	for _, sh := range shards {
-		switch {
-		case sh.wcojDom != nil:
-			cutSlice(morselWCOJ, sh.wcojDom)
-		case sh.whole:
-			out = append(out, newMorsel(morselWhole, nil, 0, 0, nil, 0, 1))
-		case sh.unionKeys != nil:
-			cutSlice(morselUnionKeys, sh.unionKeys)
-		case sh.unionVals != nil:
-			cutSlice(morselUnionVals, sh.unionVals)
-		default:
-			for _, r := range sh.ranges {
-				var t *store.Table
-				if pp.UseOS {
-					t = st.OS(r.pred)
-				} else {
-					t = st.SO(r.pred)
-				}
-				if r.keyPos >= 0 {
-					out = appendRunMorsels(out, t, r.pred, r.keyPos, r.valFrom, r.valTo, size)
-				} else {
-					out = appendKeyMorsels(out, t, r.pred, r.keyFrom, r.keyTo, size)
-				}
+		for _, m := range sh {
+			from, to := unpackSpan(m.span.word.Load())
+			switch m.kind {
+			case morselKeys:
+				out = appendKeyMorsels(out, m, from, to, size)
+			case morselWhole:
+				out = append(out, m)
+			default: // run slices, unions and WCOJ domains: one tuple per position
+				out = appendCut(out, m, from, to, size)
 			}
 		}
 	}
 	return out
 }
 
-// appendRunMorsels cuts run-relative value positions [from, to) of one
-// key's run into morsels of at most size values.
-func appendRunMorsels(out []*morsel, t *store.Table, pred uint32, keyPos, from, to, size int) []*morsel {
+// appendCut cuts positions [from, to) of m's work unit into morsels of at
+// most size positions.
+func appendCut(out []*morsel, m *morsel, from, to, size int) []*morsel {
 	for ; from < to; from += size {
 		end := from + size
 		if end > to {
 			end = to
 		}
-		out = append(out, newMorsel(morselRun, t, pred, keyPos, nil, from, end))
+		out = append(out, m.child(from, end))
 	}
 	return out
 }
 
-// appendKeyMorsels cuts key positions [keyFrom, keyTo) into morsels bounded
-// by outer-tuple weight (sum of run lengths plus one per key, so both wide
-// and narrow tables converge). A single key whose run alone exceeds the
-// bound — the skew case static sharding cannot split — is cut into
-// run-slice morsels instead.
-func appendKeyMorsels(out []*morsel, t *store.Table, pred uint32, keyFrom, keyTo, size int) []*morsel {
+// appendKeyMorsels cuts key positions [keyFrom, keyTo) of morselKeys m into
+// morsels bounded by outer-tuple weight (sum of run lengths plus one per
+// key, so both wide and narrow tables converge). A single key whose run
+// alone exceeds the bound — the skew case a cut at key granularity cannot
+// split — is cut into run-slice morsels instead.
+func appendKeyMorsels(out []*morsel, m *morsel, keyFrom, keyTo, size int) []*morsel {
 	// Cumulative weight of [a, b) is g(b)-g(a); g is strictly increasing, so
 	// each cut point is a binary search over the Offs prefix sums and the
 	// whole cut costs O(morsels·log keys) instead of O(keys) — this runs on
 	// every query, including sub-millisecond ones where a linear walk of the
 	// key array would dominate the query itself.
+	t := m.t
 	g := func(i int) int { return int(t.Offs[i]) + i }
 	a := keyFrom
 	for a < keyTo {
 		if runLen := int(t.Offs[a+1] - t.Offs[a]); runLen > size {
-			out = appendRunMorsels(out, t, pred, a, 0, runLen, size)
+			out = appendCut(out, newMorsel(morselRun, t, m.pred, a, nil, 0, runLen), 0, runLen, size)
 			a++
 			continue
 		}
@@ -259,7 +241,7 @@ func appendKeyMorsels(out []*morsel, t *store.Table, pred uint32, keyFrom, keyTo
 		// bound, so the search naturally stops before hot keys.
 		limit := g(a) + size
 		b := a + 1 + sort.Search(keyTo-(a+1), func(i int) bool { return g(a+2+i) > limit })
-		out = append(out, newMorsel(morselKeys, t, pred, -1, nil, a, b))
+		out = append(out, m.child(a, b))
 		a = b
 	}
 	return out
@@ -271,8 +253,9 @@ func appendKeyMorsels(out []*morsel, t *store.Table, pred uint32, keyFrom, keyTo
 // each other, while a pathological one shows a single worker owning nearly
 // all tuples.
 type WorkerStat struct {
-	// Morsels is the number of morsels pulled from the dispatch queue (in
-	// static-shard mode: shards executed).
+	// Morsels is the number of morsels pulled from the dispatch queue. With
+	// morsels left uncut (MorselSize ≥ shard size) that is the number of
+	// shard ranges the worker executed.
 	Morsels int64
 	// Steals is the number of ranges stolen from in-flight morsels.
 	Steals int64
@@ -346,6 +329,15 @@ type scheduler struct {
 	// workers through gov.Stopped instead.
 	poisoned atomic.Bool
 	gov      *governance.Governor
+	// wg counts the running workers (see execution.launch).
+	wg sync.WaitGroup
+
+	// measure is Options.MeasureShards: the single worker then times every
+	// morsel it drains into durations, in dispatch order, so hosts with fewer
+	// cores than the requested thread count can simulate the parallel
+	// elapsed time — see listScheduleMakespan.
+	measure   bool
+	durations []time.Duration
 }
 
 func newScheduler(morsels []*morsel, workers int, gov *governance.Governor) *scheduler {
@@ -415,7 +407,15 @@ func (w *worker) runScheduler(s *scheduler, id int) {
 			return
 		}
 		s.inflight[id].Store(m)
-		if !w.drainMorsel(s, m) {
+		var t0 time.Time
+		if s.measure {
+			t0 = time.Now()
+		}
+		ok := w.drainMorsel(s, m)
+		if s.measure {
+			s.durations = append(s.durations, time.Since(t0))
+		}
+		if !ok {
 			return
 		}
 	}
@@ -448,7 +448,8 @@ func (w *worker) drainMorsel(s *scheduler, m *morsel) bool {
 }
 
 // processRange evaluates outer positions [from, to) of m through the whole
-// pipeline — the morsel-mode equivalent of runShard's per-range bodies.
+// pipeline (or the WCOJ executor). It is the one place the first pattern is
+// driven: every later pattern runs through step.
 func (w *worker) processRange(m *morsel, from, to int) bool {
 	pp := &w.plan.Patterns[0]
 	switch m.kind {
@@ -533,11 +534,13 @@ func (w *worker) unionTables() []*store.Table {
 	return w.exp0
 }
 
-// runSchedulerContained drives one scheduler worker with the same panic
-// containment as runShardContained: a panic anywhere in the pipeline
-// becomes a typed query error on the governor and stops the other workers
-// at their next check instead of crashing the process.
-func runSchedulerContained(gov *governance.Governor, s *scheduler, w *worker, id int) {
+// runContained drives one worker through the scheduler with panic
+// containment: a panic anywhere inside the pipeline is recovered, converted
+// into a typed query error on the governor (stack attached), and stops the
+// remaining workers at their next governance check instead of crashing the
+// process. On normal completion the worker's gate is flushed so budget
+// accounting is exact, and a streaming worker ships its last partial batch.
+func runContained(gov *governance.Governor, s *scheduler, w *worker, id int) {
 	defer func() {
 		if r := recover(); r != nil {
 			gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
@@ -545,46 +548,19 @@ func runSchedulerContained(gov *governance.Governor, s *scheduler, w *worker, id
 	}()
 	w.runScheduler(s, id)
 	w.closeGate()
-}
-
-// runMorselsMeasured is the morsel-mode MeasureShards path: one worker
-// drains every morsel sequentially (dispatch order), timing each, so hosts
-// with fewer cores than the requested thread count can simulate the
-// parallel elapsed time — see listScheduleMakespan.
-func runMorselsMeasured(gov *governance.Governor, w *worker, morsels []*morsel) (durations []time.Duration) {
-	s := newScheduler(morsels, 1, gov)
-	start := time.Now()
-	defer func() {
-		w.wstat.Rows = w.produced()
-		w.wstat.Busy += time.Since(start)
-		if r := recover(); r != nil {
-			gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
-	for _, m := range morsels {
-		if s.stopped() {
-			break
-		}
-		w.wstat.Morsels++
-		s.inflight[0].Store(m)
-		t0 := time.Now()
-		ok := w.drainMorsel(s, m)
-		durations = append(durations, time.Since(t0))
-		if !ok {
-			break
-		}
+	if w.stream != nil {
+		w.stream.flush()
 	}
-	w.closeGate()
-	return durations
 }
 
-// listScheduleMakespan simulates a morsel-mode N-worker run from measured
-// per-morsel durations: morsels are handed out in dispatch order to the
-// earliest-free worker — exactly the greedy list schedule the shared queue
-// implements (intra-morsel stealing only tightens it further, so the
-// simulation is mildly conservative). This extends the paper-justified
-// MeasureShards simulation (communication-free workers ⇒ elapsed = slowest
-// worker) from static shards to dynamic scheduling.
+// listScheduleMakespan simulates an N-worker run from measured per-morsel
+// durations: morsels are handed out in dispatch order to the earliest-free
+// worker — exactly the greedy list schedule the shared queue implements
+// (intra-morsel stealing only tightens it further, so the simulation is
+// mildly conservative). With no more morsels than workers every morsel gets
+// its own worker and the makespan is the slowest one — the paper-justified
+// simulation (communication-free workers ⇒ elapsed = slowest shard), which
+// this extends to dynamic scheduling.
 func listScheduleMakespan(durations []time.Duration, workers int) time.Duration {
 	if workers <= 0 {
 		workers = 1

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parj/internal/governance"
 	"parj/internal/optimizer"
@@ -39,7 +41,7 @@ func (f *fixture) planFor(t testing.TB, src string) *optimizer.Plan {
 func (f *fixture) spanSum(t testing.TB, plan *optimizer.Plan, threads, size int) int64 {
 	t.Helper()
 	var sum int64
-	for _, m := range makeMorsels(f.st, plan, makeShards(f.st, plan, threads), size) {
+	for _, m := range makeMorsels(makeShards(f.st, plan, threads), size) {
 		sum += int64(m.span.remaining())
 	}
 	return sum
@@ -213,9 +215,10 @@ func TestMorselTuplesClaimedExactlyOnce(t *testing.T) {
 }
 
 // TestSchedPerWorkerRowsSum pins the per-worker result accounting at shard
-// boundaries: in both scheduler and static mode, the per-worker Rows
-// counters must sum to the oracle row count for every worker count — not
-// just the aggregate Count the engine reports.
+// boundaries: under the default morsel bound and with every shard left uncut
+// (the paper's static sharding), the per-worker Rows counters must sum to
+// the oracle row count for every worker count — not just the aggregate Count
+// the engine reports.
 func TestSchedPerWorkerRowsSum(t *testing.T) {
 	f := universityFixture(t)
 	for _, q := range testQueries {
@@ -225,20 +228,20 @@ func TestSchedPerWorkerRowsSum(t *testing.T) {
 		}
 		oracle := int64(len(f.oracle(t, q.src)))
 		for _, threads := range []int{1, 2, 3, 5, 8} {
-			for _, static := range []bool{false, true} {
+			for _, size := range []int{0, math.MaxInt32} {
 				res, err := Execute(f.st, plan, Options{
-					Threads: threads, Silent: true, StaticShards: static,
+					Threads: threads, Silent: true, MorselSize: size,
 				})
 				if err != nil {
-					t.Fatalf("%s w=%d static=%v: %v", q.name, threads, static, err)
+					t.Fatalf("%s w=%d m=%d: %v", q.name, threads, size, err)
 				}
 				if res.Count != oracle {
-					t.Errorf("%s w=%d static=%v: count %d, oracle %d",
-						q.name, threads, static, res.Count, oracle)
+					t.Errorf("%s w=%d m=%d: count %d, oracle %d",
+						q.name, threads, size, res.Count, oracle)
 				}
 				if got := res.Sched.TotalRows(); got != oracle {
-					t.Errorf("%s w=%d static=%v: per-worker rows sum to %d, oracle %d (per worker: %+v)",
-						q.name, threads, static, got, oracle, res.Sched.Workers)
+					t.Errorf("%s w=%d m=%d: per-worker rows sum to %d, oracle %d (per worker: %+v)",
+						q.name, threads, size, got, oracle, res.Sched.Workers)
 				}
 			}
 		}
@@ -396,5 +399,146 @@ func TestStreamCancelPoisonsScheduler(t *testing.T) {
 	}
 	if n != accept || delivered != accept {
 		t.Errorf("delivered %d rows (sink accepted %d), want exactly %d", n, delivered, accept)
+	}
+}
+
+// TestStaticShardingIsUncutMorsels pins the paper's static sharding (§3) as
+// a morsel configuration: with MorselSize at or above the shard size the cut
+// leaves exactly one morsel per shard range, the shards are the ⌈total/W⌉
+// partition of the first relation, a measured run lasts as long as its
+// slowest shard, and the cluster's shard-range contract — disjoint ranges
+// sum to the full result — holds at every morsel size.
+func TestStaticShardingIsUncutMorsels(t *testing.T) {
+	uni := universityFixture(t)
+	exp, x := expandedFixture(t)
+	cyc := denseCyclicFixture(t)
+	// The stub expander widens <teaches> to {teaches, worksFor} and
+	// <Professor> to {Professor, Student}; both unions are disjoint, so an
+	// expanded query's oracle count is the sum over src and member.
+	cases := []struct {
+		name   string
+		f      *fixture
+		src    string
+		member string // non-empty: plan src with the expander
+		join   JoinAlgo
+	}{
+		{"pipeline", uni, testQueries[1].src, "", JoinPipeline},
+		{"variable-predicate", uni, `SELECT ?p ?c WHERE { <stu0_0_0> ?p ?c . ?c <type> <Course> }`, "", JoinPipeline},
+		{"constant-key", uni, `SELECT ?x ?c WHERE { ?x <memberOf> <dept0_0> . ?x <takesCourse> ?c }`, "", JoinPipeline},
+		{"expanded-union-keys", exp, `SELECT ?a ?b WHERE { ?a <teaches> ?b }`, `SELECT ?a ?b WHERE { ?a <worksFor> ?b }`, JoinPipeline},
+		{"expanded-union-values", exp, `SELECT ?a WHERE { ?a <type> <Professor> }`, `SELECT ?a WHERE { ?a <type> <Student> }`, JoinPipeline},
+		{"wcoj", cyc, wcojTriangle, "", JoinWCOJ},
+	}
+	for _, c := range cases {
+		plan := c.f.planFor(t, c.src)
+		want := int64(len(c.f.oracle(t, c.src)))
+		if c.member != "" {
+			q, err := sparql.Parse(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan, err = optimizer.OptimizeExpanded(q, c.f.st, c.f.stats, x); err != nil {
+				t.Fatal(err)
+			}
+			want += int64(len(c.f.oracle(t, c.member)))
+		}
+		for _, workers := range []int{1, 2, 3, 5, 8} {
+			name := fmt.Sprintf("%s/w=%d", c.name, workers)
+			var shards [][]*morsel
+			if c.join == JoinWCOJ {
+				shards = makeWCOJShards(buildWCOJPlan(c.f.st, plan), workers)
+			} else {
+				shards = makeShards(c.f.st, plan, workers)
+			}
+
+			// The shards are the ⌈total/W⌉ partition: every shard but the last
+			// holds exactly per positions, the last the remainder.
+			var ranges []*morsel
+			sizes := make([]int, len(shards))
+			total := 0
+			for i, sh := range shards {
+				for _, m := range sh {
+					sizes[i] += m.span.remaining()
+					ranges = append(ranges, m)
+				}
+				total += sizes[i]
+			}
+			w := workers
+			if w > total {
+				w = total
+			}
+			per := (total + w - 1) / w
+			if want := (total + per - 1) / per; len(shards) != want {
+				t.Fatalf("%s: %d shards over %d positions, want %d", name, len(shards), total, want)
+			}
+			for i, n := range sizes {
+				last := i == len(sizes)-1
+				if (!last && n != per) || (last && (n == 0 || n > per)) {
+					t.Errorf("%s: shard %d holds %d positions, want ⌈%d/%d⌉ = %d", name, i, n, total, w, per)
+				}
+			}
+
+			// Uncut: one morsel per shard range, spanning exactly that range.
+			uncut := makeMorsels(shards, math.MaxInt32)
+			if len(uncut) != len(ranges) {
+				t.Fatalf("%s: %d uncut morsels for %d shard ranges", name, len(uncut), len(ranges))
+			}
+			for i, m := range uncut {
+				if m.kind != ranges[i].kind || m.span.word.Load() != ranges[i].span.word.Load() {
+					t.Errorf("%s: uncut morsel %d does not span shard range %d", name, i, i)
+				}
+			}
+
+			opts := Options{Threads: workers, Silent: true, Join: c.join, MorselSize: math.MaxInt32}
+			res, err := Execute(c.f.st, plan, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Count != want {
+				t.Errorf("%s: uncut count %d, oracle %d", name, res.Count, want)
+			}
+			if got := res.Sched.TotalMorsels(); got != int64(len(ranges)) {
+				t.Errorf("%s: workers pulled %d morsels, want one per shard range (%d)", name, got, len(ranges))
+			}
+
+			// A measured run on one morsel per worker lasts as long as its
+			// slowest shard.
+			opts.MeasureShards = true
+			res, err = Execute(c.f.st, plan, opts)
+			if err != nil {
+				t.Fatalf("%s measured: %v", name, err)
+			}
+			if res.Count != want || len(res.ShardDurations) != len(ranges) {
+				t.Errorf("%s measured: count %d (oracle %d), %d durations for %d shard ranges",
+					name, res.Count, want, len(res.ShardDurations), len(ranges))
+			}
+			if len(res.ShardDurations) <= workers {
+				var slowest time.Duration
+				for _, d := range res.ShardDurations {
+					if d > slowest {
+						slowest = d
+					}
+				}
+				if res.MaxShardTime() != slowest {
+					t.Errorf("%s measured: MaxShardTime %v, slowest shard %v", name, res.MaxShardTime(), slowest)
+				}
+			}
+
+			// Disjoint shard ranges sum to the full result at every cut.
+			for _, size := range []int{1, 7, 64 << 10, math.MaxInt32} {
+				var sum int64
+				for i := 0; i < workers; i++ {
+					r, err := ExecuteShardRange(c.f.st, plan,
+						Options{Threads: workers, Silent: true, Join: c.join, MorselSize: size}, i, i+1)
+					if err != nil {
+						t.Fatalf("%s m=%d shard %d: %v", name, size, i, err)
+					}
+					sum += r.Count
+				}
+				if sum != want {
+					t.Errorf("%s m=%d: shard-range counts sum to %d, oracle %d", name, size, sum, want)
+				}
+			}
+		}
 	}
 }

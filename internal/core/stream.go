@@ -2,12 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
-	"parj/internal/governance"
 	"parj/internal/optimizer"
 	"parj/internal/store"
 )
@@ -15,10 +10,6 @@ import (
 // errStreamUnsupported rejects streaming of queries whose semantics need
 // buffering.
 var errStreamUnsupported = errors.New("core: ExecuteStream does not support DISTINCT or LIMIT (they require buffering; use Execute)")
-
-func errNeedsIndex(s Strategy) error {
-	return fmt.Errorf("core: strategy %v requires a store built with BuildPosIndex", s)
-}
 
 // ExecuteStream runs plan like Execute but delivers projected rows to sink
 // as they are produced, instead of buffering them per worker. This is the
@@ -38,121 +29,30 @@ func ExecuteStream(st *store.Store, plan *optimizer.Plan, opts Options, sink fun
 	if plan.Distinct || plan.Limit > 0 {
 		return 0, errStreamUnsupported
 	}
-	if opts.Context != nil && opts.Context.Err() != nil {
-		return 0, governance.CtxError(opts.Context)
+	x, err := prepare(st, plan, &opts, 0, -1)
+	if err != nil {
+		return 0, err
 	}
-	if plan.Empty {
-		return 0, nil
-	}
-	if opts.Strategy.NeedsIndex() {
-		for p := 1; p <= st.NumPredicates(); p++ {
-			if st.SO(uint32(p)).Index == nil {
-				return 0, errNeedsIndex(opts.Strategy)
-			}
-		}
-	}
-	if len(plan.Patterns) == 0 {
+	defer x.gov.ReleasePool()
+	if x.constant {
 		sink(make([]uint32, len(plan.Project)))
 		return 1, nil
 	}
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	// Same operator choice as Execute: a WCOJ plan shards the first
-	// variable's domain instead of the first pattern.
-	wp := wcojFor(st, plan, &opts)
-	var shards []shard
-	if wp != nil {
-		shards = makeWCOJShards(wp, threads)
-	} else {
-		shards = makeShards(st, plan, threads)
-	}
-
-	// As in Execute, the governor is where worker panics land; per-step
-	// gates exist only when the options constrain the query. Streaming
-	// charges produced rows against MaxResultRows but no memory — the whole
-	// point of the iterator path (§5.2) is that it never accumulates the
-	// result, so only bounded batch buffers are alive at any moment.
-	gov := governance.New(opts.governanceConfig())
-	governed := opts.governanceConfig().Enabled()
-	defer gov.ReleasePool()
 
 	// Workers push row batches into a channel; one collector drains it.
-	// Batching keeps channel traffic off the per-row hot path.
+	// Batching keeps channel traffic off the per-row hot path, and two
+	// batches of buffer per worker let production overlap delivery. A
+	// cancelled consumer poisons the scheduler (see drainMorsel), so stealers
+	// stop promptly instead of re-claiming the abandoned tails of a dead
+	// query.
 	const batchSize = 256
-	rowCh := make(chan [][]uint32, threads*2)
+	rowCh := make(chan [][]uint32, x.nworkers*2)
 	cancel := make(chan struct{})
-
-	newStreamWorker := func() *worker {
-		w := &worker{
-			st:       st,
-			plan:     plan,
-			strategy: opts.Strategy,
-			fault:    probeFaultHook,
-			hooked:   probeFaultHook != nil,
-			binding:  make([]uint32, plan.NumSlots),
-			cursors:  make([]int, len(plan.Patterns)),
-			stream: &streamSink{
-				ch:     rowCh,
-				cancel: cancel,
-				batch:  make([][]uint32, 0, batchSize),
-			},
-			tick: ungovernedTick,
-		}
-		if governed {
-			w.gate = gov.NewGate()
-			w.tick = int64(gov.Interval())
-		}
-		w.setWCOJ(wp)
-		return w
-	}
-
-	var wg sync.WaitGroup
-	if opts.StaticShards {
-		for i := range shards {
-			w := newStreamWorker()
-			wg.Add(1)
-			go func(w *worker, sh shard) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
-					}
-				}()
-				w.runShard(sh)
-				w.closeGate()
-				w.stream.flush()
-			}(w, shards[i])
-		}
-	} else {
-		// Morsel mode: a cancelled consumer poisons the scheduler (see
-		// drainMorsel), so stealers stop promptly instead of re-claiming the
-		// abandoned tails of a dead query.
-		morsels := makeMorsels(st, plan, shards, opts.MorselSize)
-		nworkers := threads
-		if nworkers > len(morsels) {
-			nworkers = len(morsels)
-		}
-		s := newScheduler(morsels, nworkers, gov)
-		for id := 0; id < nworkers; id++ {
-			w := newStreamWorker()
-			wg.Add(1)
-			go func(w *worker, id int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
-					}
-				}()
-				w.runScheduler(s, id)
-				w.closeGate()
-				w.stream.flush()
-			}(w, id)
-		}
-	}
+	s, _ := x.launch(func() *streamSink {
+		return &streamSink{ch: rowCh, cancel: cancel, batch: make([][]uint32, 0, batchSize)}
+	})
 	go func() {
-		wg.Wait()
+		s.wg.Wait()
 		close(rowCh)
 	}()
 
@@ -168,7 +68,7 @@ func ExecuteStream(st *store.Store, plan *optimizer.Plan, opts Options, sink fun
 		if stopped {
 			continue // drain so workers don't block on a full channel
 		}
-		if !gov.Check() {
+		if !x.gov.Check() {
 			// A worker tripped a governance check (or the context expired
 			// while the collector was idle): stop delivery, then keep
 			// draining so workers unwind.
@@ -183,7 +83,7 @@ func ExecuteStream(st *store.Store, plan *optimizer.Plan, opts Options, sink fun
 			count++
 		}
 	}
-	if err := gov.Err(); err != nil {
+	if err := x.gov.Err(); err != nil {
 		return count, err
 	}
 	return count, nil

@@ -175,3 +175,29 @@ func TestStreamRowContentsMatchDecode(t *testing.T) {
 		t.Error("single-thread streamed rows differ from buffered rows")
 	}
 }
+
+// countingTracer counts the memory accesses the probe kernels replay.
+type countingTracer struct{ n int64 }
+
+func (c *countingTracer) Access(uint64) { c.n++ }
+
+// TestStreamHonoursMemTracer pins that a streamed query is traced exactly
+// like a buffered one: on a single worker both walk the same probe sequence,
+// so a counting tracer must see the same number of accesses either way.
+func TestStreamHonoursMemTracer(t *testing.T) {
+	f := universityFixture(t)
+	plan := streamPlan(t, f, `SELECT ?s ?p ?d WHERE { ?s <advisor> ?p . ?p <worksFor> ?d }`)
+	for _, strat := range []Strategy{AdaptiveBinary, BinaryOnly, IndexOnly, AdaptiveIndex} {
+		var buffered, streamed countingTracer
+		if _, err := Execute(f.st, plan, Options{Threads: 1, Strategy: strat, MemTracer: &buffered}); err != nil {
+			t.Fatalf("%v: Execute: %v", strat, err)
+		}
+		if _, err := ExecuteStream(f.st, plan, Options{Threads: 1, Strategy: strat, MemTracer: &streamed},
+			func([]uint32) bool { return true }); err != nil {
+			t.Fatalf("%v: ExecuteStream: %v", strat, err)
+		}
+		if buffered.n == 0 || streamed.n != buffered.n {
+			t.Errorf("%v: tracer saw %d accesses streamed, %d buffered", strat, streamed.n, buffered.n)
+		}
+	}
+}

@@ -239,7 +239,7 @@ func buildWCOJPlan(st *store.Store, plan *optimizer.Plan) *wcojPlan {
 // splits it into at most threads contiguous shards. The domain is a pure
 // function of store and plan, so the cluster's deterministic shard-range
 // contract holds exactly as it does for makeShards.
-func makeWCOJShards(wp *wcojPlan, threads int) []shard {
+func makeWCOJShards(wp *wcojPlan, threads int) [][]*morsel {
 	if len(wp.vars) == 0 {
 		return nil
 	}
@@ -258,22 +258,7 @@ func makeWCOJShards(wp *wcojPlan, threads int) []shard {
 	} else {
 		dom = search.Intersect(nil, nil, arrs...)
 	}
-	if len(dom) == 0 {
-		return nil
-	}
-	if threads > len(dom) {
-		threads = len(dom)
-	}
-	per := (len(dom) + threads - 1) / threads
-	shards := make([]shard, 0, threads)
-	for from := 0; from < len(dom); from += per {
-		to := from + per
-		if to > len(dom) {
-			to = len(dom)
-		}
-		shards = append(shards, shard{wcojDom: dom[from:to]})
-	}
-	return shards
+	return sliceShards(morselWCOJ, dom, threads)
 }
 
 // wcojExec is the per-worker scratch of the WCOJ executor. The buffers are
@@ -285,19 +270,11 @@ type wcojExec struct {
 	bufs [][]uint32 // per-level intersection output
 }
 
-// setWCOJ arms the worker with the worst-case-optimal executor state; a nil
-// plan leaves the worker on the pipeline.
-func (w *worker) setWCOJ(p *wcojPlan) {
-	if p != nil {
-		w.wcoj = &wcojExec{plan: p, bufs: make([][]uint32, len(p.vars))}
-	}
-}
-
 // wcojRange enumerates a slice of the first variable's materialized domain
-// — the body of a morselWCOJ morsel (and of a static WCOJ shard). The tick
-// per candidate keeps governance checks and cancellation on the same
-// amortized schedule as the pipeline's outer loops; the fault hook mirrors
-// the pipeline's probe-level injection point for panic-containment tests.
+// — the body of a morselWCOJ morsel. The tick per candidate keeps governance
+// checks and cancellation on the same amortized schedule as the pipeline's
+// outer loops; the fault hook mirrors the pipeline's probe-level injection
+// point for panic-containment tests.
 func (w *worker) wcojRange(dom []uint32) bool {
 	v0 := &w.wcoj.plan.vars[0]
 	for _, x := range dom {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"parj/internal/governance"
@@ -65,8 +67,8 @@ var wcojQueries = []string{
 
 // TestWCOJMatchesOracleAndPipeline is the operator's core correctness net:
 // on every query shape, forced-WCOJ must equal forced-pipeline must equal
-// the reference oracle, across worker counts, morsel sizes and both
-// scheduling modes.
+// the reference oracle, across worker counts and morsel sizes down to one
+// tuple and up to uncut shards (the paper's static sharding).
 func TestWCOJMatchesOracleAndPipeline(t *testing.T) {
 	f := denseCyclicFixture(t)
 	for _, src := range wcojQueries {
@@ -86,7 +88,7 @@ func TestWCOJMatchesOracleAndPipeline(t *testing.T) {
 				{"sched", Options{Threads: threads, Join: JoinWCOJ}},
 				{"sched-m1", Options{Threads: threads, Join: JoinWCOJ, MorselSize: 1}},
 				{"sched-m7", Options{Threads: threads, Join: JoinWCOJ, MorselSize: 7}},
-				{"static", Options{Threads: threads, Join: JoinWCOJ, StaticShards: true}},
+				{"uncut", Options{Threads: threads, Join: JoinWCOJ, MorselSize: math.MaxInt32}},
 			} {
 				got := f.run(t, src, cfg.opts)
 				if limit > 0 {
@@ -102,7 +104,7 @@ func TestWCOJMatchesOracleAndPipeline(t *testing.T) {
 						src, cfg.name, threads, got, want)
 				}
 				pipe := f.run(t, src, Options{Threads: threads, Strategy: cfg.opts.Strategy,
-					Join: JoinPipeline, MorselSize: cfg.opts.MorselSize, StaticShards: cfg.opts.StaticShards})
+					Join: JoinPipeline, MorselSize: cfg.opts.MorselSize})
 				if !rowsEqual(got, pipe) {
 					t.Errorf("%s [%s w=%d]: wcoj disagrees with pipeline", src, cfg.name, threads)
 				}
@@ -161,7 +163,7 @@ func (f *fixture) wcojSpanSum(t testing.TB, plan *optimizer.Plan, threads, size 
 		t.Fatal("buildWCOJPlan returned nil for an eligible plan")
 	}
 	var sum int64
-	for _, m := range makeMorsels(f.st, plan, makeWCOJShards(wp, threads), size) {
+	for _, m := range makeMorsels(makeWCOJShards(wp, threads), size) {
 		sum += int64(m.span.remaining())
 	}
 	return sum
@@ -178,9 +180,9 @@ func TestWCOJCancellation(t *testing.T) {
 	plan := f.planFor(t, wcojTriangle)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	calls := 0
+	var calls atomic.Int64 // the hook runs on every worker
 	restore := SetProbeFaultHook(func() {
-		if calls++; calls == 5 {
+		if calls.Add(1) == 5 {
 			cancel()
 		}
 	})
@@ -207,9 +209,9 @@ func TestWCOJPanicContained(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	f := denseCyclicFixture(t)
 	plan := f.planFor(t, wcojTriangle)
-	calls := 0
+	var calls atomic.Int64 // the hook runs on every worker
 	restore := SetProbeFaultHook(func() {
-		if calls++; calls == 7 {
+		if calls.Add(1) == 7 {
 			panic("wcoj fault injection")
 		}
 	})

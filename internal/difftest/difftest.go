@@ -80,7 +80,7 @@ func Configs(workers []int) []EngineConfig {
 			out = append(out, EngineConfig{
 				Name: fmt.Sprintf("parj-%s-w%d", s, w),
 				Make: func(d *bench.Dataset) bench.RowEngine {
-					return d.PARJRows(fmt.Sprintf("parj-%s-w%d", s, w), w, s, nil)
+					return d.PARJRows(fmt.Sprintf("parj-%s-w%d", s, w), core.Options{Threads: w, Strategy: s}, nil)
 				},
 			})
 		}
@@ -146,7 +146,7 @@ func WCOJConfigs(workers []int) []EngineConfig {
 			out = append(out, EngineConfig{
 				Name: name,
 				Make: func(d *bench.Dataset) bench.RowEngine {
-					return d.PARJRowsJoin(name, w, core.AdaptiveBinary, j, 0, nil)
+					return d.PARJRows(name, core.Options{Threads: w, Strategy: core.AdaptiveBinary, Join: j}, nil)
 				},
 			})
 		}
@@ -180,7 +180,7 @@ func MorselConfigs(workers []int, sizes []int) []EngineConfig {
 				out = append(out, EngineConfig{
 					Name: name,
 					Make: func(d *bench.Dataset) bench.RowEngine {
-						return d.PARJRowsWith(name, w, s, m, nil)
+						return d.PARJRows(name, core.Options{Threads: w, Strategy: s, MorselSize: m}, nil)
 					},
 				})
 			}
@@ -206,7 +206,7 @@ func EntailConfigs(workers []int) []EngineConfig {
 				Entail: true,
 				Make: func(d *bench.Dataset) bench.RowEngine {
 					st, _ := d.Store()
-					return d.PARJRows(name, w, s, rdfs.New(st, "", "", ""))
+					return d.PARJRows(name, core.Options{Threads: w, Strategy: s}, rdfs.New(st, "", "", ""))
 				},
 			})
 		}
@@ -235,10 +235,10 @@ func FindConfig(name string) (EngineConfig, error) {
 	}
 	// Optional join-operator token (the WCOJConfigs grammar):
 	// parj[-entail]-(wcoj|pipe|auto)-<strategy>-w<N>[-m<M>].
-	join, joinSet := core.JoinAuto, false
+	join := core.JoinAuto
 	for _, j := range joinAlgos {
 		if r, ok := strings.CutPrefix(rest, j.String()+"-"); ok {
-			join, joinSet = j, true
+			join = j
 			rest = r
 			break
 		}
@@ -270,13 +270,7 @@ func FindConfig(name string) (EngineConfig, error) {
 					st, _ := d.Store()
 					x = rdfs.New(st, "", "", "")
 				}
-				if joinSet {
-					return d.PARJRowsJoin(name, w, s, join, morsel, x)
-				}
-				if morsel > 0 {
-					return d.PARJRowsWith(name, w, s, morsel, x)
-				}
-				return d.PARJRows(name, w, s, x)
+				return d.PARJRows(name, core.Options{Threads: w, Strategy: s, Join: join, MorselSize: morsel}, x)
 			}}, nil
 		}
 	}

@@ -42,7 +42,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 		})
 	}
 
-	eng := benchDS.PARJRows("meta", 2, core.AdaptiveBinary, nil)
+	eng := benchDS.PARJRows("meta", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}, nil)
 	base, err := eng.Evaluate(parsed)
 	if err != nil {
 		fail("meta-base", "error: "+err.Error())
@@ -94,7 +94,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 
 	// COUNT agreement: the silent path must count what the materializing
 	// path returns. Same strategy and worker count as eng.
-	if n, err := benchDS.PARJ("meta-count", 2, core.AdaptiveBinary).Count(parsed); err != nil {
+	if n, err := benchDS.PARJ("meta-count", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}).Count(parsed); err != nil {
 		fail("meta-count", "error: "+err.Error())
 	} else if n != int64(len(base)) {
 		fail("meta-count", fmt.Sprintf("silent COUNT %d vs %d materialized rows", n, len(base)))
@@ -107,8 +107,8 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 	// is allowed to show in the result. Under LIMIT only the row count is
 	// comparable: which rows survive truncation legitimately differs.
 	{
-		wcojEng := benchDS.PARJRowsJoin("meta-wcoj", 2, core.AdaptiveBinary, core.JoinWCOJ, 0, nil)
-		pipeEng := benchDS.PARJRowsJoin("meta-pipe", 2, core.AdaptiveBinary, core.JoinPipeline, 0, nil)
+		wcojEng := benchDS.PARJRows("meta-wcoj", core.Options{Threads: 2, Strategy: core.AdaptiveBinary, Join: core.JoinWCOJ}, nil)
+		pipeEng := benchDS.PARJRows("meta-pipe", core.Options{Threads: 2, Strategy: core.AdaptiveBinary, Join: core.JoinPipeline}, nil)
 		wRows, err := wcojEng.Evaluate(parsed)
 		pRows, err2 := pipeEng.Evaluate(parsed)
 		switch {
@@ -151,7 +151,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 		if q.HasLimit {
 			threads = 1
 			var err error
-			want, err = benchDS.PARJRows("meta-snapshot-base", 1, core.AdaptiveBinary, nil).Evaluate(parsed)
+			want, err = benchDS.PARJRows("meta-snapshot-base", core.Options{Threads: 1, Strategy: core.AdaptiveBinary}, nil).Evaluate(parsed)
 			if err != nil {
 				fail("meta-snapshot", "error: "+err.Error())
 				return fails
