@@ -6,6 +6,7 @@ package parj_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -241,6 +242,39 @@ func BenchmarkFig2(b *testing.B) {
 				b.ReportMetric(simMS, "parallel-ms/op")
 			}
 		})
+	}
+}
+
+// BenchmarkThreadScaling is Figure 2's real-wall-clock counterpart: each
+// join-heavy LUBM query at LUBM 32 with 1, 2, 4, … workers up to the host's
+// core count, every worker a goroutine that really runs beside the others.
+// T=2 against T=1 is the speed-up the simulated columns only assume.
+func BenchmarkThreadScaling(b *testing.B) {
+	d := bench.NewDataset(lubm.Triples(32, lubm.Config{}), 0)
+	st, ss := d.Store()
+	var named []bench.NamedQuery
+	for _, nq := range lubmNamed() {
+		if nq.Name != "L4" && nq.Name != "L5" && nq.Name != "L6" {
+			named = append(named, nq)
+		}
+	}
+	queries := parseAll(b, named)
+	for threads := 1; threads <= runtime.NumCPU(); threads *= 2 {
+		opts := core.Options{Threads: threads, Silent: true}
+		for i, q := range queries {
+			plan, err := optimizer.Optimize(q, st, ss)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("T=%d/%s", threads, named[i].Name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Execute(st, plan, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
+			})
+		}
 	}
 }
 

@@ -50,10 +50,13 @@ func (d *Dataset) Store() (*store.Store, *stats.Stats) {
 // requested thread count exceeds the host's cores (threads 0 resolves to
 // GOMAXPROCS, which never does), or when opts asks for it, the engine
 // measures its morsels sequentially and reports the simulated N-core elapsed
-// time — valid because PARJ workers are communication-free, so a real
-// N-core run lasts as long as the list-schedule makespan of its morsels
-// (its slowest shard when they are left uncut), for the pipeline and the
-// WCOJ operator alike.
+// time: the list-schedule makespan of its morsels (its slowest shard when
+// they are left uncut), for the pipeline and the WCOJ operator alike. That
+// stands in for a real N-core run only as far as workers do not slow each
+// other down — which holds for the cache lines they write
+// (core.TestWorkersShareNoCacheLine) and is measured against the wall clock
+// up to the host's core count (core.TestTwoWorkersNotSlowerThanOne, Fig2's
+// "real" columns), not beyond it.
 func (d *Dataset) PARJ(name string, opts core.Options) Engine {
 	st, ss := d.Store()
 	opts.Silent = true

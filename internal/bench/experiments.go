@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -237,13 +238,22 @@ func humanCount(n uint64) string {
 var fig2Threads = []int{1, 2, 4, 8, 16}
 
 // Fig2 reproduces the thread-scalability experiment (paper Figure 2):
-// LUBM queries (excluding the trivially fast L4–L6) at 1–16 threads.
+// LUBM queries (excluding the trivially fast L4–L6) at 1–16 threads. Every
+// thread count gets a "sim" column — the list-schedule makespan of morsels
+// measured one at a time — and, when the host has that many cores, a "real"
+// column beside it: the wall clock of that many goroutines actually running
+// together, which is what checks the simulation's premise.
 func Fig2(cfg ExpConfig) *Table {
 	cfg.fill()
 	d := cfg.lubmDataset()
 	var engines []Engine
 	for _, th := range fig2Threads {
-		engines = append(engines, d.PARJ(fmt.Sprintf("%d-thr", th), core.Options{Threads: th, Strategy: core.AdaptiveIndex}))
+		opts := core.Options{Threads: th, Strategy: core.AdaptiveIndex}
+		if th <= runtime.NumCPU() {
+			engines = append(engines, d.PARJ(fmt.Sprintf("%d-thr real", th), opts))
+		}
+		opts.MeasureShards = true
+		engines = append(engines, d.PARJ(fmt.Sprintf("%d-thr sim", th), opts))
 	}
 	var qs []NamedQuery
 	for _, q := range lubm.Queries() {

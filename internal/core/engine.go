@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"parj/internal/governance"
 	"parj/internal/optimizer"
@@ -258,8 +260,9 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		return res, nil
 	}
 
-	s, workers := x.launch(nil)
+	s := x.launch(nil)
 	s.wg.Wait()
+	workers := s.workers
 	if opts.MeasureShards {
 		res.ShardDurations = s.durations
 		res.simMakespan = listScheduleMakespan(s.durations, x.nworkers)
@@ -410,31 +413,47 @@ func prepare(st *store.Store, plan *optimizer.Plan, opts *Options, from, to int)
 }
 
 // launch starts the execution's workers over one scheduler, one goroutine
-// each, and returns both; s.wg is done when the last worker has finished.
-// newSink, when non-nil, gives every worker a stream sink (ExecuteStream).
+// each, and returns it; s.wg is done when the last worker has finished.
+// initSink, when non-nil, sets up every worker's stream sink (ExecuteStream).
 // Under MeasureShards a single worker drains the morsels one at a time and
 // the scheduler records each morsel's duration.
-func (x *execution) launch(newSink func() *streamSink) (*scheduler, []*worker) {
+func (x *execution) launch(initSink func(*streamSink)) *scheduler {
 	n := x.nworkers
 	if x.opts.MeasureShards && n > 1 {
 		n = 1
 	}
-	s := newScheduler(x.morsels, n, x.gov)
-	s.measure = x.opts.MeasureShards
 	workers := make([]*worker, n)
 	for id := range workers {
-		var sink *streamSink
-		if newSink != nil {
-			sink = newSink()
-		}
-		workers[id] = x.newWorker(sink)
-		s.wg.Add(1)
-		go func(w *worker, id int) {
-			defer s.wg.Done()
-			runContained(x.gov, s, w, id)
-		}(workers[id], id)
+		workers[id] = x.newWorker(initSink)
 	}
-	return s, workers
+	s := newScheduler(x.morsels, workers, x.gov)
+	s.measure = x.opts.MeasureShards
+	for _, w := range workers {
+		s.wg.Add(1)
+		go func(w *worker) {
+			defer s.wg.Done()
+			runContained(x.gov, s, w)
+		}(w)
+	}
+	return s
+}
+
+// guard is the dead space kept on both sides of everything a worker writes
+// in the hot loop, so that no two workers ever write the same cache line —
+// the "workers never communicate" of §3 has to hold for the coherence
+// protocol too, not just for the source. Two 64-byte lines rather than one:
+// the adjacent-line prefetcher fetches lines in aligned 128-byte pairs, so a
+// sibling's write one line over still steals the pair.
+const guard = 128
+
+// isolated returns a zeroed n-element slice with at least guard bytes of its
+// own allocation on either side, whatever the allocator places next to it.
+// Allocating the small per-worker slices back to back from one size class is
+// exactly what packed two workers' bindings into one line before.
+func isolated[T any](n int) []T {
+	var z T
+	g := (guard + int(unsafe.Sizeof(z)) - 1) / int(unsafe.Sizeof(z))
+	return make([]T, g+n+g)[g : g+n : g+n]
 }
 
 // rowFootprint estimates the materialized size of one projected row: the
@@ -445,8 +464,10 @@ func rowFootprint(projected int) int64 { return int64(projected)*4 + 24 }
 // newWorker constructs one worker wired to the query's governor. A worker
 // with a sink streams its rows instead of holding them: it charges produced
 // rows against MaxResultRows but no memory — the whole point of the iterator
-// path (§5.2) is that it never accumulates the result.
-func (x *execution) newWorker(sink *streamSink) *worker {
+// path (§5.2) is that it never accumulates the result. Everything the worker
+// writes per probe lives inside the guarded struct or an isolated slice; a
+// single-worker execution takes the same layout.
+func (x *execution) newWorker(initSink func(*streamSink)) *worker {
 	plan := x.plan
 	w := &worker{
 		st:          x.st,
@@ -455,25 +476,28 @@ func (x *execution) newWorker(sink *streamSink) *worker {
 		tracer:      x.opts.MemTracer,
 		fault:       probeFaultHook,
 		hooked:      x.opts.MemTracer != nil || probeFaultHook != nil,
-		binding:     make([]uint32, plan.NumSlots),
-		cursors:     make([]int, len(plan.Patterns)),
-		materialize: x.materialize && sink == nil,
+		binding:     isolated[uint32](plan.NumSlots),
+		cursors:     isolated[int](len(plan.Patterns)),
+		materialize: x.materialize && initSink == nil,
 		limit:       plan.Limit,
 		tick:        ungovernedTick,
-		stream:      sink,
+	}
+	if initSink != nil {
+		initSink(&w.sinkMem)
+		w.stream = &w.sinkMem
 	}
 	if plan.Distinct && plan.Limit > 0 {
 		w.seen = make(map[string]bool)
 	}
 	if x.governed {
-		w.gate = x.gov.NewGate()
+		w.gate = x.gov.GateAt(&w.gateMem)
 		w.tick = int64(x.gov.Interval())
 		if w.materialize {
 			w.rowBytes = rowFootprint(len(plan.Project))
 		}
 	}
 	if x.wp != nil {
-		w.wcoj = &wcojExec{plan: x.wp, bufs: make([][]uint32, len(x.wp.vars))}
+		w.wcoj = newWCOJExec(x.wp)
 	}
 	return w
 }
@@ -507,8 +531,11 @@ func rowKey(dst []byte, row []uint32) []byte {
 }
 
 // worker executes morsels of the first relation through the whole
-// pipeline. Workers share only immutable data.
+// pipeline. Workers share only immutable data, and — guard pads at both ends,
+// gate, sink and WCOJ scratch held by value — no cache line either.
 type worker struct {
+	_ [guard]byte
+
 	st       *store.Store
 	plan     *optimizer.Plan
 	strategy Strategy
@@ -540,24 +567,33 @@ type worker struct {
 	// charged to the gate so far (production itself is read off count/rows,
 	// so emit carries no governance code at all).
 	tick     int64
-	gate     *governance.Gate
+	gate     *governance.Gate // &gateMem, or nil
+	gateMem  governance.Gate
 	rowBytes int64
 	flushed  int64
 
 	// stream, when non-nil, routes rows to ExecuteStream's collector
-	// instead of buffering them.
-	stream *streamSink
+	// instead of buffering them; it points at sinkMem.
+	stream  *streamSink
+	sinkMem streamSink
 
-	// wstat tracks this worker's scheduler activity; exp0 caches the union
-	// tables of an expanded first pattern across the worker's morsels.
-	wstat WorkerStat
-	exp0  []*store.Table
+	// inflight is the morsel this worker is draining, published for stealers
+	// to split (scheduler.steal). It is never cleared: a worker that stops
+	// early within its own LIMIT budget leaves its remainder visible, though
+	// by then the query outcome no longer needs it. wstat tracks the worker's
+	// scheduler activity; exp0 caches the union tables of an expanded first
+	// pattern across the worker's morsels.
+	inflight atomic.Pointer[morsel]
+	wstat    WorkerStat
+	exp0     []*store.Table
 
-	// wcoj, when non-nil, switches the worker to the worst-case-optimal
-	// executor (wcoj.go); the pipeline fields above stay unused then.
-	wcoj *wcojExec
+	// wcoj is the scratch of the worst-case-optimal executor (wcoj.go), set
+	// when the execution runs it; the pipeline's cursors stay unused then.
+	wcoj wcojExec
 
 	stats search.Stats
+
+	_ [guard]byte
 }
 
 // emit records one full binding; it returns false when the worker's LIMIT

@@ -153,18 +153,17 @@ type morsel struct {
 }
 
 // newMorsel builds a morsel over [from, to) with a grain that keeps the
-// owner's claim overhead negligible while leaving the tail stealable.
+// owner's claim overhead negligible while leaving the tail stealable: a
+// 64th of the span, so that even a morsel of a few hundred positions whose
+// hub keys sit in one chunk leaves the other 63 to a thief. A claim costs
+// about 15 ns, so the grain stays at four positions or more (under 4 ns a
+// position, a tenth of the cheapest tuple's probes) unless the span is too
+// short even for four such chunks.
 func newMorsel(kind morselKind, t *store.Table, pred uint32, keyPos int, union []uint32, from, to int) *morsel {
 	m := &morsel{kind: kind, t: t, pred: pred, keyPos: keyPos, union: union}
 	m.span.init(from, to)
-	g := (to - from) / 4
-	if g > 1024 {
-		g = 1024
-	}
-	if g < 1 {
-		g = 1
-	}
-	m.grain = int32(g)
+	g := max((to-from)/64, min((to-from)/4, 4))
+	m.grain = int32(min(max(g, 1), 1024))
 	return m
 }
 
@@ -319,11 +318,9 @@ func (s *SchedStats) TotalRows() int64 {
 type scheduler struct {
 	morsels []*morsel
 	next    atomic.Int64
-	// inflight[i] is worker i's current morsel; stealers scan it for the
-	// largest unclaimed tail. Entries are never cleared: a worker that
-	// stops early within its own LIMIT budget leaves its remainder visible,
-	// though by then the query outcome no longer needs it.
-	inflight []atomic.Pointer[morsel]
+	// workers are the execution's workers; stealers scan their inflight
+	// morsels for the largest unclaimed tail.
+	workers []*worker
 	// poisoned stops all workers promptly once the query outcome is decided
 	// externally — a streaming consumer cancelled. Governance failures stop
 	// workers through gov.Stopped instead.
@@ -340,12 +337,8 @@ type scheduler struct {
 	durations []time.Duration
 }
 
-func newScheduler(morsels []*morsel, workers int, gov *governance.Governor) *scheduler {
-	return &scheduler{
-		morsels:  morsels,
-		inflight: make([]atomic.Pointer[morsel], workers),
-		gov:      gov,
-	}
+func newScheduler(morsels []*morsel, workers []*worker, gov *governance.Governor) *scheduler {
+	return &scheduler{morsels: morsels, workers: workers, gov: gov}
 }
 
 func (s *scheduler) poison() { s.poisoned.Store(true) }
@@ -361,15 +354,15 @@ func (s *scheduler) stopped() bool {
 // remains — at that point every leftover is a sub-grain remainder its live
 // owner will finish, or the abandoned tail of a worker that stopped within
 // its own LIMIT semantics.
-func (s *scheduler) steal(self int) *morsel {
+func (s *scheduler) steal(self *worker) *morsel {
 	for {
 		var best *morsel
 		bestRem := 1 // require ≥2 so a split leaves both halves non-empty
-		for i := range s.inflight {
-			if i == self {
+		for _, w := range s.workers {
+			if w == self {
 				continue
 			}
-			if m := s.inflight[i].Load(); m != nil {
+			if m := w.inflight.Load(); m != nil {
 				if r := m.span.remaining(); r > bestRem {
 					best, bestRem = m, r
 				}
@@ -390,7 +383,7 @@ func (s *scheduler) steal(self int) *morsel {
 // queue, then steal until nothing is left. Returning normally means the
 // worker found no more work or stopped within its own LIMIT budget; global
 // stops arrive through the scheduler.
-func (w *worker) runScheduler(s *scheduler, id int) {
+func (w *worker) runScheduler(s *scheduler) {
 	start := time.Now()
 	defer func() {
 		w.wstat.Rows = w.produced()
@@ -401,12 +394,12 @@ func (w *worker) runScheduler(s *scheduler, id int) {
 		if i := s.next.Add(1) - 1; i < int64(len(s.morsels)) {
 			m = s.morsels[i]
 			w.wstat.Morsels++
-		} else if m = s.steal(id); m != nil {
+		} else if m = s.steal(w); m != nil {
 			w.wstat.Steals++
 		} else {
 			return
 		}
-		s.inflight[id].Store(m)
+		w.inflight.Store(m)
 		var t0 time.Time
 		if s.measure {
 			t0 = time.Now()
@@ -540,13 +533,13 @@ func (w *worker) unionTables() []*store.Table {
 // remaining workers at their next governance check instead of crashing the
 // process. On normal completion the worker's gate is flushed so budget
 // accounting is exact, and a streaming worker ships its last partial batch.
-func runContained(gov *governance.Governor, s *scheduler, w *worker, id int) {
+func runContained(gov *governance.Governor, s *scheduler, w *worker) {
 	defer func() {
 		if r := recover(); r != nil {
 			gov.Fail(&governance.PanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
-	w.runScheduler(s, id)
+	w.runScheduler(s)
 	w.closeGate()
 	if w.stream != nil {
 		w.stream.flush()

@@ -117,7 +117,11 @@ func TestSpanClaimStealHammer(t *testing.T) {
 		for i := 0; i+1 < len(bounds); i++ {
 			morsels = append(morsels, newMorsel(morselKeys, nil, 0, -1, nil, bounds[i], bounds[i+1]))
 		}
-		s := newScheduler(morsels, workers, nil)
+		ws := make([]*worker, workers)
+		for i := range ws {
+			ws[i] = new(worker)
+		}
+		s := newScheduler(morsels, ws, nil)
 		counts := make([]int32, N)
 		var steals atomic.Int64
 		var wg sync.WaitGroup
@@ -130,12 +134,12 @@ func TestSpanClaimStealHammer(t *testing.T) {
 					var m *morsel
 					if i := s.next.Add(1) - 1; i < int64(len(s.morsels)) {
 						m = s.morsels[i]
-					} else if m = s.steal(id); m != nil {
+					} else if m = s.steal(ws[id]); m != nil {
 						steals.Add(1)
 					} else {
 						return
 					}
-					s.inflight[id].Store(m)
+					ws[id].inflight.Store(m)
 					for {
 						from, to, ok := m.span.claim(1 + rng.Intn(7))
 						if !ok {
@@ -215,35 +219,63 @@ func TestMorselTuplesClaimedExactlyOnce(t *testing.T) {
 }
 
 // TestSchedPerWorkerRowsSum pins the per-worker result accounting at shard
-// boundaries: under the default morsel bound and with every shard left uncut
-// (the paper's static sharding), the per-worker Rows counters must sum to
-// the oracle row count for every worker count — not just the aggregate Count
-// the engine reports.
+// boundaries: under the default morsel bound, with every shard left uncut
+// (the paper's static sharding) and at the difftest matrix's sizes — whose
+// morsels, from one position to the skew fixture's few-thousand-position hub
+// run, all claim in the fine grain newMorsel gives small spans — the
+// per-worker Rows counters must sum to the oracle row count for every worker
+// count, not just the aggregate Count the engine reports.
 func TestSchedPerWorkerRowsSum(t *testing.T) {
-	f := universityFixture(t)
-	for _, q := range testQueries {
-		plan := f.planFor(t, q.src)
-		if plan.Empty || len(plan.Patterns) == 0 || plan.Distinct {
-			continue
-		}
-		oracle := int64(len(f.oracle(t, q.src)))
-		for _, threads := range []int{1, 2, 3, 5, 8} {
-			for _, size := range []int{0, math.MaxInt32} {
-				res, err := Execute(f.st, plan, Options{
-					Threads: threads, Silent: true, MorselSize: size,
-				})
-				if err != nil {
-					t.Fatalf("%s w=%d m=%d: %v", q.name, threads, size, err)
-				}
-				if res.Count != oracle {
-					t.Errorf("%s w=%d m=%d: count %d, oracle %d",
-						q.name, threads, size, res.Count, oracle)
-				}
-				if got := res.Sched.TotalRows(); got != oracle {
-					t.Errorf("%s w=%d m=%d: per-worker rows sum to %d, oracle %d (per worker: %+v)",
-						q.name, threads, size, got, oracle, res.Sched.Workers)
+	for _, fx := range []struct {
+		f  *fixture
+		qs []struct{ name, src string }
+	}{
+		{universityFixture(t), testQueries},
+		{skewScanFixture(t), []struct{ name, src string }{{"skew-scan", skewScanQuery}, {"skew-join", skewJoinQuery}}},
+	} {
+		for _, q := range fx.qs {
+			plan := fx.f.planFor(t, q.src)
+			if plan.Empty || len(plan.Patterns) == 0 || plan.Distinct {
+				continue
+			}
+			oracle := int64(len(fx.f.oracle(t, q.src)))
+			for _, threads := range []int{1, 2, 3, 5, 8, runtime.GOMAXPROCS(0)} {
+				for _, size := range []int{0, math.MaxInt32, 1, 7, 64 * 1024} {
+					res, err := Execute(fx.f.st, plan, Options{
+						Threads: threads, Silent: true, MorselSize: size,
+					})
+					if err != nil {
+						t.Fatalf("%s w=%d m=%d: %v", q.name, threads, size, err)
+					}
+					if res.Count != oracle {
+						t.Errorf("%s w=%d m=%d: count %d, oracle %d",
+							q.name, threads, size, res.Count, oracle)
+					}
+					if got := res.Sched.TotalRows(); got != oracle {
+						t.Errorf("%s w=%d m=%d: per-worker rows sum to %d, oracle %d (per worker: %+v)",
+							q.name, threads, size, got, oracle, res.Sched.Workers)
+					}
+					if got, want := res.Sched.TotalTuples(), fx.f.spanSum(t, plan, threads, size); got != want {
+						t.Errorf("%s w=%d m=%d: claimed %d outer positions, morsel spans hold %d",
+							q.name, threads, size, got, want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestMorselGrain pins the claim grain: a 64th of the span so small morsels
+// stay stealable, but not below four positions (or a quarter of a span too
+// short even for that) so claiming stays cheap next to the work claimed, and
+// capped at 1024 so morsels of 64K positions and more claim as they always
+// have.
+func TestMorselGrain(t *testing.T) {
+	for _, c := range []struct{ span, grain int }{
+		{1, 1}, {7, 1}, {12, 3}, {16, 4}, {160, 4}, {350, 5}, {1300, 20}, {32 * 1024, 512}, {64 * 1024, 1024}, {1 << 20, 1024},
+	} {
+		if m := newMorsel(morselKeys, nil, 0, -1, nil, 5, 5+c.span); int(m.grain) != c.grain {
+			t.Errorf("span %d: grain %d, want %d", c.span, m.grain, c.grain)
 		}
 	}
 }

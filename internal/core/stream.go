@@ -48,9 +48,7 @@ func ExecuteStream(st *store.Store, plan *optimizer.Plan, opts Options, sink fun
 	const batchSize = 256
 	rowCh := make(chan [][]uint32, x.nworkers*2)
 	cancel := make(chan struct{})
-	s, _ := x.launch(func() *streamSink {
-		return &streamSink{ch: rowCh, cancel: cancel, batch: make([][]uint32, 0, batchSize)}
-	})
+	s := x.launch(func(k *streamSink) { k.init(rowCh, cancel, batchSize) })
 	go func() {
 		s.wg.Wait()
 		close(rowCh)
@@ -97,6 +95,12 @@ type streamSink struct {
 	closed bool
 }
 
+// init sets the sink up in place — it lives inside its worker's guarded
+// struct — with an isolated batch buffer of the given capacity.
+func (s *streamSink) init(ch chan [][]uint32, cancel chan struct{}, batch int) {
+	*s = streamSink{ch: ch, cancel: cancel, batch: isolated[[]uint32](batch)[:0]}
+}
+
 // push hands one row to the collector; returns false once the consumer has
 // cancelled.
 func (s *streamSink) push(row []uint32) bool {
@@ -116,7 +120,7 @@ func (s *streamSink) flush() bool {
 	}
 	select {
 	case s.ch <- s.batch:
-		s.batch = make([][]uint32, 0, cap(s.batch))
+		s.batch = isolated[[]uint32](cap(s.batch))[:0]
 		return true
 	case <-s.cancel:
 		s.closed = true

@@ -270,6 +270,18 @@ type wcojExec struct {
 	bufs [][]uint32 // per-level intersection output
 }
 
+// newWCOJExec sizes one worker's scratch for wp: a slice header per level
+// plus the widest level's constraint arrays and cursors, all rewritten per
+// candidate and therefore isolated like the worker's binding.
+func newWCOJExec(wp *wcojPlan) wcojExec {
+	nv, width := len(wp.vars), 0
+	for i := range wp.vars {
+		width = max(width, len(wp.vars[i].srcs))
+	}
+	hdrs := isolated[[]uint32](nv + width)
+	return wcojExec{plan: wp, bufs: hdrs[:nv:nv], arrs: hdrs[nv:nv], curs: isolated[int](width)}
+}
+
 // wcojRange enumerates a slice of the first variable's materialized domain
 // — the body of a morselWCOJ morsel. The tick per candidate keeps governance
 // checks and cancellation on the same amortized schedule as the pipeline's
@@ -309,19 +321,14 @@ func (w *worker) wcojLevel(d int) bool {
 	for i := range v.srcs {
 		a := v.srcs[i].resolve(w.binding)
 		if len(a) == 0 {
-			w.wcoj.arrs = arrs
 			return true // some constraint is empty: no candidates
 		}
 		arrs = append(arrs, a)
 	}
-	w.wcoj.arrs = arrs // keep grown capacity; recursion re-slices from [:0]
 	var cands []uint32
 	if len(arrs) == 1 {
 		cands = arrs[0] // a table-owned array: stable across recursion
 	} else {
-		if len(w.wcoj.curs) < len(arrs) {
-			w.wcoj.curs = make([]int, len(arrs))
-		}
 		w.wcoj.bufs[d] = search.Intersect(w.wcoj.bufs[d][:0], w.wcoj.curs, arrs...)
 		cands = w.wcoj.bufs[d]
 	}

@@ -272,7 +272,16 @@ func (g *Governor) NewGate() *Gate {
 	if g == nil {
 		return nil
 	}
-	return &Gate{gov: g, countdown: g.interval}
+	return g.GateAt(new(Gate))
+}
+
+// GateAt initializes t in place as a fresh gate for one worker and returns
+// it. The worker writes its gate on every amortized check, so an engine that
+// keeps each worker's mutable state in one cache-line-isolated block embeds
+// the Gate there instead of letting NewGate allocate it beside a sibling's.
+func (g *Governor) GateAt(t *Gate) *Gate {
+	*t = Gate{gov: g, countdown: g.interval}
+	return t
 }
 
 // Step accounts one unit of work (a binding produced or a key scanned) and,
