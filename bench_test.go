@@ -13,8 +13,10 @@ import (
 	"parj/internal/bench"
 	"parj/internal/cachesim"
 	"parj/internal/core"
+	"parj/internal/live"
 	"parj/internal/lubm"
 	"parj/internal/optimizer"
+	"parj/internal/rdf"
 	"parj/internal/sparql"
 	"parj/internal/store"
 	"parj/internal/watdiv"
@@ -336,5 +338,50 @@ func BenchmarkOptimizer(b *testing.B) {
 		if _, err := optimizer.Optimize(q, st, ss); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMaterializeBatch prices one read after one write on the churn
+// benchmark's shape: LUBM 64, a batch of 64 takesCourse inserts plus the 64
+// tombstones of the batch before it, and then the first View.Store of the
+// new epoch — the carry-forward merge of both takesCourse replicas (164 k
+// pairs) from the previous epoch's tables. Writes and the reconcile every
+// 32 batches (4096 verdicts, churn's AutoReconcileOps) run off the clock.
+func BenchmarkMaterializeBatch(b *testing.B) {
+	triples := lubm.Triples(64, lubm.Config{})
+	var courses []string
+	seen := map[string]bool{}
+	for _, t := range triples {
+		if t.P == lubm.PredTakesCourse && !seen[t.O] && len(courses) < 64 {
+			seen[t.O] = true
+			courses = append(courses, t.O)
+		}
+	}
+	h := live.New(store.LoadTriples(triples, store.BuildOptions{}), nil, store.BuildOptions{})
+	batch := func(k int) []rdf.Triple {
+		out := make([]rdf.Triple, len(courses))
+		for i, c := range courses {
+			out[i] = rdf.Triple{S: fmt.Sprintf("<http://bench/student/b%d/t%d>", k, i), P: lubm.PredTakesCourse, O: c}
+		}
+		return out
+	}
+	prev := batch(0)
+	h.Insert(prev)
+	h.View().Store()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		b.StopTimer()
+		next := batch(i)
+		if _, err := h.Apply(0, next, prev); err != nil {
+			b.Fatal(err)
+		}
+		prev = next
+		if i%32 == 0 {
+			h.Reconcile()
+		}
+		v := h.View()
+		b.StartTimer()
+		v.Store()
 	}
 }

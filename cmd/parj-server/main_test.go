@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parj"
+	"parj/internal/core"
 )
 
 func testDB(t *testing.T, n int, opts parj.DBOptions) *parj.Store {
@@ -129,45 +131,49 @@ func TestDeadlineMapsTo504(t *testing.T) {
 }
 
 func TestOverloadMapsTo503(t *testing.T) {
-	db := testDB(t, 4000, parj.DBOptions{MaxConcurrentQueries: 1})
+	db := testDB(t, 10, parj.DBOptions{MaxConcurrentQueries: 1})
 	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{Timeout: 30 * time.Second}))
 	defer srv.Close()
 
-	// Saturate the single slot with a slow cross product, then probe.
-	slow := make(chan struct{})
+	// Hold the single admission slot deterministically: the admitted join
+	// parks on its first key probe until released, so the probe below can
+	// neither arrive before it was admitted nor after it finished. Only
+	// that one probe parks — a second query wrongly admitted runs through
+	// and is reported by its status instead of hanging the test.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var parked atomic.Bool
+	restore := core.SetProbeFaultHook(func() {
+		if parked.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	})
+	defer restore()
+	held := make(chan struct{})
 	go func() {
-		defer close(slow)
+		defer close(held)
 		resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-			url.QueryEscape(`SELECT ?a ?b ?c ?d WHERE { ?a <p> ?b . ?c <q> ?d }`))
+			url.QueryEscape(`SELECT ?a ?c WHERE { ?a <p> ?b . ?b <q> ?c }`))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
+	<-entered
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-			url.QueryEscape(`SELECT ?a WHERE { ?a <p> ?b }`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		status := resp.StatusCode
-		retry := resp.Header.Get("Retry-After")
-		resp.Body.Close()
-		if status == http.StatusServiceUnavailable {
-			if retry == "" {
-				t.Error("503 without Retry-After")
-			}
-			break
-		}
-		// The slow query may not be admitted yet (or already finished —
-		// then the test dataset needs to be slower); keep probing briefly.
-		if time.Now().After(deadline) {
-			t.Fatalf("never observed 503; last status %d", status)
-		}
-		time.Sleep(time.Millisecond)
+	resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
+		url.QueryEscape(`SELECT ?a WHERE { ?a <p> ?b }`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-slow
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("status %d with the only slot held, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	close(release)
+	<-held
 }
 
 func TestHealthz(t *testing.T) {

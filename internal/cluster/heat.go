@@ -246,34 +246,35 @@ func (r *Remote) ProposeRebalance(policy RebalancePolicy, standby []string) []Pr
 // that would empty a group are skipped rather than failed — the table may
 // have moved since the proposals were computed.
 func (r *Remote) ApplyProposals(ctx context.Context, proposals []Proposal) (int64, error) {
-	version, replicas := r.Topology()
-	changed := false
-	for _, p := range proposals {
-		if p.Shard < 0 || p.Shard >= len(replicas) {
-			continue
-		}
-		idx := -1
-		for i, ep := range replicas[p.Shard] {
-			if ep == p.Endpoint {
-				idx = i
-				break
+	return r.mutate(ctx, func(replicas [][]string) ([][]string, error) {
+		changed := false
+		for _, p := range proposals {
+			if p.Shard < 0 || p.Shard >= len(replicas) {
+				continue
+			}
+			idx := -1
+			for i, ep := range replicas[p.Shard] {
+				if ep == p.Endpoint {
+					idx = i
+					break
+				}
+			}
+			switch p.Kind {
+			case Promote:
+				if idx < 0 {
+					replicas[p.Shard] = append(replicas[p.Shard], p.Endpoint)
+					changed = true
+				}
+			case Demote:
+				if idx >= 0 && len(replicas[p.Shard]) > 1 {
+					replicas[p.Shard] = append(replicas[p.Shard][:idx], replicas[p.Shard][idx+1:]...)
+					changed = true
+				}
 			}
 		}
-		switch p.Kind {
-		case Promote:
-			if idx < 0 {
-				replicas[p.Shard] = append(replicas[p.Shard], p.Endpoint)
-				changed = true
-			}
-		case Demote:
-			if idx >= 0 && len(replicas[p.Shard]) > 1 {
-				replicas[p.Shard] = append(replicas[p.Shard][:idx], replicas[p.Shard][idx+1:]...)
-				changed = true
-			}
+		if !changed {
+			return nil, nil
 		}
-	}
-	if !changed {
-		return version, nil
-	}
-	return r.Reconfigure(ctx, replicas)
+		return replicas, nil
+	})
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +120,57 @@ func TestReconfigureEpochSemantics(t *testing.T) {
 	}
 	if szA := nodeA.Statz(); szA.Queries != 1 {
 		t.Fatalf("node A served %d queries, want exactly the pinned one", szA.Queries)
+	}
+}
+
+// TestConcurrentTopologyMutationsBothSurvive races two admissions derived
+// from the same routing-table version. Each joiner's /readyz answers only
+// once both admissions are probing, so both edits provably start from one
+// Topology read; the loser must notice the table moved and redo its edit on
+// the winner's table instead of overwriting it.
+func TestConcurrentTopologyMutationsBothSurvive(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	f := lubmFixture(t)
+	_, srvA := startNode(t, f)
+	defer srvA.Close()
+
+	var probing sync.WaitGroup
+	probing.Add(2)
+	gatedJoiner := func() *httptest.Server {
+		h := remote.NewNode(f.st, f.ss, remote.NodeOptions{}).Handler()
+		var once sync.Once
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/readyz" {
+				once.Do(func() { probing.Done(); probing.Wait() })
+			}
+			h.ServeHTTP(w, req)
+		}))
+	}
+	srvB, srvC := gatedJoiner(), gatedJoiner()
+	defer srvB.Close()
+	defer srvC.Close()
+
+	r, err := NewRemote(RemoteOptions{Replicas: [][]string{{srvA.URL}, {srvA.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	errs := make(chan error, 2)
+	go func() { _, err := r.AddReplica(context.Background(), 0, srvB.URL); errs <- err }()
+	go func() { _, err := r.AddReplica(context.Background(), 1, srvC.URL); errs <- err }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	version, replicas := r.Topology()
+	want := [][]string{{srvA.URL, srvB.URL}, {srvA.URL, srvC.URL}}
+	if !reflect.DeepEqual(replicas, want) {
+		t.Fatalf("topology v%d = %v, want both admissions: %v", version, replicas, want)
+	}
+	if version != 3 {
+		t.Fatalf("topology version = %d, want 3 (two swaps, the loser's stale one refused)", version)
 	}
 }
 

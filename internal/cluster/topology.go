@@ -190,9 +190,42 @@ func (r *Remote) Topology() (version int64, replicas [][]string) {
 // closed once the last in-flight query that could still route to them
 // drains.
 //
-// Returns the new topology version. Concurrent Reconfigure calls serialize;
-// each sees the previous call's table as its base.
+// Returns the new topology version. Reconfigure replaces the table whatever
+// it currently is; an edit derived from a Topology read goes through mutate,
+// which refuses to overwrite a table that moved since the read.
 func (r *Remote) Reconfigure(ctx context.Context, newReplicas [][]string) (int64, error) {
+	return r.reconfigure(ctx, 0, newReplicas)
+}
+
+// errTopologyMoved reports a conditional swap whose base version is no
+// longer current.
+var errTopologyMoved = errors.New("cluster: topology changed concurrently")
+
+// mutate applies edit to the current routing table and swaps the result in
+// only if the table is still the version edit saw; when another mutation
+// won the race it re-reads and edits again, so concurrent evictions,
+// promotions and demotions all survive. edit returning nil replicas means
+// "nothing to change".
+func (r *Remote) mutate(ctx context.Context, edit func(replicas [][]string) ([][]string, error)) (int64, error) {
+	for {
+		version, replicas := r.Topology()
+		next, err := edit(replicas)
+		if err != nil {
+			return 0, err
+		}
+		if next == nil {
+			return version, nil
+		}
+		version, err = r.reconfigure(ctx, version, next)
+		if !errors.Is(err, errTopologyMoved) {
+			return version, err
+		}
+	}
+}
+
+// reconfigure is Reconfigure made conditional: with from != 0 the swap
+// happens only while the current epoch is still version from.
+func (r *Remote) reconfigure(ctx context.Context, from int64, newReplicas [][]string) (int64, error) {
 	if err := validateReplicas(newReplicas); err != nil {
 		return 0, err
 	}
@@ -227,11 +260,18 @@ func (r *Remote) Reconfigure(ctx context.Context, newReplicas [][]string) (int64
 
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
-	if r.closed {
+	var refused error
+	switch {
+	case r.closed:
+		refused = errors.New("cluster: coordinator closed")
+	case from != 0 && r.cur.version != from:
+		refused = errTopologyMoved
+	}
+	if refused != nil {
 		for _, pc := range prebuilt {
 			pc.Close()
 		}
-		return 0, errors.New("cluster: coordinator closed")
+		return 0, refused
 	}
 	next := r.buildEpochLocked(newReplicas, prebuilt)
 	prev := r.cur
@@ -249,38 +289,40 @@ func (r *Remote) Reconfigure(ctx context.Context, newReplicas [][]string) (int64
 
 // AddReplica admits endpoint into shard group's replica set (a promotion).
 func (r *Remote) AddReplica(ctx context.Context, shard int, endpoint string) (int64, error) {
-	_, replicas := r.Topology()
-	if shard < 0 || shard >= len(replicas) {
-		return 0, fmt.Errorf("cluster: shard group %d out of range", shard)
-	}
-	for _, ep := range replicas[shard] {
-		if ep == endpoint {
-			return 0, fmt.Errorf("cluster: %s already serves shard group %d", endpoint, shard)
+	return r.mutate(ctx, func(replicas [][]string) ([][]string, error) {
+		if shard < 0 || shard >= len(replicas) {
+			return nil, fmt.Errorf("cluster: shard group %d out of range", shard)
 		}
-	}
-	replicas[shard] = append(replicas[shard], endpoint)
-	return r.Reconfigure(ctx, replicas)
+		for _, ep := range replicas[shard] {
+			if ep == endpoint {
+				return nil, fmt.Errorf("cluster: %s already serves shard group %d", endpoint, shard)
+			}
+		}
+		replicas[shard] = append(replicas[shard], endpoint)
+		return replicas, nil
+	})
 }
 
 // RemoveReplica retires endpoint from shard group's replica set (a
 // demotion, or the removal of a dead node). The group must retain at least
 // one replica.
 func (r *Remote) RemoveReplica(ctx context.Context, shard int, endpoint string) (int64, error) {
-	_, replicas := r.Topology()
-	if shard < 0 || shard >= len(replicas) {
-		return 0, fmt.Errorf("cluster: shard group %d out of range", shard)
-	}
-	kept := replicas[shard][:0]
-	for _, ep := range replicas[shard] {
-		if ep != endpoint {
-			kept = append(kept, ep)
+	return r.mutate(ctx, func(replicas [][]string) ([][]string, error) {
+		if shard < 0 || shard >= len(replicas) {
+			return nil, fmt.Errorf("cluster: shard group %d out of range", shard)
 		}
-	}
-	if len(kept) == len(replicas[shard]) {
-		return 0, fmt.Errorf("cluster: %s does not serve shard group %d", endpoint, shard)
-	}
-	replicas[shard] = kept
-	return r.Reconfigure(ctx, replicas)
+		kept := replicas[shard][:0]
+		for _, ep := range replicas[shard] {
+			if ep != endpoint {
+				kept = append(kept, ep)
+			}
+		}
+		if len(kept) == len(replicas[shard]) {
+			return nil, fmt.Errorf("cluster: %s does not serve shard group %d", endpoint, shard)
+		}
+		replicas[shard] = kept
+		return replicas, nil
+	})
 }
 
 // DrainingEpochs reports how many retired epochs still have queries in

@@ -205,36 +205,40 @@ func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (u
 // unroutable); that is reported as an error — the group is serving a stale
 // store until the replica is resynced.
 func (r *Remote) evictStale(ctx context.Context, failed []string) error {
-	_, replicas := r.Topology()
 	stale := make(map[string]bool, len(failed))
 	for _, ep := range failed {
 		stale[ep] = true
 	}
 	var soleStale []string
-	changed := false
-	for s, reps := range replicas {
-		kept := reps[:0]
-		for _, ep := range reps {
-			if !stale[ep] {
-				kept = append(kept, ep)
+	_, err := r.mutate(ctx, func(replicas [][]string) ([][]string, error) {
+		soleStale = nil
+		changed := false
+		for s, reps := range replicas {
+			kept := reps[:0]
+			for _, ep := range reps {
+				if !stale[ep] {
+					kept = append(kept, ep)
+				}
+			}
+			if len(kept) == 0 {
+				// Removing every replica would orphan the group; keep it
+				// as-is and surface the staleness.
+				soleStale = append(soleStale, fmt.Sprintf("group %d: %v", s, reps))
+				continue
+			}
+			if len(kept) != len(reps) {
+				changed = true
+				replicas[s] = kept
 			}
 		}
-		if len(kept) == 0 {
-			// Removing every replica would orphan the group; keep it as-is
-			// and surface the staleness.
-			soleStale = append(soleStale, fmt.Sprintf("group %d: %v", s, reps))
-			continue
+		if !changed {
+			return nil, nil
 		}
-		if len(kept) != len(reps) {
-			changed = true
-			replicas[s] = kept
-		}
-	}
+		return replicas, nil
+	})
 	var errs []error
-	if changed {
-		if _, err := r.Reconfigure(ctx, replicas); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: evicting stale replicas %v: %w", failed, err))
-		}
+	if err != nil {
+		errs = append(errs, fmt.Errorf("cluster: evicting stale replicas %v: %w", failed, err))
 	}
 	if len(soleStale) > 0 {
 		errs = append(errs, fmt.Errorf("cluster: write missed sole replicas (%v); resync required", soleStale))

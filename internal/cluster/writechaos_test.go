@@ -170,9 +170,17 @@ func TestRemoteWriteChaos(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		write(t)
 	}
-	for _, ep := range r.Endpoints() {
-		if ep == pB.URL() {
-			t.Fatal("dead write target still in the routing table")
+	// The eviction is synchronous with the failed write, so the routing
+	// table is clean now; the endpoint registry lets go of the dead
+	// endpoint only when the last query pinned to the pre-eviction epoch
+	// drains, which is asserted once the query stream has stopped.
+	if _, replicas := r.Topology(); len(replicas) != 2 {
+		t.Fatalf("routing table lost a shard group: %v", replicas)
+	} else {
+		for _, ep := range distinctEndpoints(replicas) {
+			if ep == pB.URL() {
+				t.Fatalf("dead write target still in the routing table: %v", replicas)
+			}
 		}
 	}
 	szA := nodeA.Statz()
@@ -275,6 +283,16 @@ func TestRemoteWriteChaos(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("query stream never completed a query")
+	}
+	// No query is in flight any more: every retired epoch has drained and
+	// released its endpoints, the dead one included.
+	if n := r.DrainingEpochs(); n != 0 {
+		t.Fatalf("%d retired epochs still draining with no query in flight", n)
+	}
+	for _, ep := range r.Endpoints() {
+		if ep == pB.URL() {
+			t.Fatal("dead write target still in the endpoint registry after every epoch drained")
+		}
 	}
 }
 

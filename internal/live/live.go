@@ -14,10 +14,22 @@
 //     memoized, and the whole engine — optimizer, pipeline, WCOJ, morsel
 //     scheduler — runs on it unchanged, which is what makes the mutable
 //     store oracle-exact by construction.
+//   - Materializing carries forward: the handle remembers the most recently
+//     materialized view, and a later view over the same base merges only the
+//     difference between the two frozen deltas into that view's tables
+//     (store.CarryForward), so a read pays for the batches written since
+//     the last read, not for everything pending. The first view of an
+//     epoch, and a reader pinned to a view older than the remembered one,
+//     start from the base with the same routine. The memo is one pointer on
+//     the handle, not a chain through the views: a view never references
+//     its predecessor, so old epochs are collectable as soon as no query
+//     pins them, and the extra memory held is one merged copy of the
+//     predicates written since the last reconcile.
 //   - A reconciler (synchronous via Reconcile, or a background goroutine
 //     once the pending-op threshold is crossed) promotes the memoized merge
 //     to the new base, prunes the delta that accumulated meanwhile down to
-//     its residual, and atomically swaps the epoch. In-flight queries keep
+//     its residual, atomically swaps the epoch and forgets the remembered
+//     view, which belongs to the epoch just retired. In-flight queries keep
 //     their pinned views alive through the garbage collector — the same
 //     pattern internal/cluster/topology.go uses for routing epochs.
 //
@@ -52,7 +64,7 @@ type View struct {
 	base    *store.Store
 	delta   *store.Delta
 	bstats  *stats.Stats
-	opts    store.BuildOptions
+	h       *Handle
 
 	once   sync.Once
 	eff    *store.Store
@@ -104,10 +116,25 @@ func (v *View) ApproxTriples() int {
 	return v.base.NumTriples() + adds - dels
 }
 
+// materialize merges the view's delta once. It starts from the handle's
+// most recently materialized view when that one is an earlier version over
+// the same base — its tables plus the difference of the two deltas — and
+// from the base itself otherwise, then becomes the remembered view unless
+// a later one already is.
 func (v *View) materialize() {
 	v.once.Do(func() {
-		v.eff = store.ApplyDelta(v.base, v.delta, v.opts)
-		v.estats = stats.NewDerived(v.eff, v.bstats)
+		prev, from, pstats := v.base, (*store.Delta)(nil), v.bstats
+		if m := v.h.memo.Load(); m != nil && m.base == v.base && m.version < v.version {
+			prev, from, pstats = m.eff, m.delta, m.estats
+		}
+		v.eff = store.CarryForward(prev, from, v.delta, v.h.opts)
+		v.estats = stats.NewDerived(v.eff, pstats)
+		for {
+			m := v.h.memo.Load()
+			if (m != nil && m.version > v.version) || v.h.memo.CompareAndSwap(m, v) {
+				break
+			}
+		}
 	})
 }
 
@@ -120,6 +147,10 @@ type Handle struct {
 	seq uint64
 	cur atomic.Pointer[View]
 
+	// memo is the most recently materialized view: where the next
+	// materialization over the same base starts from.
+	memo atomic.Pointer[View]
+
 	recMu sync.Mutex // serializes reconciliations
 
 	autoOps atomic.Int64 // pending-op threshold for background reconcile; 0 = off
@@ -129,15 +160,16 @@ type Handle struct {
 }
 
 // New wraps a built store. ss may be nil (statistics are then computed
-// here). opts should be the options the store was built with so merged
-// tables keep the same physical shape; store.InferBuildOptions recovers the
-// index choice from the store itself.
+// here). Merged tables keep the physical shape (search windows, position
+// index) of the tables they replace; opts shapes only the tables of
+// predicates a write introduces, and store.InferBuildOptions recovers the
+// index choice for those from the store itself.
 func New(base *store.Store, ss *stats.Stats, opts store.BuildOptions) *Handle {
 	if ss == nil {
 		ss = stats.New(base)
 	}
 	h := &Handle{opts: opts}
-	h.cur.Store(&View{version: 1, base: base, delta: &store.Delta{}, bstats: ss, opts: opts})
+	h.cur.Store(&View{version: 1, base: base, delta: &store.Delta{}, bstats: ss, h: h})
 	return h
 }
 
@@ -173,7 +205,7 @@ func (h *Handle) SeedSeq(seq uint64) {
 		base:    v.base,
 		delta:   v.delta,
 		bstats:  v.bstats,
-		opts:    v.opts,
+		h:       h,
 	})
 }
 
@@ -272,7 +304,7 @@ func (h *Handle) Apply(seq uint64, inserts, deletes []rdf.Triple) (uint64, error
 		base:    v.base,
 		delta:   nd,
 		bstats:  v.bstats,
-		opts:    v.opts,
+		h:       h,
 	})
 	if n := h.autoOps.Load(); n > 0 && int64(nd.Ops()) >= n && h.recMu.TryLock() {
 		h.wg.Add(1)
@@ -335,8 +367,15 @@ func (h *Handle) reconcile() *View {
 		base:    merged,
 		delta:   cur.delta.Prune(merged),
 		bstats:  mergedStats,
-		opts:    h.opts,
+		h:       h,
 	}
 	h.cur.Store(nv)
+	// The remembered view belongs to the epoch just retired: no view over
+	// the new base can start from it, and it pins the old base and the
+	// frozen delta. Drop it now, or a store that goes quiet after this
+	// reconcile keeps them until a next materialization that never comes.
+	if m := h.memo.Load(); m != nil && m.base != merged {
+		h.memo.CompareAndSwap(m, nil)
+	}
 	return nv
 }

@@ -12,6 +12,11 @@
 // nearly-sorted probe keys behave like a merge join.
 package search
 
+import (
+	"math"
+	"sort"
+)
+
 // Stats counts the probe-strategy decisions taken by the adaptive search.
 // The engine aggregates one Stats per worker; Table 6 of the paper reports
 // these counts.
@@ -143,4 +148,21 @@ func ValueThreshold(arr []uint32, window int) uint32 {
 		return 1 << 31
 	}
 	return uint32(v)
+}
+
+// WindowOf inverts ValueThreshold: a position window whose threshold over
+// arr is threshold — preferred when that is one (several windows can share
+// a threshold on a short or perfectly contiguous array), else the smallest
+// that reaches it. A snapshot stores thresholds only; loading recovers the
+// windows here so that a later merge can re-derive thresholds over a changed
+// key range. ValueThreshold is monotone in the window, so the inverse is a
+// bisection: bounded on any input, and a threshold no window reaches (above
+// ValueThreshold's 1<<31 ceiling) maps to the largest window.
+func WindowOf(arr []uint32, threshold uint32, preferred int) int {
+	if ValueThreshold(arr, preferred) == threshold {
+		return preferred
+	}
+	return sort.Search(math.MaxInt32, func(w int) bool {
+		return ValueThreshold(arr, w) >= threshold
+	})
 }

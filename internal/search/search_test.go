@@ -169,6 +169,31 @@ func TestValueThreshold(t *testing.T) {
 	}
 }
 
+// TestWindowOfInvertsValueThreshold: every window round-trips to a window
+// with the same threshold, and a threshold no window can reach — past the
+// 1<<31 ceiling, or over an array with no spread — still returns.
+func TestWindowOfInvertsValueThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	arrays := [][]uint32{nil, {5}, {1, 2, 3}, sortedArr(rng, 1000, 1), sortedArr(rng, 1000, 40)}
+	for _, arr := range arrays {
+		for _, w := range []int{0, 1, 2, 7, DefaultIndexWindow, DefaultBinaryWindow, 5000} {
+			th := ValueThreshold(arr, w)
+			for _, preferred := range []int{w, DefaultBinaryWindow} {
+				if got := ValueThreshold(arr, WindowOf(arr, th, preferred)); got != th {
+					t.Errorf("len %d window %d preferred %d: round-trip threshold %d, want %d", len(arr), w, preferred, got, th)
+				}
+			}
+		}
+	}
+	for _, arr := range [][]uint32{{1, 2, 3}, {7, 7, 7, 7}, sortedArr(rng, 100, 1000)} {
+		for _, th := range []uint32{1<<31 + 1, 1<<31 | 200, ^uint32(0)} {
+			if w := WindowOf(arr, th, DefaultBinaryWindow); w < 0 {
+				t.Errorf("unreachable threshold %d: window %d", th, w)
+			}
+		}
+	}
+}
+
 func TestStatsAddTotal(t *testing.T) {
 	a := Stats{Sequential: 1, Binary: 2, Index: 3}
 	b := Stats{Sequential: 10, Binary: 20, Index: 30}

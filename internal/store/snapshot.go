@@ -156,8 +156,6 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 	}
 	st.so = make([]Table, nPred)
 	st.os = make([]Table, nPred)
-	st.directory = make([]uint32, 2*nPred)
-	var base uint64 = 1 << 20
 	maxID := st.Resources.MaxID()
 	for p := 0; p < int(nPred); p++ {
 		for ti, t := range []*Table{&st.so[p], &st.os[p]} {
@@ -166,6 +164,13 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 			}
 			if t.IndexThreshold, err = readU32(sr); err != nil {
 				return nil, corruptf("predicate %d: %v", p+1, err)
+			}
+			// No writer produces a threshold past ValueThreshold's ceiling;
+			// refuse it here rather than hand it to WindowOf below, which
+			// runs before the checksum gets to veto.
+			if t.Threshold > 1<<31 || t.IndexThreshold > 1<<31 {
+				return nil, corruptf("predicate %d replica %d: search thresholds %d/%d out of range",
+					p+1, ti, t.Threshold, t.IndexThreshold)
 			}
 			if t.Keys, err = readU32Slice(sr); err != nil {
 				return nil, corruptf("predicate %d keys: %v", p+1, err)
@@ -187,23 +192,18 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 				return nil, corruptf("snapshot predicate %d replica %d: keys [%d,%d] outside resource id space [1,%d]",
 					p+1, ti, t.Keys[0], t.Keys[len(t.Keys)-1], maxID)
 			}
-			t.KeysBase = base
-			base += uint64(len(t.Keys))*4 + 4096
-			t.ValsBase = base
-			base += uint64(len(t.Vals))*4 + 4096
 			if hasIndex == 1 {
 				t.Index = posindex.Build(t.Keys, maxID, 0)
-				t.IndexBases = posindex.Bases{Words: base, Anchors: base + uint64(t.Index.Bytes())}
-				base += uint64(t.Index.Bytes())*2 + 4096
 			}
 			if t.Threshold == 0 {
 				t.Threshold = search.ValueThreshold(t.Keys, search.DefaultBinaryWindow)
 			}
+			// The format stores thresholds, not the windows they came from.
+			t.BinaryWindow = uint32(search.WindowOf(t.Keys, t.Threshold, search.DefaultBinaryWindow))
+			t.IndexWindow = uint32(search.WindowOf(t.Keys, t.IndexThreshold, search.DefaultIndexWindow))
 		}
-		st.numTriples += st.so[p].NumTriples()
-		st.directory[2*p] = uint32(len(st.so[p].Keys))
-		st.directory[2*p+1] = uint32(len(st.os[p].Keys))
 	}
+	st.finish()
 	if version >= 2 {
 		// The trailing checksum is read from the raw stream — it covers
 		// everything consumed so far but not itself.

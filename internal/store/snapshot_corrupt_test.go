@@ -23,14 +23,19 @@ func validSnapshot(t testing.TB, withIndex bool) []byte {
 func TestSnapshotDetectsBitFlips(t *testing.T) {
 	snap := validSnapshot(t, true)
 	for pos := 0; pos < len(snap); pos++ {
-		corrupted := bytes.Clone(snap)
-		corrupted[pos] ^= 0x01
-		_, err := LoadSnapshot(bytes.NewReader(corrupted))
-		if err == nil {
-			t.Fatalf("flip at byte %d/%d accepted", pos, len(snap))
-		}
-		if !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("flip at byte %d: error %v does not wrap ErrCorruptSnapshot", pos, err)
+		// Every bit, not just the low one: the high bits of a length prefix
+		// or a stored search threshold are the ones that can send a loader
+		// into a huge allocation or an unbounded loop before the CRC vetoes.
+		for bit := 0; bit < 8; bit++ {
+			corrupted := bytes.Clone(snap)
+			corrupted[pos] ^= 1 << bit
+			_, err := LoadSnapshot(bytes.NewReader(corrupted))
+			if err == nil {
+				t.Fatalf("flip of bit %d at byte %d/%d accepted", bit, pos, len(snap))
+			}
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("flip of bit %d at byte %d: error %v does not wrap ErrCorruptSnapshot", bit, pos, err)
+			}
 		}
 	}
 }

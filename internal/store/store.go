@@ -42,6 +42,12 @@ type Table struct {
 	// index one coming out smaller).
 	Threshold      uint32
 	IndexThreshold uint32
+	// BinaryWindow and IndexWindow are the position windows (default,
+	// configured or calibrated) the two thresholds were derived from. They
+	// belong to the table: a merge that rewrites Keys re-derives the
+	// thresholds from them over the new key range.
+	BinaryWindow uint32
+	IndexWindow  uint32
 
 	// Index is the optional ID-to-Position index over Keys; nil when the
 	// store was built without indexes (its use is auxiliary, paper §4.2).
@@ -211,15 +217,6 @@ func (b *Builder) Build(opts BuildOptions) *Store {
 		Predicates: b.predicates,
 		so:         make([]Table, len(b.perPred)),
 		os:         make([]Table, len(b.perPred)),
-		directory:  make([]uint32, 2*len(b.perPred)),
-	}
-	binaryWindow := opts.BinaryWindow
-	if binaryWindow == 0 {
-		binaryWindow = search.DefaultBinaryWindow
-	}
-	indexWindow := opts.IndexWindow
-	if indexWindow == 0 {
-		indexWindow = search.DefaultIndexWindow
 	}
 	maxID := b.resources.MaxID()
 
@@ -239,17 +236,10 @@ func (b *Builder) Build(opts BuildOptions) *Store {
 		pairs = dedupPairs(pairs)
 		st.so[p] = buildCSR(pairs)
 		// Reuse the buffer for the swapped pairs to build the O-S replica.
-		for i, pr := range pairs {
-			pairs[i] = pr<<32 | pr>>32
-		}
-		sortPairs(pairs)
-		st.os[p] = buildCSR(pairs)
+		st.os[p] = buildCSR(swapSort(pairs))
 		b.perPred[p] = nil // release
-		for _, t := range []*Table{&st.so[p], &st.os[p]} {
-			finishTable(t, opts, maxID, binaryWindow, indexWindow)
-		}
-		st.directory[2*p] = uint32(len(st.so[p].Keys))
-		st.directory[2*p+1] = uint32(len(st.os[p].Keys))
+		finishTable(&st.so[p], opts, maxID)
+		finishTable(&st.os[p], opts, maxID)
 	}
 	if workers <= 1 {
 		for p := range b.perPred {
@@ -273,10 +263,22 @@ func (b *Builder) Build(opts BuildOptions) *Store {
 		close(work)
 		wg.Wait()
 	}
-	// Serial passes: triple count and disjoint simulated base addresses.
+	st.finish()
+	return st
+}
+
+// finish is the serial pass that ends every store construction: the triple
+// count, the key-count directory and disjoint simulated base addresses for
+// every array (tables shared with another store are struct copies, so that
+// store's own addresses are untouched).
+func (st *Store) finish() {
 	var base uint64 = 1 << 20
+	st.numTriples = 0
+	st.directory = make([]uint32, 2*len(st.so))
 	for p := range st.so {
 		st.numTriples += st.so[p].NumTriples()
+		st.directory[2*p] = uint32(len(st.so[p].Keys))
+		st.directory[2*p+1] = uint32(len(st.os[p].Keys))
 		for _, t := range []*Table{&st.so[p], &st.os[p]} {
 			t.KeysBase = base
 			base += uint64(len(t.Keys))*4 + 4096
@@ -288,34 +290,56 @@ func (b *Builder) Build(opts BuildOptions) *Store {
 			}
 		}
 	}
-	return st
 }
 
-// finishTable computes thresholds and builds the optional index. Simulated
-// base addresses are assigned afterwards in a serial pass so that the
-// per-predicate work can run concurrently.
-func finishTable(t *Table, opts BuildOptions, maxID uint32, binaryWindow, indexWindow int) {
-	bw, iw := binaryWindow, indexWindow
+// finishTable settles a built table's search windows (configured, default
+// or calibrated), derives its thresholds and builds the optional index.
+// Simulated base addresses are assigned afterwards in a serial pass so that
+// the per-predicate work can run concurrently.
+func finishTable(t *Table, opts BuildOptions, maxID uint32) {
+	bw, iw := opts.BinaryWindow, opts.IndexWindow
+	if bw == 0 {
+		bw = search.DefaultBinaryWindow
+	}
+	if iw == 0 {
+		iw = search.DefaultIndexWindow
+	}
+	if opts.BuildPosIndex {
+		t.Index = posindex.Build(t.Keys, maxID, opts.PosIndexInterval)
+	}
 	if opts.Calibrate && len(t.Keys) > 1024 {
 		bw = search.Calibrate(t.Keys, func(a []uint32, v uint32, cur *int) (int, bool) {
 			return search.Binary(a, v, cur)
-		}, search.CalibrateOptions{StartingWindowSize: binaryWindow})
-	}
-	t.Threshold = search.ValueThreshold(t.Keys, bw)
-	t.IndexThreshold = search.ValueThreshold(t.Keys, iw)
-	if opts.BuildPosIndex {
-		t.Index = posindex.Build(t.Keys, maxID, opts.PosIndexInterval)
-		if opts.Calibrate && len(t.Keys) > 1024 {
+		}, search.CalibrateOptions{StartingWindowSize: bw})
+		if t.Index != nil {
 			iw = search.Calibrate(t.Keys, func(a []uint32, v uint32, cur *int) (int, bool) {
 				return t.Index.Lookup(v)
-			}, search.CalibrateOptions{StartingWindowSize: indexWindow})
-			t.IndexThreshold = search.ValueThreshold(t.Keys, iw)
+			}, search.CalibrateOptions{StartingWindowSize: iw})
 		}
 	}
+	t.BinaryWindow, t.IndexWindow = uint32(bw), uint32(iw)
+	t.setThresholds()
+}
+
+// setThresholds derives the adaptive-search value thresholds from the
+// table's windows over its current key range.
+func (t *Table) setThresholds() {
+	t.Threshold = search.ValueThreshold(t.Keys, int(t.BinaryWindow))
+	t.IndexThreshold = search.ValueThreshold(t.Keys, int(t.IndexWindow))
 }
 
 func sortPairs(pairs []uint64) {
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+}
+
+// swapSort repacks S-O pairs object-high, in place, and sorts them: the same
+// pairs in the O-S replica's order.
+func swapSort(pairs []uint64) []uint64 {
+	for i, pr := range pairs {
+		pairs[i] = pr<<32 | pr>>32
+	}
+	sortPairs(pairs)
+	return pairs
 }
 
 func dedupPairs(pairs []uint64) []uint64 {
