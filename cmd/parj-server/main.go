@@ -1,465 +1,328 @@
-// Command parj-server exposes a loaded store over HTTP — the hardened
-// serving path of the robustness layer. Every request runs under a deadline,
-// a row/memory budget, and the store-wide admission limiter, so a hostile
-// query (the 1.6-billion-row cross products of the paper's §5.2 discussion)
-// degrades into a typed HTTP error instead of taking the process down.
+// Command parj-server serves one full replica of a store over HTTP. Every
+// replica is the same process: which endpoints get traffic — whole queries
+// from clients, shard ranges from a coordinator (internal/cluster.Remote),
+// the replicated write stream — is the deployment's business, not a mode
+// of the binary. Every query runs under a deadline, a row/memory budget
+// and the admission controller, so a hostile query (the 1.6-billion-row
+// cross products of the paper's §5.2 discussion) degrades into a typed
+// HTTP error instead of taking the process down.
 //
 // Usage:
 //
 //	parj-server -data graph.nt -addr :8080 -timeout 30s -max-concurrent 8
+//	parj-server -warm-from http://peer1:8080,http://peer2:8080 -addr :8081
+//	parj-server -wal /var/lib/parj -data graph.nt      # durable; -data seeds the first boot only
 //
-// Endpoints:
+// Endpoints (internal/remote holds the handler and the wire types):
 //
-//	GET  /query?query=SELECT...   execute a SPARQL query, JSON response
+//	GET  /query?query=SELECT...   execute a SPARQL query, decoded rows as JSON
 //	POST /query                   query in the body (or form field "query")
-//	POST /write                   apply a write batch ({"inserts":[...],"deletes":[...]})
+//	POST /exec                    evaluate a shard range of a query (coordinator protocol)
+//	POST /write                   apply a write batch ({"seq":N,"inserts":[...],"deletes":[...]}; seq omitted = next)
 //	POST /reconcile               merge pending writes into a fresh base store
+//	GET  /snapshot                CRC-checked snapshot stream (X-Parj-Write-Seq: stream position)
 //	GET  /healthz                 liveness + load signal
 //	GET  /readyz                  readiness: 503 while loading or draining
+//	GET  /statz                   cumulative serving, admission, write-stream and WAL stats
 //
-// The listener comes up before the store load finishes, so orchestrators
-// can watch /readyz flip from 503 to 200 instead of timing out on a closed
-// port; /readyz flips back to 503 the moment a drain starts.
+// The listener comes up before the replica finishes loading, so
+// orchestrators and coordinators can watch /readyz flip from 503 to 200
+// instead of timing out on a closed port; it flips back to 503 the moment
+// a drain starts. SIGINT/SIGTERM drains in-flight requests before exiting.
 //
-// Status mapping: 400 unparsable query, 413 budget exceeded, 503 overloaded
-// (with Retry-After), 504 deadline exceeded or client gone, 500 contained
-// engine fault. SIGINT/SIGTERM drains in-flight queries before exiting.
+// Status mapping: 400 unparsable or unplannable query, 409 write sequence
+// gap, 413 budget exceeded, 503 overloaded or not ready (with
+// Retry-After), 504 deadline exceeded or client gone, 500 contained engine
+// fault.
+//
+// -warm-from bootstraps a joining replica from a running peer instead of a
+// local file: the node pulls a peer's /snapshot stream (CRC-verified; a
+// peer that is draining still serves snapshots, so a successor can warm
+// from the node it replaces), retrying across the listed peers until one
+// succeeds. Only once the snapshot is resident does /readyz report 200 —
+// which is exactly when a coordinator's Reconfigure will agree to admit
+// the node into the routing table.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"parj"
+	"parj/internal/live"
 	"parj/internal/rdf"
+	"parj/internal/remote"
+	"parj/internal/store"
+	"parj/internal/wal"
 )
 
-func main() {
-	var (
-		dataPath      = flag.String("data", "", "N-Triples or .snapshot file to load (required)")
-		addr          = flag.String("addr", ":8080", "listen address")
-		threads       = flag.Int("threads", 0, "worker threads per query (0 = GOMAXPROCS)")
-		noIndex       = flag.Bool("noindex", false, "skip building ID-to-Position indexes")
-		timeout       = flag.Duration("timeout", 30*time.Second, "per-query wall-clock limit (0 = none)")
-		maxConcurrent = flag.Int("max-concurrent", 8, "queries executing at once; further ones queue then shed (0 = unlimited)")
-		admissionWait = flag.Duration("admission-wait", 2*time.Second, "how long an over-admission query queues before 503")
-		admTarget     = flag.Duration("admission-target", 0, "adaptive admission: shed once queue sojourn stays above this target (0 = fixed-wait queue)")
-		admInterval   = flag.Duration("admission-interval", 0, "adaptive admission control window (0 = 100ms default)")
-		maxRows       = flag.Int64("max-rows", 10_000_000, "per-query produced-row budget (0 = unlimited)")
-		memBudget     = flag.Int64("memory-budget", 1<<30, "per-query materialized-result byte budget (0 = unlimited)")
-		sharedBudget  = flag.Int64("shared-memory-budget", 0, "materialized-result byte budget shared across ALL concurrent queries (0 = unlimited)")
-		drainTimeout  = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain limit")
-		reconcileOps  = flag.Int("reconcile-ops", 4096, "pending write verdicts that trigger background reconciliation (0 = only on explicit /reconcile)")
-		walDir        = flag.String("wal", "", "write-ahead-log directory; makes the store durable (recovers on start, journals every write)")
-		walSync       = flag.String("wal-sync", "always", "WAL fsync policy: always (group commit), interval, never")
-		walSyncIntv   = flag.Duration("wal-sync-interval", 50*time.Millisecond, "flush period under -wal-sync=interval")
-		ckptOps       = flag.Int("checkpoint-ops", 4096, "write batches between automatic checkpoints (0 = never checkpoint automatically)")
-		ckptIntv      = flag.Duration("checkpoint-interval", time.Minute, "how often the checkpoint loop looks at the write position")
-	)
-	flag.Parse()
-	// A durable server can start bare: recovery rebuilds the store from its
-	// own WAL directory, -data only seeds the very first boot.
-	if *dataPath == "" && *walDir == "" {
-		fmt.Fprintln(os.Stderr, "parj-server: -data is required (or -wal for a durable store)")
-		flag.Usage()
-		os.Exit(2)
+// config is the parsed command line.
+type config struct {
+	dataPath    string
+	warmFrom    string
+	warmTimeout time.Duration
+	addr        string
+	noIndex     bool
+	drain       time.Duration
+	node        remote.NodeOptions
+	wal         wal.Options // Dir == "" = volatile
+	ckptOps     int
+	ckptIntv    time.Duration
+}
+
+func parseFlags(args []string) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("parj-server", flag.ContinueOnError)
+	fs.StringVar(&c.dataPath, "data", "", "N-Triples or .snapshot file to load")
+	fs.StringVar(&c.warmFrom, "warm-from", "", "comma-separated peer base URLs to warm a joining replica from (alternative to -data)")
+	fs.DurationVar(&c.warmTimeout, "warm-timeout", 5*time.Minute, "give up warming from peers after this long")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.BoolVar(&c.noIndex, "noindex", false, "skip building ID-to-Position indexes")
+	fs.DurationVar(&c.drain, "drain", 15*time.Second, "graceful-shutdown drain limit")
+	fs.IntVar(&c.node.Query.Threads, "threads", 0, "worker threads per /query (0 = GOMAXPROCS)")
+	fs.DurationVar(&c.node.Query.Timeout, "timeout", 30*time.Second, "per-/query wall-clock limit (0 = none)")
+	fs.Int64Var(&c.node.Query.MaxResultRows, "max-rows", 10_000_000, "per-/query produced-row budget (0 = unlimited)")
+	fs.Int64Var(&c.node.Query.MemoryBudget, "memory-budget", 1<<30, "per-/query materialized-result byte budget (0 = unlimited)")
+	fs.Int64Var(&c.node.SharedMemoryBudget, "shared-memory-budget", 0, "materialized-result byte budget shared across ALL concurrent requests (0 = unlimited)")
+	fs.IntVar(&c.node.MaxConcurrent, "max-concurrent", 8, "/query and /exec requests executing at once; further ones queue then shed (0 = unlimited)")
+	fs.DurationVar(&c.node.AdmissionWait, "admission-wait", 2*time.Second, "how long an over-admission request queues before 503 (0 = do not queue)")
+	fs.DurationVar(&c.node.AdmissionTarget, "admission-target", 0, "acceptable admission-queue sojourn; sustained above it, excess requests shed after the target instead of the full wait (0 = 5ms default; >= -admission-wait never sheds early)")
+	fs.DurationVar(&c.node.AdmissionInterval, "admission-interval", 0, "admission control window (0 = 100ms default)")
+	fs.IntVar(&c.node.AutoReconcileOps, "reconcile-ops", 4096, "pending write verdicts that trigger background reconciliation (0 = only on explicit /reconcile)")
+	fs.StringVar(&c.wal.Dir, "wal", "", "write-ahead-log directory; makes the replica durable (recovers on start, journals every write)")
+	walSync := fs.String("wal-sync", "always", "WAL fsync policy: always (group commit), interval, never")
+	fs.DurationVar(&c.wal.Interval, "wal-sync-interval", 50*time.Millisecond, "flush period under -wal-sync=interval")
+	fs.Int64Var(&c.wal.SegmentBytes, "wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 4 MiB)")
+	fs.IntVar(&c.ckptOps, "checkpoint-ops", 4096, "write batches between automatic checkpoints (0 = never checkpoint automatically)")
+	fs.DurationVar(&c.ckptIntv, "checkpoint-interval", time.Minute, "how often the checkpoint loop looks at the write position")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	syncPolicy, err := parj.ParseSyncPolicy(*walSync)
+	if c.dataPath != "" && c.warmFrom != "" {
+		return nil, errors.New("-data and -warm-from are mutually exclusive")
+	}
+	// A durable replica can also start bare: recovery alone rebuilds it
+	// from its own WAL directory.
+	if c.wal.Dir == "" && c.dataPath == "" && c.warmFrom == "" {
+		return nil, errors.New("one of -data, -warm-from or -wal is required")
+	}
+	var err error
+	c.wal.Sync, err = wal.ParseSyncPolicy(*walSync)
+	return c, err
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
 	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "parj-server:", err)
 		os.Exit(2)
 	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "parj-server:", err)
+		os.Exit(1)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, cfg, ln); err != nil {
+		fmt.Fprintln(os.Stderr, "parj-server:", err)
+		os.Exit(1)
+	}
+}
 
-	// Listen first, load second: /readyz answers 503 while the store loads
-	// so orchestrators see "starting", not "dead".
-	state := &serverState{}
+// run serves on ln until ctx is done, then drains. Listen first, load
+// second: until the replica is resident a not-ready node over an empty
+// store answers, so /readyz and every query path say 503 "starting" — not
+// a closed port — and /healthz says alive.
+func run(ctx context.Context, cfg *config, ln net.Listener) error {
+	bo := store.BuildOptions{BuildPosIndex: !cfg.noIndex}
+	var serving atomic.Pointer[http.Handler]
+	loading := remote.NewNode(store.LoadTriples(nil, bo), nil, remote.NodeOptions{NotReady: true}).Handler()
+	serving.Store(&loading)
 	srv := &http.Server{
-		Addr: *addr,
-		Handler: newStateHandler(state, parj.QueryOptions{
-			Threads:       *threads,
-			Timeout:       *timeout,
-			MaxResultRows: *maxRows,
-			MemoryBudget:  *memBudget,
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			(*serving.Load()).ServeHTTP(w, r)
 		}),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe() }()
+	go func() { serveErr <- srv.Serve(ln) }()
 
 	start := time.Now()
-	loadOpts := parj.LoadOptions{
-		PosIndex: !*noIndex,
-		DB: parj.DBOptions{
-			MaxConcurrentQueries: *maxConcurrent,
-			AdmissionWait:        *admissionWait,
-			AdmissionTarget:      *admTarget,
-			AdmissionInterval:    *admInterval,
-			SharedMemoryBudget:   *sharedBudget,
-			AutoReconcileOps:     *reconcileOps,
-		},
-	}
-	var db *parj.Store
-	if *walDir != "" {
-		loadOpts.DB.Durability = parj.Durability{
-			Dir:          *walDir,
-			Sync:         syncPolicy,
-			SyncInterval: *walSyncIntv,
-		}
-		var seed func() ([]parj.Triple, error)
-		if *dataPath != "" {
-			seed = func() ([]parj.Triple, error) { return readNTriples(*dataPath) }
-		}
-		db, err = parj.Open(loadOpts, seed)
-	} else {
-		db, err = parj.LoadFile(*dataPath, loadOpts)
-	}
+	h, wlog, err := open(ctx, cfg, bo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "parj-server: load:", err)
 		srv.Close()
-		os.Exit(1)
+		return fmt.Errorf("load: %w", err)
 	}
-	state.setStore(db)
-	fmt.Fprintf(os.Stderr, "loaded %d triples in %v; serving on %s\n",
-		db.NumTriples(), time.Since(start).Round(time.Millisecond), *addr)
+	node := remote.NewNodeHandle(h, cfg.node)
+	loaded := node.Handler()
+	serving.Store(&loaded)
+	v := h.View()
+	fmt.Fprintf(os.Stderr, "replica loaded: %d triples at write seq %d in %v; serving on %s\n",
+		v.ApproxTriples(), v.Seq(), time.Since(start).Round(time.Millisecond), ln.Addr())
 
-	// The checkpoint loop bounds recovery time: once enough write batches
-	// accumulate past the newest checkpoint, the current view is snapshotted
-	// and the covered WAL segments pruned.
-	ckptStop := make(chan struct{})
-	var ckptDone chan struct{}
-	if *walDir != "" && *ckptOps > 0 {
-		ckptDone = make(chan struct{})
-		go func() {
-			defer close(ckptDone)
-			t := time.NewTicker(*ckptIntv)
-			defer t.Stop()
-			for {
-				select {
-				case <-ckptStop:
-					return
-				case <-t.C:
-					d := db.DurabilityStats()
-					if db.WriteSeq() >= d.CheckpointSeq+uint64(*ckptOps) {
-						if err := db.Checkpoint(); err != nil {
-							fmt.Fprintln(os.Stderr, "parj-server: checkpoint:", err)
-						}
+	// The checkpoint loop bounds replay time: once enough write batches
+	// accumulate past the newest checkpoint, the current view is published
+	// as a snapshot and the covered WAL segments are pruned.
+	ckptDone := make(chan struct{})
+	go func() {
+		defer close(ckptDone)
+		if wlog == nil || cfg.ckptOps <= 0 {
+			return
+		}
+		t := time.NewTicker(cfg.ckptIntv)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if h.Seq() >= wlog.Stats().CheckpointSeq+uint64(cfg.ckptOps) {
+					if err := live.Checkpoint(h, wlog); err != nil {
+						fmt.Fprintln(os.Stderr, "parj-server: checkpoint:", err)
 					}
 				}
 			}
-		}()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Fprintln(os.Stderr, "parj-server: draining in-flight queries...")
-		state.startDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			// Drain limit hit: sever the remaining connections; their
-			// request contexts cancel the still-running queries.
-			srv.Close()
-		}
-		if ckptDone != nil {
-			close(ckptStop)
-			<-ckptDone
-		}
-		if err := db.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "parj-server: close:", err)
 		}
 	}()
 
-	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "parj-server:", err)
-		os.Exit(1)
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
 	}
-	<-done
-}
-
-// serverState tracks the serving lifecycle: the store appears once loading
-// finishes, and draining flips readiness off while in-flight work drains.
-type serverState struct {
-	db       atomic.Pointer[parj.Store]
-	draining atomic.Bool
-}
-
-func (s *serverState) setStore(db *parj.Store) { s.db.Store(db) }
-func (s *serverState) startDrain()             { s.draining.Store(true) }
-func (s *serverState) store() *parj.Store      { return s.db.Load() }
-func (s *serverState) ready() bool             { return s.db.Load() != nil && !s.draining.Load() }
-
-// queryResponse is the JSON shape of a successful /query call.
-type queryResponse struct {
-	Vars  []string   `json:"vars"`
-	Rows  [][]string `json:"rows,omitempty"`
-	Count int64      `json:"count"`
-	Took  string     `json:"took"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// writeRequest is the JSON shape of a /write body: term-string triples to
-// insert and delete. Deletes apply before inserts.
-type writeRequest struct {
-	Inserts []parj.Triple `json:"inserts,omitempty"`
-	Deletes []parj.Triple `json:"deletes,omitempty"`
-}
-
-// writeResponse reports the store's write-stream position after a write or
-// a reconciliation.
-type writeResponse struct {
-	Seq     uint64 `json:"seq"`
-	Pending int    `json:"pending"`
-	Epoch   uint64 `json:"epoch"`
-}
-
-// newHandler wires the serving mux for an already-loaded db; split from
-// main so tests can drive it through httptest without a process or sockets.
-func newHandler(db *parj.Store, base parj.QueryOptions) http.Handler {
-	state := &serverState{}
-	state.setStore(db)
-	return newStateHandler(state, base)
-}
-
-// newStateHandler wires the mux over the serving lifecycle: before the
-// store is loaded, /query sheds with 503 and /readyz reports not-ready.
-func newStateHandler(state *serverState, base parj.QueryOptions) http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		db := state.store()
-		if db == nil {
-			writeError(w, http.StatusServiceUnavailable, errors.New("server is still loading"))
-			return
+	fmt.Fprintln(os.Stderr, "parj-server: draining in-flight requests...")
+	node.StartDrain()
+	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
+	defer cancel()
+	if err := srv.Shutdown(drainCtx); err != nil {
+		// Drain limit hit: sever the remaining connections; their request
+		// contexts cancel the still-running queries.
+		srv.Close()
+	}
+	<-ckptDone
+	h.Quiesce()
+	if wlog != nil {
+		if err := wlog.Close(); err != nil {
+			return fmt.Errorf("wal close: %w", err)
 		}
-		src, err := querySource(r)
+	}
+	return nil
+}
+
+// open builds the replica's live handle: WAL recovery when -wal is set
+// (newest loadable checkpoint plus the log suffix), the seed otherwise.
+func open(ctx context.Context, cfg *config, bo store.BuildOptions) (*live.Handle, *wal.Log, error) {
+	// seed supplies the base state when there is no WAL or its directory
+	// holds no prior state (a durable replica's first boot). A snapshot
+	// warmed from a peer embeds that peer's write-stream position: the
+	// replica resumes the stream there, so a coordinator's resync replays
+	// exactly the batches the snapshot does not contain.
+	seed := func() (*store.Store, uint64, error) {
+		switch {
+		case cfg.warmFrom != "":
+			return warmFromPeers(ctx, strings.Split(cfg.warmFrom, ","), cfg.warmTimeout)
+		case cfg.dataPath != "":
+			st, err := loadStore(cfg.dataPath, bo)
+			return st, 0, err
+		default:
+			return store.LoadTriples(nil, bo), 0, nil
+		}
+	}
+	if cfg.wal.Dir == "" {
+		st, seq, err := seed()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, nil, err
 		}
-		opts := base
-		// The request context carries the client disconnect; Timeout layers
-		// the server's deadline on top.
-		opts.Context = r.Context()
-		opts.Silent = r.URL.Query().Get("silent") == "1"
+		h := live.New(st, nil, store.InferBuildOptions(st))
+		h.SeedSeq(seq)
+		return h, nil, nil
+	}
+	wlog, err := wal.Open(cfg.wal)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The seed runs only when the directory holds no prior state — a
+	// restarted replica rebuilds itself without touching -data or its
+	// peers, then the coordinator resyncs just the missing tail.
+	h, err := live.OpenDurable(wlog, seed, bo)
+	if err != nil {
+		wlog.Close()
+		return nil, nil, err
+	}
+	return h, wlog, nil
+}
 
-		start := time.Now()
-		res, err := db.Query(src, opts)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(queryResponse{
-			Vars:  res.Vars,
-			Rows:  res.Rows,
-			Count: res.Count,
-			Took:  time.Since(start).Round(time.Microsecond).String(),
-		})
-	})
-
-	mux.HandleFunc("/write", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
-		}
-		db := state.store()
-		if db == nil {
-			writeError(w, http.StatusServiceUnavailable, errors.New("server is still loading"))
-			return
-		}
-		const maxWriteBytes = 64 << 20
-		r.Body = http.MaxBytesReader(w, r.Body, maxWriteBytes)
-		var req writeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding write: %w", err))
-			return
-		}
-		// One batch, deletes before inserts — the batch order of the write
-		// path. On a durable store Write returns only once the WAL's sync
-		// policy acknowledged the batch; a failure after a non-zero
-		// sequence means durability is unknown and the client must treat
-		// the write as lost.
-		if _, err := db.Write(req.Inserts, req.Deletes); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(writeResponse{
-			Seq:     db.WriteSeq(),
-			Pending: db.PendingWrites(),
-			Epoch:   db.Epoch(),
-		})
-	})
-
-	mux.HandleFunc("/reconcile", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
-		}
-		db := state.store()
-		if db == nil {
-			writeError(w, http.StatusServiceUnavailable, errors.New("server is still loading"))
-			return
-		}
-		db.Reconcile()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(writeResponse{
-			Seq:     db.WriteSeq(),
-			Pending: db.PendingWrites(),
-			Epoch:   db.Epoch(),
-		})
-	})
-
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		var triples, inflight int64
-		if db := state.store(); db != nil {
-			triples = int64(db.NumTriples())
-			inflight = int64(db.InFlightQueries())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"status":   "ok",
-			"triples":  triples,
-			"inflight": inflight,
-			"ready":    state.ready(),
-		})
-	})
-
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !state.ready() {
-			writeError(w, http.StatusServiceUnavailable, errors.New("not ready"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"ready": true})
-	})
-
-	mux.HandleFunc("/statz", func(w http.ResponseWriter, r *http.Request) {
-		body := map[string]any{"ready": state.ready()}
-		if db := state.store(); db != nil {
-			a := db.AdmissionStats()
-			body["triples"] = db.NumTriples()
-			body["in_flight"] = a.InFlight
-			body["admitted"] = a.Admitted
-			body["sheds"] = a.Sheds
-			body["expired"] = a.Expired
-			body["queue_delay_ms"] = float64(a.QueueDelay) / float64(time.Millisecond)
-			body["shedding"] = a.Shedding
-			body["pool_used"] = a.PoolUsed
-			body["pool_capacity"] = a.PoolCapacity
-			body["write_seq"] = db.WriteSeq()
-			if d := db.DurabilityStats(); d.Enabled {
-				body["wal_enabled"] = true
-				body["wal_durable_seq"] = d.DurableSeq
-				body["wal_first_seq"] = d.FirstSeq
-				body["wal_checkpoint_seq"] = d.CheckpointSeq
-				body["wal_segments"] = d.Segments
+// warmFromPeers pulls a CRC-checked snapshot stream from the first peer
+// that serves one, cycling through the list with backoff until the timeout.
+// A truncated or corrupt stream fails verification and moves on to the next
+// peer, so a peer dying mid-transfer delays the warmup but never poisons it.
+func warmFromPeers(ctx context.Context, peers []string, timeout time.Duration) (*store.Store, uint64, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	delay := time.Second
+	var lastErr error
+	for {
+		for _, peer := range peers {
+			peer = strings.TrimSpace(peer)
+			if peer == "" {
+				continue
 			}
+			c := remote.NewClient(peer, 0)
+			st, seq, err := c.SnapshotSeq(ctx)
+			c.Close()
+			if err == nil {
+				fmt.Fprintf(os.Stderr, "parj-server: warmed from %s at write seq %d\n", peer, seq)
+				return st, seq, nil
+			}
+			lastErr = err
+			fmt.Fprintf(os.Stderr, "parj-server: warm-from %s: %v\n", peer, err)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(body)
-	})
-
-	return mux
+		select {
+		case <-ctx.Done():
+			return nil, 0, fmt.Errorf("warm-from: no peer served a snapshot in %v: %w", timeout, lastErr)
+		case <-time.After(delay):
+		}
+		if delay *= 2; delay > 10*time.Second {
+			delay = 10 * time.Second
+		}
+	}
 }
 
-// readNTriples parses an N-Triples file into public triples — the seed for
-// a durable store's first boot.
-func readNTriples(path string) ([]parj.Triple, error) {
+// loadStore reads an N-Triples file or a .snapshot into a store.
+func loadStore(path string, bo store.BuildOptions) (*store.Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []parj.Triple
+	if strings.HasSuffix(path, ".snapshot") {
+		return store.LoadSnapshot(f)
+	}
+	var triples []rdf.Triple
 	rd := rdf.NewReader(f)
 	for {
 		t, err := rd.Read()
 		if err == io.EOF {
-			return out, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, parj.Triple(t))
+		triples = append(triples, t)
 	}
-}
-
-// querySource extracts the SPARQL text from a query parameter, a form
-// field, or the raw request body, in that order. Bodies are capped so a
-// parser bomb is a 400, not an allocation.
-func querySource(r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("query"); q != "" {
-		return q, nil
-	}
-	if r.Method == http.MethodPost {
-		const maxQueryBytes = 1 << 20
-		r.Body = http.MaxBytesReader(nil, r.Body, maxQueryBytes)
-		if err := r.ParseForm(); err == nil {
-			if q := r.PostForm.Get("query"); q != "" {
-				return q, nil
-			}
-		}
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			return "", fmt.Errorf("reading query body: %w", err)
-		}
-		if q := strings.TrimSpace(string(b)); q != "" {
-			return q, nil
-		}
-	}
-	return "", errors.New("missing query: pass ?query=, a form field, or a POST body")
-}
-
-// statusFor maps the typed governance taxonomy onto HTTP status codes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, parj.ErrOverloaded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, parj.ErrDeadlineExceeded), errors.Is(err, parj.ErrCanceled):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, parj.ErrBudgetExceeded):
-		return http.StatusRequestEntityTooLarge
-	default:
-		var pe *parj.PanicError
-		if errors.As(err, &pe) {
-			return http.StatusInternalServerError
-		}
-		return http.StatusBadRequest
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		// The adaptive admission controller attaches a backoff hint to its
-		// sheds; surface it (rounded up to whole seconds, minimum 1).
-		secs := int((parj.RetryAfter(err) + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	return store.LoadTriples(triples, bo), nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,34 +13,61 @@ import (
 	"testing"
 	"time"
 
-	"parj"
 	"parj/internal/core"
+	"parj/internal/live"
+	"parj/internal/lubm"
+	"parj/internal/rdf"
+	"parj/internal/remote"
+	"parj/internal/store"
 )
 
-func testDB(t *testing.T, n int, opts parj.DBOptions) *parj.Store {
-	t.Helper()
-	b := parj.NewBuilder(parj.LoadOptions{DB: opts})
+func testStore(n int) *store.Store {
+	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
-		b.Add(fmt.Sprintf("<l%d>", i), "<p>", fmt.Sprintf("<r%d>", i))
-		b.Add(fmt.Sprintf("<x%d>", i), "<q>", fmt.Sprintf("<y%d>", i))
+		ts = append(ts,
+			rdf.Triple{S: fmt.Sprintf("<l%d>", i), P: "<p>", O: fmt.Sprintf("<r%d>", i)},
+			rdf.Triple{S: fmt.Sprintf("<x%d>", i), P: "<q>", O: fmt.Sprintf("<y%d>", i)})
 	}
-	return b.Build()
+	return store.LoadTriples(ts, store.BuildOptions{BuildPosIndex: true})
 }
 
-func TestQueryEndpoint(t *testing.T) {
-	db := testDB(t, 10, parj.DBOptions{})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{Timeout: 5 * time.Second}))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/query?query=" + url.QueryEscape(`SELECT ?a ?b WHERE { ?a <p> ?b }`))
+// testServer mounts the handler the binary would serve for the given
+// command line over an n-row store.
+func testServer(t *testing.T, n int, args ...string) *httptest.Server {
+	t.Helper()
+	cfg, err := parseFlags(append([]string{"-data", "unused.nt"}, args...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	st := testStore(n)
+	node := remote.NewNodeHandle(live.New(st, nil, store.InferBuildOptions(st)), cfg.node)
+	srv := httptest.NewServer(node.Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func get(t *testing.T, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+func queryURL(base, q, extra string) string {
+	return base + "/query?query=" + url.QueryEscape(q) + extra
+}
+
+func TestQueryEndpoint(t *testing.T) {
+	srv := testServer(t, 10, "-timeout", "5s")
+
+	resp := get(t, queryURL(srv.URL, `SELECT ?a ?b WHERE { ?a <p> ?b }`, ""))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out queryResponse
+	var out remote.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -69,123 +98,90 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestQueryEndpointErrors(t *testing.T) {
-	db := testDB(t, 200, parj.DBOptions{})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{Timeout: 5 * time.Second}))
-	defer srv.Close()
+	srv := testServer(t, 200, "-timeout", "5s")
 
-	get := func(t *testing.T, q string, extra string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/query?query=" + url.QueryEscape(q) + extra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	if resp := get(t, `SELECT WHERE garbage`, ""); resp.StatusCode != http.StatusBadRequest {
+	if resp := get(t, queryURL(srv.URL, `SELECT WHERE garbage`, "")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("parse error status %d, want 400", resp.StatusCode)
 	}
-	if resp, err := http.Get(srv.URL + "/query"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
+	if resp := get(t, srv.URL+"/query"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing query status %d, want 400", resp.StatusCode)
 	}
 }
 
 func TestBudgetMapsTo413(t *testing.T) {
-	db := testDB(t, 200, parj.DBOptions{})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{MaxResultRows: 100}))
-	defer srv.Close()
+	srv := testServer(t, 200, "-max-rows", "100", "-timeout", "0")
 
 	// 200×200 cross product against a 100-row budget.
-	resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-		url.QueryEscape(`SELECT ?a ?b ?c ?d WHERE { ?a <p> ?b . ?c <q> ?d }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp := get(t, queryURL(srv.URL, `SELECT ?a ?b ?c ?d WHERE { ?a <p> ?b . ?c <q> ?d }`, "&silent=1"))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("budget status %d, want 413", resp.StatusCode)
 	}
-	var out errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Error == "" {
+	var out remote.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Error == "" || out.Kind != remote.KindBudget {
 		t.Fatalf("error body %+v (%v)", out, err)
 	}
 }
 
 func TestDeadlineMapsTo504(t *testing.T) {
-	db := testDB(t, 4000, parj.DBOptions{})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{Timeout: 10 * time.Millisecond}))
-	defer srv.Close()
+	srv := testServer(t, 4000, "-timeout", "10ms")
 
-	resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-		url.QueryEscape(`SELECT ?a ?b ?c ?d WHERE { ?a <p> ?b . ?c <q> ?d }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp := get(t, queryURL(srv.URL, `SELECT ?a ?b ?c ?d WHERE { ?a <p> ?b . ?c <q> ?d }`, "&silent=1"))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline status %d, want 504", resp.StatusCode)
 	}
 }
 
-func TestOverloadMapsTo503(t *testing.T) {
-	db := testDB(t, 10, parj.DBOptions{MaxConcurrentQueries: 1})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{Timeout: 30 * time.Second}))
-	defer srv.Close()
-
-	// Hold the single admission slot deterministically: the admitted join
-	// parks on its first key probe until released, so the probe below can
-	// neither arrive before it was admitted nor after it finished. Only
-	// that one probe parks — a second query wrongly admitted runs through
-	// and is reported by its status instead of hanging the test.
-	entered, release := make(chan struct{}), make(chan struct{})
+// parkFirstProbe makes the first key probe of the next query block until
+// the returned release is called: the query holds its admission slot (and
+// stays in flight) for exactly as long as the test wants. Only that one
+// probe parks — a second query wrongly admitted runs through and is
+// reported by its status instead of hanging the test.
+func parkFirstProbe(t *testing.T) (entered chan struct{}, release func()) {
+	entered = make(chan struct{})
+	gate := make(chan struct{})
 	var parked atomic.Bool
 	restore := core.SetProbeFaultHook(func() {
 		if parked.CompareAndSwap(false, true) {
 			close(entered)
-			<-release
+			<-gate
 		}
 	})
-	defer restore()
+	t.Cleanup(restore)
+	return entered, func() { close(gate) }
+}
+
+func TestOverloadMapsTo503(t *testing.T) {
+	srv := testServer(t, 10, "-max-concurrent", "1", "-admission-wait", "0")
+
+	// Hold the single admission slot deterministically: the admitted join
+	// parks on its first key probe until released, so the probe below can
+	// neither arrive before it was admitted nor after it finished.
+	entered, release := parkFirstProbe(t)
 	held := make(chan struct{})
 	go func() {
 		defer close(held)
-		resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-			url.QueryEscape(`SELECT ?a ?c WHERE { ?a <p> ?b . ?b <q> ?c }`))
+		resp, err := http.Get(queryURL(srv.URL, `SELECT ?a ?c WHERE { ?a <p> ?b . ?b <q> ?c }`, "&silent=1"))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
 	<-entered
 
-	resp, err := http.Get(srv.URL + "/query?silent=1&query=" +
-		url.QueryEscape(`SELECT ?a WHERE { ?a <p> ?b }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp := get(t, queryURL(srv.URL, `SELECT ?a WHERE { ?a <p> ?b }`, "&silent=1"))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("status %d with the only slot held, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
-	close(release)
+	release()
 	<-held
 }
 
 func TestHealthz(t *testing.T) {
-	db := testDB(t, 5, parj.DBOptions{MaxConcurrentQueries: 4})
-	srv := httptest.NewServer(newHandler(db, parj.QueryOptions{}))
-	defer srv.Close()
+	srv := testServer(t, 5, "-max-concurrent", "4")
 
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp := get(t, srv.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
@@ -198,28 +194,43 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestReadyzLifecycle walks the serving lifecycle: not-ready while the
-// store loads (queries shed with 503 + Retry-After), ready after load,
-// not-ready again the moment draining starts.
+// TestReadyzLifecycle walks the binary's serving lifecycle through run:
+// the listener answers before the replica is resident (not-ready, queries
+// shed with 503 + Retry-After, liveness 200), readiness flips once the
+// warm-up finishes, and a drain waits for the in-flight query before run
+// returns. (What /readyz says during the drain is TestNodeReadiness's
+// business in internal/remote: the listener is closed by then.)
 func TestReadyzLifecycle(t *testing.T) {
-	state := &serverState{}
-	srv := httptest.NewServer(newStateHandler(state, parj.QueryOptions{}))
-	defer srv.Close()
-
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	// The peer's /snapshot blocks until released, holding run in its load.
+	peerNode := remote.NewNode(testStore(5), nil, remote.NodeOptions{}).Handler()
+	warm := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == remote.SnapshotPath {
+			<-warm
 		}
-		resp.Body.Close()
-		return resp
-	}
+		peerNode.ServeHTTP(w, r)
+	}))
+	defer peer.Close()
 
-	if resp := get("/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+	cfg, err := parseFlags([]string{"-warm-from", peer.URL, "-wal", t.TempDir(), "-drain", "30s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg, ln) }()
+
+	query := queryURL(base, `SELECT ?a ?b WHERE { ?a <p> ?b }`, "")
+	if resp := get(t, base+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while loading = %d, want 503", resp.StatusCode)
 	}
-	resp := get("/query?query=" + url.QueryEscape(`SELECT ?a ?b WHERE { ?a <p> ?b }`))
+	resp := get(t, query)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query while loading = %d, want 503", resp.StatusCode)
 	}
@@ -227,42 +238,67 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatal("503 while loading missing Retry-After")
 	}
 	// Liveness stays 200 throughout: the process is up, just not serving.
-	if resp := get("/healthz"); resp.StatusCode != http.StatusOK {
+	if resp := get(t, base+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz while loading = %d, want 200", resp.StatusCode)
 	}
 
-	state.setStore(testDB(t, 5, parj.DBOptions{}))
-	if resp := get("/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz after load = %d, want 200", resp.StatusCode)
-	}
-	if resp := get("/query?query=" + url.QueryEscape(`SELECT ?a ?b WHERE { ?a <p> ?b }`)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("query after load = %d, want 200", resp.StatusCode)
+	close(warm)
+	for deadline := time.Now().Add(30 * time.Second); get(t, base+"/readyz").StatusCode != http.StatusOK; {
+		if time.Now().After(deadline) {
+			t.Fatal("readyz never flipped to 200 after the warm-up")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	state.startDrain()
-	if resp := get("/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz while draining = %d, want 503", resp.StatusCode)
+	// One join in flight when the drain starts: run must wait for it.
+	entered, release := parkFirstProbe(t)
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(queryURL(base, `SELECT ?a ?c WHERE { ?a <p> ?b . ?b <q> ?c }`, ""))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-entered
+	stop()
+	select {
+	case err := <-done:
+		t.Fatalf("run returned (%v) with a query still in flight", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	if resp := get("/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz while draining = %d, want 200", resp.StatusCode)
+	release()
+	if s := <-status; s != http.StatusOK {
+		t.Fatalf("query in flight across the drain = %d, want 200", s)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }
 
-func TestStatusForTaxonomy(t *testing.T) {
-	cases := []struct {
-		err  error
-		want int
-	}{
-		{parj.ErrOverloaded, http.StatusServiceUnavailable},
-		{parj.ErrDeadlineExceeded, http.StatusGatewayTimeout},
-		{parj.ErrCanceled, http.StatusGatewayTimeout},
-		{parj.ErrBudgetExceeded, http.StatusRequestEntityTooLarge},
-		{&parj.PanicError{Value: "boom"}, http.StatusInternalServerError},
-		{fmt.Errorf("parse error"), http.StatusBadRequest},
+func TestWarmFromPeers(t *testing.T) {
+	st := store.LoadTriples(lubm.Triples(1, lubm.Config{}), store.BuildOptions{BuildPosIndex: true})
+	peer := remote.NewNode(st, nil, remote.NodeOptions{})
+	srv := httptest.NewServer(peer.Handler())
+	defer srv.Close()
+
+	// First peer in the list is dead: warmup must skip past it.
+	warmed, seq, err := warmFromPeers(context.Background(), []string{"http://127.0.0.1:1", srv.URL}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := statusFor(c.err); got != c.want {
-			t.Errorf("statusFor(%v) = %d, want %d", c.err, got, c.want)
-		}
+	if warmed.NumTriples() != st.NumTriples() {
+		t.Fatalf("warmed %d triples, peer has %d", warmed.NumTriples(), st.NumTriples())
+	}
+	if seq != 0 {
+		t.Fatalf("peer has applied no writes, warmup reported seq %d", seq)
+	}
+}
+
+func TestWarmFromPeersTimeout(t *testing.T) {
+	if _, _, err := warmFromPeers(context.Background(), []string{"http://127.0.0.1:1"}, 50*time.Millisecond); err == nil {
+		t.Fatal("warming from a dead peer must eventually fail")
 	}
 }

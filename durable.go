@@ -56,9 +56,6 @@ type Durability struct {
 	// Checkpoints prune whole segments, so smaller segments reclaim
 	// space sooner at the cost of more files.
 	SegmentBytes int64
-	// PerOpSync forces one fsync per write batch instead of group
-	// commit. Benchmarks use it as the baseline; production should not.
-	PerOpSync bool
 	// FS overrides the filesystem (crash-injection tests). When set,
 	// Dir is ignored.
 	FS wal.FS
@@ -74,7 +71,6 @@ func (d Durability) walOptions() wal.Options {
 		Sync:         d.Sync,
 		Interval:     d.SyncInterval,
 		SegmentBytes: d.SegmentBytes,
-		PerOpSync:    d.PerOpSync,
 	}
 }
 

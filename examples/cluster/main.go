@@ -1,21 +1,25 @@
 // Cluster: the paper's §6 cluster extension — full replication, each node
 // processes a disjoint set of shards, no inter-node communication during
-// the join. This demo builds a LUBM-like store, "deploys" it to several
-// replicated nodes, and shows that any node count returns identical
+// the join. This demo builds a LUBM-like store, serves it from several
+// replica nodes on loopback HTTP (the handler parj-server mounts), points
+// the coordinator at them, and shows that any node count returns identical
 // results while spreading the rows produced across nodes.
 //
 // Usage: go run ./examples/cluster [-scale N] [-nodes N]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net/http/httptest"
 
 	"parj/internal/cluster"
 	"parj/internal/core"
 	"parj/internal/lubm"
 	"parj/internal/optimizer"
+	"parj/internal/remote"
 	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
@@ -31,11 +35,22 @@ func main() {
 	fmt.Printf("replicated store: %d triples on %d nodes (full replication)\n\n",
 		st.NumTriples(), *nodes)
 
-	c := cluster.New(st, cluster.Options{
-		Nodes:          *nodes,
-		ThreadsPerNode: 2,
-		Strategy:       core.AdaptiveIndex,
+	// One replica group per node: group s serves shards [2s, 2s+2).
+	replicas := make([][]string, *nodes)
+	for s := range replicas {
+		srv := httptest.NewServer(remote.NewNode(st, ss, remote.NodeOptions{}).Handler())
+		defer srv.Close()
+		replicas[s] = []string{srv.URL}
+	}
+	c, err := cluster.NewRemote(cluster.RemoteOptions{
+		Replicas:        replicas,
+		ThreadsPerShard: 2,
+		Strategy:        core.AdaptiveIndex,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
 
 	for _, q := range lubm.Queries() {
 		parsed, err := sparql.Parse(q.SPARQL)
@@ -46,14 +61,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if plan.Distinct || plan.Limit > 0 {
-			continue
-		}
 		single, err := core.Execute(st, plan, core.Options{Threads: 2, Silent: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Execute(plan, true)
+		res, err := c.Execute(context.Background(), q.SPARQL, true)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +74,7 @@ func main() {
 			status = "MISMATCH"
 		}
 		fmt.Printf("%-5s cluster=%8d single=%8d  per-node=%v  %s\n",
-			q.Name, res.Count, single.Count, res.PerNode, status)
+			q.Name, res.Count, single.Count, res.PerShard, status)
 	}
 	fmt.Println("\nEvery node worked on its own shard range of the first relation;")
 	fmt.Println("no data crossed node boundaries until the final gather.")

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"parj/internal/core"
@@ -94,7 +95,7 @@ func CompareReports(baseline, cur *Report, tol float64) []string {
 
 // JSONExperiments lists the experiment ids RunJSONExperiment accepts.
 func JSONExperiments() []string {
-	return []string{"table5", "skew", "cyclic", "slo", "write", "walwrite"}
+	return []string{"table5", "skew", "cyclic", "slo"}
 }
 
 // RunJSONExperiment measures one experiment in report form. Unlike the
@@ -115,12 +116,8 @@ func RunJSONExperiment(name string, cfg ExpConfig, blocks int) (*Report, error) 
 		return jsonCyclic(cfg, blocks)
 	case "slo":
 		return jsonSLO(cfg, blocks)
-	case "write":
-		return jsonWrite(cfg, blocks)
-	case "walwrite":
-		return jsonWALWrite(cfg, blocks)
 	default:
-		return nil, fmt.Errorf("bench: experiment %q has no JSON mode (valid: table5, skew, cyclic, slo, write, walwrite)", name)
+		return nil, fmt.Errorf("bench: experiment %q has no JSON mode (valid: %s)", name, strings.Join(JSONExperiments(), ", "))
 	}
 }
 

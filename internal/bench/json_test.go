@@ -131,54 +131,6 @@ func TestJSONCyclicReport(t *testing.T) {
 	}
 }
 
-// TestJSONWriteReport runs the live-write experiment end to end in report
-// form: sustained write throughput must be nonzero, both read phases must
-// record latencies, and the probe count must be stable (the churn writer
-// touches only its own predicate). No latency-ratio bound is asserted —
-// interference on a loaded CI runner is exactly what the committed
-// BENCH_write.json documents, not what a smoke test should flake on.
-func TestJSONWriteReport(t *testing.T) {
-	rep, err := RunJSONExperiment("write", ExpConfig{LUBMScale: 32, Timeout: 2 * time.Minute}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"read-quiesced/p50", "read-quiesced/p99", "read-churn/p50", "read-churn/p99", "writes-per-sec/sustained"} {
-		if rep.Medians[k] <= 0 {
-			t.Fatalf("%s: no median recorded (medians %v)", k, rep.Medians)
-		}
-	}
-	if rep.Counts["probe"] <= 0 {
-		t.Fatalf("probe query returned no rows (counts %v)", rep.Counts)
-	}
-	for _, k := range []string{"read-slowdown-under-churn/p50", "read-slowdown-under-churn/p99"} {
-		if _, err := strconv.ParseFloat(rep.Notes[k], 64); err != nil {
-			t.Fatalf("note %s: %v (notes %v)", k, err, rep.Notes)
-		}
-	}
-}
-
-// TestJSONWALWriteReport smoke-runs the durable-write experiment: every
-// mode must record a throughput median and the group-commit notes must
-// parse. Whether group commit actually beats per-op fsync on a given
-// filesystem is what the committed BENCH_walwrite.json documents — a CI
-// smoke test asserting a perf ordering on shared runners would cry wolf.
-func TestJSONWALWriteReport(t *testing.T) {
-	rep, err := RunJSONExperiment("walwrite", ExpConfig{Timeout: 2 * time.Minute}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"us-per-write/volatile", "us-per-write/wal-group", "us-per-write/wal-perop", "us-per-write/wal-interval"} {
-		if rep.Medians[k] <= 0 {
-			t.Fatalf("%s: no median recorded (medians %v)", k, rep.Medians)
-		}
-	}
-	for _, k := range []string{"group-commit-speedup-over-perop", "group-commit-cost-vs-volatile"} {
-		if v, err := strconv.ParseFloat(rep.Notes[k], 64); err != nil || v <= 0 {
-			t.Fatalf("note %s = %q: want positive ratio (notes %v)", k, rep.Notes[k], rep.Notes)
-		}
-	}
-}
-
 // TestBenchRegression is the regression tier of the harness: pointed at a
 // committed baseline report via PARJ_BENCH_BASELINE, it replays the same
 // experiment at the baseline's parameters and fails if any median

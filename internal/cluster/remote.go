@@ -1,3 +1,16 @@
+// Package cluster implements the paper's §6 cluster extension: "it is
+// straightforward to extend PARJ to a 'cluster' version through full
+// replication, such that during query execution each worker starts
+// processing from a different initial shard."
+//
+// Every node (internal/remote.Node) holds a complete replica of the store.
+// A query is split into the same communication-free shards the
+// single-machine engine uses, the coordinator (Remote) assigns contiguous
+// shard ranges to replica groups, every node evaluates its range with its
+// local worker threads, and only the final results travel back. There is
+// no inter-node communication during the join, so the design inherits the
+// paper's scalability argument unchanged: total elapsed is the slowest
+// node.
 package cluster
 
 import (
@@ -86,12 +99,6 @@ type RemoteOptions struct {
 	MaxResultRows int64
 	MemoryBudget  int64
 
-	// HeatAlpha is the EWMA smoothing factor of the per-shard-group heat
-	// tracker (0 = default 0.2). The tracker itself is always on — it is
-	// passive aggregation of stats already on every response; acting on it
-	// (rebalancing) only happens when a policy is invoked explicitly.
-	HeatAlpha float64
-
 	// Write configures the coordinator's write stream: replay-log
 	// retention and optional write-ahead durability (write.go).
 	Write WriteOptions
@@ -168,15 +175,12 @@ type RemoteResult struct {
 // merges the shard results with coordinator-side DISTINCT/LIMIT.
 //
 // The routing table is live: Reconfigure swaps in a new replica layout
-// while queries are in flight (see topology.go), and the heat tracker
-// aggregates every response's scheduler stats into per-shard-group load
-// estimates that a RebalancePolicy can turn into promotions and demotions.
+// while queries are in flight (see topology.go).
 type Remote struct {
 	opts    RemoteOptions
 	tracker *resilience.LatencyTracker
 	jitter  *resilience.Jitter
 	clock   resilience.Clock
-	heat    *HeatTracker
 	health  *resilience.HealthChecker
 
 	// topoMu guards the epoch machinery in topology.go: the current
@@ -229,7 +233,6 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		tracker:   resilience.NewLatencyTracker(64),
 		jitter:    resilience.NewJitter(opts.Seed),
 		clock:     opts.Clock,
-		heat:      NewHeatTracker(len(opts.Replicas), opts.HeatAlpha),
 		endpoints: make(map[string]*endpointState),
 	}
 	if opts.Write.walEnabled() {
@@ -297,6 +300,11 @@ func (r *Remote) Shards() int {
 	return len(r.cur.replicas)
 }
 
+// ErrNeedsDecodedRows rejects a query with ORDER BY or OFFSET: both apply
+// to the whole result compared by term, and the coordinator gathers
+// per-shard rows of dictionary IDs. Send such a query to one node's /query.
+var ErrNeedsDecodedRows = errors.New("cluster: ORDER BY and OFFSET need the whole decoded result; the coordinator gathers dictionary IDs per shard")
+
 // Execute runs query across the cluster. The coordinator parses the query
 // locally only to learn DISTINCT/LIMIT for the gather phase; planning
 // happens on the nodes against their replicas.
@@ -304,6 +312,9 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
+	}
+	if q.Buffered() {
+		return nil, ErrNeedsDecodedRows
 	}
 	// Pin the current epoch: this query routes every attempt, retry and
 	// hedge on it, even if Reconfigure swaps the table mid-flight.
@@ -379,7 +390,6 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 		}
 		res.PerShard[s] = o.resp.Count
 		res.Stats.Add(o.resp.Stats)
-		r.heat.Observe(s, o.resp.Sched)
 	}
 	res.Completeness = float64(served) / float64(S)
 	if r.opts.Policy == FailFast && firstErr != nil {

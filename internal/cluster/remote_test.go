@@ -15,13 +15,39 @@ import (
 	"parj/internal/core"
 	"parj/internal/governance"
 	"parj/internal/lubm"
+	"parj/internal/optimizer"
 	"parj/internal/remote"
 	"parj/internal/resilience"
 	"parj/internal/resilience/chaos"
+	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
 	"parj/internal/testutil"
 )
+
+type fixture struct {
+	st *store.Store
+	ss *stats.Stats
+}
+
+func lubmFixture(t testing.TB) *fixture {
+	t.Helper()
+	st := store.LoadTriples(lubm.Triples(2, lubm.Config{}), store.BuildOptions{BuildPosIndex: true})
+	return &fixture{st: st, ss: stats.New(st)}
+}
+
+func (f *fixture) plan(t testing.TB, src string) *optimizer.Plan {
+	t.Helper()
+	q, err := sparql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := optimizer.Optimize(q, f.st, f.ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // startNode stands up one replica node over the fixture's store on a
 // loopback HTTP server. The caller closes the returned server.
@@ -176,6 +202,14 @@ func TestRemoteHealthyEquivalence(t *testing.T) {
 		cnt, err := r.Count(context.Background(), q.src)
 		if err != nil || cnt != wantCount {
 			t.Errorf("%s: silent count %d err %v, oracle %d", q.src, cnt, err, wantCount)
+		}
+	}
+
+	// ORDER BY and OFFSET compare whole decoded results; a gather of ID
+	// rows refuses them typed instead of answering with every node's LIMIT.
+	for _, mod := range []string{" ORDER BY ?x LIMIT 3", " OFFSET 2"} {
+		if got, err := r.Execute(context.Background(), remoteQueries[0].src+mod, false); !errors.Is(err, ErrNeedsDecodedRows) {
+			t.Errorf("Execute(...%s) = %+v, %v; want ErrNeedsDecodedRows", mod, got, err)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"parj/internal/core"
 	"parj/internal/lubm"
 	"parj/internal/remote"
 	"parj/internal/resilience"
@@ -325,106 +324,6 @@ func TestRemoteSlowLoris(t *testing.T) {
 	loris.Close()
 }
 
-// TestHeatTrackerObserve: EWMA and cumulative totals move as responses are
-// folded in, and Resize keeps surviving groups' history.
-func TestHeatTrackerObserve(t *testing.T) {
-	h := NewHeatTracker(2, 0.5)
-	sched := func(busy time.Duration, rows int64) core.SchedStats {
-		return core.SchedStats{Workers: []core.WorkerStat{{Busy: busy, Rows: rows, Tuples: 2 * rows}}}
-	}
-	h.Observe(0, sched(100*time.Millisecond, 10))
-	h.Observe(0, sched(200*time.Millisecond, 30))
-	h.Observe(1, sched(10*time.Millisecond, 1))
-	h.Observe(7, sched(time.Hour, 1)) // out of range: dropped
-
-	groups := h.Snapshot()
-	if len(groups) != 2 {
-		t.Fatalf("%d groups, want 2", len(groups))
-	}
-	g0 := groups[0]
-	if g0.Queries != 2 || g0.Rows != 40 || g0.Tuples != 80 || g0.Busy != 300*time.Millisecond {
-		t.Fatalf("group 0 totals = %+v", g0)
-	}
-	if g0.EWMABusy != 150*time.Millisecond { // first obs seeds, then 0.5 blend
-		t.Fatalf("group 0 EWMA = %v, want 150ms", g0.EWMABusy)
-	}
-	h.Resize(3)
-	groups = h.Snapshot()
-	if len(groups) != 3 || groups[0].Queries != 2 || groups[2].Queries != 0 {
-		t.Fatalf("after resize: %+v", groups)
-	}
-}
-
-// TestHeatPolicyRebalance: a hot group gets a standby promoted, a cold
-// over-replicated group gets its tail demoted, and ApplyProposals lands
-// both in one reconfiguration.
-func TestHeatPolicyRebalance(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	f := lubmFixture(t)
-	_, srvA := startNode(t, f)
-	defer srvA.Close()
-	_, srvB := startNode(t, f)
-	defer srvB.Close()
-	_, srvC := startNode(t, f)
-	defer srvC.Close()
-	_, srvStandby := startNode(t, f)
-	defer srvStandby.Close()
-
-	r, err := NewRemote(RemoteOptions{
-		Replicas: [][]string{{srvA.URL}, {srvB.URL, srvC.URL}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	// Synthesize the signal the serving path would accumulate: group 0
-	// hot, group 1 nearly idle.
-	hot := core.SchedStats{Workers: []core.WorkerStat{{Busy: 100 * time.Millisecond, Rows: 1000, Tuples: 1000}}}
-	cold := core.SchedStats{Workers: []core.WorkerStat{{Busy: time.Millisecond, Rows: 1, Tuples: 1}}}
-	for i := 0; i < 10; i++ {
-		r.heat.Observe(0, hot)
-		r.heat.Observe(1, cold)
-	}
-
-	// With only two judged groups the hot one can never exceed 2x the mean
-	// (mean includes it), so lower HotFactor; the other knobs keep their
-	// defaults via fill().
-	props := r.ProposeRebalance(HeatPolicy{HotFactor: 1.5}, []string{srvStandby.URL})
-	if len(props) != 2 {
-		t.Fatalf("proposals = %+v, want promote+demote", props)
-	}
-	byKind := map[ProposalKind]Proposal{}
-	for _, p := range props {
-		byKind[p.Kind] = p
-	}
-	if p := byKind[Promote]; p.Shard != 0 || p.Endpoint != srvStandby.URL {
-		t.Fatalf("promotion = %+v, want standby into hot group 0", p)
-	}
-	if p := byKind[Demote]; p.Shard != 1 || p.Endpoint != srvC.URL {
-		t.Fatalf("demotion = %+v, want group 1's tail replica", p)
-	}
-
-	if _, err := r.ApplyProposals(context.Background(), props); err != nil {
-		t.Fatal(err)
-	}
-	_, replicas := r.Topology()
-	if len(replicas[0]) != 2 || replicas[0][1] != srvStandby.URL {
-		t.Fatalf("group 0 after rebalance = %v", replicas[0])
-	}
-	if len(replicas[1]) != 1 || replicas[1][0] != srvB.URL {
-		t.Fatalf("group 1 after rebalance = %v", replicas[1])
-	}
-
-	// The rebalanced cluster still answers exactly.
-	q := remoteQueries[0]
-	res, err := r.Execute(context.Background(), q.src, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstOracle(t, f, q, res.Count, res.Rows)
-}
-
 // TestRemotePartialHealsAfterReconfigure: under Partial policy a dead
 // shard group degrades Completeness; replacing the dead replica via
 // Reconfigure heals the cluster back to Completeness 1 — no restart, no
@@ -607,18 +506,14 @@ func TestRemoteChaosMigration(t *testing.T) {
 		t.Fatalf("%d queries failed under FailFast during migration; first: %v", len(streamE), streamE[0])
 	}
 
-	// The joiner actually carries load, topology converged, heat kept
-	// counting, and every retired epoch drained.
+	// The joiner actually carries load, topology converged, and every
+	// retired epoch drained.
 	if sz := joiner.Statz(); sz.Queries == 0 {
 		t.Error("warmed joiner never served a query")
 	}
 	_, replicas := r.Topology()
 	if len(replicas[0]) != 1 || replicas[0][0] != srvJ.URL || len(replicas[1]) != 2 {
 		t.Fatalf("final table = %v", replicas)
-	}
-	heat := r.Heat()
-	if heat[0].Queries == 0 || heat[1].Queries == 0 {
-		t.Errorf("heat tracker saw no traffic: %+v", heat)
 	}
 	waitForCond(t, func() bool { return r.DrainingEpochs() == 0 })
 }

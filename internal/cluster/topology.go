@@ -282,7 +282,6 @@ func (r *Remote) reconfigure(ctx context.Context, from int64, newReplicas [][]st
 	} else {
 		r.drainingEpochs = append(r.drainingEpochs, prev)
 	}
-	r.heat.Resize(len(newReplicas))
 	r.health.SetTargets(distinctEndpoints(newReplicas))
 	return next.version, nil
 }

@@ -1,19 +1,21 @@
 package governance
 
-// admission.go — adaptive admission control and the store-wide memory pool.
+// admission.go — admission control and the store-wide memory pool.
 //
-// The fixed-wait Limiter queues blindly: under a sustained overload storm
-// every queued query waits the full configured wait and then sheds, so the
-// queue delay of admitted queries grows to the configured wait and p99
-// collapses for everyone. The AdaptiveLimiter is a CoDel-style controller
+// A fixed-wait queue is blind: under a sustained overload storm every
+// queued query waits the full configured wait and then sheds, so the queue
+// delay of admitted queries grows to the configured wait and p99 collapses
+// for everyone. The AdaptiveLimiter is a CoDel-style controller
 // (Nichols & Jacobson, "Controlling Queue Delay"): it tracks the *sojourn
 // time* — how long an admitted query sat in the admission queue — and once
 // sojourn has stayed above a small target for a full control interval it
 // flips into shedding mode, where over-admission arrivals queue only for
-// the target instead of the full wait. Standing queues drain, admitted
-// queries keep a bounded p99, and shed queries get a typed ErrOverloaded
-// with a Retry-After hint instead of burning their whole client budget in
-// a queue they were never going to clear.
+// the target instead of the full wait (a Target at or above MaxWait never
+// shortens the wait: that configuration is the plain fixed-wait queue).
+// Standing queues drain, admitted queries keep a bounded p99, and shed
+// queries get a typed ErrOverloaded with a Retry-After hint instead of
+// burning their whole client budget in a queue they were never going to
+// clear.
 //
 // Deadline propagation composes here: Acquire clamps its queue wait to the
 // caller's remaining context budget, refuses work whose budget is already
@@ -63,8 +65,8 @@ type AdmissionOptions struct {
 	// limiter entirely (NewAdaptiveLimiter returns nil).
 	MaxConcurrent int
 	// MaxWait bounds how long an over-admission query queues while the
-	// controller is healthy (default 2s). In shedding mode the bound drops
-	// to Target.
+	// controller is healthy; <= 0 means "do not queue": a saturated store
+	// sheds at once. In shedding mode the bound is min(MaxWait, Target).
 	MaxWait time.Duration
 	// Target is the acceptable admission-queue sojourn time (default 5ms).
 	// Sojourn above it signals a standing queue.
@@ -78,9 +80,6 @@ type AdmissionOptions struct {
 }
 
 func (o AdmissionOptions) fill() AdmissionOptions {
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Second
-	}
 	if o.Target <= 0 {
 		o.Target = 5 * time.Millisecond
 	}
@@ -191,7 +190,11 @@ func (l *AdaptiveLimiter) Acquire(ctx context.Context) error {
 	// Queue, bounded by the controller state and the caller's budget.
 	wait := l.opts.MaxWait
 	if l.sheddingNow() {
-		wait = l.opts.Target
+		wait = min(wait, l.opts.Target)
+	}
+	if wait <= 0 {
+		l.sheds.Add(1)
+		return &OverloadError{RetryAfter: l.retryAfter()}
 	}
 	deadlineBound := false
 	if remaining >= 0 && remaining < wait {

@@ -224,30 +224,136 @@ func TestAdaptiveLimiterEstimateCannotLatch(t *testing.T) {
 	}
 }
 
-// TestLimiterDeadlineClamp is the regression for the fixed-wait limiter:
-// the queue wait is clamped to the caller's remaining deadline, and when
-// the deadline binds, the error is ErrDeadlineExceeded — the caller ran
-// out of budget; the store was not necessarily overloaded.
-func TestLimiterDeadlineClamp(t *testing.T) {
-	l := NewLimiter(1, 10*time.Second)
+// TestLimiter is the admission contract of the one controller, one case per
+// row: slots held before the probe, the probe's context, whether a slot
+// frees while it queues, and the typed outcome. No case may queue anywhere
+// near the configured wait when something else binds first.
+func TestLimiter(t *testing.T) {
+	timeout := func(d time.Duration) func() (context.Context, context.CancelFunc) {
+		return func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), d)
+		}
+	}
+	canceled := func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx, cancel
+	}
+	cases := []struct {
+		name      string
+		max       int
+		wait      time.Duration
+		held      int                                          // slots taken before the probe
+		ctx       func() (context.Context, context.CancelFunc) // nil = nil context
+		freeAfter time.Duration                                // release one held slot after this long (0 = never)
+		want, not error                                        // want nil = admitted
+	}{
+		{name: "nil admits all", max: 0},
+		{name: "free slot admits", max: 2, held: 1},
+		{name: "wait 0 sheds at once", max: 2, held: 2, want: ErrOverloaded},
+		{name: "queued until a slot frees", max: 1, wait: 2 * time.Second, held: 1, freeAfter: 20 * time.Millisecond},
+		{name: "wait expires", max: 1, wait: 10 * time.Millisecond, held: 1, want: ErrOverloaded},
+		{name: "context dies while queued", max: 1, wait: time.Minute, held: 1,
+			ctx: timeout(15 * time.Millisecond), want: ErrDeadlineExceeded},
+		// The store was not necessarily overloaded; the caller ran out of budget.
+		{name: "deadline clamps the wait", max: 1, wait: 10 * time.Second, held: 1,
+			ctx: timeout(30 * time.Millisecond), want: ErrDeadlineExceeded, not: ErrOverloaded},
+		{name: "dead on arrival takes no slot", max: 1, ctx: canceled, want: ErrCanceled},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := NewAdaptiveLimiter(AdmissionOptions{MaxConcurrent: c.max, MaxWait: c.wait})
+			if (l == nil) != (c.max <= 0) {
+				t.Fatalf("NewAdaptiveLimiter(max=%d) = %v", c.max, l)
+			}
+			for i := 0; i < c.held; i++ {
+				if err := l.Acquire(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ctx context.Context
+			if c.ctx != nil {
+				var cancel context.CancelFunc
+				ctx, cancel = c.ctx()
+				defer cancel()
+			}
+			if c.freeAfter > 0 {
+				time.AfterFunc(c.freeAfter, l.Release)
+			}
+			start := time.Now()
+			err := l.Acquire(ctx)
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("Acquire took %v", elapsed)
+			}
+			held := c.held
+			switch {
+			case c.want == nil && err != nil:
+				t.Fatalf("Acquire = %v, want admission", err)
+			case c.want == nil:
+				held++
+			case !errors.Is(err, c.want) || (c.not != nil && errors.Is(err, c.not)):
+				t.Fatalf("Acquire = %v, want %v and not %v", err, c.want, c.not)
+			}
+			if c.freeAfter > 0 {
+				held--
+			}
+			if c.max <= 0 {
+				held = 0
+			}
+			if got := l.InFlight(); got != held {
+				t.Errorf("InFlight = %d, want %d", got, held)
+			}
+			for i := 0; i < held; i++ {
+				l.Release()
+			}
+		})
+	}
+}
+
+func TestReleaseWithoutAcquirePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Release without Acquire did not panic")
+		}
+	}()
+	NewAdaptiveLimiter(AdmissionOptions{MaxConcurrent: 1}).Release()
+}
+
+// TestAdaptiveLimiterShedWaitNeverGrows: shedding may shorten the queue
+// wait to Target, never lengthen it — a 1ms MaxWait under a 5ms Target
+// still sheds after 1ms once the controller is in shed mode.
+func TestAdaptiveLimiterShedWaitNeverGrows(t *testing.T) {
+	clk := resilience.NewFakeClock(time.Unix(0, 0))
+	l := NewAdaptiveLimiter(AdmissionOptions{
+		MaxConcurrent: 1,
+		MaxWait:       time.Millisecond,
+		Target:        5 * time.Millisecond,
+		Interval:      10 * time.Millisecond,
+		Clock:         clk,
+	})
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release()
+	l.observe(5 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
+	l.observe(5 * time.Millisecond)
+	if !l.Stats().Shedding {
+		t.Fatal("sojourn at target across a full interval did not start shedding")
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := l.Acquire(ctx)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	if errors.Is(err, ErrOverloaded) {
-		t.Fatal("deadline-bound expiry must not be typed ErrOverloaded")
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("Acquire queued %v — the 10s wait was not clamped to the 30ms deadline", elapsed)
+	ch := make(chan error, 1)
+	base := clk.Waiters()
+	go func() { ch <- l.Acquire(context.Background()) }()
+	waitForWaiters(t, clk, base+1)
+	clk.Advance(time.Millisecond)
+	select {
+	case err := <-ch:
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("shed error = %v, want ErrOverloaded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 1ms MaxWait still queued after 1ms in shed mode: the wait grew to Target")
 	}
 }
 

@@ -2,7 +2,7 @@
 // primitives of the query path: the typed error taxonomy (cancellation,
 // deadlines, budgets, load shedding, contained panics), the per-query
 // Governor that workers consult on an amortized schedule, and the store-wide
-// admission Limiter.
+// admission controller and memory pool (admission.go).
 //
 // The paper's full-result-handling design (§5.2) exists so PARJ survives
 // hostile queries — the 1.6-billion-row IL-3-8 result that kills TriAD.
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Typed governance errors. All errors produced by this package (and by the
@@ -359,104 +358,4 @@ func (t *Gate) Close() bool {
 		return true
 	}
 	return t.sync()
-}
-
-// Limiter is the store-wide admission controller: a counting semaphore with
-// a bounded queue wait. A nil *Limiter admits everything, so ungoverned
-// stores pay nothing.
-type Limiter struct {
-	slots chan struct{}
-	wait  time.Duration
-}
-
-// NewLimiter admits at most max concurrent queries; a query that cannot be
-// admitted within wait is shed with ErrOverloaded. max <= 0 returns nil
-// (unlimited). wait <= 0 means "do not queue": over-admission queries are
-// shed immediately unless their context is already expired.
-func NewLimiter(max int, wait time.Duration) *Limiter {
-	if max <= 0 {
-		return nil
-	}
-	return &Limiter{slots: make(chan struct{}, max), wait: wait}
-}
-
-// Acquire blocks until a slot is free, the queue wait elapses
-// (ErrOverloaded), or ctx is done (typed context error). The queue wait is
-// clamped to the caller's remaining context deadline — there is no point
-// queuing a query past the moment its deadline kills it — and when the
-// deadline, not the configured wait, was the binding constraint the caller
-// gets ErrDeadlineExceeded rather than ErrOverloaded: the store was not
-// necessarily overloaded, the caller was out of budget. On success the
-// caller must Release exactly once.
-func (l *Limiter) Acquire(ctx context.Context) error {
-	if l == nil {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Dead-on-arrival work must not take a slot even when one is free.
-	if ctx.Err() != nil {
-		return CtxError(ctx)
-	}
-	// Fast path: a free slot admits without allocating a timer.
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	wait := l.wait
-	deadlineBound := false
-	if dl, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(dl); remaining < wait {
-			wait = remaining
-			deadlineBound = true
-		}
-	}
-	if wait <= 0 {
-		if deadlineBound {
-			return fmt.Errorf("%w: no deadline budget left to queue for admission", ErrDeadlineExceeded)
-		}
-		select {
-		case l.slots <- struct{}{}:
-			return nil
-		case <-ctx.Done():
-			return CtxError(ctx)
-		default:
-			return ErrOverloaded
-		}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return CtxError(ctx)
-	case <-timer.C:
-		if deadlineBound {
-			return fmt.Errorf("%w: deadline expired in admission queue", ErrDeadlineExceeded)
-		}
-		return ErrOverloaded
-	}
-}
-
-// Release returns a slot taken by a successful Acquire.
-func (l *Limiter) Release() {
-	if l == nil {
-		return
-	}
-	select {
-	case <-l.slots:
-	default:
-		panic("governance: Release without Acquire")
-	}
-}
-
-// InFlight reports the number of currently admitted queries.
-func (l *Limiter) InFlight() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.slots)
 }

@@ -149,88 +149,3 @@ func TestIntervalForEstimate(t *testing.T) {
 		t.Errorf("huge estimate interval = %d, want tighter than default", got)
 	}
 }
-
-func TestLimiter(t *testing.T) {
-	var nilL *Limiter
-	if err := nilL.Acquire(context.Background()); err != nil {
-		t.Fatalf("nil limiter refused: %v", err)
-	}
-	nilL.Release()
-	if nilL.InFlight() != 0 {
-		t.Error("nil limiter in-flight != 0")
-	}
-	if NewLimiter(0, 0) != nil {
-		t.Error("max=0 should disable the limiter")
-	}
-
-	l := NewLimiter(2, 0)
-	if err := l.Acquire(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Acquire(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.InFlight(); got != 2 {
-		t.Errorf("InFlight = %d, want 2", got)
-	}
-	if err := l.Acquire(nil); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated Acquire = %v, want ErrOverloaded", err)
-	}
-	l.Release()
-	if err := l.Acquire(nil); err != nil {
-		t.Fatalf("Acquire after Release: %v", err)
-	}
-	l.Release()
-	l.Release()
-}
-
-func TestLimiterQueueWait(t *testing.T) {
-	l := NewLimiter(1, 2*time.Second)
-	if err := l.Acquire(nil); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		l.Release()
-	}()
-	start := time.Now()
-	if err := l.Acquire(nil); err != nil {
-		t.Fatalf("queued Acquire = %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("queued Acquire took %v", elapsed)
-	}
-	l.Release()
-
-	// Wait expires before a slot frees: shed.
-	short := NewLimiter(1, 10*time.Millisecond)
-	if err := short.Acquire(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := short.Acquire(nil); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expired wait = %v, want ErrOverloaded", err)
-	}
-	short.Release()
-}
-
-func TestLimiterContextWhileQueued(t *testing.T) {
-	l := NewLimiter(1, time.Minute)
-	if err := l.Acquire(nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-	defer cancel()
-	if err := l.Acquire(ctx); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("queued Acquire with dying ctx = %v, want ErrDeadlineExceeded", err)
-	}
-	l.Release()
-}
-
-func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Release without Acquire did not panic")
-		}
-	}()
-	NewLimiter(1, 0).Release()
-}

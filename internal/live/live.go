@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 
 	"parj/internal/rdf"
+	"parj/internal/rdfs"
 	"parj/internal/stats"
 	"parj/internal/store"
 	"parj/internal/wal"
@@ -69,6 +70,9 @@ type View struct {
 	once   sync.Once
 	eff    *store.Store
 	estats *stats.Stats
+
+	hierOnce sync.Once
+	hier     *rdfs.Hierarchy
 }
 
 // Version is the monotonically increasing epoch number; it advances on
@@ -101,6 +105,14 @@ func (v *View) Stats() *stats.Stats {
 	}
 	v.materialize()
 	return v.estats
+}
+
+// Hierarchy returns the RDFS class and property closures of Store(),
+// derived on first use: writes can add schema triples, so an entailment
+// query must expand against the hierarchy of the view it pinned.
+func (v *View) Hierarchy() *rdfs.Hierarchy {
+	v.hierOnce.Do(func() { v.hier = rdfs.New(v.Store(), "", "", "") })
+	return v.hier
 }
 
 // Base returns the epoch's base store without materializing the overlay.

@@ -266,3 +266,39 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestHierarchyPerView: the RDFS closures are a product of the view, like
+// Store() and Stats() — derived once however many entailment queries pin
+// the view, and derived afresh for the view a schema write publishes, so
+// neither epoch can expand against the other's hierarchy.
+func TestHierarchyPerView(t *testing.T) {
+	const subClassOf = "<http://www.w3.org/2000/01/rdf-schema#subClassOf>"
+	st := store.LoadTriples([]rdf.Triple{{S: "<Student>", P: subClassOf, O: "<Person>"}}, store.BuildOptions{})
+	h := New(st, nil, store.BuildOptions{})
+	subclasses := func(v *View) int {
+		return len(v.Hierarchy().SubClasses(v.Store().Resources.Lookup("<Person>")))
+	}
+
+	v1 := h.View()
+	first := v1.Hierarchy()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v1.Hierarchy() != first {
+				t.Error("one view derived its hierarchy twice")
+			}
+		}()
+	}
+	wg.Wait()
+
+	h.Insert([]rdf.Triple{{S: "<Freshman>", P: subClassOf, O: "<Student>"}})
+	v2 := h.View()
+	if v2.Hierarchy() == first {
+		t.Fatal("the view after a schema write reuses the previous view's hierarchy")
+	}
+	if got1, got2 := subclasses(v1), subclasses(v2); got1 != 2 || got2 != 3 {
+		t.Fatalf("Person has %d subclasses on the pinned view and %d after the write, want 2 and 3", got1, got2)
+	}
+}

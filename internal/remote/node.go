@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +18,6 @@ import (
 	"parj/internal/live"
 	"parj/internal/optimizer"
 	"parj/internal/rdf"
-	"parj/internal/rdfs"
 	"parj/internal/resilience"
 	"parj/internal/sparql"
 	"parj/internal/stats"
@@ -31,33 +32,30 @@ const maxRequestBytes = 1 << 20
 // term strings, so they get a roomier (but still bounded) limit.
 const maxWriteBytes = 64 << 20
 
-// Node serves shard-execution requests over one full replica of the store.
-// It is the handler side of cmd/parj-node and of the loopback test
-// clusters; construct with NewNode and mount Handler on an HTTP server.
+// Node is the HTTP shell over one full replica of the store: whole queries
+// on /query, shard ranges of one on /exec, the write stream, snapshots and
+// the health endpoints. Every node is the same process asked for a
+// different range (the paper's §6 full replication), so cmd/parj-server
+// and the loopback test clusters mount the same handler; construct with
+// NewNode and mount Handler on an HTTP server.
 type Node struct {
 	// h is the replica's live store: queries pin one epoch view per
 	// request, writes land through /write, reconciliation swaps epochs.
 	h *live.Handle
 
-	// hier caches the RDFS hierarchy per store epoch: writes can add
-	// schema triples, so the closure is recomputed when the epoch moves.
-	hierMu  sync.Mutex
-	hierVer uint64
-	hier    *rdfs.Hierarchy
-
-	// ready gates /exec and /readyz: a node answers queries only after its
-	// replica is loaded and before draining starts.
+	// ready gates /query, /exec and /readyz: a node answers queries only
+	// after its replica is loaded and before draining starts.
 	ready    atomic.Bool
 	draining atomic.Bool
 
-	// admit sheds load when too many shard requests execute at once. It is
-	// either the fixed-wait Limiter or the adaptive CoDel controller; a
-	// typed-nil value admits everything (both are nil-safe).
-	admit admitter
-	// adaptive is non-nil when the CoDel controller is in use; it is the
-	// source of the queue-delay estimate for expired-on-arrival refusal
-	// and /statz.
-	adaptive *governance.AdaptiveLimiter
+	// admit sheds load when too many /query and /exec requests execute at
+	// once; it is also the source of the queue-delay estimate for
+	// expired-on-arrival refusal and /statz. nil admits everything.
+	admit *governance.AdaptiveLimiter
+	// pool is the memory budget those requests share; nil = unlimited.
+	pool *governance.Pool
+	// defaults are the per-request settings of /query.
+	defaults QueryDefaults
 
 	// Cumulative /statz counters. totals is guarded by statMu; the plain
 	// counters are atomic so the hot path never takes the lock.
@@ -75,39 +73,51 @@ type Node struct {
 	ExecStarted func(req *ExecRequest)
 }
 
-// admitter abstracts the two admission controllers (fixed-wait Limiter and
-// adaptive CoDel) behind the node's acquire/release path.
-type admitter interface {
-	Acquire(ctx context.Context) error
-	Release()
-	InFlight() int
-}
-
 // NodeOptions configures a Node.
 type NodeOptions struct {
-	// MaxConcurrent caps concurrent /exec evaluations (0 = unlimited);
-	// excess requests shed with 503 after AdmissionWait.
+	// MaxConcurrent caps concurrent /query and /exec evaluations
+	// (0 = unlimited); excess requests queue up to AdmissionWait (0 = do
+	// not queue) and then shed with 503.
 	MaxConcurrent int
 	AdmissionWait time.Duration
-	// AdmissionTarget > 0 replaces the fixed-wait queue with the CoDel
-	// controller: queue sojourn above this target for a full
-	// AdmissionInterval flips the node into shedding mode, where excess
-	// arrivals are rejected after only the target instead of the full
-	// AdmissionWait. See governance.AdaptiveLimiter.
+	// AdmissionTarget is the acceptable queue sojourn (0 = 5ms default):
+	// sojourn above it for a full AdmissionInterval flips the node into
+	// shedding mode, where excess arrivals are rejected after only the
+	// target instead of the full AdmissionWait. A target at or above
+	// AdmissionWait never sheds early. See governance.AdaptiveLimiter.
 	AdmissionTarget time.Duration
-	// AdmissionInterval is the adaptive controller's window (0 = default).
+	// AdmissionInterval is the admission controller's window (0 = default).
 	AdmissionInterval time.Duration
-	// Clock injects time for the adaptive controller (tests drive a
+	// Clock injects time for the admission controller (tests drive a
 	// FakeClock); nil = wall clock.
 	Clock resilience.Clock
-	// NotReady starts the node in not-ready state (cmd/parj-node flips it
-	// once the replica is loaded); the zero value is ready immediately,
-	// which is what in-process tests want.
+	// SharedMemoryBudget bounds the bytes of materialized result rows
+	// across ALL concurrently executing requests, on top of each request's
+	// own budget (0 = unlimited).
+	SharedMemoryBudget int64
+	// Query holds the per-request settings of /query, which — unlike an
+	// /exec request — carries none of its own.
+	Query QueryDefaults
+	// NotReady starts the node in not-ready state: the handler a binary
+	// mounts while its replica still loads. The zero value is ready
+	// immediately, which is what in-process tests want.
 	NotReady bool
 	// AutoReconcileOps arms background reconciliation: once at least this
 	// many write verdicts are pending, a goroutine merges them into a fresh
 	// base store (0 = reconcile only on explicit /reconcile).
 	AutoReconcileOps int
+}
+
+// QueryDefaults are the settings every /query request runs under.
+type QueryDefaults struct {
+	// Threads is the worker count per query (0 = GOMAXPROCS).
+	Threads int
+	// Timeout is the wall-clock limit per query (0 = none).
+	Timeout time.Duration
+	// MaxResultRows / MemoryBudget are the per-query produced-row and
+	// materialized-byte budgets (0 = unlimited).
+	MaxResultRows int64
+	MemoryBudget  int64
 }
 
 // NewNode wraps a loaded replica. ss may be nil (computed from st).
@@ -119,25 +129,24 @@ func NewNode(st *store.Store, ss *stats.Stats, opts NodeOptions) *Node {
 // where the handle comes out of WAL recovery (live.OpenDurable) already
 // positioned in the write stream.
 func NewNodeHandle(h *live.Handle, opts NodeOptions) *Node {
-	n := &Node{h: h}
-	n.h.SetAutoReconcile(opts.AutoReconcileOps)
-	if opts.AdmissionTarget > 0 {
-		n.adaptive = governance.NewAdaptiveLimiter(governance.AdmissionOptions{
+	n := &Node{
+		h: h,
+		admit: governance.NewAdaptiveLimiter(governance.AdmissionOptions{
 			MaxConcurrent: opts.MaxConcurrent,
 			MaxWait:       opts.AdmissionWait,
 			Target:        opts.AdmissionTarget,
 			Interval:      opts.AdmissionInterval,
 			Clock:         opts.Clock,
-		})
-		n.admit = n.adaptive
-	} else {
-		n.admit = governance.NewLimiter(opts.MaxConcurrent, opts.AdmissionWait)
+		}),
+		pool:     governance.NewPool(opts.SharedMemoryBudget),
+		defaults: opts.Query,
 	}
+	n.h.SetAutoReconcile(opts.AutoReconcileOps)
 	n.ready.Store(!opts.NotReady)
 	return n
 }
 
-// SetReady flips the readiness gate (used by cmd/parj-node after load).
+// SetReady flips the readiness gate.
 func (n *Node) SetReady(ready bool) { n.ready.Store(ready) }
 
 // StartDrain marks the node as draining: /readyz reports not-ready so a
@@ -155,19 +164,10 @@ func (n *Node) Store() *store.Store { return n.h.View().Store() }
 // node binary's warm-from seq seeding).
 func (n *Node) Live() *live.Handle { return n.h }
 
-func (n *Node) hierarchy(v *live.View) *rdfs.Hierarchy {
-	n.hierMu.Lock()
-	defer n.hierMu.Unlock()
-	if n.hier == nil || n.hierVer != v.Version() {
-		n.hier = rdfs.New(v.Store(), "", "", "")
-		n.hierVer = v.Version()
-	}
-	return n.hier
-}
-
-// Handler returns the node's HTTP mux: ExecPath, HealthPath, ReadyPath.
+// Handler returns the node's HTTP mux over every path of the protocol.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc(QueryPath, n.handleQuery)
 	mux.HandleFunc(ExecPath, n.handleExec)
 	mux.HandleFunc(WritePath, n.handleWrite)
 	mux.HandleFunc(ReconcilePath, n.handleReconcile)
@@ -181,7 +181,7 @@ func (n *Node) Handler() http.Handler {
 	})
 	mux.HandleFunc(ReadyPath, func(w http.ResponseWriter, r *http.Request) {
 		if !n.Ready() {
-			w.Header().Set("Retry-After", "1")
+			setRetryAfter(w, nil)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "state": n.state()})
 			return
 		}
@@ -211,13 +211,13 @@ func (n *Node) Statz() *StatzResponse {
 	n.statMu.Lock()
 	totals := n.totals
 	n.statMu.Unlock()
-	astats := n.adaptive.Stats()
+	astats := n.admit.Stats()
 	v := n.h.View()
 	d := n.h.Durability()
 	return &StatzResponse{
 		Ready:            n.Ready(),
 		Triples:          v.ApproxTriples(),
-		InFlight:         n.admit.InFlight(),
+		InFlight:         astats.InFlight,
 		Queries:          n.queries.Load(),
 		Rejections:       n.rejections.Load(),
 		Sheds:            n.sheds.Load(),
@@ -225,6 +225,8 @@ func (n *Node) Statz() *StatzResponse {
 		QueueDelayMS:     float64(astats.QueueDelay) / float64(time.Millisecond),
 		Shedding:         astats.Shedding,
 		Failures:         n.failures.Load(),
+		PoolUsed:         n.pool.Used(),
+		PoolCapacity:     n.pool.Capacity(),
 		WriteSeq:         n.h.Seq(),
 		PendingWrites:    v.Pending(),
 		Epoch:            v.Version(),
@@ -286,6 +288,8 @@ func (n *Node) handleWrite(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, KindSeqGap, err)
 			return
 		}
+		// A WAL failure: the batch may be visible, but its durability is
+		// unknown and the client must treat it as lost.
 		writeError(w, http.StatusInternalServerError, KindInternal, err)
 		return
 	}
@@ -337,19 +341,64 @@ func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {
 	if hook := n.ExecStarted; hook != nil {
 		hook(&req)
 	}
+	n.serve(w, r, time.Duration(req.TimeoutMS)*time.Millisecond, time.Duration(req.DeadlineBudgetMS)*time.Millisecond,
+		func(ctx context.Context) (any, error) { return n.exec(ctx, &req) })
+}
 
-	ctx := r.Context()
-	// Effective node-side deadline: the smaller of the explicit per-shard
-	// timeout and the propagated remaining client budget.
-	var budget time.Duration
-	if req.TimeoutMS > 0 {
-		budget = time.Duration(req.TimeoutMS) * time.Millisecond
+// handleQuery answers one whole query with decoded rows: /exec over the
+// full shard range under the node's QueryDefaults, then the solution
+// modifiers the shard protocol cannot serve.
+func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if !n.Ready() {
+		writeError(w, http.StatusServiceUnavailable, KindOverload, errors.New("node not ready"))
+		return
 	}
-	if req.DeadlineBudgetMS > 0 {
-		b := time.Duration(req.DeadlineBudgetMS) * time.Millisecond
-		if budget == 0 || b < budget {
-			budget = b
+	src, err := querySource(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, KindParse, err)
+		return
+	}
+	silent := r.URL.Query().Get("silent") == "1"
+	n.serve(w, r, n.defaults.Timeout, 0,
+		func(ctx context.Context) (any, error) { return n.query(ctx, src, silent) })
+}
+
+// querySource extracts the SPARQL text from a query parameter, a form
+// field, or the raw request body, in that order. Bodies are capped so a
+// parser bomb is a 400, not an allocation.
+func querySource(r *http.Request) (string, error) {
+	if q := r.URL.Query().Get("query"); q != "" {
+		return q, nil
+	}
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(nil, r.Body, maxRequestBytes)
+		if err := r.ParseForm(); err == nil {
+			if q := r.PostForm.Get("query"); q != "" {
+				return q, nil
+			}
 		}
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			return "", fmt.Errorf("reading query body: %w", err)
+		}
+		if q := strings.TrimSpace(string(b)); q != "" {
+			return q, nil
+		}
+	}
+	return "", errors.New("missing query: pass ?query=, a form field, or a POST body")
+}
+
+// serve runs eval under the request path /query and /exec share: the
+// node-side deadline, expired-on-arrival refusal, admission, the /statz
+// counters and the error-to-status mapping. timeout is the request's own
+// limit, clientBudget the remaining client deadline a coordinator
+// propagated; 0 means none for either.
+func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudget time.Duration, eval func(context.Context) (any, error)) {
+	ctx := r.Context()
+	// Effective node-side deadline: the smaller of the two.
+	budget := timeout
+	if clientBudget > 0 && (budget == 0 || clientBudget < budget) {
+		budget = clientBudget
 	}
 	// Expired-on-arrival refusal: a propagated budget already at or below
 	// the admission queue-delay estimate cannot finish here — refuse it
@@ -357,8 +406,8 @@ func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {
 	// deadline (non-retryable) instead of timing out in the queue. Only
 	// while saturated: with a free slot the estimate is stale and refusing
 	// on it could latch every small-budget client out of an idle node.
-	if req.DeadlineBudgetMS > 0 && n.adaptive.Saturated() {
-		if est := n.adaptive.QueueDelayEstimate(); est > 0 && budget <= est {
+	if clientBudget > 0 && n.admit.Saturated() {
+		if est := n.admit.QueueDelayEstimate(); est > 0 && budget <= est {
 			n.rejections.Add(1)
 			n.expired.Add(1)
 			writeError(w, http.StatusGatewayTimeout, KindDeadline, fmt.Errorf(
@@ -387,50 +436,70 @@ func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {
 	defer n.admit.Release()
 
 	n.queries.Add(1)
-	resp, err := n.exec(ctx, &req)
+	resp, err := eval(ctx)
 	if err != nil {
 		n.failures.Add(1)
 		status, kind := statusKind(err)
 		writeError(w, status, kind, err)
 		return
 	}
-	n.statMu.Lock()
-	n.totals.Add(resp.Sched)
-	n.statMu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// exec evaluates one shard range. Exported logic is kept off the HTTP
-// types so loopback tests can call it directly.
-func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error) {
-	q, err := sparql.Parse(req.Query)
+// plan parses src and optimizes it against one pinned epoch view: plan,
+// statistics and the executed tables must agree even while writes land
+// concurrently, so the caller executes on the store returned here.
+func (n *Node) plan(src string, entailment bool) (*sparql.Query, *optimizer.Plan, *store.Store, error) {
+	q, err := sparql.Parse(src)
 	if err != nil {
-		return nil, &parseError{err}
+		return nil, nil, nil, &parseError{err}
 	}
-	// Pin one epoch view for plan and execution: constants, plan and
-	// statistics must agree even while writes land concurrently.
 	v := n.h.View()
-	st := v.Store()
 	var x optimizer.Expander
-	if req.Entailment {
-		x = n.hierarchy(v)
+	if entailment {
+		x = v.Hierarchy()
 	}
-	plan, err := optimizer.OptimizeExpanded(q, st, v.Stats(), x)
+	plan, err := optimizer.OptimizeExpanded(q, v.Store(), v.Stats(), x)
 	if err != nil {
-		return nil, &planError{err}
+		return nil, nil, nil, &planError{err}
+	}
+	return q, plan, v.Store(), nil
+}
+
+// execute runs shards [from, to) of plan and folds the scheduler activity
+// into the /statz totals.
+func (n *Node) execute(st *store.Store, plan *optimizer.Plan, opts core.Options, from, to int) (*core.Result, error) {
+	opts.MemPool = n.pool
+	opts.CheckInterval = governance.IntervalForEstimate(plan.EstResultRows())
+	res, err := core.ExecuteShardRange(st, plan, opts, from, to)
+	if err != nil {
+		return nil, err
+	}
+	n.statMu.Lock()
+	n.totals.Add(res.Sched)
+	n.statMu.Unlock()
+	return res, nil
+}
+
+// exec evaluates one shard range; rows stay dictionary-encoded.
+func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error) {
+	q, plan, st, err := n.plan(req.Query, req.Entailment)
+	if err != nil {
+		return nil, err
 	}
 	if req.TotalShards <= 0 || req.ShardFrom < 0 || req.ShardTo < req.ShardFrom {
 		return nil, &planError{fmt.Errorf("invalid shard range [%d, %d) of %d", req.ShardFrom, req.ShardTo, req.TotalShards)}
 	}
-	strategy := core.Strategy(req.Strategy)
-	res, err := core.ExecuteShardRange(st, plan, core.Options{
+	if q.Buffered() {
+		return nil, &planError{errors.New("ORDER BY and OFFSET need the whole decoded result; a shard range cannot serve them (use " + QueryPath + ")")}
+	}
+	res, err := n.execute(st, plan, core.Options{
 		Threads:       req.TotalShards,
-		Strategy:      strategy,
+		Strategy:      core.Strategy(req.Strategy),
 		Silent:        req.Silent,
 		Context:       ctx,
 		MaxResultRows: req.MaxResultRows,
 		MemoryBudget:  req.MemoryBudget,
-		CheckInterval: governance.IntervalForEstimate(plan.EstResultRows()),
 	}, req.ShardFrom, req.ShardTo)
 	if err != nil {
 		return nil, err
@@ -442,6 +511,44 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 		// core only hands them out when !Silent — which is why the
 		// coordinator requests non-silent execution for DISTINCT plans.
 	}
+	return out, nil
+}
+
+// query evaluates src over the full shard range and decodes the rows.
+func (n *Node) query(ctx context.Context, src string, silent bool) (*QueryResponse, error) {
+	start := time.Now()
+	q, plan, st, err := n.plan(src, false)
+	if err != nil {
+		return nil, err
+	}
+	buffered := q.Buffered()
+	if buffered {
+		// ORDER BY and OFFSET need the full, materialized result: the
+		// engine must not truncate early, and rows must exist to sort.
+		plan.Limit = 0
+	}
+	res, err := n.execute(st, plan, core.Options{
+		Threads:       n.defaults.Threads,
+		Silent:        silent && !buffered,
+		Context:       ctx,
+		MaxResultRows: n.defaults.MaxResultRows,
+		MemoryBudget:  n.defaults.MemoryBudget,
+	}, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	out := &QueryResponse{Vars: res.Vars, Count: res.Count}
+	var rows [][]string
+	if buffered {
+		rows = q.Modifiers(res.Vars, res.StringRows(st))
+		out.Count = int64(len(rows))
+	} else if !silent {
+		rows = res.StringRows(st)
+	}
+	if !silent {
+		out.Rows = rows
+	}
+	out.Took = time.Since(start).Round(time.Microsecond).String()
 	return out, nil
 }
 
@@ -489,13 +596,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, kind string, err error) {
 	if status == http.StatusServiceUnavailable {
-		// Retry-After carries the shed hint from the admission controller
-		// (whole seconds, rounded up; minimum 1s for plain overloads).
-		secs := int((governance.RetryAfterHint(err, time.Second) + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		setRetryAfter(w, err)
 	}
 	writeJSON(w, status, ErrorResponse{Kind: kind, Error: err.Error()})
+}
+
+// setRetryAfter puts the backoff every 503 carries on the response: the
+// shed hint from the admission controller when err has one (whole
+// seconds, rounded up), one second otherwise.
+func setRetryAfter(w http.ResponseWriter, err error) {
+	secs := int((governance.RetryAfterHint(err, time.Second) + time.Second - 1) / time.Second)
+	w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
 }

@@ -11,7 +11,9 @@
 // GET /healthz is liveness; GET /readyz is readiness (load completed and
 // not draining). Rows travel dictionary-encoded (uint32 IDs): replicas
 // loaded from identical input build identical dictionaries, and the
-// coordinator decodes against its own replica.
+// coordinator decodes against its own replica. The same node answers a
+// client's whole query on /query with decoded rows (Node is the one HTTP
+// shell over a replica; cmd/parj-server mounts nothing else).
 package remote
 
 import (
@@ -22,6 +24,11 @@ import (
 	"parj/internal/governance"
 	"parj/internal/search"
 )
+
+// QueryPath answers one whole query with decoded rows: GET ?query=..., a
+// POST form field "query", or the query as the POST body; ?silent=1 counts
+// without returning rows.
+const QueryPath = "/query"
 
 // ExecPath is the shard-execution endpoint.
 const ExecPath = "/exec"
@@ -125,6 +132,17 @@ type ExecRequest struct {
 	MemoryBudget  int64 `json:"memory_budget,omitempty"`
 }
 
+// QueryResponse is the JSON body of a successful /query call.
+type QueryResponse struct {
+	Vars []string `json:"vars"`
+	// Rows holds the decoded result rows (omitted under ?silent=1).
+	Rows [][]string `json:"rows,omitempty"`
+	// Count is the number of result rows after every solution modifier.
+	Count int64 `json:"count"`
+	// Took is the node-side planning and execution time.
+	Took string `json:"took"`
+}
+
 // ExecResponse carries one shard range's results back.
 type ExecResponse struct {
 	// Count is the number of result rows the range produced (after the
@@ -172,28 +190,32 @@ type StatzResponse struct {
 	Ready bool `json:"ready"`
 	// Triples is the replica size.
 	Triples int `json:"triples"`
-	// InFlight is the number of /exec requests currently executing.
+	// InFlight is the number of /query and /exec requests currently
+	// executing; the counters below cover both paths alike.
 	InFlight int `json:"in_flight"`
-	// Queries counts /exec requests admitted since start.
+	// Queries counts requests admitted since start.
 	Queries int64 `json:"queries"`
-	// Rejections counts /exec requests shed by admission control.
+	// Rejections counts requests shed by admission control.
 	Rejections int64 `json:"rejections"`
-	// Sheds counts /exec requests rejected with overload (a subset of
+	// Sheds counts requests rejected with overload (a subset of
 	// Rejections; the rest are deadline/cancel refusals).
 	Sheds int64 `json:"sheds"`
-	// Expired counts /exec requests refused because their propagated
-	// deadline budget was already spent (or below the queue-delay
-	// estimate) on arrival, or expired while queued for admission.
+	// Expired counts requests refused because their propagated deadline
+	// budget was already spent (or below the queue-delay estimate) on
+	// arrival, or expired while queued for admission.
 	Expired int64 `json:"expired"`
 	// QueueDelayMS is the admission controller's current sojourn-time
-	// estimate in milliseconds (0 when the fixed-wait limiter is in use).
-	// This is the load signal the coordinator's routing layer reads.
+	// estimate in milliseconds. This is the load signal the coordinator's
+	// routing layer reads.
 	QueueDelayMS float64 `json:"queue_delay_ms"`
-	// Shedding reports whether the adaptive admission controller is
-	// currently in shed mode.
+	// Shedding reports whether the admission controller is currently in
+	// shed mode.
 	Shedding bool `json:"shedding,omitempty"`
-	// Failures counts admitted /exec requests that returned an error.
+	// Failures counts admitted requests that returned an error.
 	Failures int64 `json:"failures"`
+	// PoolUsed / PoolCapacity report the shared memory budget (0 = off).
+	PoolUsed     int64 `json:"pool_used,omitempty"`
+	PoolCapacity int64 `json:"pool_capacity,omitempty"`
 	// WriteSeq is the last applied write-batch sequence number — the field a
 	// coordinator compares against its own stream position to decide whether
 	// a rejoining replica can be caught up by log replay.
@@ -204,7 +226,7 @@ type StatzResponse struct {
 	// reconciliation).
 	Epoch uint64 `json:"epoch"`
 	// WALEnabled reports whether the replica journals writes to a local
-	// write-ahead log (cmd/parj-node -wal). When false the remaining WAL
+	// write-ahead log (parj-server -wal). When false the remaining WAL
 	// fields are zero.
 	WALEnabled bool `json:"wal_enabled,omitempty"`
 	// WALDurableSeq is the last write batch an fsync covers — the

@@ -3,12 +3,17 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"parj/internal/core"
 	"parj/internal/governance"
 	"parj/internal/rdf"
 	"parj/internal/store"
@@ -28,7 +33,7 @@ func testNode(t *testing.T, opts NodeOptions) (*Node, *Client, func()) {
 	t.Helper()
 	n := NewNode(testStore(), nil, opts)
 	srv := httptest.NewServer(n.Handler())
-	return n, NewClient(srv.URL, 5 * time.Second), srv.Close
+	return n, NewClient(srv.URL, 5*time.Second), srv.Close
 }
 
 func TestNodeExecRoundTrip(t *testing.T) {
@@ -98,6 +103,10 @@ func TestNodeErrorTaxonomy(t *testing.T) {
 	}{
 		{"parse", ExecRequest{Query: `SELECT WHERE`, TotalShards: 1, ShardTo: 1}, KindParse, false},
 		{"bad-range", ExecRequest{Query: `SELECT ?x WHERE { ?x <p> ?y }`, TotalShards: 0}, KindPlan, false},
+		// A shard range of ID rows can serve neither clause: refused, not
+		// answered with this range's first rows.
+		{"order-by", ExecRequest{Query: `SELECT ?x WHERE { ?x <p> ?y } ORDER BY ?x LIMIT 1`, TotalShards: 1, ShardTo: 1}, KindPlan, false},
+		{"offset", ExecRequest{Query: `SELECT ?x WHERE { ?x <p> ?y } OFFSET 1`, TotalShards: 1, ShardTo: 1}, KindPlan, false},
 	}
 	for _, tc := range cases {
 		_, err := c.Exec(context.Background(), &tc.req)
@@ -309,5 +318,145 @@ func TestClientReady(t *testing.T) {
 	var te *TransportError
 	if err := dead.Ready(context.Background()); !errors.As(err, &te) {
 		t.Fatalf("dead node: %v, want TransportError", err)
+	}
+}
+
+// TestStatusKindTaxonomy pins the one mapping from the typed error taxonomy
+// onto (HTTP status, wire kind) that /query and /exec both answer with.
+func TestStatusKindTaxonomy(t *testing.T) {
+	cases := []struct {
+		err    error
+		status int
+		kind   string
+	}{
+		{governance.ErrOverloaded, http.StatusServiceUnavailable, KindOverload},
+		{&governance.OverloadError{RetryAfter: time.Second}, http.StatusServiceUnavailable, KindOverload},
+		{governance.ErrDeadlineExceeded, http.StatusGatewayTimeout, KindDeadline},
+		{governance.ErrCanceled, http.StatusGatewayTimeout, KindCanceled},
+		{governance.ErrBudgetExceeded, http.StatusRequestEntityTooLarge, KindBudget},
+		{&governance.PanicError{Value: "boom"}, http.StatusInternalServerError, KindPanic},
+		{&parseError{errors.New("parse error")}, http.StatusBadRequest, KindParse},
+		{&planError{errors.New("no such plan")}, http.StatusBadRequest, KindPlan},
+		{errors.New("anything else"), http.StatusInternalServerError, KindInternal},
+	}
+	for _, c := range cases {
+		if status, kind := statusKind(c.err); status != c.status || kind != c.kind {
+			t.Errorf("statusKind(%v) = %d %s, want %d %s", c.err, status, kind, c.status, c.kind)
+		}
+	}
+}
+
+// TestQueryAndExecShareGovernance: /query and /exec are two doors into one
+// node, so they draw from one admission controller (a slot held through
+// either path sheds the other) and one shared memory pool.
+func TestQueryAndExecShareGovernance(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	_, c, stop := testNode(t, NodeOptions{MaxConcurrent: 1, SharedMemoryBudget: 1})
+	defer stop()
+	defer c.Close()
+
+	const join = `SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`
+	viaQuery := func(src string, silent bool) error {
+		u := c.Endpoint() + QueryPath + "?query=" + url.QueryEscape(src)
+		if silent {
+			u += "&silent=1"
+		}
+		resp, err := http.Get(u)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return nil
+		}
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			return err
+		}
+		return &NodeError{Kind: er.Kind, Msg: er.Error}
+	}
+	viaExec := func(src string, silent bool) error {
+		_, err := c.Exec(context.Background(), &ExecRequest{Query: src, TotalShards: 1, ShardTo: 1, Silent: silent})
+		return err
+	}
+	paths := map[string]func(string, bool) error{QueryPath: viaQuery, ExecPath: viaExec}
+
+	for holder, hold := range paths {
+		// The admitted join parks on its first key probe, holding the only
+		// slot for exactly as long as the other path is probed.
+		entered, release := make(chan struct{}), make(chan struct{})
+		var parked atomic.Bool
+		restore := core.SetProbeFaultHook(func() {
+			if parked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+		})
+		held := make(chan error, 1)
+		go func() { held <- hold(join, true) }()
+		<-entered
+		for prober, probe := range paths {
+			if err := probe(join, true); !errors.Is(err, governance.ErrOverloaded) {
+				t.Errorf("%s while %s holds the only slot = %v, want ErrOverloaded", prober, holder, err)
+			}
+		}
+		close(release)
+		if err := <-held; err != nil {
+			t.Errorf("%s holding the slot: %v", holder, err)
+		}
+		restore()
+	}
+
+	// One byte of shared budget: counting charges nothing, returning rows
+	// overdraws the pool through either path, and nothing stays reserved.
+	for name, run := range paths {
+		if err := run(join, true); err != nil {
+			t.Errorf("%s silent under a 1-byte pool: %v", name, err)
+		}
+		if err := run(join, false); !errors.Is(err, governance.ErrBudgetExceeded) {
+			t.Errorf("%s with rows under a 1-byte pool = %v, want ErrBudgetExceeded", name, err)
+		}
+	}
+	sz, err := c.Statz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz.PoolCapacity != 1 || sz.PoolUsed != 0 || sz.InFlight != 0 || sz.Sheds != 4 {
+		t.Errorf("statz pool %d/%d in-flight %d sheds %d, want 0/1, 0 and the 4 probes", sz.PoolUsed, sz.PoolCapacity, sz.InFlight, sz.Sheds)
+	}
+}
+
+// TestNodeWriteSeq: one /write handler serves the unsequenced client (seq
+// omitted = next) and the coordinator's sequenced stream (replay is a
+// no-op, a gap is a typed 409).
+func TestNodeWriteSeq(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	n, c, stop := testNode(t, NodeOptions{})
+	defer stop()
+	defer c.Close()
+	ctx := context.Background()
+	ins := func(s string) []Triple { return []Triple{{S: s, P: "<p>", O: "<a>"}} }
+
+	for i, step := range []struct{ seq, applied uint64 }{
+		{0, 1}, // omitted = next
+		{2, 2}, // the coordinator's explicit next
+		{0, 3},
+		{2, 3}, // replay: applies nothing, the stream stays at 3
+	} {
+		resp, err := c.Write(ctx, &WriteRequest{Seq: step.seq, Inserts: ins(fmt.Sprintf("<w%d>", i))})
+		if err != nil || resp.Seq != step.applied {
+			t.Fatalf("write %d with seq %d = %+v, %v; want applied seq %d", i, step.seq, resp, err, step.applied)
+		}
+	}
+	var ne *NodeError
+	if _, err := c.Write(ctx, &WriteRequest{Seq: 9, Inserts: ins("<gap>")}); !errors.As(err, &ne) || ne.Kind != KindSeqGap {
+		t.Fatalf("write past the stream = %v, want kind %s", err, KindSeqGap)
+	}
+	if got := n.Live().Seq(); got != 3 {
+		t.Fatalf("stream position %d, want 3", got)
+	}
+	resp, err := c.Exec(ctx, &ExecRequest{Query: `SELECT ?x WHERE { ?x <p> <a> }`, TotalShards: 1, ShardTo: 1, Silent: true})
+	if err != nil || resp.Count != 4 { // <c> plus <w0>, <w1>, <w2>
+		t.Fatalf("rows after the writes = %+v, %v; want 4", resp, err)
 	}
 }

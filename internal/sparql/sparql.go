@@ -17,6 +17,8 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"unicode"
 )
@@ -117,6 +119,33 @@ func (q *Query) Projection() []string {
 		return q.Vars()
 	}
 	return q.Select
+}
+
+// Buffered reports whether the query has ORDER BY or OFFSET. Both need the
+// whole result, decoded: the engine must run without the query's LIMIT and
+// hand every row to Modifiers, so a row stream or a gather of dictionary
+// IDs cannot serve them.
+func (q *Query) Buffered() bool { return len(q.OrderBy) > 0 || q.Offset > 0 }
+
+// Modifiers applies the solution modifiers of a Buffered query to its
+// complete decoded result, in SPARQL's order: ORDER BY (terms compared
+// lexicographically, ascending unless DESC, ties keeping their order), then
+// OFFSET, then LIMIT. vars names the columns of rows, which is reordered in
+// place.
+func (q *Query) Modifiers(vars []string, rows [][]string) [][]string {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, k := range q.OrderBy {
+			if c := slices.Index(vars, k.Var); c >= 0 && rows[a][c] != rows[b][c] {
+				return (rows[a][c] < rows[b][c]) != k.Desc
+			}
+		}
+		return false
+	})
+	rows = rows[min(q.Offset, len(rows)):]
+	if q.HasLimit {
+		rows = rows[:min(q.Limit, len(rows))]
+	}
+	return rows
 }
 
 // ParseError reports a syntax error with its byte offset.

@@ -65,10 +65,6 @@ type Options struct {
 	Interval time.Duration
 	// SegmentBytes rotates segments past this size (default 4 MiB).
 	SegmentBytes int64
-	// PerOpSync disables group commit under SyncAlways: every append
-	// issues its own fsync inline. Exists for the walwrite benchmark's
-	// A/B comparison; production code should leave it off.
-	PerOpSync bool
 	// Clock drives the interval flusher (default the wall clock).
 	Clock resilience.Clock
 }
@@ -183,7 +179,7 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	switch {
-	case opts.Sync == SyncAlways && !opts.PerOpSync:
+	case opts.Sync == SyncAlways:
 		l.wg.Add(1)
 		go l.groupFlusher()
 	case opts.Sync == SyncInterval:
@@ -381,13 +377,6 @@ func (l *Log) Enqueue(rec Record) (*Commit, error) {
 		l.firstSeq = rec.Seq
 	}
 	if l.opts.Sync != SyncAlways {
-		return doneCommit, nil
-	}
-	if l.opts.PerOpSync {
-		if err := l.seg.Sync(); err != nil {
-			return nil, l.fail(fmt.Errorf("wal: sync %d: %w", rec.Seq, err))
-		}
-		l.durableSeq = rec.Seq
 		return doneCommit, nil
 	}
 	c := &Commit{ch: make(chan error, 1)}

@@ -265,23 +265,6 @@ func TestWALSyncNeverPolicy(t *testing.T) {
 	l.Close()
 }
 
-func TestWALPerOpSync(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	fs := NewMemFS()
-	l := mustOpen(t, Options{FS: fs, PerOpSync: true})
-	defer l.Close()
-	base := fs.Syncs()
-	const n = 10
-	for seq := uint64(1); seq <= n; seq++ {
-		if err := l.Append(testRec(seq)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if got := fs.Syncs() - base; got < n {
-		t.Fatalf("per-op sync issued %d fsyncs for %d records", got, n)
-	}
-}
-
 func TestWALCheckpointRecoverReplay(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	fs := NewMemFS()

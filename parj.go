@@ -24,10 +24,10 @@ package parj
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -37,7 +37,6 @@ import (
 	"parj/internal/live"
 	"parj/internal/optimizer"
 	"parj/internal/rdf"
-	"parj/internal/rdfs"
 	"parj/internal/search"
 	"parj/internal/sparql"
 	"parj/internal/stats"
@@ -74,8 +73,8 @@ var (
 type PanicError = governance.PanicError
 
 // RetryAfter extracts the suggested client backoff carried by an
-// ErrOverloaded shed from the adaptive admission controller (0 when the
-// error carries no hint). Servers surface it as the Retry-After header.
+// ErrOverloaded shed from the admission controller (0 when the error
+// carries no hint). Servers surface it as the Retry-After header.
 func RetryAfter(err error) time.Duration {
 	return governance.RetryAfterHint(err, 0)
 }
@@ -143,15 +142,16 @@ type DBOptions struct {
 	// AdmissionWait bounds how long an over-admission query queues before
 	// it is shed. 0 means shed immediately when saturated.
 	AdmissionWait time.Duration
-	// AdmissionTarget > 0 replaces the fixed-wait admission queue with a
-	// CoDel-style adaptive controller: when queue sojourn stays above this
-	// target for a full AdmissionInterval the store enters shedding mode,
+	// AdmissionTarget is the acceptable queue sojourn of the CoDel-style
+	// admission controller (0 = 5ms default): when sojourn stays above it
+	// for a full AdmissionInterval the store enters shedding mode,
 	// rejecting excess arrivals after only the target (with a Retry-After
 	// hint on the error) instead of letting every query wait the full
-	// AdmissionWait. Admitted queries keep a bounded queue delay under
-	// sustained overload. Requires MaxConcurrentQueries > 0.
+	// AdmissionWait, so admitted queries keep a bounded queue delay under
+	// sustained overload. A target at or above AdmissionWait never
+	// shortens the wait: that is the plain fixed-wait queue.
 	AdmissionTarget time.Duration
-	// AdmissionInterval is the adaptive controller's control window
+	// AdmissionInterval is the admission controller's control window
 	// (0 = 100ms default).
 	AdmissionInterval time.Duration
 	// SharedMemoryBudget bounds the bytes of materialized result rows
@@ -262,14 +262,6 @@ type Results struct {
 	ProbeStats search.Stats
 }
 
-// admitController abstracts the two admission controllers a Store can run:
-// the fixed-wait governance.Limiter and the adaptive CoDel controller.
-type admitController interface {
-	Acquire(ctx context.Context) error
-	Release()
-	InFlight() int
-}
-
 // Store is a fully in-memory RDF database, safe for concurrent queries and
 // — since the live write path — concurrent Insert/Delete. Reads run on
 // immutable epoch views: each query pins the view current at admission and
@@ -284,19 +276,10 @@ type Store struct {
 	// DBOptions.Durability (see Open); nil for volatile stores.
 	wal *wal.Log
 
-	// limiter implements DB-level admission control; a typed-nil value
-	// admits everything. adaptive aliases it when the CoDel controller is
-	// in use (the source of shed counters and the queue-delay estimate).
-	limiter  admitController
-	adaptive *governance.AdaptiveLimiter
+	// limiter implements DB-level admission control; nil admits everything.
+	limiter *governance.AdaptiveLimiter
 	// memPool is the store-wide shared memory budget; nil = unlimited.
 	memPool *governance.Pool
-
-	// hier caches the RDFS closures per epoch: entailment queries against a
-	// mutated store must see hierarchies derived from their own view.
-	hierMu  sync.Mutex
-	hierVer uint64
-	hier    *rdfs.Hierarchy
 }
 
 // SetDBOptions (re)configures store-wide governance. It must not be called
@@ -307,18 +290,12 @@ func (s *Store) SetDBOptions(opts DBOptions) {
 }
 
 func (s *Store) applyDB(opts DBOptions) {
-	if opts.AdmissionTarget > 0 {
-		s.adaptive = governance.NewAdaptiveLimiter(governance.AdmissionOptions{
-			MaxConcurrent: opts.MaxConcurrentQueries,
-			MaxWait:       opts.AdmissionWait,
-			Target:        opts.AdmissionTarget,
-			Interval:      opts.AdmissionInterval,
-		})
-		s.limiter = s.adaptive
-	} else {
-		s.adaptive = nil
-		s.limiter = governance.NewLimiter(opts.MaxConcurrentQueries, opts.AdmissionWait)
-	}
+	s.limiter = governance.NewAdaptiveLimiter(governance.AdmissionOptions{
+		MaxConcurrent: opts.MaxConcurrentQueries,
+		MaxWait:       opts.AdmissionWait,
+		Target:        opts.AdmissionTarget,
+		Interval:      opts.AdmissionInterval,
+	})
 	s.memPool = governance.NewPool(opts.SharedMemoryBudget)
 	s.live.SetAutoReconcile(opts.AutoReconcileOps)
 }
@@ -333,12 +310,12 @@ func (s *Store) InFlightQueries() int { return s.limiter.InFlight() }
 type AdmissionStats struct {
 	// InFlight is the number of currently executing queries.
 	InFlight int
-	// Admitted/Sheds/Expired count adaptive-admission outcomes since the
-	// controller was configured (0 under the fixed-wait limiter).
+	// Admitted/Sheds/Expired count admission outcomes since the controller
+	// was configured.
 	Admitted int64
 	Sheds    int64
 	Expired  int64
-	// QueueDelay is the adaptive controller's sojourn-time estimate.
+	// QueueDelay is the controller's queue sojourn-time estimate.
 	QueueDelay time.Duration
 	// Shedding reports whether the controller is currently in shed mode.
 	Shedding bool
@@ -349,9 +326,9 @@ type AdmissionStats struct {
 
 // AdmissionStats snapshots the store's admission counters.
 func (s *Store) AdmissionStats() AdmissionStats {
-	a := s.adaptive.Stats()
+	a := s.limiter.Stats()
 	return AdmissionStats{
-		InFlight:     s.limiter.InFlight(),
+		InFlight:     a.InFlight,
 		Admitted:     a.Admitted,
 		Sheds:        a.Sheds,
 		Expired:      a.Expired,
@@ -363,8 +340,8 @@ func (s *Store) AdmissionStats() AdmissionStats {
 }
 
 // admit reserves an execution slot, shedding with ErrOverloaded when the
-// store is saturated longer than the admission wait (or, under adaptive
-// admission, as soon as the controller is in shed mode). The caller must
+// store stays saturated longer than the admission wait (or only the
+// admission target, once the controller is in shed mode). The caller must
 // call the returned release exactly once; on error there is nothing to
 // release.
 func (s *Store) admit(ctx context.Context) (release func(), err error) {
@@ -372,17 +349,6 @@ func (s *Store) admit(ctx context.Context) (release func(), err error) {
 		return nil, fmt.Errorf("parj: %w", err)
 	}
 	return s.limiter.Release, nil
-}
-
-// hierarchy computes (and caches per epoch) the RDFS closures for v.
-func (s *Store) hierarchy(v *live.View) *rdfs.Hierarchy {
-	s.hierMu.Lock()
-	defer s.hierMu.Unlock()
-	if s.hier == nil || s.hierVer != v.Version() {
-		s.hier = rdfs.New(v.Store(), "", "", "")
-		s.hierVer = v.Version()
-	}
-	return s.hier
 }
 
 // Builder accumulates triples for a Store.
@@ -592,97 +558,79 @@ func (s *Store) Query(src string, opts QueryOptions) (*Results, error) {
 	}
 	defer release()
 
-	q, err := sparql.Parse(src)
+	q, err := parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("parj: %w", err)
+		return nil, err
 	}
 	// Pin one epoch view for planning AND execution: constants resolved
 	// against its dictionary-visible state, statistics, and the executed
 	// tables all agree, however many writes land meanwhile.
 	v := s.live.View()
-	st := v.Store()
-	var x optimizer.Expander
-	if opts.Entailment {
-		x = s.hierarchy(v)
-	}
-	plan, err := optimizer.OptimizeExpanded(q, st, v.Stats(), x)
+	plan, err := planView(v, q, opts.Entailment)
 	if err != nil {
-		return nil, fmt.Errorf("parj: %w", err)
+		return nil, err
 	}
+	return s.run(ctx, v.Store(), q, plan, opts)
+}
 
-	post := len(q.OrderBy) > 0 || q.Offset > 0
+// run executes plan on the pinned store and decodes the outcome: the tail
+// Store.Query and Prepared.Query share.
+func (s *Store) run(ctx context.Context, st *store.Store, q *sparql.Query, plan *optimizer.Plan, opts QueryOptions) (*Results, error) {
 	execOpts := opts.execOptions(ctx, plan, s.memPool)
-	if post {
-		// Ordering and offsets need the full, materialized result: the
-		// engine must not truncate early, and rows must be decoded to sort
-		// by term.
-		plan.Limit = 0
-		execOpts.Silent = false
+	if q.Buffered() {
+		return buffered(st, q, plan, execOpts, opts.Silent)
 	}
 	res, err := core.Execute(st, plan, execOpts)
-	if err != nil {
-		if res != nil {
-			return &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats},
-				fmt.Errorf("parj: %w", err)
-		}
-		return nil, fmt.Errorf("parj: %w", err)
+	out, err := results(res, err)
+	if err == nil && !opts.Silent {
+		out.Rows = res.StringRows(st)
 	}
-	out := &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats}
-	if !post {
-		if !opts.Silent {
-			out.Rows = res.StringRows(st)
-		}
-		return out, nil
-	}
+	return out, err
+}
 
-	rows := res.StringRows(st)
-	if len(q.OrderBy) > 0 {
-		cols := make([]int, len(q.OrderBy))
-		for i, k := range q.OrderBy {
-			cols[i] = -1
-			for j, v := range out.Vars {
-				if v == k.Var {
-					cols[i] = j
-				}
-			}
-		}
-		sort.SliceStable(rows, func(a, b int) bool {
-			for i, c := range cols {
-				if c < 0 || rows[a][c] == rows[b][c] {
-					continue
-				}
-				less := rows[a][c] < rows[b][c]
-				if q.OrderBy[i].Desc {
-					return !less
-				}
-				return less
-			}
-			return false
-		})
+// buffered runs a query with ORDER BY or OFFSET. Both need the full,
+// materialized result: the engine must not truncate early, and rows must
+// be decoded to sort by term. plan may be a Prepared's shared plan, so the
+// un-limited plan is a copy.
+func buffered(st *store.Store, q *sparql.Query, plan *optimizer.Plan, execOpts core.Options, silent bool) (*Results, error) {
+	unlimited := *plan
+	unlimited.Limit = 0
+	execOpts.Silent = false
+	res, err := core.Execute(st, &unlimited, execOpts)
+	out, err := results(res, err)
+	if err != nil {
+		return out, err
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = rows[:0]
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.HasLimit && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
+	rows := q.Modifiers(res.Vars, res.StringRows(st))
 	out.Count = int64(len(rows))
-	if !opts.Silent {
+	if !silent {
 		out.Rows = rows
 	}
 	return out, nil
 }
 
+// results wraps an engine outcome: a failed execution that had started
+// still reports its partial progress beside the error.
+func results(res *core.Result, err error) (*Results, error) {
+	if err != nil {
+		err = fmt.Errorf("parj: %w", err)
+	}
+	if res == nil {
+		return nil, err
+	}
+	return &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats}, err
+}
+
+// errStreamBuffered rejects streaming of queries whose semantics need the
+// whole result.
+var errStreamBuffered = errors.New("parj: QueryStream does not support DISTINCT, LIMIT, ORDER BY or OFFSET (they require buffering; use Query)")
+
 // QueryStream executes src and delivers decoded rows to fn as they are
 // produced, without buffering the result set — the paper's iterator-style
 // full-result handling (§5.2), which keeps memory bounded even for
 // billion-row results. fn runs on a single goroutine and returns false to
-// cancel. DISTINCT and LIMIT require buffering and are rejected; use Query.
-// The returned count is the number of rows delivered.
+// cancel. DISTINCT, LIMIT, ORDER BY and OFFSET require buffering and are
+// rejected; use Query. The returned count is the number of rows delivered.
 func (s *Store) QueryStream(src string, opts QueryOptions, fn func(row []string) bool) (int64, error) {
 	ctx, cancel := opts.execContext()
 	defer cancel()
@@ -692,9 +640,16 @@ func (s *Store) QueryStream(src string, opts QueryOptions, fn func(row []string)
 	}
 	defer release()
 
+	q, err := parse(src)
+	if err != nil {
+		return 0, err
+	}
+	if q.Distinct || q.Limit > 0 || q.Buffered() {
+		return 0, errStreamBuffered
+	}
 	v := s.live.View()
 	st := v.Store()
-	plan, err := s.planView(v, src, opts.Entailment)
+	plan, err := planView(v, q, opts.Entailment)
 	if err != nil {
 		return 0, err
 	}
@@ -726,7 +681,7 @@ func (s *Store) QueryStream(src string, opts QueryOptions, fn func(row []string)
 // one).
 type Prepared struct {
 	s      *Store
-	src    string
+	q      *sparql.Query
 	entail bool
 
 	mu      sync.Mutex
@@ -738,7 +693,11 @@ type Prepared struct {
 // Prepare parses and optimizes src once. Entailment selects
 // hierarchy-aware planning, as in QueryOptions.
 func (s *Store) Prepare(src string, entailment bool) (*Prepared, error) {
-	p := &Prepared{s: s, src: src, entail: entailment}
+	q, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Prepared{s: s, q: q, entail: entailment}
 	if _, _, err := p.current(); err != nil {
 		return nil, err
 	}
@@ -752,7 +711,7 @@ func (p *Prepared) current() (*optimizer.Plan, *store.Store, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.plan == nil || p.version != v.Version() {
-		plan, err := p.s.planView(v, p.src, p.entail)
+		plan, err := planView(v, p.q, p.entail)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -776,19 +735,7 @@ func (p *Prepared) Query(opts QueryOptions) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Execute(st, plan, opts.execOptions(ctx, plan, p.s.memPool))
-	if err != nil {
-		if res != nil {
-			return &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats},
-				fmt.Errorf("parj: %w", err)
-		}
-		return nil, fmt.Errorf("parj: %w", err)
-	}
-	out := &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats}
-	if !opts.Silent {
-		out.Rows = res.StringRows(st)
-	}
-	return out, nil
+	return p.s.run(ctx, st, p.q, plan, opts)
 }
 
 // Count executes the prepared plan in silent mode.
@@ -822,26 +769,30 @@ func (s *Store) Count(src string, opts QueryOptions) (int64, error) {
 
 // Explain returns a human-readable description of the plan chosen for src.
 func (s *Store) Explain(src string) (string, error) {
-	plan, err := s.plan(src, false)
+	q, err := parse(src)
+	if err != nil {
+		return "", err
+	}
+	plan, err := planView(s.live.View(), q, false)
 	if err != nil {
 		return "", err
 	}
 	return plan.Explain(), nil
 }
 
-func (s *Store) plan(src string, entail bool) (*optimizer.Plan, error) {
-	return s.planView(s.live.View(), src, entail)
-}
-
-// planView optimizes src against one pinned epoch view.
-func (s *Store) planView(v *live.View, src string, entail bool) (*optimizer.Plan, error) {
+func parse(src string) (*sparql.Query, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parj: %w", err)
 	}
+	return q, nil
+}
+
+// planView optimizes q against one pinned epoch view.
+func planView(v *live.View, q *sparql.Query, entail bool) (*optimizer.Plan, error) {
 	var x optimizer.Expander
 	if entail {
-		x = s.hierarchy(v)
+		x = v.Hierarchy()
 	}
 	plan, err := optimizer.OptimizeExpanded(q, v.Store(), v.Stats(), x)
 	if err != nil {

@@ -1,11 +1,20 @@
 package parj
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"parj/internal/remote"
 )
 
 func familyStore(t *testing.T, opts LoadOptions) *Store {
@@ -202,10 +211,18 @@ func TestQueryStream(t *testing.T) {
 	if count != 1 {
 		t.Errorf("cancelled stream ran callback %d times, want 1", count)
 	}
-	// DISTINCT rejected.
-	if _, err := db.QueryStream(`SELECT DISTINCT ?x WHERE { ?x <knows> ?y }`, QueryOptions{},
-		func([]string) bool { return true }); err == nil {
-		t.Error("DISTINCT stream accepted")
+	// Everything that needs the whole result before the first row is
+	// rejected, and delivers nothing.
+	for _, src := range []string{
+		`SELECT DISTINCT ?x WHERE { ?x <knows> ?y }`,
+		`SELECT ?x WHERE { ?x <knows> ?y } LIMIT 1`,
+		`SELECT ?x WHERE { ?x <knows> ?y } ORDER BY ?x`,
+		`SELECT ?x WHERE { ?x <knows> ?y } OFFSET 1`,
+	} {
+		n, err := db.QueryStream(src, QueryOptions{}, func([]string) bool { return true })
+		if !errors.Is(err, errStreamBuffered) || n != 0 {
+			t.Errorf("QueryStream(%s) = %d rows, %v; want rejection", src, n, err)
+		}
 	}
 }
 
@@ -252,35 +269,90 @@ func TestPredicateInfos(t *testing.T) {
 	}
 }
 
+// TestOrderByAndOffset runs every case through the three ways a query is
+// answered with decoded rows — Store.Query, Prepared.Query and the node's
+// /query over the same live handle — and all three must return want.
 func TestOrderByAndOffset(t *testing.T) {
 	db := familyStore(t, LoadOptions{})
-	res, err := db.Query(`SELECT ?x ?y WHERE { ?x <knows> ?y } ORDER BY ?x`, QueryOptions{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
+	srv := httptest.NewServer(remote.NewNodeHandle(db.live, remote.NodeOptions{}).Handler())
+	defer srv.Close()
+
+	const knows = `SELECT ?x ?y WHERE { ?x <knows> ?y } `
+	ab, bc, cd := []string{"<alice>", "<bob>"}, []string{"<bob>", "<carol>"}, []string{"<carol>", "<dave>"}
+	cases := []struct {
+		modifiers string
+		want      [][]string
+	}{
+		{"ORDER BY ?x", [][]string{ab, bc, cd}},
+		{"ORDER BY DESC(?x)", [][]string{cd, bc, ab}},
+		// OFFSET skips after ordering; LIMIT caps after the offset.
+		{"ORDER BY ?x LIMIT 1 OFFSET 1", [][]string{bc}},
+		{"ORDER BY DESC(?y) LIMIT 2", [][]string{cd, bc}},
+		{"ORDER BY ?y OFFSET 2", [][]string{cd}},
+		// Offset beyond the result set.
+		{"OFFSET 10", nil},
 	}
-	want := [][]string{{"<alice>", "<bob>"}, {"<bob>", "<carol>"}, {"<carol>", "<dave>"}}
-	if !reflect.DeepEqual(res.Rows, want) {
-		t.Fatalf("ORDER BY ?x: %v", res.Rows)
-	}
-	res, err = db.Query(`SELECT ?x ?y WHERE { ?x <knows> ?y } ORDER BY DESC(?x)`, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0] != "<carol>" || res.Rows[2][0] != "<alice>" {
-		t.Fatalf("DESC order: %v", res.Rows)
-	}
-	// OFFSET skips after ordering; LIMIT caps after the offset.
-	res, err = db.Query(`SELECT ?x ?y WHERE { ?x <knows> ?y } ORDER BY ?x LIMIT 1 OFFSET 1`, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 1 || res.Rows[0][0] != "<bob>" {
-		t.Fatalf("LIMIT 1 OFFSET 1: count=%d rows=%v", res.Count, res.Rows)
-	}
-	// Offset beyond the result set.
-	n, err := db.Count(`SELECT ?x ?y WHERE { ?x <knows> ?y } OFFSET 10`, QueryOptions{})
-	if err != nil || n != 0 {
-		t.Fatalf("big offset: n=%d err=%v", n, err)
+	for _, c := range cases {
+		src := knows + c.modifiers
+		opts := QueryOptions{Threads: 3}
+		paths := map[string]func() ([][]string, int64, error){
+			"Store.Query": func() ([][]string, int64, error) {
+				res, err := db.Query(src, opts)
+				if err != nil {
+					return nil, 0, err
+				}
+				return res.Rows, res.Count, nil
+			},
+			"Prepared.Query": func() ([][]string, int64, error) {
+				p, err := db.Prepare(src, false)
+				if err != nil {
+					return nil, 0, err
+				}
+				// The prepared plan is shared: concurrent executions must
+				// each un-limit their own copy of it.
+				var wg sync.WaitGroup
+				for i := 0; i < 4; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if res, err := p.Query(opts); err != nil || int(res.Count) != len(c.want) {
+							t.Errorf("concurrent Prepared.Query %s: %v, %v", c.modifiers, res, err)
+						}
+					}()
+				}
+				defer wg.Wait()
+				res, err := p.Query(opts)
+				if err != nil {
+					return nil, 0, err
+				}
+				return res.Rows, res.Count, nil
+			},
+			"/query": func() ([][]string, int64, error) {
+				resp, err := http.Get(srv.URL + remote.QueryPath + "?query=" + url.QueryEscape(src))
+				if err != nil {
+					return nil, 0, err
+				}
+				defer resp.Body.Close()
+				var out remote.QueryResponse
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+					return nil, 0, fmt.Errorf("status %d, decode %v", resp.StatusCode, err)
+				}
+				return out.Rows, out.Count, nil
+			},
+		}
+		for name, run := range paths {
+			rows, count, err := run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.modifiers, err)
+			}
+			if len(rows) != len(c.want) || count != int64(len(c.want)) || (len(rows) > 0 && !reflect.DeepEqual(rows, c.want)) {
+				t.Errorf("%s %s: count %d rows %v, want %v", name, c.modifiers, count, rows, c.want)
+			}
+		}
+		// Silent counting applies the same modifiers.
+		if n, err := db.Count(src, opts); err != nil || n != int64(len(c.want)) {
+			t.Errorf("Count %s = %d, %v; want %d", c.modifiers, n, err, len(c.want))
+		}
 	}
 	// ORDER BY must reference a projected variable.
 	if _, err := db.Query(`SELECT ?x WHERE { ?x <knows> ?y } ORDER BY ?y`, QueryOptions{}); err == nil {
