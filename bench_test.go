@@ -18,6 +18,7 @@ import (
 	"parj/internal/optimizer"
 	"parj/internal/rdf"
 	"parj/internal/sparql"
+	"parj/internal/stats"
 	"parj/internal/store"
 	"parj/internal/watdiv"
 )
@@ -383,5 +384,43 @@ func BenchmarkMaterializeBatch(b *testing.B) {
 		v := h.View()
 		b.StartTimer()
 		v.Store()
+	}
+}
+
+// BenchmarkExecRows prices what handing rows out costs a node over counting
+// them, on the endpoint benchmark's shape: LUBM 16, one shard of two on one
+// worker, the three large-result queries (the ones internal/remote's
+// BenchmarkFrame encodes), Silent against rows. Rows minus silent is the
+// materialization layer (core.materialize_ms) on its own.
+func BenchmarkExecRows(b *testing.B) {
+	st := store.LoadTriples(lubm.Triples(16, lubm.Config{}), store.BuildOptions{})
+	ss := stats.New(st)
+	for _, nq := range lubm.Queries() {
+		if nq.Name != "L2" && nq.Name != "L7" && nq.Name != "L10" {
+			continue
+		}
+		q, err := sparql.Parse(nq.SPARQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := optimizer.Optimize(q, st, ss)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []string{"silent", "rows"} {
+			opts := core.Options{Threads: 2, Silent: mode == "silent"}
+			b.Run(nq.Name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				var rows int64
+				for i := 0; i < b.N; i++ {
+					res, err := core.ExecuteShardRange(st, plan, opts, 0, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows = res.Count
+				}
+				b.ReportMetric(float64(rows), "rows")
+			})
+		}
 	}
 }

@@ -371,7 +371,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 		ShardErrors: make([]error, S),
 		Attempts:    attempts.Load(),
 	}
-	served := 0
+	served, gathered := 0, 0
 	var firstErr error
 	for s, o := range outs {
 		if o.err != nil {
@@ -389,6 +389,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 			res.Vars = o.resp.Vars
 		}
 		res.PerShard[s] = o.resp.Count
+		gathered += len(o.resp.Rows)
 		res.Stats.Add(o.resp.Stats)
 	}
 	res.Completeness = float64(served) / float64(S)
@@ -407,7 +408,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 	// exactly the same compaction on the merged rows, which yields the
 	// global answer (min(LIMIT, |distinct global rows|)).
 	if !wireSilent {
-		var rows [][]uint32
+		rows := make([][]uint32, 0, gathered)
 		for _, o := range outs {
 			if o.err == nil {
 				rows = append(rows, o.resp.Rows...)

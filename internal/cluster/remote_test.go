@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,6 +265,85 @@ func TestRemoteChaosReplicaDeathMidQuery(t *testing.T) {
 		if got.Completeness != 1 {
 			t.Errorf("%s: completeness %v, want 1 (failover, not degradation)", q.src, got.Completeness)
 		}
+	}
+}
+
+// corruptFrames relays a node's handler but flips one bit inside the row
+// frame of every /exec response — in-flight corruption no transport layer
+// reports, since the JSON envelope around the frame stays well-formed.
+func corruptFrames(h http.Handler, corrupted *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != remote.ExecPath {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		var resp remote.ExecResponse
+		if rec.Code == http.StatusOK && json.Unmarshal(body, &resp) == nil && len(resp.Frame) > 0 {
+			resp.Frame[len(resp.Frame)/2] ^= 0x04
+			body, _ = json.Marshal(resp)
+			corrupted.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// TestRemoteCorruptFrameFailsOver: one replica of each shard group answers
+// with a bit flipped inside its row frame. The frame's checksum turns that
+// into a transport fault, so the coordinator retries on the clean replica
+// and every result still equals the oracle's — with JSON rows the same flip
+// was a wrong ID in the answer, or a parse error, depending on the bit.
+func TestRemoteCorruptFrameFailsOver(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	f := lubmFixture(t)
+	_, clean0 := startNode(t, f)
+	defer clean0.Close()
+	_, clean1 := startNode(t, f)
+	defer clean1.Close()
+	var corrupted atomic.Int64
+	bad0 := httptest.NewServer(corruptFrames(remote.NewNode(f.st, f.ss, remote.NodeOptions{}).Handler(), &corrupted))
+	defer bad0.Close()
+	bad1 := httptest.NewServer(corruptFrames(remote.NewNode(f.st, f.ss, remote.NodeOptions{}).Handler(), &corrupted))
+	defer bad1.Close()
+
+	r, err := NewRemote(RemoteOptions{
+		Replicas:        [][]string{{bad0.URL, clean0.URL}, {clean1.URL, bad1.URL}},
+		ThreadsPerShard: 2,
+		Backoff:         resilience.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		// The breaker must count these faults, but never open: the point
+		// here is that every corrupted answer is caught, not avoided.
+		Breaker: resilience.BreakerOptions{FailureThreshold: 1 << 20},
+		Seed:    7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var attempts, shards int64
+	for round := 0; round < 4; round++ {
+		for _, q := range remoteQueries {
+			got, err := r.Execute(context.Background(), q.src, false)
+			if err != nil {
+				t.Fatalf("%s: %v", q.src, err)
+			}
+			checkAgainstOracle(t, f, q, got.Count, got.Rows)
+			if got.Completeness != 1 {
+				t.Errorf("%s: completeness %v, want 1 (failover, not degradation)", q.src, got.Completeness)
+			}
+			attempts, shards = attempts+got.Attempts, shards+2
+		}
+	}
+	if corrupted.Load() == 0 {
+		t.Fatal("no response was corrupted: the test exercised nothing")
+	}
+	if attempts < shards+corrupted.Load() {
+		t.Errorf("%d attempts for %d shard requests and %d corrupted answers: some corrupted answer was not retried",
+			attempts, shards, corrupted.Load())
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"time"
 	"unsafe"
 
+	"parj/internal/dict"
 	"parj/internal/governance"
 	"parj/internal/optimizer"
 	"parj/internal/search"
@@ -219,11 +220,34 @@ func (r *Result) Decode(st *store.Store, row []uint32) []string {
 	return out
 }
 
-// StringRows decodes all rows.
+// StringRows decodes all rows as one batch: one dictionary snapshot per
+// column (append-only, so the prefix stays valid while writes land) instead
+// of a lock round trip per ID, and one backing array for all the strings. An ID
+// past a snapshot goes back to the dictionary, which decodes a term encoded
+// since and panics on an unknown one exactly as Decode does.
 func (r *Result) StringRows(st *store.Store) [][]string {
+	n := len(r.Plan.Project)
+	dicts := make([]*dict.Dict, n)
+	terms := make([][]string, n)
+	for i, slot := range r.Plan.Project {
+		dicts[i] = st.Resources
+		if r.Plan.SlotIsPred[slot] {
+			dicts[i] = st.Predicates
+		}
+		terms[i] = dicts[i].SnapshotStrings()
+	}
+	flat := make([]string, n*len(r.Rows))
 	out := make([][]string, len(r.Rows))
 	for i, row := range r.Rows {
-		out[i] = r.Decode(st, row)
+		dst := flat[i*n : (i+1)*n : (i+1)*n]
+		for c, id := range row {
+			if t := terms[c]; id-1 < uint32(len(t)) { // ID 0 wraps past every length
+				dst[c] = t[id-1]
+			} else {
+				dst[c] = dicts[c].Decode(id)
+			}
+		}
+		out[i] = dst
 	}
 	return out
 }
@@ -268,9 +292,11 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		res.simMakespan = listScheduleMakespan(s.durations, x.nworkers)
 	}
 
+	total := 0
 	for _, w := range workers {
 		res.Stats.Add(w.stats)
 		res.Sched.Workers = append(res.Sched.Workers, w.wstat)
+		total += len(w.rows)
 	}
 	if err := x.gov.Err(); err != nil {
 		// Governed failure or contained panic: report partial progress
@@ -282,7 +308,7 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		return res, err
 	}
 	if x.materialize {
-		var rows [][]uint32
+		rows := make([][]uint32, 0, total)
 		for _, w := range workers {
 			rows = append(rows, w.rows...)
 		}
@@ -548,8 +574,11 @@ type worker struct {
 
 	materialize bool
 	rows        [][]uint32
-	count       int64
-	limit       int
+	// arena is the unused tail of the chunk materialized rows are carved
+	// from (growArena).
+	arena []uint32
+	count int64
+	limit int
 	// seen, non-nil only under DISTINCT+LIMIT, dedups incrementally so
 	// the limit cutoff below counts distinct rows, not produced rows —
 	// stopping at `limit` produced rows could dedup to fewer than the
@@ -608,22 +637,46 @@ func (w *worker) emit() bool {
 		return w.stream.push(row)
 	}
 	if w.materialize {
-		row := make([]uint32, len(w.plan.Project))
+		n := len(w.plan.Project)
+		if len(w.arena) < n {
+			w.growArena(n)
+		}
+		row := w.arena[:n:n]
 		for i, slot := range w.plan.Project {
 			row[i] = w.binding[slot]
 		}
 		if w.seen != nil {
 			w.seenKey = rowKey(w.seenKey[:0], row)
 			if w.seen[string(w.seenKey)] {
-				return true // duplicate: not kept, not counted toward LIMIT
+				// Duplicate: not kept, not counted toward LIMIT. The arena
+				// has not moved, so the next row is built over this one.
+				return true
 			}
 			w.seen[string(w.seenKey)] = true
 		}
+		w.arena = w.arena[n:]
 		w.rows = append(w.rows, row)
 		return w.limit == 0 || len(w.rows) < w.limit
 	}
 	w.count++
 	return w.limit == 0 || w.count < int64(w.limit)
+}
+
+// Rows are carved from chunks, each as large as all the rows before it,
+// from firstChunkRows rows up to maxChunk values: a point query's single row
+// costs one small allocation as it always did, a large result one allocation
+// per 64 KB instead of one per row, and a caller that keeps a single row
+// pins at most one chunk.
+const (
+	firstChunkRows = 8
+	maxChunk       = 16 << 10 // uint32 values: 64 KB
+)
+
+// growArena starts a new chunk with room for at least one n-value row. What
+// is left of the old chunk (less than one row) is dropped.
+func (w *worker) growArena(n int) {
+	size := min(max(firstChunkRows, len(w.rows))*n, maxChunk)
+	w.arena = make([]uint32, max(size, n))
 }
 
 // table returns the replica pattern pi uses for predicate p.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -527,5 +528,103 @@ func TestLimitZero(t *testing.T) {
 	want := f.oracle(t, `SELECT ?x ?c WHERE { ?x <teaches> ?c } LIMIT 0`)
 	if len(want) != 0 {
 		t.Errorf("oracle LIMIT 0 returned %d rows", len(want))
+	}
+}
+
+// execRows runs src on the fixture single-threaded and returns the ID rows.
+func (f *fixture) execRows(t testing.TB, src string) *Result {
+	t.Helper()
+	q, err := sparql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := optimizer.Optimize(q, f.st, f.stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(f.st, plan, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func cloneRows(rows [][]uint32) [][]uint32 {
+	out := make([][]uint32, len(rows))
+	for i, r := range rows {
+		out[i] = append([]uint32(nil), r...)
+	}
+	return out
+}
+
+// TestChunkedRowsAreNotAliased: rows are carved from shared chunks, but each
+// row owns its elements. Overwriting or appending to one returned row leaves
+// its neighbours and a second query's rows alone — also under DISTINCT with
+// LIMIT, where a duplicate row is built in the chunk and then discarded.
+func TestChunkedRowsAreNotAliased(t *testing.T) {
+	var triples []rdf.Triple
+	for d := 0; d < 40; d++ {
+		for s := 0; s < 25; s++ {
+			triples = append(triples, rdf.Triple{S: fmt.Sprintf("<s%d_%d>", d, s), P: "<memberOf>", O: fmt.Sprintf("<d%d>", d)})
+		}
+	}
+	f := newFixture(t, triples)
+	for _, src := range []string{
+		`SELECT ?s ?d WHERE { ?s <memberOf> ?d }`,                // 1000 rows: several chunks
+		`SELECT DISTINCT ?d WHERE { ?s <memberOf> ?d } LIMIT 30`, // duplicates discarded in between
+		`SELECT ?s WHERE { ?s <memberOf> ?d } LIMIT 1`,
+	} {
+		first := f.execRows(t, src)
+		want := cloneRows(first.Rows)
+		if len(want) == 0 {
+			t.Fatalf("%s: no rows", src)
+		}
+		seen := map[string]bool{}
+		for _, row := range first.Rows {
+			seen[fmt.Sprint(row)] = true
+		}
+		if strings.Contains(src, "DISTINCT") && len(seen) != len(want) {
+			t.Fatalf("%s: %d rows, %d distinct", src, len(want), len(seen))
+		}
+		for i := range first.Rows {
+			for c := range first.Rows[i] {
+				first.Rows[i][c] = 0xdeadbeef
+			}
+			_ = append(first.Rows[i], 0xdeadbeef)
+			for j := i + 1; j < len(first.Rows) && j <= i+2; j++ {
+				if !reflect.DeepEqual(first.Rows[j], want[j]) {
+					t.Fatalf("%s: writing row %d changed row %d: %v, want %v", src, i, j, first.Rows[j], want[j])
+				}
+			}
+		}
+		if second := f.execRows(t, src); !reflect.DeepEqual(second.Rows, want) {
+			t.Fatalf("%s: a second execution returned different rows after the first's were overwritten", src)
+		}
+	}
+}
+
+// TestStringRowsPanicsOnUnknownID: the batch decode keeps Decode's contract
+// for IDs no dictionary holds, resource and predicate column alike.
+func TestStringRowsPanicsOnUnknownID(t *testing.T) {
+	f := universityFixture(t)
+	res := f.execRows(t, `SELECT ?p ?c WHERE { <stu0_0_0> ?p ?c . ?c <type> <Course> }`)
+	if len(res.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	good := res.Rows[0]
+	for _, bad := range [][]uint32{
+		{0, good[1]},
+		{good[0], 0},
+		{f.st.Predicates.MaxID() + 1, good[1]},
+		{good[0], f.st.Resources.MaxID() + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StringRows(%v) did not panic", bad)
+				}
+			}()
+			(&Result{Plan: res.Plan, Rows: [][]uint32{good, bad}}).StringRows(f.st)
+		}()
 	}
 }

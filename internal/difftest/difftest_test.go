@@ -4,11 +4,16 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parj/internal/bench"
+	"parj/internal/core"
+	"parj/internal/optimizer"
 	"parj/internal/reference"
 	"parj/internal/sparql"
+	"parj/internal/stats"
+	"parj/internal/store"
 )
 
 // -long widens the matrix well past the default smoke run:
@@ -191,5 +196,47 @@ func TestFindConfigRoundTrip(t *testing.T) {
 		if _, err := FindConfig(name); err == nil {
 			t.Errorf("FindConfig(%q) unexpectedly resolved", name)
 		}
+	}
+}
+
+// TestStringRowsMatchesDecode: Result.StringRows decodes a result as one
+// batch; over generated datasets and queries (predicate variables, literals,
+// DISTINCT and LIMIT among them) it must equal the per-row Decode loop.
+func TestStringRowsMatchesDecode(t *testing.T) {
+	queries, rows := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds := GenDataset(rng, DatasetConfig{MaxTriples: 150})
+		st := store.LoadTriples(ds.Triples, store.BuildOptions{})
+		ss := stats.New(st)
+		for i := 0; i < 8; i++ {
+			src := GenQuery(rng, ds).Src()
+			parsed, err := sparql.Parse(src)
+			if err != nil {
+				t.Fatalf("parse %q: %v", src, err)
+			}
+			plan, err := optimizer.Optimize(parsed, st, ss)
+			if err != nil {
+				continue // a shape the optimizer rejects has no rows to decode
+			}
+			res, err := core.Execute(st, plan, core.Options{Threads: 2, MaxResultRows: 200_000})
+			if err != nil {
+				continue // a cross product past the row budget
+			}
+			got := res.StringRows(st)
+			if len(got) != len(res.Rows) {
+				t.Fatalf("seed %d %q: %d decoded rows for %d ID rows", seed, src, len(got), len(res.Rows))
+			}
+			for r, row := range res.Rows {
+				if want := res.Decode(st, row); !reflect.DeepEqual(got[r], want) {
+					t.Fatalf("seed %d %q: row %d decodes to %q, Decode gives %q", seed, src, r, got[r], want)
+				}
+			}
+			queries++
+			rows += len(got)
+		}
+	}
+	if queries < 100 || rows < 1000 {
+		t.Fatalf("corpus too thin to pin anything: %d queries, %d rows", queries, rows)
 	}
 }

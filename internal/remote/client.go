@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
+	"parj/internal/governance"
 	"parj/internal/store"
 )
 
@@ -111,44 +114,50 @@ func (c *Client) Close() {
 	}
 }
 
-// Exec evaluates one shard range on the node.
+// Exec evaluates one shard range on the node. The rows arrive as one
+// CRC-checked frame (frame.go); a frame that does not verify is a
+// TransportError, the same as a body cut mid-stream.
 func (c *Client) Exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint+ExecPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return nil, &TransportError{Endpoint: c.endpoint, Err: err}
-	}
-	defer resp.Body.Close()
-	// Reading the body can fail mid-stream (chaos cut): that's transport.
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, &TransportError{Endpoint: c.endpoint, Err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		var ne ErrorResponse
-		if err := json.Unmarshal(raw, &ne); err != nil || ne.Kind == "" {
-			return nil, &TransportError{Endpoint: c.endpoint,
-				Err: fmt.Errorf("status %d with undecodable error body", resp.StatusCode)}
-		}
-		out := &NodeError{Kind: ne.Kind, Msg: ne.Error}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			out.RetryAfter = time.Duration(secs) * time.Second
-		}
-		return nil, out
-	}
 	var out ExecResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, &TransportError{Endpoint: c.endpoint, Err: fmt.Errorf("malformed response: %w", err)}
+	if err := c.postJSON(ctx, ExecPath, req, &out, maxResponseBytes(req)); err != nil {
+		return nil, err
+	}
+	if !req.Silent {
+		rows, err := decodeFrame(out.Frame, out.Count)
+		if err != nil {
+			return nil, &TransportError{Endpoint: c.endpoint, Err: err}
+		}
+		out.Rows, out.Frame = rows, nil
 	}
 	return &out, nil
+}
+
+// envelopeSlack is room for everything in a response that is not rows:
+// variable names, probe statistics and one scheduler entry per worker.
+// noLimit is the response cap of a request that implies none.
+const (
+	envelopeSlack = 1 << 20
+	noLimit       = math.MaxInt64 - 1
+)
+
+// maxResponseBytes is the largest /exec body a node honouring req's budgets
+// can send, noLimit when req carries none. The node charges at least four
+// bytes of MemoryBudget per projected value, a row has at most one column
+// per variable sigil in the query, and a value is at most five uvarint
+// bytes in the frame, seven once base64 has widened them.
+func maxResponseBytes(req *ExecRequest) int64 {
+	values := int64(math.MaxInt64)
+	if req.MemoryBudget > 0 {
+		values = req.MemoryBudget / 4
+	}
+	cols := int64(strings.Count(req.Query, "?") + strings.Count(req.Query, "$"))
+	if req.MaxResultRows > 0 && cols > 0 && req.MaxResultRows < values/cols {
+		values = req.MaxResultRows * cols
+	}
+	if values > (noLimit-envelopeSlack)/7 {
+		return noLimit // no budget, or one no response could reach
+	}
+	return envelopeSlack + 7*values
 }
 
 // Write applies one sequenced write batch on the node. A seq-gap refusal
@@ -156,7 +165,7 @@ func (c *Client) Exec(ctx context.Context, req *ExecRequest) (*ExecResponse, err
 // on this replica without a resync.
 func (c *Client) Write(ctx context.Context, req *WriteRequest) (*WriteResponse, error) {
 	var out WriteResponse
-	if err := c.postJSON(ctx, WritePath, req, &out); err != nil {
+	if err := c.postJSON(ctx, WritePath, req, &out, noLimit); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -165,15 +174,18 @@ func (c *Client) Write(ctx context.Context, req *WriteRequest) (*WriteResponse, 
 // Reconcile forces a synchronous reconciliation on the node.
 func (c *Client) Reconcile(ctx context.Context) (*WriteResponse, error) {
 	var out WriteResponse
-	if err := c.postJSON(ctx, ReconcilePath, struct{}{}, &out); err != nil {
+	if err := c.postJSON(ctx, ReconcilePath, struct{}{}, &out, noLimit); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // postJSON is the shared POST-JSON/decode-JSON round trip with the
-// protocol's error taxonomy.
-func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
+// protocol's error taxonomy. limit caps the response body (noLimit = read
+// it all): a node that sends more has broken the budgets the request
+// carried, and the overrun is the query's governance.ErrBudgetExceeded
+// rather than the coordinator's allocation.
+func (c *Client) postJSON(ctx context.Context, path string, in, out any, limit int64) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -188,9 +200,14 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 		return &TransportError{Endpoint: c.endpoint, Err: err}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	// Reading the body can fail mid-stream (chaos cut): that's transport.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return &TransportError{Endpoint: c.endpoint, Err: err}
+	}
+	if int64(len(raw)) > limit {
+		return fmt.Errorf("remote: %s: response exceeds the %d bytes the request's budgets allow: %w",
+			c.endpoint, limit, governance.ErrBudgetExceeded)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var ne ErrorResponse

@@ -506,10 +506,10 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 	}
 	out := &ExecResponse{Count: res.Count, Vars: res.Vars, Stats: res.Stats, Sched: res.Sched}
 	if !req.Silent {
-		out.Rows = res.Rows
 		// DISTINCT materializes rows even under Silent inside core, but
 		// core only hands them out when !Silent — which is why the
 		// coordinator requests non-silent execution for DISTINCT plans.
+		out.Frame = encodeFrame(res.Rows, len(res.Vars))
 	}
 	return out, nil
 }

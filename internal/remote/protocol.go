@@ -11,7 +11,16 @@
 // GET /healthz is liveness; GET /readyz is readiness (load completed and
 // not draining). Rows travel dictionary-encoded (uint32 IDs): replicas
 // loaded from identical input build identical dictionaries, and the
-// coordinator decodes against its own replica. The same node answers a
+// coordinator decodes against its own replica. They are the one part of an
+// /exec response that is not JSON: the node packs them into a single row
+// frame (frame.go: version, column and row counts, per column the zigzag
+// deltas of consecutive IDs as uvarints, then a CRC-32C of all of it) that
+// rides in the envelope as one base64 field, and Client.Exec checks the
+// CRC and unpacks it into one flat []uint32. A frame that fails its CRC,
+// is cut short or claims more values than its bytes can hold comes back as
+// a TransportError — retried on another replica and counted by the
+// breaker, never decoded into a wrong row. Counts, variable names,
+// statistics and every error body stay JSON. The same node answers a
 // client's whole query on /query with decoded rows (Node is the one HTTP
 // shell over a replica; cmd/parj-server mounts nothing else).
 package remote
@@ -151,7 +160,11 @@ type ExecResponse struct {
 	// Vars names the projected columns.
 	Vars []string `json:"vars"`
 	// Rows holds dictionary-encoded projected rows (nil in silent mode).
-	Rows [][]uint32 `json:"rows,omitempty"`
+	// They travel in Frame; Client.Exec fills Rows from it.
+	Rows [][]uint32 `json:"-"`
+	// Frame is the row frame (frame.go) of a non-silent response, base64 in
+	// the JSON envelope. Client.Exec clears it once decoded.
+	Frame []byte `json:"frame,omitempty"`
 	// Stats aggregates probe-strategy statistics across the range.
 	Stats search.Stats `json:"stats"`
 	// Sched reports the node's per-worker scheduler activity for this

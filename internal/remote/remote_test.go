@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -190,6 +192,158 @@ func TestClientMalformedResponse(t *testing.T) {
 	}
 	if !Retryable(err) || !NodeFault(err) {
 		t.Error("malformed response must be retryable and count as a node fault")
+	}
+}
+
+// flipFrameBit is a transport that delivers every /exec response with one
+// bit of its row frame flipped. Envelope and base64 stay well-formed: this
+// is corruption only the frame's own checksum can see.
+type flipFrameBit struct {
+	rt  http.RoundTripper
+	bit int // counted from the frame's first byte
+}
+
+func (f *flipFrameBit) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := f.rt.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var out ExecResponse
+	if json.Unmarshal(raw, &out) == nil && f.bit/8 < len(out.Frame) {
+		out.Frame[f.bit/8] ^= 1 << (f.bit % 8)
+		raw, _ = json.Marshal(out)
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(raw)), int64(len(raw))
+	return resp, nil
+}
+
+// TestClientCorruptFrame: whichever bit of the row frame flips in flight,
+// Exec reports a TransportError — retryable on a replica and a fault for the
+// breaker — and never rows. With JSON rows a flipped digit was a wrong ID.
+func TestClientCorruptFrame(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	_, c, stop := testNode(t, NodeOptions{})
+	defer stop()
+	defer c.Close()
+	req := &ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1}
+	clean, err := c.Exec(context.Background(), req)
+	if err != nil || len(clean.Rows) != 3 {
+		t.Fatalf("clean run: %d rows, err %v", len(clean.Rows), err)
+	}
+	flip := &flipFrameBit{rt: c.hc.Transport}
+	c.hc.Transport = flip
+	defer func() { c.hc.Transport = flip.rt }()
+	bits := 8 * len(encodeFrame(clean.Rows, 2))
+	for flip.bit = 0; flip.bit < bits; flip.bit++ {
+		resp, err := c.Exec(context.Background(), req)
+		var te *TransportError
+		if !errors.As(err, &te) || !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("bit %d flipped: response %+v, err %v; want a TransportError wrapping ErrCorruptFrame", flip.bit, resp, err)
+		}
+		if !Retryable(err) || !NodeFault(err) {
+			t.Fatalf("bit %d flipped: %v must be retryable and count as a node fault", flip.bit, err)
+		}
+	}
+	// A silent request asks for no frame, so there is nothing to corrupt.
+	silent := *req
+	silent.Silent = true
+	flip.bit = 0
+	if resp, err := c.Exec(context.Background(), &silent); err != nil || resp.Count != 3 || resp.Rows != nil {
+		t.Fatalf("silent through the flipping transport: %+v, err %v", resp, err)
+	}
+}
+
+// TestExecBodyShape pins what is on the wire: rows only ever as the frame
+// field, and no frame at all on a silent response.
+func TestExecBodyShape(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	n := NewNode(testStore(), nil, NodeOptions{})
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	for _, silent := range []bool{false, true} {
+		body, _ := json.Marshal(ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1, Silent: silent})
+		resp, err := http.Post(srv.URL+ExecPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatalf("silent=%v: body is not a JSON object: %v", silent, err)
+		}
+		if _, ok := fields["rows"]; ok {
+			t.Errorf("silent=%v: body still carries JSON rows: %s", silent, raw)
+		}
+		if _, ok := fields["frame"]; ok == silent {
+			t.Errorf("silent=%v: frame present = %v: %s", silent, ok, raw)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+}
+
+// TestClientBoundsResponseRead: a request that carried a row or memory
+// budget caps what the client will read from the node; a body past the cap
+// is the query's budget error, not retried and not held against the node's
+// breaker, and the client stops reading instead of buffering it.
+func TestClientBoundsResponseRead(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Write([]byte(`{"count":1,"vars":["x"],"frame":"`))
+		chunk := bytes.Repeat([]byte("A"), 64<<10)
+		for i := 0; i < 256; i++ { // 16 MB of well-formed base64
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		w.Write([]byte(`"}`))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, 5*time.Second)
+	defer c.Close()
+
+	for _, req := range []*ExecRequest{
+		{Query: `SELECT ?x WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1, MaxResultRows: 10},
+		{Query: `SELECT ?x WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1, MemoryBudget: 1 << 10},
+	} {
+		_, err := c.Exec(context.Background(), req)
+		if !errors.Is(err, governance.ErrBudgetExceeded) {
+			t.Fatalf("oversized body under budgets %d/%d returned %v, want ErrBudgetExceeded", req.MaxResultRows, req.MemoryBudget, err)
+		}
+		if Retryable(err) || NodeFault(err) {
+			t.Errorf("%v must be neither retryable nor a node fault", err)
+		}
+	}
+	// No budget, no cap: the same body is read to the end, and then fails
+	// its frame check like any other garbage.
+	_, err := c.Exec(context.Background(), &ExecRequest{Query: `SELECT ?x WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1})
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("unbudgeted request: %v, want the whole body read and its frame rejected", err)
+	}
+
+	for _, c := range []struct {
+		req  ExecRequest
+		want int64
+	}{
+		{ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`}, noLimit},
+		{ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, MaxResultRows: 100}, envelopeSlack + 7*100*4},
+		{ExecRequest{Query: `SELECT * WHERE { ?x <p> $y }`, MaxResultRows: 100}, envelopeSlack + 7*100*2},
+		{ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, MemoryBudget: 4000}, envelopeSlack + 7*1000},
+		{ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, MemoryBudget: 4000, MaxResultRows: math.MaxInt64}, envelopeSlack + 7*1000},
+		{ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, MemoryBudget: math.MaxInt64, MaxResultRows: math.MaxInt64}, noLimit},
+	} {
+		if got := maxResponseBytes(&c.req); got != c.want {
+			t.Errorf("maxResponseBytes(%+v) = %d, want %d", c.req, got, c.want)
+		}
 	}
 }
 
