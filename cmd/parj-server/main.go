@@ -49,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -60,7 +59,6 @@ import (
 	"time"
 
 	"parj/internal/live"
-	"parj/internal/rdf"
 	"parj/internal/remote"
 	"parj/internal/store"
 	"parj/internal/wal"
@@ -236,7 +234,7 @@ func open(ctx context.Context, cfg *config, bo store.BuildOptions) (*live.Handle
 		case cfg.warmFrom != "":
 			return warmFromPeers(ctx, strings.Split(cfg.warmFrom, ","), cfg.warmTimeout)
 		case cfg.dataPath != "":
-			st, err := loadStore(cfg.dataPath, bo)
+			st, err := store.LoadFile(cfg.dataPath, bo)
 			return st, 0, err
 		default:
 			return store.LoadTriples(nil, bo), 0, nil
@@ -300,29 +298,4 @@ func warmFromPeers(ctx context.Context, peers []string, timeout time.Duration) (
 			delay = 10 * time.Second
 		}
 	}
-}
-
-// loadStore reads an N-Triples file or a .snapshot into a store.
-func loadStore(path string, bo store.BuildOptions) (*store.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".snapshot") {
-		return store.LoadSnapshot(f)
-	}
-	var triples []rdf.Triple
-	rd := rdf.NewReader(f)
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		triples = append(triples, t)
-	}
-	return store.LoadTriples(triples, bo), nil
 }

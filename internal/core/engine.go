@@ -128,10 +128,10 @@ type Options struct {
 	// governance.ErrBudgetExceeded. The engine releases the query's pool
 	// reservation when execution finishes.
 	MemPool *governance.Pool
-	// CheckInterval overrides governance.DefaultCheckInterval between two
-	// governance checks (0 = default). The optimizer's cardinality estimate
-	// can suggest a tighter interval for plans expected to run long; see
-	// governance.IntervalForEstimate.
+	// CheckInterval is the number of worker steps between two governance
+	// checks. 0 derives it from the plan's estimated result cardinality
+	// (governance.IntervalForEstimate): plans expected to run long are
+	// checked more often.
 	CheckInterval int
 }
 
@@ -369,6 +369,9 @@ func prepare(st *store.Store, plan *optimizer.Plan, opts *Options, from, to int)
 	if opts.Context != nil && opts.Context.Err() != nil {
 		// Dead on arrival: don't start workers for an expired context.
 		return nil, governance.CtxError(opts.Context)
+	}
+	if opts.CheckInterval == 0 {
+		opts.CheckInterval = governance.IntervalForEstimate(plan.EstResultRows())
 	}
 	cfg := opts.governanceConfig()
 	x := &execution{

@@ -12,7 +12,6 @@ import (
 	"parj/internal/cluster"
 	"parj/internal/core"
 	"parj/internal/live"
-	"parj/internal/optimizer"
 	"parj/internal/rdf"
 	"parj/internal/reference"
 	"parj/internal/remote"
@@ -304,12 +303,11 @@ func (e *clusterWriteEngine) Evaluate(q *sparql.Query) ([][]string, error) {
 		return nil, err
 	}
 	v := e.mirror.View()
-	st := v.Store()
-	plan, err := optimizer.OptimizeExpanded(q, st, v.Stats(), nil)
+	plan, err := v.Plan(q, false)
 	if err != nil {
 		return nil, err
 	}
-	return (&core.Result{Plan: plan, Rows: res.Rows}).StringRows(st), nil
+	return (&core.Result{Plan: plan, Rows: res.Rows}).StringRows(v.Store()), nil
 }
 
 func (e *clusterWriteEngine) Close() {

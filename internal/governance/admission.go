@@ -242,17 +242,6 @@ func (l *AdaptiveLimiter) InFlight() int {
 	return len(l.slots)
 }
 
-// Saturated reports whether every slot is taken right now — the
-// precondition for refusing work on the queue-delay estimate. While a
-// slot is free the estimate is stale by definition (an arrival would be
-// admitted with zero sojourn), so estimate-based refusals must not fire.
-func (l *AdaptiveLimiter) Saturated() bool {
-	if l == nil {
-		return false
-	}
-	return len(l.slots) == cap(l.slots)
-}
-
 // QueueDelayEstimate reports the smoothed admission-queue sojourn time —
 // the signal deadline refusal and load-aware routing read.
 func (l *AdaptiveLimiter) QueueDelayEstimate() time.Duration {

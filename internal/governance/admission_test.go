@@ -144,8 +144,8 @@ func TestAdaptiveLimiterDeadlineRefusal(t *testing.T) {
 	if est := l.QueueDelayEstimate(); est < 5*time.Millisecond {
 		t.Fatalf("estimate = %v after a 50ms sojourn, want a two-digit-ms figure", est)
 	}
-	if !l.Saturated() {
-		t.Fatal("slot is held, limiter should report saturated")
+	if l.InFlight() != 1 {
+		t.Fatal("slot is held, limiter should be saturated")
 	}
 
 	// Saturated + budget below estimate: refused on arrival.
@@ -205,8 +205,8 @@ func TestAdaptiveLimiterEstimateCannotLatch(t *testing.T) {
 	}
 	l.Release() // both slots back; limiter idle, estimate ~150ms
 
-	if l.Saturated() {
-		t.Fatal("limiter is idle, must not report saturated")
+	if l.InFlight() != 0 {
+		t.Fatal("limiter is idle, must not be saturated")
 	}
 	est := l.QueueDelayEstimate()
 	if est <= 10*time.Millisecond {

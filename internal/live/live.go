@@ -33,6 +33,10 @@
 //     their pinned views alive through the garbage collector — the same
 //     pattern internal/cluster/topology.go uses for routing epochs.
 //
+// View.Plan and View.Query are the plan and run steps every front door (the
+// root Store and Prepared, a node's /query and /exec) takes on the one view
+// it pinned.
+//
 // The dictionaries are shared across all epochs and append-only: IDs are
 // stable forever, so a snapshot, a replica replay, or an old view can never
 // see a term's ID change under it.
@@ -44,8 +48,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"parj/internal/core"
+	"parj/internal/optimizer"
 	"parj/internal/rdf"
 	"parj/internal/rdfs"
+	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
 	"parj/internal/wal"
@@ -113,6 +120,47 @@ func (v *View) Stats() *stats.Stats {
 func (v *View) Hierarchy() *rdfs.Hierarchy {
 	v.hierOnce.Do(func() { v.hier = rdfs.New(v.Store(), "", "", "") })
 	return v.hier
+}
+
+// Plan optimizes the parsed query q against this view's store and
+// statistics, expanding patterns through Hierarchy under entailment. Run the
+// plan on this same view (Query) so constants, statistics and the executed
+// tables agree however many writes land meanwhile.
+func (v *View) Plan(q *sparql.Query, entail bool) (*optimizer.Plan, error) {
+	var x optimizer.Expander
+	if entail {
+		x = v.Hierarchy()
+	}
+	return optimizer.OptimizeExpanded(q, v.Store(), v.Stats(), x)
+}
+
+// Query runs plan, made by Plan on this view, over the full shard range and
+// decodes its rows unless opts.Silent. ORDER BY and OFFSET need the whole
+// decoded result, so such a query runs an un-limited, materialized copy of
+// plan (a prepared plan is shared) and applies q's solution modifiers; the
+// returned Count is then what is left of the rows, and Result.Rows holds
+// them before the modifiers. A failed execution that had started returns
+// its partial Result beside the error, but never rows.
+func (v *View) Query(q *sparql.Query, plan *optimizer.Plan, opts core.Options) (*core.Result, [][]string, error) {
+	st, silent := v.Store(), opts.Silent
+	if q.Buffered() {
+		unlimited := *plan
+		unlimited.Limit = 0
+		plan, opts.Silent = &unlimited, false
+	}
+	res, err := core.Execute(st, plan, opts)
+	if err != nil || opts.Silent {
+		return res, nil, err
+	}
+	rows := res.StringRows(st)
+	if q.Buffered() {
+		rows = q.Modifiers(res.Vars, rows)
+		res.Count = int64(len(rows))
+	}
+	if silent {
+		rows = nil
+	}
+	return res, rows, nil
 }
 
 // Base returns the epoch's base store without materializing the overlay.

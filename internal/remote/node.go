@@ -18,7 +18,6 @@ import (
 	"parj/internal/live"
 	"parj/internal/optimizer"
 	"parj/internal/rdf"
-	"parj/internal/resilience"
 	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
@@ -49,23 +48,21 @@ type Node struct {
 	draining atomic.Bool
 
 	// admit sheds load when too many /query and /exec requests execute at
-	// once; it is also the source of the queue-delay estimate for
-	// expired-on-arrival refusal and /statz. nil admits everything.
+	// once, refuses a request whose deadline cannot outlast the queue, and
+	// counts both outcomes for /statz. nil admits (and counts) nothing.
 	admit *governance.AdaptiveLimiter
 	// pool is the memory budget those requests share; nil = unlimited.
 	pool *governance.Pool
 	// defaults are the per-request settings of /query.
 	defaults QueryDefaults
 
-	// Cumulative /statz counters. totals is guarded by statMu; the plain
-	// counters are atomic so the hot path never takes the lock.
-	queries    atomic.Int64
-	rejections atomic.Int64
-	sheds      atomic.Int64
-	expired    atomic.Int64
-	failures   atomic.Int64
-	statMu     sync.Mutex
-	totals     SchedTotals
+	// Cumulative /statz counters beside admit's. totals is guarded by
+	// statMu; the plain counters are atomic so the hot path never takes the
+	// lock.
+	queries  atomic.Int64
+	failures atomic.Int64
+	statMu   sync.Mutex
+	totals   SchedTotals
 
 	// ExecStarted, when non-nil, runs at the start of every /exec request
 	// — chaos tests use it to trigger faults mid-query. Never set in
@@ -88,9 +85,6 @@ type NodeOptions struct {
 	AdmissionTarget time.Duration
 	// AdmissionInterval is the admission controller's window (0 = default).
 	AdmissionInterval time.Duration
-	// Clock injects time for the admission controller (tests drive a
-	// FakeClock); nil = wall clock.
-	Clock resilience.Clock
 	// SharedMemoryBudget bounds the bytes of materialized result rows
 	// across ALL concurrently executing requests, on top of each request's
 	// own budget (0 = unlimited).
@@ -136,7 +130,6 @@ func NewNodeHandle(h *live.Handle, opts NodeOptions) *Node {
 			MaxWait:       opts.AdmissionWait,
 			Target:        opts.AdmissionTarget,
 			Interval:      opts.AdmissionInterval,
-			Clock:         opts.Clock,
 		}),
 		pool:     governance.NewPool(opts.SharedMemoryBudget),
 		defaults: opts.Query,
@@ -219,9 +212,9 @@ func (n *Node) Statz() *StatzResponse {
 		Triples:          v.ApproxTriples(),
 		InFlight:         astats.InFlight,
 		Queries:          n.queries.Load(),
-		Rejections:       n.rejections.Load(),
-		Sheds:            n.sheds.Load(),
-		Expired:          n.expired.Load(),
+		Rejections:       astats.Sheds + astats.Expired,
+		Sheds:            astats.Sheds,
+		Expired:          astats.Expired,
 		QueueDelayMS:     float64(astats.QueueDelay) / float64(time.Millisecond),
 		Shedding:         astats.Shedding,
 		Failures:         n.failures.Load(),
@@ -389,10 +382,13 @@ func querySource(r *http.Request) (string, error) {
 }
 
 // serve runs eval under the request path /query and /exec share: the
-// node-side deadline, expired-on-arrival refusal, admission, the /statz
-// counters and the error-to-status mapping. timeout is the request's own
-// limit, clientBudget the remaining client deadline a coordinator
-// propagated; 0 means none for either.
+// node-side deadline, admission, the /statz counters and the error-to-status
+// mapping. timeout is the request's own limit, clientBudget the remaining
+// client deadline a coordinator propagated; 0 means none for either. A
+// request whose deadline is below the admission queue-delay estimate while
+// every slot is taken cannot finish here: Acquire refuses it with
+// ErrDeadlineExceeded before it takes a slot, so the coordinator's attempt
+// fails fast (non-retryable) instead of timing out in the queue.
 func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudget time.Duration, eval func(context.Context) (any, error)) {
 	ctx := r.Context()
 	// Effective node-side deadline: the smaller of the two.
@@ -400,35 +396,12 @@ func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudg
 	if clientBudget > 0 && (budget == 0 || clientBudget < budget) {
 		budget = clientBudget
 	}
-	// Expired-on-arrival refusal: a propagated budget already at or below
-	// the admission queue-delay estimate cannot finish here — refuse it
-	// before it takes a slot, so the coordinator's attempt fails fast as a
-	// deadline (non-retryable) instead of timing out in the queue. Only
-	// while saturated: with a free slot the estimate is stale and refusing
-	// on it could latch every small-budget client out of an idle node.
-	if clientBudget > 0 && n.admit.Saturated() {
-		if est := n.admit.QueueDelayEstimate(); est > 0 && budget <= est {
-			n.rejections.Add(1)
-			n.expired.Add(1)
-			writeError(w, http.StatusGatewayTimeout, KindDeadline, fmt.Errorf(
-				"%w: deadline budget %v at or below queue-delay estimate %v on arrival",
-				governance.ErrDeadlineExceeded, budget, est))
-			return
-		}
-	}
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	if err := n.admit.Acquire(ctx); err != nil {
-		n.rejections.Add(1)
-		switch {
-		case errors.Is(err, governance.ErrOverloaded):
-			n.sheds.Add(1)
-		case errors.Is(err, governance.ErrDeadlineExceeded), errors.Is(err, governance.ErrCanceled):
-			n.expired.Add(1)
-		}
 		status, kind := statusKind(err)
 		writeError(w, status, kind, err)
 		return
@@ -446,44 +419,32 @@ func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudg
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// plan parses src and optimizes it against one pinned epoch view: plan,
-// statistics and the executed tables must agree even while writes land
-// concurrently, so the caller executes on the store returned here.
-func (n *Node) plan(src string, entailment bool) (*sparql.Query, *optimizer.Plan, *store.Store, error) {
+// plan parses src and optimizes it on the current epoch view, the view the
+// caller must then run the plan on: plan, statistics and the executed
+// tables agree even while writes land concurrently.
+func (n *Node) plan(src string, entailment bool) (*sparql.Query, *live.View, *optimizer.Plan, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, nil, nil, &parseError{err}
 	}
 	v := n.h.View()
-	var x optimizer.Expander
-	if entailment {
-		x = v.Hierarchy()
-	}
-	plan, err := optimizer.OptimizeExpanded(q, v.Store(), v.Stats(), x)
+	plan, err := v.Plan(q, entailment)
 	if err != nil {
 		return nil, nil, nil, &planError{err}
 	}
-	return q, plan, v.Store(), nil
+	return q, v, plan, nil
 }
 
-// execute runs shards [from, to) of plan and folds the scheduler activity
-// into the /statz totals.
-func (n *Node) execute(st *store.Store, plan *optimizer.Plan, opts core.Options, from, to int) (*core.Result, error) {
-	opts.MemPool = n.pool
-	opts.CheckInterval = governance.IntervalForEstimate(plan.EstResultRows())
-	res, err := core.ExecuteShardRange(st, plan, opts, from, to)
-	if err != nil {
-		return nil, err
-	}
+// account folds one execution's scheduler activity into the /statz totals.
+func (n *Node) account(res *core.Result) {
 	n.statMu.Lock()
 	n.totals.Add(res.Sched)
 	n.statMu.Unlock()
-	return res, nil
 }
 
 // exec evaluates one shard range; rows stay dictionary-encoded.
 func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error) {
-	q, plan, st, err := n.plan(req.Query, req.Entailment)
+	q, v, plan, err := n.plan(req.Query, req.Entailment)
 	if err != nil {
 		return nil, err
 	}
@@ -493,17 +454,19 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 	if q.Buffered() {
 		return nil, &planError{errors.New("ORDER BY and OFFSET need the whole decoded result; a shard range cannot serve them (use " + QueryPath + ")")}
 	}
-	res, err := n.execute(st, plan, core.Options{
+	res, err := core.ExecuteShardRange(v.Store(), plan, core.Options{
 		Threads:       req.TotalShards,
 		Strategy:      core.Strategy(req.Strategy),
 		Silent:        req.Silent,
 		Context:       ctx,
 		MaxResultRows: req.MaxResultRows,
 		MemoryBudget:  req.MemoryBudget,
+		MemPool:       n.pool,
 	}, req.ShardFrom, req.ShardTo)
 	if err != nil {
 		return nil, err
 	}
+	n.account(res)
 	out := &ExecResponse{Count: res.Count, Vars: res.Vars, Stats: res.Stats, Sched: res.Sched}
 	if !req.Silent {
 		// DISTINCT materializes rows even under Silent inside core, but
@@ -514,42 +477,28 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 	return out, nil
 }
 
-// query evaluates src over the full shard range and decodes the rows.
+// query evaluates src over the full shard range on one pinned view and
+// decodes the rows, solution modifiers included.
 func (n *Node) query(ctx context.Context, src string, silent bool) (*QueryResponse, error) {
 	start := time.Now()
-	q, plan, st, err := n.plan(src, false)
+	q, v, plan, err := n.plan(src, false)
 	if err != nil {
 		return nil, err
 	}
-	buffered := q.Buffered()
-	if buffered {
-		// ORDER BY and OFFSET need the full, materialized result: the
-		// engine must not truncate early, and rows must exist to sort.
-		plan.Limit = 0
-	}
-	res, err := n.execute(st, plan, core.Options{
+	res, rows, err := v.Query(q, plan, core.Options{
 		Threads:       n.defaults.Threads,
-		Silent:        silent && !buffered,
+		Silent:        silent,
 		Context:       ctx,
 		MaxResultRows: n.defaults.MaxResultRows,
 		MemoryBudget:  n.defaults.MemoryBudget,
-	}, 0, -1)
+		MemPool:       n.pool,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryResponse{Vars: res.Vars, Count: res.Count}
-	var rows [][]string
-	if buffered {
-		rows = q.Modifiers(res.Vars, res.StringRows(st))
-		out.Count = int64(len(rows))
-	} else if !silent {
-		rows = res.StringRows(st)
-	}
-	if !silent {
-		out.Rows = rows
-	}
-	out.Took = time.Since(start).Round(time.Microsecond).String()
-	return out, nil
+	n.account(res)
+	return &QueryResponse{Vars: res.Vars, Rows: rows, Count: res.Count,
+		Took: time.Since(start).Round(time.Microsecond).String()}, nil
 }
 
 // parseError / planError tag deterministic 400-class failures.

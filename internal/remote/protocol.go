@@ -208,14 +208,14 @@ type StatzResponse struct {
 	InFlight int `json:"in_flight"`
 	// Queries counts requests admitted since start.
 	Queries int64 `json:"queries"`
-	// Rejections counts requests shed by admission control.
+	// Rejections counts requests admission control refused: Sheds +
+	// Expired.
 	Rejections int64 `json:"rejections"`
-	// Sheds counts requests rejected with overload (a subset of
-	// Rejections; the rest are deadline/cancel refusals).
+	// Sheds counts requests rejected with overload.
 	Sheds int64 `json:"sheds"`
-	// Expired counts requests refused because their propagated deadline
-	// budget was already spent (or below the queue-delay estimate) on
-	// arrival, or expired while queued for admission.
+	// Expired counts requests refused because their deadline was already
+	// spent (or below the queue-delay estimate while saturated) on arrival,
+	// or expired while queued for admission.
 	Expired int64 `json:"expired"`
 	// QueueDelayMS is the admission controller's current sojourn-time
 	// estimate in milliseconds. This is the load signal the coordinator's

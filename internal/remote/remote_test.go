@@ -580,6 +580,102 @@ func TestQueryAndExecShareGovernance(t *testing.T) {
 	}
 }
 
+// TestNodeRefusesExpiredOnArrival: while the only slot is taken and the
+// admission queue-delay estimate exceeds a request's deadline, the node
+// refuses the request with 504 KindDeadline before it takes a slot — /exec
+// under a propagated client budget and /query under the node's own timeout
+// alike — and /statz counts both under expired.
+func TestNodeRefusesExpiredOnArrival(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	_, c, stop := testNode(t, NodeOptions{
+		MaxConcurrent:   1,
+		AdmissionWait:   10 * time.Second,
+		AdmissionTarget: 10 * time.Second, // never shed early
+		Query:           QueryDefaults{Timeout: time.Millisecond},
+	})
+	defer stop()
+	defer c.Close()
+
+	const join = `SELECT ?x ?z WHERE { ?x <p> ?y . ?y <p> ?z }`
+	execJoin := func() error {
+		_, err := c.Exec(context.Background(), &ExecRequest{Query: join, TotalShards: 1, ShardTo: 1, Silent: true})
+		return err
+	}
+	// hold admits an /exec that parks on its first key probe, holding the
+	// only slot until unpark.
+	hold := func() (unpark func(), done chan error) {
+		entered, gate := make(chan struct{}), make(chan struct{})
+		var parked atomic.Bool
+		t.Cleanup(core.SetProbeFaultHook(func() {
+			if parked.CompareAndSwap(false, true) {
+				close(entered)
+				<-gate
+			}
+		}))
+		done = make(chan error, 1)
+		go func() { done <- execJoin() }()
+		<-entered
+		return func() { close(gate) }, done
+	}
+	statz := func() *StatzResponse {
+		sz, err := c.Statz(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sz
+	}
+
+	// Latch the estimate: a request queued 300 ms behind the parked one is
+	// admitted with that sojourn.
+	unpark, done := hold()
+	queued := make(chan error, 1)
+	go func() { queued <- execJoin() }()
+	time.Sleep(300 * time.Millisecond)
+	unpark()
+	if err, qerr := <-done, <-queued; err != nil || qerr != nil {
+		t.Fatalf("latching the estimate: held %v, queued %v", err, qerr)
+	}
+	unpark, done = hold()
+	defer func() {
+		unpark()
+		if err := <-done; err != nil {
+			t.Errorf("slot holder: %v", err)
+		}
+	}()
+	before := statz()
+	if before.QueueDelayMS <= 50 {
+		t.Fatalf("queue-delay estimate %.1f ms, want above 50 ms", before.QueueDelayMS)
+	}
+
+	body, _ := json.Marshal(ExecRequest{Query: join, TotalShards: 1, ShardTo: 1, Silent: true, DeadlineBudgetMS: 1})
+	execResp, err := http.Post(c.Endpoint()+ExecPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queryResp, err := http.Get(c.Endpoint() + QueryPath + "?silent=1&query=" + url.QueryEscape(join))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, resp := range map[string]*http.Response{ExecPath: execResp, QueryPath: queryResp} {
+		var er ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusGatewayTimeout || er.Kind != KindDeadline {
+			t.Errorf("%s with a deadline below the estimate = %d %+v (%v), want 504 %s", path, resp.StatusCode, er, err, KindDeadline)
+		}
+	}
+
+	after := statz()
+	if after.Expired != before.Expired+2 || after.Rejections != after.Sheds+after.Expired || after.Sheds != before.Sheds {
+		t.Errorf("statz expired %d -> %d, sheds %d -> %d, rejections %d; want expired +2, no sheds, rejections = sheds + expired",
+			before.Expired, after.Expired, before.Sheds, after.Sheds, after.Rejections)
+	}
+	if after.Queries != before.Queries || after.InFlight != 1 {
+		t.Errorf("statz queries %d -> %d, in flight %d: a refused request must never run", before.Queries, after.Queries, after.InFlight)
+	}
+	http.DefaultClient.CloseIdleConnections()
+}
+
 // TestNodeWriteSeq: one /write handler serves the unsequenced client (seq
 // omitted = next) and the coordinator's sequenced stream (replay is a
 // no-op, a gap is a typed 409).

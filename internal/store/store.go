@@ -14,8 +14,11 @@ package store
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"parj/internal/dict"
@@ -382,6 +385,38 @@ func LoadTriples(triples []rdf.Triple, opts BuildOptions) *Store {
 		b.AddTriple(t)
 	}
 	return b.Build(opts)
+}
+
+// LoadNTriples streams an N-Triples document through a Builder, so the
+// parsed triples are never held beside the dictionary-encoded ones.
+func LoadNTriples(r io.Reader, opts BuildOptions) (*Store, error) {
+	b := NewBuilder()
+	rd := rdf.NewReader(r)
+	for {
+		t, err := rd.Read()
+		if err == io.EOF {
+			return b.Build(opts), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		b.AddTriple(t)
+	}
+}
+
+// LoadFile loads a file by name: a ".snapshot" file with LoadSnapshot (opts
+// do not apply: a snapshot keeps the tables it was saved with), anything
+// else as N-Triples with LoadNTriples.
+func LoadFile(path string, opts BuildOptions) (*Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".snapshot") {
+		return LoadSnapshot(f)
+	}
+	return LoadNTriples(f, opts)
 }
 
 // String summarizes the store for logs.

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"parj/internal/rdf"
 	"parj/internal/search"
 	"parj/internal/sparql"
-	"parj/internal/stats"
 	"parj/internal/store"
 	"parj/internal/wal"
 )
@@ -232,11 +230,9 @@ func (o *QueryOptions) execContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, o.Timeout)
 }
 
-// execOptions assembles the engine options for one execution of plan. The
-// optimizer's cardinality estimate tunes how often workers check for
-// cancellation: plans expected to run long are checked more often. pool is
-// the store's shared memory budget (nil when off).
-func (o *QueryOptions) execOptions(ctx context.Context, plan *optimizer.Plan, pool *governance.Pool) core.Options {
+// coreOptions assembles the engine options of one execution under ctx.
+// pool is the store's shared memory budget (nil when off).
+func (o *QueryOptions) coreOptions(ctx context.Context, pool *governance.Pool) core.Options {
 	return core.Options{
 		Threads:       o.Threads,
 		Strategy:      o.Strategy,
@@ -246,7 +242,6 @@ func (o *QueryOptions) execOptions(ctx context.Context, plan *optimizer.Plan, po
 		MaxResultRows: o.MaxResultRows,
 		MemoryBudget:  o.MemoryBudget,
 		MemPool:       pool,
-		CheckInterval: governance.IntervalForEstimate(plan.EstResultRows()),
 	}
 }
 
@@ -306,19 +301,11 @@ func (s *Store) InFlightQueries() int { return s.limiter.InFlight() }
 
 // AdmissionStats is a snapshot of the store's admission and shared-memory
 // counters — what parj-server surfaces on /statz so the shedding behavior
-// is operator-visible.
+// is operator-visible. The admission controller's counters (InFlight,
+// Admitted, Sheds, Expired, QueueDelay, Shedding) are promoted from the
+// embedded snapshot; they count since the controller was configured.
 type AdmissionStats struct {
-	// InFlight is the number of currently executing queries.
-	InFlight int
-	// Admitted/Sheds/Expired count admission outcomes since the controller
-	// was configured.
-	Admitted int64
-	Sheds    int64
-	Expired  int64
-	// QueueDelay is the controller's queue sojourn-time estimate.
-	QueueDelay time.Duration
-	// Shedding reports whether the controller is currently in shed mode.
-	Shedding bool
+	governance.AdmissionStats
 	// PoolUsed/PoolCapacity report the shared memory budget (0 when off).
 	PoolUsed     int64
 	PoolCapacity int64
@@ -326,29 +313,22 @@ type AdmissionStats struct {
 
 // AdmissionStats snapshots the store's admission counters.
 func (s *Store) AdmissionStats() AdmissionStats {
-	a := s.limiter.Stats()
 	return AdmissionStats{
-		InFlight:     a.InFlight,
-		Admitted:     a.Admitted,
-		Sheds:        a.Sheds,
-		Expired:      a.Expired,
-		QueueDelay:   a.QueueDelay,
-		Shedding:     a.Shedding,
-		PoolUsed:     s.memPool.Used(),
-		PoolCapacity: s.memPool.Capacity(),
+		AdmissionStats: s.limiter.Stats(),
+		PoolUsed:       s.memPool.Used(),
+		PoolCapacity:   s.memPool.Capacity(),
 	}
 }
 
 // admit reserves an execution slot, shedding with ErrOverloaded when the
 // store stays saturated longer than the admission wait (or only the
-// admission target, once the controller is in shed mode). The caller must
-// call the returned release exactly once; on error there is nothing to
-// release.
-func (s *Store) admit(ctx context.Context) (release func(), err error) {
+// admission target, once the controller is in shed mode). After a nil error
+// the caller must call s.limiter.Release exactly once.
+func (s *Store) admit(ctx context.Context) error {
 	if err := s.limiter.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("parj: %w", err)
+		return fmt.Errorf("parj: %w", err)
 	}
-	return s.limiter.Release, nil
+	return nil
 }
 
 // Builder accumulates triples for a Store.
@@ -371,42 +351,38 @@ func (b *Builder) Add(subject, predicate, object string) {
 // Build freezes the builder into a Store. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() *Store {
-	bo := b.opts.buildOptions()
-	st := b.b.Build(bo)
-	s := &Store{live: live.New(st, stats.New(st), bo)}
-	s.applyDB(b.opts.DB)
-	return s
+	return newStore(b.b.Build(b.opts.buildOptions()), b.opts)
 }
 
 // Load reads an N-Triples document and builds a Store.
 func Load(r io.Reader, opts LoadOptions) (*Store, error) {
-	b := NewBuilder(opts)
-	rd := rdf.NewReader(r)
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.b.AddTriple(t)
-	}
-	return b.Build(), nil
-}
-
-// LoadFile reads an N-Triples file (or a .snapshot file written by
-// SaveSnapshotFile) and builds a Store.
-func LoadFile(path string, opts LoadOptions) (*Store, error) {
-	if strings.HasSuffix(path, ".snapshot") {
-		return LoadSnapshotFile(path)
-	}
-	f, err := os.Open(path)
+	st, err := store.LoadNTriples(r, opts.buildOptions())
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f, opts)
+	return newStore(st, opts), nil
+}
+
+// LoadFile reads an N-Triples file (or a .snapshot file written by
+// SaveSnapshotFile, which keeps the tables it was saved with) and builds a
+// Store governed by opts.DB.
+func LoadFile(path string, opts LoadOptions) (*Store, error) {
+	st, err := store.LoadFile(path, opts.buildOptions())
+	if err != nil {
+		return nil, err
+	}
+	return newStore(st, opts), nil
+}
+
+// newStore wraps a loaded store under opts.DB. The tables of predicates a
+// later write introduces get an ID-to-Position index when the store's tables
+// have one or opts asks for it.
+func newStore(st *store.Store, opts LoadOptions) *Store {
+	bo := store.InferBuildOptions(st)
+	bo.BuildPosIndex = bo.BuildPosIndex || opts.PosIndex
+	s := &Store{live: live.New(st, nil, bo)}
+	s.applyDB(opts.DB)
+	return s
 }
 
 // SaveSnapshot writes a binary snapshot of the store that LoadSnapshot can
@@ -436,9 +412,7 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{live: live.New(st, stats.New(st), store.InferBuildOptions(st))}
-	s.applyDB(DBOptions{})
-	return s, nil
+	return newStore(st, LoadOptions{}), nil
 }
 
 // LoadSnapshotFile reloads a store from a snapshot file.
@@ -550,75 +524,37 @@ func (s *Store) PredicateInfos() []PredicateInfo {
 // non-nil and carries partial progress — the count of rows produced so far
 // and the probe statistics — but never partial rows.
 func (s *Store) Query(src string, opts QueryOptions) (*Results, error) {
+	return s.run(opts, func() (*sparql.Query, *live.View, *optimizer.Plan, error) {
+		return s.plan(src, opts.Entailment)
+	})
+}
+
+// run admits one query, then plans it with plan, which pins one epoch view
+// for planning AND execution — constants resolved against its
+// dictionary-visible state, statistics, and the executed tables all agree,
+// however many writes land meanwhile — and runs it on that view: the path
+// Store.Query and Prepared.Query share. A failed execution that had started
+// still reports its partial progress beside the error.
+func (s *Store) run(opts QueryOptions, plan func() (*sparql.Query, *live.View, *optimizer.Plan, error)) (*Results, error) {
 	ctx, cancel := opts.execContext()
 	defer cancel()
-	release, err := s.admit(ctx)
+	if err := s.admit(ctx); err != nil {
+		return nil, err
+	}
+	defer s.limiter.Release()
+
+	q, v, p, err := plan()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-
-	q, err := parse(src)
-	if err != nil {
-		return nil, err
-	}
-	// Pin one epoch view for planning AND execution: constants resolved
-	// against its dictionary-visible state, statistics, and the executed
-	// tables all agree, however many writes land meanwhile.
-	v := s.live.View()
-	plan, err := planView(v, q, opts.Entailment)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(ctx, v.Store(), q, plan, opts)
-}
-
-// run executes plan on the pinned store and decodes the outcome: the tail
-// Store.Query and Prepared.Query share.
-func (s *Store) run(ctx context.Context, st *store.Store, q *sparql.Query, plan *optimizer.Plan, opts QueryOptions) (*Results, error) {
-	execOpts := opts.execOptions(ctx, plan, s.memPool)
-	if q.Buffered() {
-		return buffered(st, q, plan, execOpts, opts.Silent)
-	}
-	res, err := core.Execute(st, plan, execOpts)
-	out, err := results(res, err)
-	if err == nil && !opts.Silent {
-		out.Rows = res.StringRows(st)
-	}
-	return out, err
-}
-
-// buffered runs a query with ORDER BY or OFFSET. Both need the full,
-// materialized result: the engine must not truncate early, and rows must
-// be decoded to sort by term. plan may be a Prepared's shared plan, so the
-// un-limited plan is a copy.
-func buffered(st *store.Store, q *sparql.Query, plan *optimizer.Plan, execOpts core.Options, silent bool) (*Results, error) {
-	unlimited := *plan
-	unlimited.Limit = 0
-	execOpts.Silent = false
-	res, err := core.Execute(st, &unlimited, execOpts)
-	out, err := results(res, err)
-	if err != nil {
-		return out, err
-	}
-	rows := q.Modifiers(res.Vars, res.StringRows(st))
-	out.Count = int64(len(rows))
-	if !silent {
-		out.Rows = rows
-	}
-	return out, nil
-}
-
-// results wraps an engine outcome: a failed execution that had started
-// still reports its partial progress beside the error.
-func results(res *core.Result, err error) (*Results, error) {
+	res, rows, err := v.Query(q, p, opts.coreOptions(ctx, s.memPool))
 	if err != nil {
 		err = fmt.Errorf("parj: %w", err)
 	}
 	if res == nil {
 		return nil, err
 	}
-	return &Results{Vars: res.Vars, Count: res.Count, ProbeStats: res.Stats}, err
+	return &Results{Vars: res.Vars, Rows: rows, Count: res.Count, ProbeStats: res.Stats}, err
 }
 
 // errStreamBuffered rejects streaming of queries whose semantics need the
@@ -634,36 +570,21 @@ var errStreamBuffered = errors.New("parj: QueryStream does not support DISTINCT,
 func (s *Store) QueryStream(src string, opts QueryOptions, fn func(row []string) bool) (int64, error) {
 	ctx, cancel := opts.execContext()
 	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
+	if err := s.admit(ctx); err != nil {
 		return 0, err
 	}
-	defer release()
+	defer s.limiter.Release()
 
-	q, err := parse(src)
+	q, v, plan, err := s.plan(src, opts.Entailment)
 	if err != nil {
 		return 0, err
 	}
 	if q.Distinct || q.Limit > 0 || q.Buffered() {
 		return 0, errStreamBuffered
 	}
-	v := s.live.View()
-	st := v.Store()
-	plan, err := planView(v, q, opts.Entailment)
-	if err != nil {
-		return 0, err
-	}
-	n, err := core.ExecuteStream(st, plan, opts.execOptions(ctx, plan, s.memPool), func(row []uint32) bool {
-		dec := make([]string, len(row))
-		for i, id := range row {
-			slot := plan.Project[i]
-			if plan.SlotIsPred[slot] {
-				dec[i] = st.Predicates.Decode(id)
-			} else {
-				dec[i] = st.Resources.Decode(id)
-			}
-		}
-		return fn(dec)
+	st, dec := v.Store(), &core.Result{Plan: plan}
+	n, err := core.ExecuteStream(st, plan, opts.coreOptions(ctx, s.memPool), func(row []uint32) bool {
+		return fn(dec.Decode(st, row))
 	})
 	if err != nil {
 		return n, fmt.Errorf("parj: %w", err)
@@ -684,58 +605,41 @@ type Prepared struct {
 	q      *sparql.Query
 	entail bool
 
-	mu      sync.Mutex
-	version uint64
-	plan    *optimizer.Plan
-	st      *store.Store // the view's store the plan was optimized against
+	mu   sync.Mutex
+	v    *live.View // the epoch view plan was optimized on, and runs on
+	plan *optimizer.Plan
 }
 
 // Prepare parses and optimizes src once. Entailment selects
 // hierarchy-aware planning, as in QueryOptions.
 func (s *Store) Prepare(src string, entailment bool) (*Prepared, error) {
-	q, err := parse(src)
+	q, v, plan, err := s.plan(src, entailment)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{s: s, q: q, entail: entailment}
-	if _, _, err := p.current(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &Prepared{s: s, q: q, entail: entailment, v: v, plan: plan}, nil
 }
 
-// current returns a (plan, store) pair consistent with the live epoch,
-// replanning if writes moved it since the last execution.
-func (p *Prepared) current() (*optimizer.Plan, *store.Store, error) {
+// current returns the query, the view it runs on and its plan, replanning
+// on the live epoch if writes moved it since the last execution.
+func (p *Prepared) current() (*sparql.Query, *live.View, *optimizer.Plan, error) {
 	v := p.s.live.View()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.plan == nil || p.version != v.Version() {
-		plan, err := planView(v, p.q, p.entail)
+	if p.v != v {
+		plan, err := v.Plan(p.q, p.entail)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, fmt.Errorf("parj: %w", err)
 		}
-		p.plan, p.st, p.version = plan, v.Store(), v.Version()
+		p.v, p.plan = v, plan
 	}
-	return p.plan, p.st, nil
+	return p.q, p.v, p.plan, nil
 }
 
 // Query executes the prepared plan under the same governance semantics as
 // Store.Query.
 func (p *Prepared) Query(opts QueryOptions) (*Results, error) {
-	ctx, cancel := opts.execContext()
-	defer cancel()
-	release, err := p.s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	plan, st, err := p.current()
-	if err != nil {
-		return nil, err
-	}
-	return p.s.run(ctx, st, p.q, plan, opts)
+	return p.s.run(opts, p.current)
 }
 
 // Count executes the prepared plan in silent mode.
@@ -750,7 +654,7 @@ func (p *Prepared) Count(opts QueryOptions) (int64, error) {
 
 // Explain describes the prepared plan (replanned if the epoch moved).
 func (p *Prepared) Explain() string {
-	plan, _, err := p.current()
+	_, _, plan, err := p.current()
 	if err != nil {
 		return "prepared plan invalid on current epoch: " + err.Error()
 	}
@@ -769,34 +673,24 @@ func (s *Store) Count(src string, opts QueryOptions) (int64, error) {
 
 // Explain returns a human-readable description of the plan chosen for src.
 func (s *Store) Explain(src string) (string, error) {
-	q, err := parse(src)
-	if err != nil {
-		return "", err
-	}
-	plan, err := planView(s.live.View(), q, false)
+	_, _, plan, err := s.plan(src, false)
 	if err != nil {
 		return "", err
 	}
 	return plan.Explain(), nil
 }
 
-func parse(src string) (*sparql.Query, error) {
+// plan parses src and optimizes it on the current epoch view, the view the
+// caller must then run the plan on.
+func (s *Store) plan(src string, entail bool) (*sparql.Query, *live.View, *optimizer.Plan, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("parj: %w", err)
+		return nil, nil, nil, fmt.Errorf("parj: %w", err)
 	}
-	return q, nil
-}
-
-// planView optimizes q against one pinned epoch view.
-func planView(v *live.View, q *sparql.Query, entail bool) (*optimizer.Plan, error) {
-	var x optimizer.Expander
-	if entail {
-		x = v.Hierarchy()
-	}
-	plan, err := optimizer.OptimizeExpanded(q, v.Store(), v.Stats(), x)
+	v := s.live.View()
+	plan, err := v.Plan(q, entail)
 	if err != nil {
-		return nil, fmt.Errorf("parj: %w", err)
+		return nil, nil, nil, fmt.Errorf("parj: %w", err)
 	}
-	return plan, nil
+	return q, v, plan, nil
 }

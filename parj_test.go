@@ -1,6 +1,7 @@
 package parj
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,8 +14,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"parj/internal/core"
 	"parj/internal/remote"
+	"parj/internal/sparql"
 )
 
 func familyStore(t *testing.T, opts LoadOptions) *Store {
@@ -269,93 +273,201 @@ func TestPredicateInfos(t *testing.T) {
 	}
 }
 
-// TestOrderByAndOffset runs every case through the three ways a query is
-// answered with decoded rows — Store.Query, Prepared.Query and the node's
-// /query over the same live handle — and all three must return want.
+// TestOrderByAndOffset runs every case through every front door that answers
+// a whole query — Store.Query, Prepared.Query (re-planned after a write, and
+// four executions at once) and the node's /query over the same live handle —
+// and, where a shard range can serve the query, through two /exec half
+// ranges gathered as a coordinator does. All of them must return want.
 func TestOrderByAndOffset(t *testing.T) {
-	db := familyStore(t, LoadOptions{})
+	b := NewBuilder(LoadOptions{})
+	for _, tr := range [][3]string{
+		{"<alice>", "<knows>", "<bob>"}, {"<bob>", "<knows>", "<carol>"}, {"<carol>", "<knows>", "<dave>"},
+		{"<alice>", "<age>", `"30"`}, {"<bob>", "<age>", `"25"`},
+		// Under entailment, knows facts are related facts too.
+		{"<knows>", "<http://www.w3.org/2000/01/rdf-schema#subPropertyOf>", "<related>"},
+		{"<alice>", "<related>", "<erin>"},
+	} {
+		b.Add(tr[0], tr[1], tr[2])
+	}
+	db := b.Build()
 	srv := httptest.NewServer(remote.NewNodeHandle(db.live, remote.NodeOptions{}).Handler())
 	defer srv.Close()
+	client := remote.NewClient(srv.URL, 5*time.Second)
+	defer client.Close()
 
 	const knows = `SELECT ?x ?y WHERE { ?x <knows> ?y } `
+	const subjects = `SELECT DISTINCT ?x WHERE { ?x ?p ?o } `
 	ab, bc, cd := []string{"<alice>", "<bob>"}, []string{"<bob>", "<carol>"}, []string{"<carol>", "<dave>"}
+	allSubjects := [][]string{{"<alice>"}, {"<bob>"}, {"<carol>"}, {"<knows>"}}
 	cases := []struct {
-		modifiers string
-		want      [][]string
+		src            string
+		silent, entail bool
+		want           [][]string // in order under ORDER BY, as a set otherwise
+		limit          int        // > 0: any limit distinct rows of want
 	}{
-		{"ORDER BY ?x", [][]string{ab, bc, cd}},
-		{"ORDER BY DESC(?x)", [][]string{cd, bc, ab}},
+		{src: knows + "ORDER BY ?x", want: [][]string{ab, bc, cd}},
+		{src: knows + "ORDER BY DESC(?x)", want: [][]string{cd, bc, ab}},
 		// OFFSET skips after ordering; LIMIT caps after the offset.
-		{"ORDER BY ?x LIMIT 1 OFFSET 1", [][]string{bc}},
-		{"ORDER BY DESC(?y) LIMIT 2", [][]string{cd, bc}},
-		{"ORDER BY ?y OFFSET 2", [][]string{cd}},
+		{src: knows + "ORDER BY ?x LIMIT 1 OFFSET 1", want: [][]string{bc}},
+		{src: knows + "ORDER BY DESC(?y) LIMIT 2", want: [][]string{cd, bc}},
+		{src: knows + "ORDER BY ?y OFFSET 2", want: [][]string{cd}},
 		// Offset beyond the result set.
-		{"OFFSET 10", nil},
+		{src: knows + "OFFSET 10"},
+		{src: subjects, want: allSubjects},
+		{src: knows + "LIMIT 2", want: [][]string{ab, bc, cd}, limit: 2},
+		{src: subjects + "LIMIT 2", want: allSubjects, limit: 2},
+		{src: knows, silent: true, want: [][]string{ab, bc, cd}},
+		{src: `SELECT ?x ?y WHERE { ?x <related> ?y }`, entail: true,
+			want: [][]string{ab, bc, cd, {"<alice>", "<erin>"}}},
 	}
 	for _, c := range cases {
-		src := knows + c.modifiers
-		opts := QueryOptions{Threads: 3}
-		paths := map[string]func() ([][]string, int64, error){
-			"Store.Query": func() ([][]string, int64, error) {
-				res, err := db.Query(src, opts)
-				if err != nil {
-					return nil, 0, err
-				}
-				return res.Rows, res.Count, nil
-			},
-			"Prepared.Query": func() ([][]string, int64, error) {
-				p, err := db.Prepare(src, false)
-				if err != nil {
-					return nil, 0, err
-				}
-				// The prepared plan is shared: concurrent executions must
-				// each un-limit their own copy of it.
-				var wg sync.WaitGroup
-				for i := 0; i < 4; i++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if res, err := p.Query(opts); err != nil || int(res.Count) != len(c.want) {
-							t.Errorf("concurrent Prepared.Query %s: %v, %v", c.modifiers, res, err)
-						}
-					}()
-				}
-				defer wg.Wait()
-				res, err := p.Query(opts)
-				if err != nil {
-					return nil, 0, err
-				}
-				return res.Rows, res.Count, nil
-			},
-			"/query": func() ([][]string, int64, error) {
-				resp, err := http.Get(srv.URL + remote.QueryPath + "?query=" + url.QueryEscape(src))
-				if err != nil {
-					return nil, 0, err
-				}
-				defer resp.Body.Close()
-				var out remote.QueryResponse
-				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
-					return nil, 0, fmt.Errorf("status %d, decode %v", resp.StatusCode, err)
-				}
-				return out.Rows, out.Count, nil
-			},
+		q, err := sparql.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, run := range paths {
-			rows, count, err := run()
+		opts := QueryOptions{Threads: 3, Silent: c.silent, Entailment: c.entail}
+		wantCount := int64(len(c.want))
+		if c.limit > 0 {
+			wantCount = int64(c.limit)
+		}
+		check := func(door string, rows [][]string, count int64, err error) {
+			t.Helper()
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, c.modifiers, err)
+				t.Errorf("%s %s: %v", door, c.src, err)
+				return
 			}
-			if len(rows) != len(c.want) || count != int64(len(c.want)) || (len(rows) > 0 && !reflect.DeepEqual(rows, c.want)) {
-				t.Errorf("%s %s: count %d rows %v, want %v", name, c.modifiers, count, rows, c.want)
+			if count != wantCount || (c.silent && rows != nil) || (!c.silent && int64(len(rows)) != wantCount) {
+				t.Errorf("%s %s: count %d rows %v, want %d rows of %v", door, c.src, count, rows, wantCount, c.want)
+				return
+			}
+			if c.silent || len(q.OrderBy) > 0 {
+				if len(rows) > 0 && !reflect.DeepEqual(rows, c.want) {
+					t.Errorf("%s %s: rows %v, want %v", door, c.src, rows, c.want)
+				}
+				return
+			}
+			seen := map[string]bool{}
+			for _, r := range c.want {
+				seen[strings.Join(r, " ")] = false
+			}
+			for _, r := range rows {
+				key := strings.Join(r, " ")
+				if done, ok := seen[key]; !ok || done {
+					t.Errorf("%s %s: row %v repeated or not in %v", door, c.src, r, c.want)
+				}
+				seen[key] = true
 			}
 		}
+
+		rows, count, err := results(db.Query(c.src, opts))
+		check("Store.Query", rows, count, err)
 		// Silent counting applies the same modifiers.
-		if n, err := db.Count(src, opts); err != nil || n != int64(len(c.want)) {
-			t.Errorf("Count %s = %d, %v; want %d", c.modifiers, n, err, len(c.want))
+		if n, err := db.Count(c.src, opts); err != nil || n != wantCount {
+			t.Errorf("Store.Count %s = %d, %v; want %d", c.src, n, err, wantCount)
+		}
+
+		p, err := db.Prepare(c.src, c.entail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, count, err = results(p.Query(opts))
+		check("Prepared.Query", rows, count, err)
+		// A write that changes no answer still moves the epoch: the next
+		// executions re-plan on the new view. The plan is shared, so the
+		// concurrent executions must each un-limit their own copy of it.
+		planned := p.v
+		db.Insert([]Triple{{"<alice>", "<knows>", "<bob>"}})
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rows, count, err := results(p.Query(opts))
+				check("concurrent Prepared.Query", rows, count, err)
+			}()
+		}
+		wg.Wait()
+		if p.v == planned {
+			t.Errorf("Prepared %s did not re-plan after the epoch moved", c.src)
+		}
+
+		if !c.entail { // /query has no entailment switch
+			u := srv.URL + remote.QueryPath + "?query=" + url.QueryEscape(c.src)
+			if c.silent {
+				u += "&silent=1"
+			}
+			rows, count, err = getQuery(u)
+			check("/query", rows, count, err)
+		}
+
+		if !q.Buffered() {
+			rows, count, err = execHalves(db, client, q, c.src, c.silent, c.entail)
+			check("/exec halves", rows, count, err)
 		}
 	}
 	// ORDER BY must reference a projected variable.
 	if _, err := db.Query(`SELECT ?x WHERE { ?x <knows> ?y } ORDER BY ?y`, QueryOptions{}); err == nil {
 		t.Error("ORDER BY on unprojected variable accepted")
 	}
+}
+
+// results unpacks a Query outcome for comparison.
+func results(res *Results, err error) ([][]string, int64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Rows, res.Count, nil
+}
+
+// getQuery answers one query through a node's /query.
+func getQuery(u string) ([][]string, int64, error) {
+	resp, err := http.Get(u)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	var out remote.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		return nil, 0, fmt.Errorf("status %d, decode %v", resp.StatusCode, err)
+	}
+	return out.Rows, out.Count, nil
+}
+
+// execHalves answers q through two /exec half ranges and gathers them as a
+// coordinator does: DISTINCT and LIMIT apply again over the union, and the
+// rows decode against the store's current view.
+func execHalves(db *Store, c *remote.Client, q *sparql.Query, src string, silent, entail bool) ([][]string, int64, error) {
+	wireSilent := silent && !q.Distinct
+	var ids [][]uint32
+	var count int64
+	for s := 0; s < 2; s++ {
+		resp, err := c.Exec(context.Background(), &remote.ExecRequest{
+			Query: src, Entailment: entail, TotalShards: 2, ShardFrom: s, ShardTo: s + 1, Silent: wireSilent,
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		ids, count = append(ids, resp.Rows...), count+resp.Count
+	}
+	if !wireSilent {
+		if q.Distinct {
+			ids = core.DedupRows(ids)
+		}
+		count = int64(len(ids))
+	}
+	if q.Limit > 0 && count > int64(q.Limit) {
+		count = int64(q.Limit)
+		if !wireSilent {
+			ids = ids[:q.Limit]
+		}
+	}
+	if silent {
+		return nil, count, nil
+	}
+	v := db.live.View()
+	plan, err := v.Plan(q, entail)
+	if err != nil {
+		return nil, 0, err
+	}
+	return (&core.Result{Plan: plan, Rows: ids}).StringRows(v.Store()), count, nil
 }

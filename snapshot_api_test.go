@@ -2,8 +2,11 @@ package parj
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"parj/internal/testutil"
 )
 
 func TestSnapshotAPIRoundTrip(t *testing.T) {
@@ -46,6 +49,48 @@ func TestSnapshotFileRoundTripViaLoadFile(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("count = %d, want 3", n)
+	}
+}
+
+// TestLoadFileSnapshotKeepsDB: a snapshot loaded through LoadFile is
+// governed by LoadOptions.DB like any other load — with the only slot held
+// by a parked stream, a second query sheds, and the shared budget is there.
+func TestLoadFileSnapshotKeepsDB(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "family.snapshot")
+	if err := familyStore(t, LoadOptions{}).SaveSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadFile(path, LoadOptions{DB: DBOptions{MaxConcurrentQueries: 1, SharedMemoryBudget: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer testutil.LeakCheck(t)()
+	if got := db.AdmissionStats().PoolCapacity; got != 1<<20 {
+		t.Errorf("shared pool capacity %d, want %d", got, 1<<20)
+	}
+
+	started, unblock, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		opened := false
+		_, err := db.QueryStream(`SELECT ?x ?y WHERE { ?x <knows> ?y }`, QueryOptions{Threads: 1},
+			func([]string) bool {
+				if !opened {
+					opened = true
+					close(started)
+					<-unblock
+				}
+				return true
+			})
+		done <- err
+	}()
+	<-started
+	_, err = db.Count(`SELECT ?x WHERE { ?x <knows> ?y }`, QueryOptions{})
+	close(unblock)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Errorf("second query while the only slot is held = %v, want ErrOverloaded", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("slot-holding stream: %v", err)
 	}
 }
 
