@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"parj/internal/sparql"
@@ -27,20 +29,14 @@ func Optimize(q *sparql.Query, st *store.Store, s *stats.Stats) (*Plan, error) {
 // subclasses, are compiled to union steps over the expanded sets. Passing
 // a nil Expander is equivalent to Optimize.
 func OptimizeExpanded(q *sparql.Query, st *store.Store, s *stats.Stats, x Expander) (*Plan, error) {
-	if err := checkNamespaces(q); err != nil {
+	infos, names := numberVars(q)
+	if err := checkNamespaces(infos, names); err != nil {
 		return nil, err
 	}
 	plan := &Plan{Distinct: q.Distinct, Limit: q.Limit}
-	if q.HasLimit && q.Limit == 0 {
-		// LIMIT 0 is valid SPARQL and yields zero rows.
-		plan.Empty = true
-		finishProjection(plan, q, nil)
-		return plan, nil
-	}
-	infos, ok := lookupConstants(q, st, x)
-	if !ok {
-		plan.Empty = true
-		finishProjection(plan, q, nil)
+	// LIMIT 0 is valid SPARQL and yields zero rows.
+	if (q.HasLimit && q.Limit == 0) || !lookupConstants(infos, st, x) {
+		emptyPlan(plan, q, infos, names)
 		return plan, nil
 	}
 	for i := range infos {
@@ -50,14 +46,14 @@ func OptimizeExpanded(q *sparql.Query, st *store.Store, s *stats.Stats, x Expand
 	var order []int
 	var cost, card float64
 	if len(infos) <= maxDPPatterns {
-		order, cost, card = dpOrder(infos, st, s)
+		order, cost, card = dpOrder(infos, len(names), st, s)
 	} else {
-		order, cost, card = greedyOrder(infos, st, s)
+		order, cost, card = greedyOrder(infos, len(names), st, s)
 	}
 	plan.EstCost, plan.EstCard = cost, card
 
-	buildPatternPlans(plan, q, infos, order, st, s)
-	classifyPlanShape(plan, infos, s)
+	buildPatternPlans(plan, q, infos, names, order, st, s)
+	classifyPlanShape(plan, infos, len(names), s)
 	return plan, nil
 }
 
@@ -115,80 +111,100 @@ func baseCardinality(in *patternInfo, st *store.Store, s *stats.Stats) float64 {
 	return total
 }
 
-// joinState tracks the estimation state of a partial left-deep plan.
+// varState is one variable's estimation state in a partial plan.
+type varState struct {
+	dv        float64      // distinct-value estimate
+	origin    stats.Column // base column the variable was first bound from
+	hasOrigin bool
+	bound     bool
+}
+
+// joinState tracks the estimation state of a partial left-deep plan. Its
+// vars and starPreds are carved from arrays shared by a whole search
+// (newStates), so copying one state into another allocates nothing.
 type joinState struct {
-	order     []int
 	cost      float64
 	card      float64
-	dv        map[string]float64      // distinct-value estimates per bound var
-	origin    map[string]stats.Column // base column a var was first bound from
-	sortedVar string                  // var the tuple stream is sorted on
-	bound     map[string]bool
+	vars      []varState // indexed by variable id
+	sortedVar int        // var the tuple stream is sorted on; -1 if none
 
 	// While the partial plan is a pure subject-star (every pattern has the
 	// same subject variable, a constant predicate and a fresh object
 	// variable), starVar/starPreds track it so cardinalities come from the
 	// characteristic-set statistics, which are exact for such stars — the
-	// estimation upgrade the paper plans in §4.3.
-	starVar   string
+	// estimation upgrade the paper plans in §4.3. starVar is -1 otherwise.
+	starVar   int
 	starPreds []uint32
+
+	// In the DP table, reached marks an entry that holds a state, and a
+	// state links to the one it extends: prev is the mask of the patterns
+	// joined before it, last the pattern it joined. dpOrder rebuilds the
+	// order from these links once the search ends.
+	reached    bool
+	prev, last int
 }
 
-func (st1 *joinState) clone() *joinState {
-	cp := &joinState{
-		order:     append([]int(nil), st1.order...),
-		cost:      st1.cost,
-		card:      st1.card,
-		dv:        make(map[string]float64, len(st1.dv)),
-		origin:    make(map[string]stats.Column, len(st1.origin)),
-		sortedVar: st1.sortedVar,
-		bound:     make(map[string]bool, len(st1.bound)),
-		starVar:   st1.starVar,
-		starPreds: append([]uint32(nil), st1.starPreds...),
+// newStates returns k states, each with room for nvars variables and n
+// star predicates, carved from one array of each.
+func newStates(k, nvars, n int) []joinState {
+	states := make([]joinState, k)
+	vars := make([]varState, k*nvars)
+	preds := make([]uint32, k*n)
+	for i := range states {
+		states[i].vars = vars[i*nvars : (i+1)*nvars : (i+1)*nvars]
+		states[i].starPreds = preds[i*n : i*n : (i+1)*n]
 	}
-	for k, v := range st1.dv {
-		cp.dv[k] = v
-	}
-	for k, v := range st1.origin {
-		cp.origin[k] = v
-	}
-	for k := range st1.bound {
-		cp.bound[k] = true
-	}
-	return cp
+	return states
 }
 
-// startState initializes the estimation state with pattern i as the outer
-// (scanned) relation.
-func startState(infos []patternInfo, i int, st *store.Store, s *stats.Stats) *joinState {
+// copyFrom makes js a copy of src in js's own storage.
+func (js *joinState) copyFrom(src *joinState) {
+	vars, preds := js.vars, js.starPreds
+	*js = *src
+	js.vars = vars
+	copy(js.vars, src.vars)
+	js.starPreds = append(preds[:0], src.starPreds...)
+}
+
+// bind marks variable v bound, first from column origin.
+func (js *joinState) bind(v int, dv float64, origin stats.Column) {
+	js.vars[v] = varState{dv: dv, origin: origin, hasOrigin: true, bound: true}
+}
+
+// startState initializes js with pattern i as the outer (scanned)
+// relation.
+func startState(js *joinState, infos []patternInfo, i int, st *store.Store, s *stats.Stats) {
 	in := &infos[i]
-	js := &joinState{
-		order:  []int{i},
-		cost:   in.baseCard,
-		card:   in.baseCard,
-		dv:     map[string]float64{},
-		origin: map[string]stats.Column{},
-		bound:  map[string]bool{},
+	clear(js.vars)
+	*js = joinState{
+		cost:      in.baseCard,
+		card:      in.baseCard,
+		vars:      js.vars,
+		sortedVar: -1,
+		starVar:   -1,
+		starPreds: js.starPreds[:0],
+		reached:   true,
+		last:      i,
 	}
 	for _, v := range in.vars {
-		js.bound[v] = true
+		js.vars[v].bound = true
 	}
-	if in.predVar != "" {
-		js.dv[in.predVar] = float64(st.NumPredicates())
+	if in.pv >= 0 {
+		js.vars[in.pv].dv = float64(st.NumPredicates())
 	}
 	if !in.predConst {
 		// Per-var stats below need a concrete predicate; with a variable
 		// predicate fall back to coarse totals.
-		if in.sVar != "" {
-			js.dv[in.sVar] = in.baseCard
+		if in.sv >= 0 {
+			js.vars[in.sv].dv = in.baseCard
 		}
-		if in.oVar != "" {
-			js.dv[in.oVar] = in.baseCard
+		if in.ov >= 0 {
+			js.vars[in.ov].dv = in.baseCard
 		}
-		if in.sVar != "" {
-			js.sortedVar = in.sVar
+		if in.sv >= 0 {
+			js.sortedVar = in.sv
 		}
-		return js
+		return
 	}
 	p := in.predID
 	sCol := stats.Column{Pred: p, Subject: true}
@@ -198,54 +214,46 @@ func startState(infos []patternInfo, i int, st *store.Store, s *stats.Stats) *jo
 		// No variables to bind.
 	case in.sConst:
 		// Scan the run of subjects' objects: stream sorted on the object.
-		if in.oVar != "" {
-			js.dv[in.oVar] = math.Min(in.baseCard, float64(s.Distinct(oCol)))
-			js.origin[in.oVar] = oCol
-			js.sortedVar = in.oVar
+		if in.ov >= 0 {
+			js.bind(in.ov, math.Min(in.baseCard, float64(s.Distinct(oCol))), oCol)
+			js.sortedVar = in.ov
 		}
 	case in.oConst:
-		if in.sVar != "" {
-			js.dv[in.sVar] = math.Min(in.baseCard, float64(s.Distinct(sCol)))
-			js.origin[in.sVar] = sCol
-			js.sortedVar = in.sVar
+		if in.sv >= 0 {
+			js.bind(in.sv, math.Min(in.baseCard, float64(s.Distinct(sCol))), sCol)
+			js.sortedVar = in.sv
 		}
 	default:
-		if in.sVar != "" {
-			js.dv[in.sVar] = float64(s.Distinct(sCol))
-			js.origin[in.sVar] = sCol
-			js.sortedVar = in.sVar
+		if in.sv >= 0 {
+			js.bind(in.sv, float64(s.Distinct(sCol)), sCol)
+			js.sortedVar = in.sv
 		}
-		if in.oVar != "" {
-			js.dv[in.oVar] = float64(s.Distinct(oCol))
-			js.origin[in.oVar] = oCol
+		if in.ov >= 0 {
+			js.bind(in.ov, float64(s.Distinct(oCol)), oCol)
 		}
 	}
 	if isStarMember(in) {
-		js.starVar = in.sVar
-		js.starPreds = []uint32{in.predID}
+		js.starVar = in.sv
+		js.starPreds = append(js.starPreds, in.predID)
 	}
-	return js
 }
 
 // isStarMember reports whether a pattern can participate in exact
 // characteristic-set estimation: constant unexpanded predicate, variable
 // subject, fresh variable object distinct from the subject.
 func isStarMember(in *patternInfo) bool {
-	return in.predConst && in.predSet == nil &&
-		in.sVar != "" && !in.sConst &&
-		in.oVar != "" && !in.oConst && in.oVar != in.sVar
+	return in.predConst && in.predSet == nil && in.sv >= 0 && in.ov >= 0 && in.ov != in.sv
 }
 
-// extend returns a new state with pattern j joined onto js, or a cartesian
-// penalty if no variable is shared.
-func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats.Stats) *joinState {
+// extend sets next to js with pattern j joined on, or a cartesian penalty
+// if no variable is shared.
+func extend(next, js *joinState, infos []patternInfo, j int, s *stats.Stats) {
 	in := &infos[j]
-	next := js.clone()
-	next.order = append(next.order, j)
+	next.copyFrom(js)
 
 	shared := false
 	for _, v := range in.vars {
-		if js.bound[v] {
+		if js.vars[v].bound {
 			shared = true
 			break
 		}
@@ -265,55 +273,55 @@ func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats
 		}
 		next.card = out
 		for _, v := range in.vars {
-			if !next.bound[v] {
-				next.bound[v] = true
-				next.dv[v] = out
+			if nv := &next.vars[v]; !nv.bound {
+				nv.bound = true
+				nv.dv = out
 			}
 		}
-		return next
+		return
 	}
 
 	p := in.predID
 	sCol := stats.Column{Pred: p, Subject: true}
 	oCol := stats.Column{Pred: p, Subject: false}
-	sBound := in.sVar != "" && js.bound[in.sVar]
-	oBound := in.oVar != "" && js.bound[in.oVar]
+	sBound := in.sv >= 0 && js.vars[in.sv].bound
+	oBound := in.ov >= 0 && js.vars[in.ov].bound
 
 	// Replica choice mirrors buildPatternPlans: constants first, then
 	// bound variables (more-distinct column preferred), subject default.
 	var keyCol, valCol stats.Column
-	var keyVar, valVar string
+	keyVar, valVar := -1, -1
 	var keyConst, valConst bool
 	var valConstID uint32
 	switch {
 	case in.sConst:
 		keyCol, valCol = sCol, oCol
 		keyConst = true
-		valVar = in.oVar
+		valVar = in.ov
 		if in.oConst {
 			valConst, valConstID = true, in.oID
 		}
 	case in.oConst:
 		keyCol, valCol = oCol, sCol
 		keyConst = true
-		valVar = in.sVar
+		valVar = in.sv
 	case sBound && oBound:
 		if s.Distinct(sCol) >= s.Distinct(oCol) {
 			keyCol, valCol = sCol, oCol
-			keyVar, valVar = in.sVar, in.oVar
+			keyVar, valVar = in.sv, in.ov
 		} else {
 			keyCol, valCol = oCol, sCol
-			keyVar, valVar = in.oVar, in.sVar
+			keyVar, valVar = in.ov, in.sv
 		}
 	case sBound:
 		keyCol, valCol = sCol, oCol
-		keyVar, valVar = in.sVar, in.oVar
+		keyVar, valVar = in.sv, in.ov
 	case oBound:
 		keyCol, valCol = oCol, sCol
-		keyVar, valVar = in.oVar, in.sVar
+		keyVar, valVar = in.ov, in.sv
 	default:
 		keyCol, valCol = sCol, oCol
-		keyVar, valVar = in.sVar, in.oVar
+		keyVar, valVar = in.sv, in.ov
 	}
 
 	nKeys := float64(s.Distinct(keyCol))
@@ -322,21 +330,21 @@ func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats
 	var out float64
 	var probeCost float64
 	switch {
-	case keyConst || !js.bound[keyVar] || keyVar == "":
+	case keyConst || keyVar < 0 || !js.vars[keyVar].bound:
 		// No probe on the key: this is a cartesian-style extension with a
 		// (possibly constant-restricted) base pattern.
 		out = js.card * math.Max(in.baseCard, 0)
 		probeCost = js.card + in.baseCard
 	default:
 		// Probe on bound key variable.
-		if org, ok := js.origin[keyVar]; ok {
-			j := s.PairCardinality(org, keyCol)
-			nOrg := float64(s.Triples(org.Pred))
+		if kv := &js.vars[keyVar]; kv.hasOrigin {
+			j := s.PairCardinality(kv.origin, keyCol)
+			nOrg := float64(s.Triples(kv.origin.Pred))
 			if nOrg > 0 {
 				out = js.card * j / nOrg
 			}
 		} else {
-			dvk := math.Max(js.dv[keyVar], 1)
+			dvk := math.Max(kv.dv, 1)
 			out = js.card * nTriples / math.Max(dvk, nKeys)
 		}
 		logCost := math.Log2(2 + nKeys)
@@ -349,9 +357,9 @@ func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats
 	// Value-side restrictions.
 	if valConst && nTriples > 0 {
 		out *= float64(s.CountExact(valCol, valConstID)) / nTriples
-	} else if valVar != "" && js.bound[valVar] && valVar != keyVar {
-		out /= math.Max(1, math.Max(js.dv[valVar], float64(s.Distinct(valCol))))
-	} else if valVar == keyVar && valVar != "" {
+	} else if valVar >= 0 && js.vars[valVar].bound && valVar != keyVar {
+		out /= math.Max(1, math.Max(js.vars[valVar].dv, float64(s.Distinct(valCol))))
+	} else if valVar == keyVar && valVar >= 0 {
 		// Same variable on both columns (?x p ?x).
 		out /= math.Max(1, nKeys)
 	}
@@ -361,13 +369,13 @@ func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats
 
 	// A star extension (same subject variable, fresh object) gets the
 	// exact characteristic-set cardinality instead of the estimate.
-	if js.starVar != "" && isStarMember(in) && in.sVar == js.starVar && !js.bound[in.oVar] {
-		next.starPreds = append(next.starPreds[:len(js.starPreds):len(js.starPreds)], in.predID)
+	if js.starVar >= 0 && isStarMember(in) && in.sv == js.starVar && !js.vars[in.ov].bound {
+		next.starPreds = append(next.starPreds, in.predID)
 		_, rows := s.CharSets().EstimateStar(next.starPreds)
 		out = rows
 	} else {
-		next.starVar = ""
-		next.starPreds = nil
+		next.starVar = -1
+		next.starPreds = next.starPreds[:0]
 	}
 
 	next.cost += probeCost + out
@@ -378,96 +386,108 @@ func extend(js *joinState, infos []patternInfo, j int, st *store.Store, s *stats
 	next.card = out
 
 	// Update bindings and distinct estimates.
-	if keyVar != "" {
-		if next.bound[keyVar] {
-			next.dv[keyVar] = math.Min(math.Max(js.dv[keyVar], 1), nKeys)
+	if keyVar >= 0 {
+		if next.vars[keyVar].bound {
+			next.vars[keyVar].dv = math.Min(math.Max(js.vars[keyVar].dv, 1), nKeys)
 		} else {
-			next.bound[keyVar] = true
-			next.dv[keyVar] = math.Min(out, nKeys)
-			next.origin[keyVar] = keyCol
+			next.bind(keyVar, math.Min(out, nKeys), keyCol)
 		}
 	}
-	if valVar != "" && valVar != keyVar {
-		if !next.bound[valVar] {
-			next.bound[valVar] = true
-			next.dv[valVar] = math.Min(out, float64(s.Distinct(valCol)))
-			next.origin[valVar] = valCol
-		}
+	if valVar >= 0 && valVar != keyVar && !next.vars[valVar].bound {
+		next.bind(valVar, math.Min(out, float64(s.Distinct(valCol))), valCol)
 	}
-	return next
 }
 
 // dpOrder runs the bottom-up dynamic program over pattern subsets and
 // returns the cheapest left-deep order.
-func dpOrder(infos []patternInfo, st *store.Store, s *stats.Stats) ([]int, float64, float64) {
+func dpOrder(infos []patternInfo, nvars int, st *store.Store, s *stats.Stats) ([]int, float64, float64) {
 	n := len(infos)
-	best := make(map[int]*joinState, 1<<n)
-	for i := 0; i < n; i++ {
-		st1 := startState(infos, i, st, s)
-		mask := 1 << i
-		if cur, ok := best[mask]; !ok || st1.cost < cur.cost {
-			best[mask] = st1
+	full := (1 << n) - 1
+	// uses[j] is the set of variable ids of pattern j; ids stay below
+	// 3·maxDPPatterns, so a set fits a word.
+	uses := make([]uint64, n)
+	for j := range infos {
+		for _, v := range infos[j].vars {
+			uses[j] |= 1 << v
 		}
 	}
-	full := (1 << n) - 1
+	// candidates returns the patterns a plan joining mask extends by. Prefer
+	// connected extensions; fall back to cartesian ones only if none exists
+	// (the cost penalty already disfavors them, this just prunes the
+	// search).
+	candidates := func(mask int) int {
+		var bound uint64
+		for m := mask; m != 0; m &= m - 1 {
+			bound |= uses[bits.TrailingZeros(uint(m))]
+		}
+		connected, others := 0, 0
+		for j := 0; j < n; j++ {
+			switch {
+			case mask&(1<<j) != 0:
+			case uses[j]&bound != 0:
+				connected |= 1 << j
+			default:
+				others |= 1 << j
+			}
+		}
+		if connected == 0 {
+			return others
+		}
+		return connected
+	}
+	// A first sweep finds the masks the search reaches, so that the table
+	// holds states for those alone: at[mask] indexes best, 0 if unreached.
 	// Iterate masks in increasing popcount order by plain numeric order:
 	// any mask's subsets are numerically smaller, so a single ascending
 	// sweep sees every predecessor first.
+	at := make([]int32, full+1)
+	for i := 0; i < n; i++ {
+		at[1<<i] = -1
+	}
+	reached := int32(0)
 	for mask := 1; mask <= full; mask++ {
-		cur, ok := best[mask]
-		if !ok {
+		if at[mask] == 0 {
 			continue
 		}
-		// Prefer connected extensions; fall back to cartesian ones only if
-		// none exists (the cost penalty already disfavors them, this just
-		// prunes the search).
-		var connected []int
-		var others []int
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) != 0 {
-				continue
-			}
-			sharesVar := false
-			for _, v := range infos[j].vars {
-				if cur.bound[v] {
-					sharesVar = true
-					break
-				}
-			}
-			if sharesVar {
-				connected = append(connected, j)
-			} else {
-				others = append(others, j)
-			}
+		reached++
+		at[mask] = reached
+		for c := candidates(mask); c != 0; c &= c - 1 {
+			at[mask|c&-c] = -1
 		}
-		candidates := connected
-		if len(candidates) == 0 {
-			candidates = others
+	}
+	// best[at[mask]] is the cheapest state joining exactly the patterns in
+	// mask; best[0] is where each extension is costed.
+	best := newStates(int(reached)+1, nvars, n)
+	next := &best[0]
+	for i := 0; i < n; i++ {
+		startState(&best[at[1<<i]], infos, i, st, s)
+	}
+	for mask := 1; mask <= full; mask++ {
+		if at[mask] == 0 {
+			continue
 		}
-		for _, j := range candidates {
-			nm := mask | 1<<j
-			ns := extend(cur, infos, j, st, s)
-			if prev, ok := best[nm]; !ok || ns.cost < prev.cost {
-				best[nm] = ns
+		cur := &best[at[mask]]
+		for c := candidates(mask); c != 0; c &= c - 1 {
+			j := bits.TrailingZeros(uint(c))
+			extend(next, cur, infos, j, s)
+			if ns := &best[at[mask|1<<j]]; !ns.reached || next.cost < ns.cost {
+				next.prev, next.last = mask, j
+				*ns, *next = *next, *ns
 			}
 		}
 	}
-	final := best[full]
-	if final == nil {
-		// Unreachable with the connected-first strategy, but fall back to
-		// textual order rather than crash.
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return order, math.Inf(1), math.Inf(1)
+	// Every mask but full has a candidate, so full is always reached.
+	order := make([]int, n)
+	for mask, k := full, n-1; k >= 0; mask, k = best[at[mask]].prev, k-1 {
+		order[k] = best[at[mask]].last
 	}
-	return final.order, final.cost, final.card
+	final := &best[at[full]]
+	return order, final.cost, final.card
 }
 
 // greedyOrder builds an order for large BGPs: cheapest base pattern first,
 // then repeatedly the connected extension with the lowest resulting cost.
-func greedyOrder(infos []patternInfo, st *store.Store, s *stats.Stats) ([]int, float64, float64) {
+func greedyOrder(infos []patternInfo, nvars int, st *store.Store, s *stats.Stats) ([]int, float64, float64) {
 	n := len(infos)
 	used := make([]bool, n)
 	start := 0
@@ -476,41 +496,49 @@ func greedyOrder(infos []patternInfo, st *store.Store, s *stats.Stats) ([]int, f
 			start = i
 		}
 	}
-	cur := startState(infos, start, st, s)
+	states := newStates(3, nvars, n)
+	cur, cand, best := &states[0], &states[1], &states[2]
+	startState(cur, infos, start, st, s)
 	used[start] = true
-	for len(cur.order) < n {
+	order := append(make([]int, 0, n), start)
+	for len(order) < n {
 		bestJ := -1
-		var bestState *joinState
 		for j := 0; j < n; j++ {
 			if used[j] {
 				continue
 			}
-			cand := extend(cur, infos, j, st, s)
-			if bestState == nil || cand.cost < bestState.cost {
-				bestState, bestJ = cand, j
+			extend(cand, cur, infos, j, s)
+			if bestJ < 0 || cand.cost < best.cost {
+				best, cand, bestJ = cand, best, j
 			}
 		}
-		cur = bestState
+		cur, best = best, cur
 		used[bestJ] = true
+		order = append(order, bestJ)
 	}
-	return cur.order, cur.cost, cur.card
+	return order, cur.cost, cur.card
 }
 
 // buildPatternPlans converts the chosen order into executable PatternPlans,
 // assigning binding slots and replica choices.
-func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, order []int, st *store.Store, s *stats.Stats) {
-	slotOf := map[string]int{}
-	slotIsPred := map[int]bool{}
-	newSlot := func(v string, isPred bool) int {
-		sl, ok := slotOf[v]
-		if !ok {
-			sl = len(slotOf)
-			slotOf[v] = sl
-			slotIsPred[sl] = isPred
-		}
-		return sl
+func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, names []string, order []int, st *store.Store, s *stats.Stats) {
+	// Slots are numbered in the order the plan first binds each variable.
+	slotOf := make([]int, len(names))
+	for i := range slotOf {
+		slotOf[i] = -1
 	}
-	sortedVar := ""
+	plan.SlotVars = make([]string, 0, len(names))
+	plan.SlotIsPred = make([]bool, 0, len(names))
+	newSlot := func(v int, isPred bool) int {
+		if slotOf[v] < 0 {
+			slotOf[v] = len(plan.SlotVars)
+			plan.SlotVars = append(plan.SlotVars, names[v])
+			plan.SlotIsPred = append(plan.SlotIsPred, isPred)
+		}
+		return slotOf[v]
+	}
+	plan.Patterns = make([]PatternPlan, 0, len(order))
+	sortedVar := -1
 	for step, idx := range order {
 		in := &infos[idx]
 		pp := PatternPlan{PredSlot: -1, KeyConstPos: -1, Source: in.tp}
@@ -519,14 +547,12 @@ func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, order [
 			pp.PredID = in.predID
 			pp.PredUnion = in.predSet
 		} else {
-			if _, ok := slotOf[in.predVar]; !ok {
-				pp.PredNew = true
-			}
-			pp.PredSlot = newSlot(in.predVar, true)
+			pp.PredNew = slotOf[in.pv] < 0
+			pp.PredSlot = newSlot(in.pv, true)
 		}
 
-		sBound := in.sVar != "" && contains(slotOf, in.sVar)
-		oBound := in.oVar != "" && contains(slotOf, in.oVar)
+		sBound := in.sv >= 0 && slotOf[in.sv] >= 0
+		oBound := in.ov >= 0 && slotOf[in.ov] >= 0
 
 		// Replica choice: constants first, then bound variables (prefer
 		// the more selective — more distinct keys — column), subject
@@ -551,14 +577,13 @@ func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, order [
 			// Neither bound (first pattern or cartesian step): prefer the
 			// replica whose key is the variable the *next* pattern joins
 			// on, so the probe stream arrives sorted (paper §3, Ex. 3.1).
-			if step+1 < len(order) && in.sVar != "" && in.oVar != "" {
-				nextVars := infos[order[step+1]].vars
-				for _, v := range nextVars {
-					if v == in.sVar {
+			if step+1 < len(order) && in.sv >= 0 && in.ov >= 0 {
+				for _, v := range infos[order[step+1]].vars {
+					if v == in.sv {
 						useOS = false
 						break
 					}
-					if v == in.oVar {
+					if v == in.ov {
 						useOS = true
 						break
 					}
@@ -568,11 +593,8 @@ func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, order [
 		pp.UseOS = useOS
 
 		keyIsSubject := !useOS
-		keyTerm, valTerm := termOf(in, keyIsSubject), termOf(in, !keyIsSubject)
-
-		pp.Key = makeTermPlan(keyTerm, in, keyIsSubject, slotOf, newSlot)
-		pp.Val = makeTermPlan(valTerm, in, !keyIsSubject, slotOf, newSlot)
-
+		pp.Key = makeTermPlan(in, keyIsSubject, slotOf, newSlot)
+		pp.Val = makeTermPlan(in, !keyIsSubject, slotOf, newSlot)
 		// Resolve constant keys against the table now (single-table,
 		// single-constant patterns only; expanded patterns resolve their
 		// union members at run time).
@@ -603,83 +625,67 @@ func buildPatternPlans(plan *Plan, q *sparql.Query, infos []patternInfo, order [
 		if step == 0 {
 			switch {
 			case pp.Key.Kind == Const && pp.Val.Kind == NewVar:
-				sortedVar = varName(in, !keyIsSubject)
+				sortedVar = varOf(in, !keyIsSubject)
 			case pp.Key.Kind == NewVar:
-				sortedVar = varName(in, keyIsSubject)
+				sortedVar = varOf(in, keyIsSubject)
 			}
-		} else if pp.Key.Kind == BoundVar && varName(in, keyIsSubject) == sortedVar {
+		} else if pp.Key.Kind == BoundVar && varOf(in, keyIsSubject) == sortedVar {
 			pp.SortedProbe = true
 		}
 
 		plan.Patterns = append(plan.Patterns, pp)
 	}
-	finishProjection(plan, q, slotOf)
-	plan.NumSlots = len(slotOf)
-	plan.SlotVars = make([]string, len(slotOf))
-	plan.SlotIsPred = make([]bool, len(slotOf))
-	for v, sl := range slotOf {
-		plan.SlotVars[sl] = v
-		plan.SlotIsPred[sl] = slotIsPred[sl]
+	plan.NumSlots = len(plan.SlotVars)
+	finishProjection(plan, q, names)
+}
+
+// emptyPlan marks plan Empty. Its slots are the query's variables in
+// query order, so result headers stay correct.
+func emptyPlan(plan *Plan, q *sparql.Query, infos []patternInfo, names []string) {
+	plan.Empty = true
+	plan.NumSlots = len(names)
+	plan.SlotVars = names
+	plan.SlotIsPred = make([]bool, len(names))
+	for i := range infos {
+		if pv := infos[i].pv; pv >= 0 {
+			plan.SlotIsPred[pv] = true
+		}
+	}
+	finishProjection(plan, q, names)
+}
+
+// finishProjection fills plan.Project from plan.SlotVars; names lists the
+// query's variables in query order, the projection of SELECT *.
+func finishProjection(plan *Plan, q *sparql.Query, names []string) {
+	proj := q.Select
+	if q.Star {
+		proj = names
+	}
+	plan.Project = make([]int, len(proj))
+	for i, v := range proj {
+		plan.Project[i] = slices.Index(plan.SlotVars, v)
 	}
 }
 
-// finishProjection fills plan.Project. For Empty plans slotOf may be nil:
-// slots are synthesized from the query so result headers stay correct.
-func finishProjection(plan *Plan, q *sparql.Query, slotOf map[string]int) {
-	if slotOf == nil {
-		slotOf = map[string]int{}
-		for _, v := range q.Vars() {
-			slotOf[v] = len(slotOf)
-		}
-		plan.NumSlots = len(slotOf)
-		plan.SlotVars = make([]string, len(slotOf))
-		plan.SlotIsPred = make([]bool, len(slotOf))
-		for v, sl := range slotOf {
-			plan.SlotVars[sl] = v
-		}
-		// Predicate-position variables still need their flag for correct
-		// decoding of (empty) headers; recompute from the query.
-		for _, tp := range q.Patterns {
-			if tp.P.IsVar() {
-				plan.SlotIsPred[slotOf[tp.P.Var]] = true
-			}
-		}
-	}
-	for _, v := range q.Projection() {
-		plan.Project = append(plan.Project, slotOf[v])
-	}
-}
-
-func contains(m map[string]int, k string) bool {
-	_, ok := m[k]
-	return ok
-}
-
-func termOf(in *patternInfo, subject bool) sparql.Term {
+// varOf returns the variable id of the subject or the object of in.
+func varOf(in *patternInfo, subject bool) int {
 	if subject {
-		return in.tp.S
+		return in.sv
 	}
-	return in.tp.O
+	return in.ov
 }
 
-func varName(in *patternInfo, subject bool) string {
-	if subject {
-		return in.sVar
-	}
-	return in.oVar
-}
-
-func makeTermPlan(t sparql.Term, in *patternInfo, subject bool, slotOf map[string]int, newSlot func(string, bool) int) TermPlan {
-	if !t.IsVar() {
-		if subject {
-			return TermPlan{Kind: Const, Const: in.sID}
-		}
+func makeTermPlan(in *patternInfo, subject bool, slotOf []int, newSlot func(int, bool) int) TermPlan {
+	v := varOf(in, subject)
+	switch {
+	case v < 0 && subject:
+		return TermPlan{Kind: Const, Const: in.sID}
+	case v < 0:
 		return TermPlan{Kind: Const, Const: in.oID, Set: in.oSet}
+	case slotOf[v] >= 0:
+		return TermPlan{Kind: BoundVar, Slot: slotOf[v]}
 	}
-	if sl, ok := slotOf[t.Var]; ok {
-		return TermPlan{Kind: BoundVar, Slot: sl}
-	}
-	return TermPlan{Kind: NewVar, Slot: newSlot(t.Var, false)}
+	return TermPlan{Kind: NewVar, Slot: newSlot(v, false)}
 }
 
 func tableOf(st *store.Store, pred uint32, useOS bool) *store.Table {

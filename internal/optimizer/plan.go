@@ -13,6 +13,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"parj/internal/sparql"
 	"parj/internal/store"
@@ -203,57 +204,80 @@ type patternInfo struct {
 
 	predConst bool
 	predID    uint32   // when predConst
-	predVar   string   // when !predConst
 	predSet   []uint32 // hierarchy expansion of predID (nil = none)
 
 	sConst, oConst bool
 	sID, oID       uint32   // encoded constants (0 if var or unknown)
 	oSet           []uint32 // hierarchy expansion of oID (nil = none)
-	sVar, oVar     string
+
+	// sv, pv and ov are the variable ids of the subject, predicate and
+	// object; -1 where the term is a constant.
+	sv, pv, ov int
+	vars       []int // distinct variable ids: predicate, subject, object
 
 	baseCard float64 // estimated result size of the pattern alone
-	vars     []string
+}
+
+// numberVars gives every variable of q a dense id, in order of first
+// occurrence as sparql.Query.Vars lists them (so names equals q.Vars()),
+// and returns the patterns' metadata with their variable ids filled in.
+func numberVars(q *sparql.Query) (infos []patternInfo, names []string) {
+	infos = make([]patternInfo, len(q.Patterns))
+	names = make([]string, 0, 3*len(q.Patterns))
+	ids := make([]int, 0, 3*len(q.Patterns)) // backs every pattern's vars
+	id := func(t sparql.Term) int {
+		if !t.IsVar() {
+			return -1
+		}
+		if i := slices.Index(names, t.Var); i >= 0 {
+			return i
+		}
+		names = append(names, t.Var)
+		return len(names) - 1
+	}
+	for i, tp := range q.Patterns {
+		in := &infos[i]
+		in.tp = tp
+		in.sv, in.pv, in.ov = id(tp.S), id(tp.P), id(tp.O)
+		start := len(ids)
+		for _, v := range [3]int{in.pv, in.sv, in.ov} {
+			if v >= 0 && !slices.Contains(ids[start:], v) {
+				ids = append(ids, v)
+			}
+		}
+		in.vars = ids[start:len(ids):len(ids)]
+	}
+	return infos, names
 }
 
 // checkNamespaces verifies that no variable is used both in predicate
 // position and in subject/object position: the two positions draw IDs from
 // different dictionaries, so such a join would have to compare strings,
 // which PARJ (and this reproduction) does not support.
-func checkNamespaces(q *sparql.Query) error {
-	predVars := map[string]bool{}
-	resVars := map[string]bool{}
-	for _, tp := range q.Patterns {
-		if tp.P.IsVar() {
-			predVars[tp.P.Var] = true
+func checkNamespaces(infos []patternInfo, names []string) error {
+	for i := range infos {
+		pv := infos[i].pv
+		if pv < 0 {
+			continue
 		}
-		if tp.S.IsVar() {
-			resVars[tp.S.Var] = true
-		}
-		if tp.O.IsVar() {
-			resVars[tp.O.Var] = true
-		}
-	}
-	for v := range predVars {
-		if resVars[v] {
-			return &UnsupportedError{Msg: fmt.Sprintf(
-				"variable ?%s is used in both predicate and subject/object position", v)}
+		for j := range infos {
+			if infos[j].sv == pv || infos[j].ov == pv {
+				return &UnsupportedError{Msg: fmt.Sprintf(
+					"variable ?%s is used in both predicate and subject/object position", names[pv])}
+			}
 		}
 	}
 	return nil
 }
 
-// lookupConstants resolves the constants of q against the store's
-// dictionaries and applies hierarchy expansions. A missing constant means
-// the query provably has no answers; that is signalled by ok == false.
-func lookupConstants(q *sparql.Query, st *store.Store, x Expander) (infos []patternInfo, ok bool) {
-	infos = make([]patternInfo, len(q.Patterns))
-	for i, tp := range q.Patterns {
+// lookupConstants resolves the constants of the patterns against the
+// store's dictionaries and applies hierarchy expansions. A missing constant
+// means the query provably has no answers; that is signalled by false.
+func lookupConstants(infos []patternInfo, st *store.Store, x Expander) bool {
+	for i := range infos {
 		in := &infos[i]
-		in.tp = tp
-		if tp.P.IsVar() {
-			in.predVar = tp.P.Var
-			in.vars = append(in.vars, tp.P.Var)
-		} else {
+		tp := &in.tp
+		if !tp.P.IsVar() {
 			in.predConst = true
 			in.predID = st.Predicates.Lookup(tp.P.Value)
 			if int(in.predID) > st.NumPredicates() {
@@ -271,7 +295,7 @@ func lookupConstants(q *sparql.Query, st *store.Store, x Expander) (infos []patt
 					set = x.ExpandPredicateIRI(tp.P.Value)
 				}
 				if len(set) == 0 {
-					return nil, false
+					return false
 				}
 				in.predSet = set
 				in.predID = set[0]
@@ -279,38 +303,23 @@ func lookupConstants(q *sparql.Query, st *store.Store, x Expander) (infos []patt
 				in.predSet = x.ExpandPredicate(in.predID)
 			}
 		}
-		if tp.S.IsVar() {
-			in.sVar = tp.S.Var
-			in.vars = appendUnique(in.vars, tp.S.Var)
-		} else {
+		if !tp.S.IsVar() {
 			in.sConst = true
 			in.sID = st.Resources.Lookup(tp.S.Value)
 			if in.sID == 0 {
-				return nil, false
+				return false
 			}
 		}
-		if tp.O.IsVar() {
-			in.oVar = tp.O.Var
-			in.vars = appendUnique(in.vars, tp.O.Var)
-		} else {
+		if !tp.O.IsVar() {
 			in.oConst = true
 			in.oID = st.Resources.Lookup(tp.O.Value)
 			if in.oID == 0 {
-				return nil, false
+				return false
 			}
 			if x != nil && in.predConst {
 				in.oSet = x.ExpandObject(in.predID, in.oID)
 			}
 		}
 	}
-	return infos, true
-}
-
-func appendUnique(xs []string, x string) []string {
-	for _, e := range xs {
-		if e == x {
-			return xs
-		}
-	}
-	return append(xs, x)
+	return true
 }

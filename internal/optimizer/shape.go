@@ -54,30 +54,29 @@ func (s Shape) String() string {
 // edge between two already-connected variables closes a cycle. Predicate
 // variables join in a different dictionary namespace and never share a node
 // with subject/object variables (checkNamespaces), so they are ignored.
-func classifyShape(infos []patternInfo) Shape {
+func classifyShape(infos []patternInfo, nvars int) Shape {
 	for i := range infos {
-		if in := &infos[i]; in.sVar != "" && in.sVar == in.oVar {
+		if in := &infos[i]; in.sv >= 0 && in.sv == in.ov {
 			return ShapeSelfJoin
 		}
 	}
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(v string) string {
-		p, ok := parent[v]
-		if !ok || p == v {
-			parent[v] = v
-			return v
+	parent := make([]int, nvars)
+	for v := range parent {
+		parent[v] = v
+	}
+	find := func(v int) int {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
 		}
-		r := find(p)
-		parent[v] = r
-		return r
+		return v
 	}
 	for i := range infos {
 		in := &infos[i]
-		if in.sVar == "" || in.oVar == "" {
+		if in.sv < 0 || in.ov < 0 {
 			continue // at most one variable: a node, not an edge
 		}
-		rs, ro := find(in.sVar), find(in.oVar)
+		rs, ro := find(in.sv), find(in.ov)
 		if rs == ro {
 			return ShapeCyclic
 		}
@@ -123,8 +122,8 @@ func wcojCostEstimate(infos []patternInfo, s *stats.Stats) float64 {
 // classifyPlanShape fills plan.Shape and plan.PreferWCOJ after the join
 // order is chosen: cyclic or self-join shapes prefer the worst-case-optimal
 // operator when it is eligible and its cost estimate beats the pipeline's.
-func classifyPlanShape(plan *Plan, infos []patternInfo, s *stats.Stats) {
-	plan.Shape = classifyShape(infos)
+func classifyPlanShape(plan *Plan, infos []patternInfo, nvars int, s *stats.Stats) {
+	plan.Shape = classifyShape(infos, nvars)
 	if plan.Shape != ShapeAcyclic && !plan.Empty && wcojEligible(infos) {
 		plan.PreferWCOJ = wcojCostEstimate(infos, s) < plan.EstCost
 	}
