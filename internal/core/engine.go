@@ -228,7 +228,7 @@ func (r *Result) Decode(st *store.Store, row []uint32) []string {
 func (r *Result) StringRows(st *store.Store) [][]string {
 	n := len(r.Plan.Project)
 	dicts := make([]*dict.Dict, n)
-	terms := make([][]string, n)
+	terms := make([]dict.View, n) // used in place: At per cell copies nothing
 	for i, slot := range r.Plan.Project {
 		dicts[i] = st.Resources
 		if r.Plan.SlotIsPred[slot] {
@@ -241,8 +241,8 @@ func (r *Result) StringRows(st *store.Store) [][]string {
 	for i, row := range r.Rows {
 		dst := flat[i*n : (i+1)*n : (i+1)*n]
 		for c, id := range row {
-			if t := terms[c]; id-1 < uint32(len(t)) { // ID 0 wraps past every length
-				dst[c] = t[id-1]
+			if t := &terms[c]; id-1 < uint32(t.Len()) { // ID 0 wraps past every length
+				dst[c] = t.At(id)
 			} else {
 				dst[c] = dicts[c].Decode(id)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"parj/internal/dict"
 	"parj/internal/rdf"
 	"parj/internal/search"
 	"parj/internal/store"
@@ -30,11 +31,11 @@ func saved(t *testing.T, st *store.Store) []byte {
 func rebuilt(t *testing.T, like *store.Store, triples map[rdf.Triple]bool, opts store.BuildOptions) []byte {
 	t.Helper()
 	b := store.NewBuilder()
-	for _, s := range like.Resources.SnapshotStrings() {
-		b.Resources().Encode(s)
-	}
-	for _, s := range like.Predicates.SnapshotStrings() {
-		b.Predicates().Encode(s)
+	for _, d := range [][2]*dict.Dict{{like.Resources, b.Resources()}, {like.Predicates, b.Predicates()}} {
+		v := d[0].SnapshotStrings()
+		for id := uint32(1); id <= uint32(v.Len()); id++ {
+			d[1].Encode(v.At(id))
+		}
 	}
 	for tr := range triples {
 		b.AddTriple(tr)

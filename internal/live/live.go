@@ -354,8 +354,17 @@ func (h *Handle) Apply(seq uint64, inserts, deletes []rdf.Triple) (uint64, error
 		}
 		nd.Delete(s, p, o)
 	}
-	for _, t := range inserts {
-		nd.Insert(res.Encode(t.S), preds.Encode(t.P), res.Encode(t.O))
+	// One lock per dictionary per batch; subjects and objects are encoded
+	// in the order a triple-by-triple encode would assign them.
+	n := len(inserts)
+	terms, ids := make([]string, 3*n), make([]uint32, 3*n)
+	for i, t := range inserts {
+		terms[2*i], terms[2*i+1], terms[2*n+i] = t.S, t.O, t.P
+	}
+	res.EncodeAll(terms[:2*n], ids[:2*n])
+	preds.EncodeAll(terms[2*n:], ids[2*n:])
+	for i := range inserts {
+		nd.Insert(ids[2*i], ids[2*n+i], ids[2*i+1])
 	}
 	h.seq = seq
 	h.cur.Store(&View{

@@ -14,7 +14,7 @@ import (
 //
 //	state = newest loadable checkpoint + replay of the WAL suffix.
 //
-// A checkpoint file is a v2 store snapshot whose name records the write
+// A checkpoint file is a store snapshot whose name records the write
 // sequence it covers. Loading is CRC-verified end to end; a checkpoint
 // that fails its checksum falls back to the previous one (the log keeps
 // two) with a correspondingly longer replay. Replaying re-encodes novel

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"parj/internal/dict"
 	"parj/internal/rdf"
 	"parj/internal/search"
 )
@@ -17,11 +18,11 @@ import (
 func rebuiltSnapshot(t testing.TB, like *Store, triples map[rdf.Triple]bool, opts BuildOptions) []byte {
 	t.Helper()
 	b := NewBuilder()
-	for _, s := range like.Resources.SnapshotStrings() {
-		b.Resources().Encode(s)
-	}
-	for _, s := range like.Predicates.SnapshotStrings() {
-		b.Predicates().Encode(s)
+	for _, d := range [][2]*dict.Dict{{like.Resources, b.Resources()}, {like.Predicates, b.Predicates()}} {
+		v := d[0].SnapshotStrings()
+		for id := uint32(1); id <= uint32(v.Len()); id++ {
+			d[1].Encode(v.At(id))
+		}
 	}
 	for tr := range triples {
 		b.AddTriple(tr)

@@ -8,6 +8,8 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
+	"unsafe"
 
 	"parj/internal/dict"
 	"parj/internal/posindex"
@@ -20,16 +22,18 @@ import (
 // without re-parsing N-Triples or re-sorting. ID-to-Position indexes and
 // simulated base addresses are rebuilt at load (they are derived data).
 //
-// Layout (version 2): magic, format version, payload, then a CRC32 (IEEE)
+// Layout (version 3): magic, format version, payload, then a CRC32 (IEEE)
 // of everything before it. LoadSnapshot verifies the version, the checksum,
 // and the structural invariants of every table, and reports any violation
 // as ErrCorruptSnapshot — a bit-flipped or truncated snapshot file must
-// never panic the loader or build a store that panics later. Version-1
-// snapshots (no checksum) are still read.
+// never panic the loader or build a store that panics later. A dictionary
+// is its term count, then each term in ID order as a little-endian uint32
+// length and its bytes, so a term may hold any byte. Versions 1 (no
+// checksum) and 2 (newline-terminated terms) are still read.
 
 const (
 	snapshotMagic   = "PARJSNAP"
-	snapshotVersion = 2
+	snapshotVersion = 3
 )
 
 // ErrCorruptSnapshot reports a snapshot that failed an integrity check:
@@ -131,7 +135,7 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, corruptf("snapshot version: %v", err)
 	}
-	if version != 1 && version != snapshotVersion {
+	if version < 1 || version > snapshotVersion {
 		return nil, corruptf("unsupported snapshot version %d", version)
 	}
 	hasIndex, err := readU32(sr)
@@ -143,7 +147,7 @@ func LoadSnapshot(r io.Reader) (*Store, error) {
 	}
 	st := &Store{Resources: dict.New(), Predicates: dict.New()}
 	for _, d := range []*dict.Dict{st.Resources, st.Predicates} {
-		if err := readDict(sr, d); err != nil {
+		if err := readDict(sr, d, version); err != nil {
 			return nil, err
 		}
 	}
@@ -313,35 +317,72 @@ func readU32Slice(r io.Reader) ([]uint32, error) {
 }
 
 func writeDict(w io.Writer, d *dict.Dict) error {
-	// One consistent (length, contents) snapshot: a concurrent Encode must
-	// not let the recorded count and the written lines disagree.
-	strings := d.SnapshotStrings()
-	if err := writeU32(w, uint32(len(strings))); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	for _, s := range strings {
-		if _, err := bw.WriteString(s); err != nil {
-			return err
+	// One consistent (length, contents) view: a concurrent Encode must not
+	// let the recorded count and the written terms disagree.
+	v := d.SnapshotStrings()
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 64<<10), uint32(v.Len()))
+	for id := uint32(1); id <= uint32(v.Len()); id++ {
+		term := v.At(id)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(term)))
+		buf = append(buf, term...)
+		if len(buf) >= 64<<10 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-func readDict(r *snapReader, d *dict.Dict) error {
+// readDict reads a dictionary into the empty d. Every term must take the
+// next ID: a repeated term would shift every later one.
+func readDict(r *snapReader, d *dict.Dict, version uint32) error {
 	n, err := readU32(r)
 	if err != nil {
 		return corruptf("dictionary size: %v", err)
 	}
-	for i := 0; i < int(n); i++ {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return corruptf("dictionary entry %d: %v", i, err)
+	var buf []byte
+	for id := uint32(1); id <= n; id++ {
+		var term string
+		if version < 3 {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				return corruptf("dictionary entry %d: %v", id, err)
+			}
+			term = line[:len(line)-1]
+		} else {
+			if buf, err = readTerm(r, buf); err != nil {
+				return corruptf("dictionary entry %d: %v", id, err)
+			}
+			// Encode copies a new term and keeps nothing of its argument,
+			// so the term may alias buf, which the next entry overwrites.
+			term = unsafe.String(unsafe.SliceData(buf), len(buf))
 		}
-		d.Encode(line[:len(line)-1])
+		if got := d.Encode(term); got != id {
+			return corruptf("dictionary entry %d repeats entry %d", id, got)
+		}
 	}
 	return nil
+}
+
+// readTerm reads one length-prefixed term into buf, growing it as the bytes
+// arrive: a corrupted length must fail on the missing data, not translate
+// into a huge allocation.
+func readTerm(r io.Reader, buf []byte) ([]byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), 64<<10)
+		buf = slices.Grow(buf, k)[:len(buf)+k]
+		if _, err := io.ReadFull(r, buf[len(buf)-k:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -148,5 +150,49 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// rawSnapshot writes a snapshot in format version holding only a resource
+// dictionary: no predicates, no tables.
+func rawSnapshot(version uint32, resources []string) []byte {
+	var b bytes.Buffer
+	b.WriteString(snapshotMagic)
+	for _, v := range []uint32{version, 0, uint32(len(resources))} {
+		writeU32(&b, v)
+	}
+	for _, s := range resources {
+		if version < 3 {
+			b.WriteString(s + "\n")
+		} else {
+			writeU32(&b, uint32(len(s)))
+			b.WriteString(s)
+		}
+	}
+	writeU32(&b, 0) // no predicate terms
+	writeU32(&b, 0) // no predicate tables
+	if version >= 2 {
+		writeU32(&b, crc32.ChecksumIEEE(b.Bytes()))
+	}
+	return b.Bytes()
+}
+
+// TestSnapshotVersionsAndRepeatedTerms: versions 1 and 2 still load, and in
+// every version a term repeating an earlier one is corruption. It cannot
+// take the next ID, and every later ID would shift (version 1 has no
+// checksum to notice).
+func TestSnapshotVersionsAndRepeatedTerms(t *testing.T) {
+	for v := uint32(1); v <= snapshotVersion; v++ {
+		st, err := LoadSnapshot(bytes.NewReader(rawSnapshot(v, []string{"<a>", "<b>"})))
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if st.Resources.Len() != 2 || st.Resources.Decode(2) != "<b>" {
+			t.Fatalf("version %d: loaded %d resources", v, st.Resources.Len())
+		}
+		_, err = LoadSnapshot(bytes.NewReader(rawSnapshot(v, []string{"<a>", "<b>", "<a>", "<c>"})))
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("version %d with a repeated term: error %v, want ErrCorruptSnapshot", v, err)
+		}
 	}
 }

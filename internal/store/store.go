@@ -186,12 +186,12 @@ func NewBuilder() *Builder {
 	return &Builder{resources: dict.New(), predicates: dict.New()}
 }
 
-// Add encodes and buffers one triple given as term strings.
+// Add encodes and buffers one triple given as term strings, taking each
+// dictionary's lock once.
 func (b *Builder) Add(subject, predicate, object string) {
-	s := b.resources.Encode(subject)
-	p := b.predicates.Encode(predicate)
-	o := b.resources.Encode(object)
-	b.AddEncoded(s, p, o)
+	var so [2]uint32
+	b.resources.EncodeAll([]string{subject, object}, so[:])
+	b.AddEncoded(so[0], b.predicates.Encode(predicate), so[1])
 }
 
 // AddTriple buffers one parsed triple.

@@ -10,7 +10,7 @@ import (
 // checkpoint.go — pairing snapshots with log positions.
 //
 // A checkpoint file ckpt-%016x.snap holds whatever the caller's save
-// function writes (the store layer writes a v2 snapshot) and its name
+// function writes (the store layer writes a store snapshot) and its name
 // records the last write sequence the snapshot covers. Recovery loads
 // the newest loadable checkpoint and replays the WAL suffix after it.
 //

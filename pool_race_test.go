@@ -65,8 +65,10 @@ func TestSharedMemoryPoolRace(t *testing.T) {
 				<-start
 				if w == 1 {
 					// A head start for worker 0 biases toward a clean
-					// winner/loser split without removing the race.
-					time.Sleep(200 * time.Microsecond)
+					// winner/loser split without removing the race. It
+					// varies by round: on a loaded host a fixed one can
+					// outlast the whole query, so the two never overlap.
+					time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
 				}
 				res, err := db.Query(crossQuery, QueryOptions{Threads: 2})
 				if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parj/internal/testutil"
+	"parj/internal/wal"
 )
 
 func TestSnapshotAPIRoundTrip(t *testing.T) {
@@ -98,4 +99,66 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := LoadSnapshot(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
+}
+
+// TestNewlineLiteralSurvivesSnapshots: Builder.Add and Write take a literal
+// holding a raw newline. A snapshot must keep it, and so must a durable
+// store's checkpoint, or the store it was taken from could not recover.
+func TestNewlineLiteralSurvivesSnapshots(t *testing.T) {
+	const lit = "\"line one\nline two\""
+	want := map[string]bool{lit: true, `"plain"`: true}
+	check := func(what string, s *Store) {
+		t.Helper()
+		res, err := s.Query(`SELECT ?o WHERE { <doc> <text> ?o }`, QueryOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got := map[string]bool{}
+		for _, row := range res.Rows {
+			got[row[0]] = true
+		}
+		if len(got) != len(want) || !got[lit] || !got[`"plain"`] {
+			t.Fatalf("%s: objects %q, want %q and %q", what, res.Rows, lit, `"plain"`)
+		}
+	}
+
+	b := NewBuilder(LoadOptions{})
+	b.Add("<doc>", "<text>", lit)
+	b.Add("<doc>", "<text>", `"plain"`)
+	var buf bytes.Buffer
+	if err := b.Build().SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	check("snapshot", db)
+
+	fs := wal.NewMemFS()
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(LoadOptions{DB: DBOptions{Durability: Durability{FS: fs}}},
+			func() ([]Triple, error) { return []Triple{{S: "<doc>", P: "<text>", O: `"plain"`}}, nil })
+		if err != nil {
+			t.Fatalf("open durable store: %v", err)
+		}
+		return s
+	}
+	s := open()
+	if _, err := s.Write([]Triple{{S: "<doc>", P: "<text>", O: lit}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := open()
+	defer r.Close()
+	if ck := r.DurabilityStats().CheckpointSeq; ck != 1 {
+		t.Fatalf("reopened from checkpoint %d, want the one covering seq 1", ck)
+	}
+	check("durable store reopened from its checkpoint", r)
 }
