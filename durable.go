@@ -105,7 +105,7 @@ func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return store.LoadTriples(toRDF(ts), bo), 0, nil
+			return store.LoadTriples(ts, bo), 0, nil
 		}
 	}
 	h, err := live.OpenDurable(log, seedFn, bo)
@@ -125,7 +125,7 @@ func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
 // batch is visible to queries but its durability is unknown — the store
 // should be closed and recovered.
 func (s *Store) Write(inserts, deletes []Triple) (uint64, error) {
-	return s.live.Apply(0, toRDF(inserts), toRDF(deletes))
+	return s.live.Apply(0, inserts, deletes)
 }
 
 // Checkpoint publishes the current view as a snapshot checkpoint paired

@@ -99,41 +99,28 @@ type RemoteOptions struct {
 	MaxResultRows int64
 	MemoryBudget  int64
 
-	// Write configures the coordinator's write stream: replay-log
-	// retention and optional write-ahead durability (write.go).
+	// Write configures the coordinator's write stream: its replay log and
+	// that log's retention (write.go).
 	Write WriteOptions
 }
 
 // WriteOptions configures the coordinator's side of the live write path.
+// Every batch is journaled through one wal.Log before it fans out, and
+// Resync replays from that log, in every configuration.
 type WriteOptions struct {
-	// ReplayLogSize bounds the in-memory replay cache (0 = default 1024
-	// batches). With a WAL attached the cache is just the hot tail: a
-	// replica behind the cache is still caught up by log replay, and
-	// ErrLogTruncated occurs only past the WAL's own retention.
-	ReplayLogSize int
-
-	// WALDir enables the coordinator's write-ahead log: every batch is
-	// journaled and fsynced before it fans out to the replicas, so the
-	// sequencer position — and the replay log — survive a coordinator
-	// restart. Empty (and WALFS nil) keeps the log purely in memory.
-	WALDir string
-	// WALFS overrides the log's filesystem (crash-injection tests);
-	// when set, WALDir is ignored.
-	WALFS wal.FS
-	// WALSync is the fsync policy (default wal.SyncAlways: group commit).
-	WALSync wal.SyncPolicy
-	// WALSyncInterval is the flush period under wal.SyncInterval.
-	WALSyncInterval time.Duration
-	// WALSegmentBytes caps a log segment before rotation (0 = 4 MiB).
-	WALSegmentBytes int64
-	// WALRetainBatches prunes log segments once the log spans more than
-	// this many batches (0 = retain everything). Pruning is per whole
-	// segment, so the log may retain somewhat more.
-	WALRetainBatches uint64
+	// Log configures the replay log. Log.Dir (or Log.FS) makes it durable:
+	// batches are fsynced per Log.Sync (default wal.SyncAlways, group
+	// commit) before fan-out, so the sequencer position and the replay log
+	// survive a coordinator restart. With neither set the log lives on an
+	// in-memory wal.MemFS under wal.SyncNever. NewRemote refuses a set
+	// Log.Clock (RemoteOptions.Clock drives the log), and Log.Sync or
+	// Log.Interval on a volatile log (it never fsyncs).
+	Log wal.Options
+	// Retain is how many batches behind the head the log keeps replayable
+	// (0 = 1024); a replica further behind gets ErrLogTruncated. Pruning
+	// drops whole segments, so the log may keep somewhat more.
+	Retain uint64
 }
-
-// walEnabled reports whether the coordinator journals its write stream.
-func (w WriteOptions) walEnabled() bool { return w.WALDir != "" || w.WALFS != nil }
 
 // ShardError records which shard failed and why; Unwrap exposes the cause
 // so errors.Is sees the governance taxonomy through it.
@@ -193,27 +180,16 @@ type Remote struct {
 	closed         bool
 
 	// writeMu serializes the cluster write stream (write.go): one batch at
-	// a time gets the next sequence number and fans out to every replica.
-	writeMu  sync.Mutex
-	writeSeq uint64
-	// writeLog is the bounded replay log of recent batches: writeLog[i] has
-	// sequence logStart+i, and the log always ends at writeSeq. A replica
-	// that fell behind by at most len(writeLog) batches is caught up by
-	// replay; one further behind needs a snapshot warm first.
-	writeLog []WriteBatch
-	logStart uint64
-	// wlog, when non-nil, is the durable backing of the replay log: every
-	// batch is appended (and fsynced per the policy) before fan-out, and
-	// Resync falls back to it when a replica is behind the in-memory
-	// cache. Guarded by writeMu.
+	// a time gets the next sequence number, is appended to wlog and fans
+	// out to every replica.
+	writeMu sync.Mutex
+	// wlog is the replay log; its LastSeq is the sequencer position. A
+	// replica at most WriteOptions.Retain batches behind is caught up by
+	// replaying it; one further behind needs a snapshot warm first.
 	wlog *wal.Log
-}
-
-// WriteBatch is one sequenced batch in the coordinator's replay log.
-type WriteBatch struct {
-	Seq     uint64
-	Inserts []remote.Triple
-	Deletes []remote.Triple
+	// forked is the first ErrReplicaAhead this coordinator met (guarded by
+	// writeMu); once set, Write and Resync refuse with it.
+	forked error
 }
 
 // NewRemote builds a coordinator. Close must be called to release clients
@@ -228,17 +204,20 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 	if opts.Clock == nil {
 		opts.Clock = resilience.RealClock{}
 	}
+	if opts.Write.Retain == 0 {
+		opts.Write.Retain = defaultRetain
+	}
+	wlog, err := openWriteLog(opts.Write.Log, opts.Clock)
+	if err != nil {
+		return nil, err
+	}
 	r := &Remote{
 		opts:      opts,
 		tracker:   resilience.NewLatencyTracker(64),
 		jitter:    resilience.NewJitter(opts.Seed),
 		clock:     opts.Clock,
 		endpoints: make(map[string]*endpointState),
-	}
-	if opts.Write.walEnabled() {
-		if err := r.recoverWriteLog(); err != nil {
-			return nil, err
-		}
+		wlog:      wlog,
 	}
 	r.topoMu.Lock()
 	r.cur = r.buildEpochLocked(opts.Replicas, nil)
@@ -270,15 +249,12 @@ func (r *Remote) endpointClient(ep string) *remote.Client {
 	return nil
 }
 
-// Close stops the health checker, closes the write-ahead log if one is
-// attached, and releases every epoch and endpoint.
+// Close stops the health checker, closes the replay log (later writes fail
+// with wal.ErrClosed), and releases every epoch and endpoint.
 func (r *Remote) Close() {
 	r.health.Close()
 	r.writeMu.Lock()
-	if r.wlog != nil {
-		r.wlog.Close()
-		r.wlog = nil
-	}
+	r.wlog.Close()
 	r.writeMu.Unlock()
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"sync"
 
-	"parj/internal/rdf"
 	"parj/internal/remote"
+	"parj/internal/resilience"
 	"parj/internal/wal"
 )
 
@@ -15,138 +15,100 @@ import (
 //
 // The coordinator is the single sequencer of the cluster write stream:
 // Write serializes batches under writeMu, stamps each with the next
-// sequence number, and fans it out to every distinct replica endpoint of
-// the pinned routing epoch. Replicas apply batches in identical order with
-// deletes before inserts, which keeps their append-only dictionaries —
-// and therefore their dictionary-encoded shard results — byte-identical.
+// sequence number, appends it to the replay log, and fans it out to every
+// distinct replica endpoint of the pinned routing epoch. Replicas apply
+// batches in identical order with deletes before inserts, which keeps their
+// append-only dictionaries — and therefore their dictionary-encoded shard
+// results — byte-identical.
 //
 // Fault model: a replica that misses a batch (killed mid-burst, network
-// cut) is removed from the routing table so queries stop landing on its
-// stale store; the batch itself still commits on the surviving replicas.
-// The coordinator keeps a bounded replay log, so a replica that comes back
-// (or a fresh one warmed from a peer snapshot that embeds its write-stream
-// position) is caught up by Resync — replaying exactly the log suffix the
-// snapshot does not contain — before it is re-admitted.
+// cut, or already past it) is removed from the routing table so queries
+// stop landing on its stale store; the batch itself still commits on the
+// surviving replicas. The replay log is one wal.Log in every configuration
+// (durable on disk, or volatile on a wal.MemFS), so a replica that comes
+// back (or a fresh one warmed from a peer snapshot that embeds its
+// write-stream position) is caught up by Resync — replaying exactly the log
+// suffix the snapshot does not contain — before it is re-admitted.
 
-// defaultWriteLogCap bounds the in-memory replay cache when
-// WriteOptions.ReplayLogSize is zero.
-const defaultWriteLogCap = 1024
+// defaultRetain is the replay span kept when WriteOptions.Retain is zero.
+const defaultRetain = 1024
 
 // ErrLogTruncated reports a resync target that is further behind than the
-// replay log reaches; the replica must warm from a peer snapshot first.
-// With a WAL attached this only happens past the WAL's own retention
-// (WriteOptions.WALRetainBatches).
+// replay log reaches (WriteOptions.Retain); the replica must warm from a
+// peer snapshot first.
 var ErrLogTruncated = errors.New("cluster: replica behind truncated write log")
 
-// recoverWriteLog opens the coordinator's write-ahead log and restores the
-// sequencer position and the in-memory replay cache from it, so the write
-// stream continues where the previous coordinator process stopped instead
-// of forking back to sequence 1.
-func (r *Remote) recoverWriteLog() error {
-	w := r.opts.Write
-	l, err := wal.Open(wal.Options{
-		Dir:          w.WALDir,
-		FS:           w.WALFS,
-		Sync:         w.WALSync,
-		Interval:     w.WALSyncInterval,
-		SegmentBytes: w.WALSegmentBytes,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: open write wal: %w", err)
+// ErrReplicaAhead reports a replica whose write stream is ahead of the
+// coordinator's: it acknowledged a batch at a sequence other than the
+// batch's own (it took the batch for a replay and dropped it), or Resync
+// found it past the coordinator's head. Its store holds batches this
+// coordinator has no record of — typically a coordinator restarted without
+// its log — so the two streams have forked. The verdict is sticky: from
+// then on every Write and Resync of this Remote fails with it, since
+// sequence numbers alone cannot tell the forked batches apart. Recovery is
+// an operator's call: a coordinator on the log the fleet was written from,
+// or a fleet rebuilt from this coordinator's stream.
+var ErrReplicaAhead = errors.New("cluster: replica ahead of the coordinator's write stream")
+
+// openWriteLog opens the coordinator's replay log: on opts.Dir / opts.FS
+// when durable — recovering the sequencer position a previous process left
+// there — and on a fresh in-memory filesystem without fsyncs otherwise.
+// Log.Clock is never settable (the coordinator's clock drives the log), and
+// a volatile log never fsyncs, so setting either is refused, not ignored.
+func openWriteLog(opts wal.Options, clock resilience.Clock) (*wal.Log, error) {
+	if opts.Clock != nil {
+		return nil, errors.New("cluster: WriteOptions.Log.Clock is set; RemoteOptions.Clock drives the log")
 	}
-	cap := w.ReplayLogSize
-	if cap <= 0 {
-		cap = defaultWriteLogCap
-	}
-	last := l.LastSeq()
-	from := l.FirstSeq()
-	if last >= uint64(cap) && last-uint64(cap)+1 > from {
-		from = last - uint64(cap) + 1
-	}
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	r.wlog = l
-	r.writeSeq = last
-	if last == 0 {
-		return nil
-	}
-	err = l.Replay(from, func(rec wal.Record) error {
-		if r.logStart == 0 {
-			r.logStart = rec.Seq
+	if opts.Dir == "" && opts.FS == nil {
+		if opts.Sync != wal.SyncAlways || opts.Interval != 0 {
+			return nil, errors.New("cluster: WriteOptions.Log.Sync/Interval need Log.Dir or Log.FS; a volatile log never fsyncs")
 		}
-		r.writeLog = append(r.writeLog, WriteBatch{
-			Seq:     rec.Seq,
-			Inserts: remoteTriples(rec.Inserts),
-			Deletes: remoteTriples(rec.Deletes),
-		})
-		return nil
-	})
+		opts.FS, opts.Sync = wal.NewMemFS(), wal.SyncNever
+	}
+	opts.Clock = clock
+	l, err := wal.Open(opts)
 	if err != nil {
-		l.Close()
-		r.wlog = nil
-		return fmt.Errorf("cluster: recover write wal: %w", err)
+		return nil, fmt.Errorf("cluster: open write log: %w", err)
 	}
-	return nil
-}
-
-func rdfTriples(ts []remote.Triple) []rdf.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]rdf.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = rdf.Triple{S: t.S, P: t.P, O: t.O}
-	}
-	return out
-}
-
-func remoteTriples(ts []rdf.Triple) []remote.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]remote.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = remote.Triple{S: t.S, P: t.P, O: t.O}
-	}
-	return out
+	return l, nil
 }
 
 // WriteSeq reports the last committed write-batch sequence number.
 func (r *Remote) WriteSeq() uint64 {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	return r.writeSeq
+	return r.wlog.LastSeq()
 }
 
 // Write commits one write batch to the cluster: it assigns the next
 // sequence number, appends the batch to the replay log, and fans it out to
-// every distinct replica endpoint. Endpoints that fail to apply the batch
-// are removed from the routing table (queries must not read their stale
-// stores); the returned error is non-nil only when some shard group would
-// be left with no current replica — the batch is still committed on the
-// survivors and recorded in the log either way, so a recovered replica can
-// be caught up with Resync.
+// every distinct replica endpoint. Endpoints that fail to apply the batch —
+// or acknowledge it at another sequence (ErrReplicaAhead) — are removed
+// from the routing table (queries must not read their stale stores); the
+// returned error is non-nil only when some shard group would be left with
+// no current replica. The batch is still committed on the survivors and
+// recorded in the log either way, so a recovered replica can be caught up
+// with Resync. Once any replica has been found ahead, Write refuses every
+// batch with ErrReplicaAhead before it takes a sequence number.
 func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (uint64, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	seq := r.writeSeq + 1
-	batch := WriteBatch{Seq: seq, Inserts: inserts, Deletes: deletes}
+	if r.forked != nil {
+		return 0, fmt.Errorf("cluster: write refused: %w", r.forked)
+	}
+	batch := wal.Record{Seq: r.wlog.LastSeq() + 1, Inserts: inserts, Deletes: deletes}
 
-	// Durability first: the batch reaches the journal — and its fsync
-	// policy — before any replica sees it, so a coordinator crash can
+	// The log first: the batch reaches the journal — and its fsync policy,
+	// when durable — before any replica sees it, so a coordinator crash can
 	// never leave a replica holding a sequence number the restarted
 	// coordinator has no record of. A failed append rejects the write
 	// outright: nothing fanned out, the sequence did not advance.
-	if r.wlog != nil {
-		rec := wal.Record{Seq: seq, Inserts: rdfTriples(inserts), Deletes: rdfTriples(deletes)}
-		if err := r.wlog.Append(rec); err != nil {
-			return 0, fmt.Errorf("cluster: write wal append %d: %w", seq, err)
-		}
+	if err := r.wlog.Append(batch); err != nil {
+		return 0, fmt.Errorf("cluster: write log append %d: %w", batch.Seq, err)
 	}
 
 	ep := r.pin()
 	defer r.unpin(ep)
-	req := &remote.WriteRequest{Seq: seq, Inserts: inserts, Deletes: deletes}
 	targets := distinctEndpoints(ep.replicas)
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -158,45 +120,38 @@ func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (u
 		wg.Add(1)
 		go func(i int, c *remote.Client) {
 			defer wg.Done()
-			_, err := c.Write(ctx, req)
+			resp, err := c.Write(ctx, &batch)
+			if err == nil && resp.Seq != batch.Seq {
+				err = fmt.Errorf("%w: %s acknowledged batch %d at seq %d", ErrReplicaAhead, targets[i], batch.Seq, resp.Seq)
+			}
 			errs[i] = err
 		}(i, client)
 	}
 	wg.Wait()
 
-	// Commit: the batch is recorded in the replay log even if some replica
-	// failed — sequence numbers never fork.
-	r.writeSeq = seq
-	if r.logStart == 0 {
-		r.logStart = seq
-	}
-	r.writeLog = append(r.writeLog, batch)
-	logCap := r.opts.Write.ReplayLogSize
-	if logCap <= 0 {
-		logCap = defaultWriteLogCap
-	}
-	if over := len(r.writeLog) - logCap; over > 0 {
-		r.writeLog = append([]WriteBatch(nil), r.writeLog[over:]...)
-		r.logStart += uint64(over)
-	}
-	// Retention: drop WAL segments wholly behind the configured span.
-	// Best effort — a failed prune costs disk, not correctness.
-	if r.wlog != nil {
-		if retain := r.opts.Write.WALRetainBatches; retain > 0 && seq > retain {
-			r.wlog.Prune(seq - retain)
-		}
+	// Retention: drop log segments wholly behind the replay span. Best
+	// effort — a failed prune costs space, not correctness.
+	if retain := r.opts.Write.Retain; batch.Seq > retain {
+		r.wlog.Prune(batch.Seq - retain)
 	}
 
 	var failed []string
 	for i, err := range errs {
 		if err != nil {
 			failed = append(failed, targets[i])
+			if r.forked == nil && errors.Is(err, ErrReplicaAhead) {
+				r.forked = err
+			}
 		}
 	}
 	if len(failed) == 0 {
-		return seq, nil
+		return batch.Seq, nil
 	}
-	return seq, r.evictStale(ctx, failed)
+	err := r.evictStale(ctx, failed)
+	if err != nil && r.forked != nil {
+		err = fmt.Errorf("%w: %w", r.forked, err)
+	}
+	return batch.Seq, err
 }
 
 // evictStale removes endpoints that missed a write batch from every shard
@@ -250,18 +205,15 @@ func (r *Remote) evictStale(ctx context.Context, failed []string) error {
 // replica's applied sequence from /statz and replays the missing log
 // suffix in order. The write stream is held still for the duration, so a
 // successful resync leaves the replica exactly current — ready for
-// AddReplica. Returns ErrLogTruncated when the replica is too far behind
-// for the bounded log; it must warm from a peer snapshot (which embeds a
-// newer stream position) and try again.
+// AddReplica. Returns ErrLogTruncated when the replica is further behind
+// than the log reaches (it must warm from a peer snapshot, which embeds a
+// newer stream position, and try again), and ErrReplicaAhead when it is
+// past the coordinator's head or any replica has been found ahead before.
 func (r *Remote) Resync(ctx context.Context, endpoint string) error {
 	client := r.endpointClient(endpoint)
-	owned := false
 	if client == nil {
 		// Not (or no longer) in the routing table — a rejoining node.
 		client = remote.NewClient(endpoint, 0)
-		owned = true
-	}
-	if owned {
 		defer client.Close()
 	}
 	sz, err := client.Statz(ctx)
@@ -271,70 +223,32 @@ func (r *Remote) Resync(ctx context.Context, endpoint string) error {
 
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
-	if sz.WriteSeq >= r.writeSeq {
+	head := r.wlog.LastSeq()
+	switch from := sz.WriteSeq + 1; {
+	case r.forked != nil:
+		return fmt.Errorf("cluster: resync %s refused: %w", endpoint, r.forked)
+	case sz.WriteSeq > head:
+		r.forked = fmt.Errorf("%w: replica %s at %d, coordinator at %d", ErrReplicaAhead, endpoint, sz.WriteSeq, head)
+		return r.forked
+	case sz.WriteSeq == head:
+		return nil
+	case from < r.wlog.FirstSeq():
+		return fmt.Errorf("%w: replica at %d, log starts at %d", ErrLogTruncated, sz.WriteSeq, r.wlog.FirstSeq())
+	default:
+		err := r.wlog.Replay(from, func(batch wal.Record) error {
+			_, err := client.Write(ctx, &batch)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("cluster: resync %s: %w", endpoint, err)
+		}
 		return nil
 	}
-	from := sz.WriteSeq + 1
-	if from < r.logStart || r.logStart == 0 {
-		// Behind the in-memory cache: fall back to the write-ahead log,
-		// which reaches further into the past (up to its retention).
-		if r.wlog != nil {
-			if first := r.wlog.FirstSeq(); first != 0 && from >= first {
-				err := r.wlog.Replay(from, func(rec wal.Record) error {
-					req := &remote.WriteRequest{
-						Seq:     rec.Seq,
-						Inserts: remoteTriples(rec.Inserts),
-						Deletes: remoteTriples(rec.Deletes),
-					}
-					_, werr := client.Write(ctx, req)
-					return werr
-				})
-				if err != nil {
-					return fmt.Errorf("cluster: resync %s from wal: %w", endpoint, err)
-				}
-				return nil
-			}
-			return fmt.Errorf("%w: replica at %d, wal starts at %d", ErrLogTruncated, sz.WriteSeq, r.wlog.FirstSeq())
-		}
-		return fmt.Errorf("%w: replica at %d, log starts at %d", ErrLogTruncated, sz.WriteSeq, r.logStart)
-	}
-	for _, batch := range r.writeLog[from-r.logStart:] {
-		req := &remote.WriteRequest{Seq: batch.Seq, Inserts: batch.Inserts, Deletes: batch.Deletes}
-		if _, err := client.Write(ctx, req); err != nil {
-			return fmt.Errorf("cluster: resync %s at batch %d: %w", endpoint, batch.Seq, err)
-		}
-	}
-	return nil
 }
 
-// WriteLogStats describes the replay log's span: the in-memory cache, the
-// WAL position behind it (zero when the coordinator is volatile), and the
-// sequencer head. Cluster health surfaces use it the way /statz surfaces a
-// node's WAL fields.
-type WriteLogStats struct {
-	Seq        uint64 `json:"seq"`             // last committed batch
-	CacheStart uint64 `json:"cache_start"`     // oldest cached batch (0 = empty)
-	CacheLen   int    `json:"cache_len"`       // cached batches
-	WALEnabled bool   `json:"wal_enabled"`     // write-ahead log attached
-	WALFirst   uint64 `json:"wal_first_seq"`   // oldest journaled batch
-	WALDurable uint64 `json:"wal_durable_seq"` // last fsync-covered batch
-	WALSegs    int    `json:"wal_segments"`    // live segment files
-}
-
-// WriteLog reports the replay log's current span.
-func (r *Remote) WriteLog() WriteLogStats {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	s := WriteLogStats{Seq: r.writeSeq, CacheStart: r.logStart, CacheLen: len(r.writeLog)}
-	if r.wlog != nil {
-		ws := r.wlog.Stats()
-		s.WALEnabled = true
-		s.WALFirst = ws.FirstSeq
-		s.WALDurable = ws.DurableSeq
-		s.WALSegs = ws.Segments
-	}
-	return s
-}
+// WriteLog reports the replay log's span and durable position: LastSeq is
+// the sequencer head, FirstSeq the oldest batch Resync can still replay.
+func (r *Remote) WriteLog() wal.Stats { return r.wlog.Stats() }
 
 // ReconcileAll forces a synchronous reconciliation on every distinct
 // replica endpoint of the current epoch, so pending deltas everywhere are

@@ -37,14 +37,6 @@ func writeNode(t *testing.T, base []rdf.Triple) (*remote.Node, *httptest.Server)
 	return n, httptest.NewServer(n.Handler())
 }
 
-func wire(ts []rdf.Triple) []remote.Triple {
-	out := make([]remote.Triple, len(ts))
-	for i, tr := range ts {
-		out[i] = remote.Triple{S: tr.S, P: tr.P, O: tr.O}
-	}
-	return out
-}
-
 // TestRemoteWriteChaos is the write-path acceptance scenario: a sequenced
 // write burst flows through the coordinator while a query stream runs; one
 // replica (behind a killable proxy, listed in both shard groups) dies mid-
@@ -110,7 +102,7 @@ func TestRemoteWriteChaos(t *testing.T) {
 				ins = append(ins, victim)
 			}
 		}
-		seq, err := r.Write(context.Background(), wire(ins), wire(dels))
+		seq, err := r.Write(context.Background(), ins, dels)
 		if err != nil {
 			t.Fatalf("write %d: %v", wi, err)
 		}
@@ -363,7 +355,7 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 			victim := rdf.Triple{S: fmt.Sprintf("<w-%d>", i-1), P: "<wp>", O: fmt.Sprintf("<wo-%d>", (i-1)%5)}
 			dels = append(dels, victim)
 		}
-		if _, err := r.Write(ctx, wire(ins), wire(dels)); err != nil {
+		if _, err := r.Write(ctx, ins, dels); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		for _, tr := range dels {
@@ -467,12 +459,11 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 	}
 }
 
-// TestRemoteCoordinatorWALRestart: the coordinator's in-memory replay log
-// is a cache over its own WAL. A restarted (crashed) coordinator resumes
-// the sequence where the journal ends, resyncs a replica that is far
-// behind the small in-memory window by replaying from the journal, and
-// reports ErrLogTruncated only once retention has pruned the needed
-// prefix.
+// TestRemoteCoordinatorWALRestart: the coordinator's replay log is a WAL on
+// its own filesystem. A restarted (crashed) coordinator resumes the
+// sequence where the journal ends, resyncs a replica at seq 0 by replaying
+// the journal, and reports ErrLogTruncated only once retention has pruned
+// the needed prefix.
 func TestRemoteCoordinatorWALRestart(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	ctx := context.Background()
@@ -483,7 +474,7 @@ func TestRemoteCoordinatorWALRestart(t *testing.T) {
 	fs := wal.NewMemFS()
 	r, err := NewRemote(RemoteOptions{
 		Replicas: [][]string{{srvA.URL}},
-		Write:    WriteOptions{ReplayLogSize: 4, WALFS: fs},
+		Write:    WriteOptions{Log: wal.Options{FS: fs}, Retain: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -494,8 +485,10 @@ func TestRemoteCoordinatorWALRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Retain 4 prunes whole segments only: the one default-sized segment
+	// still reaches back to batch 1.
 	ws := r.WriteLog()
-	if !ws.WALEnabled || ws.Seq != 10 || ws.WALDurable != 10 || ws.CacheLen != 4 {
+	if ws.LastSeq != 10 || ws.DurableSeq != 10 || ws.FirstSeq != 1 {
 		t.Fatalf("write log stats before crash: %+v", ws)
 	}
 	// The coordinator process dies; only fsynced journal state survives.
@@ -504,7 +497,7 @@ func TestRemoteCoordinatorWALRestart(t *testing.T) {
 
 	r2, err := NewRemote(RemoteOptions{
 		Replicas: [][]string{{srvA.URL}},
-		Write:    WriteOptions{ReplayLogSize: 4, WALFS: fs.Recover()},
+		Write:    WriteOptions{Log: wal.Options{FS: fs.Recover()}, Retain: 4},
 	})
 	if err != nil {
 		t.Fatalf("restart coordinator: %v", err)
@@ -514,9 +507,8 @@ func TestRemoteCoordinatorWALRestart(t *testing.T) {
 		t.Fatalf("restarted coordinator at seq %d, want 10", got)
 	}
 
-	// A replica at seq 0 is far behind the 4-batch cache, but the journal
-	// reaches back to batch 1: resync replays from the WAL, no snapshot
-	// warm needed.
+	// A replica at seq 0: the recovered journal reaches back to batch 1, so
+	// resync replays it, no snapshot warm needed.
 	stale, srvStale := writeNode(t, base)
 	defer srvStale.Close()
 	if err := r2.Resync(ctx, srvStale.URL); err != nil {
@@ -533,38 +525,201 @@ func TestRemoteCoordinatorWALRestart(t *testing.T) {
 		t.Fatalf("write after restart: seq=%d err=%v", seq, err)
 	}
 
-	// Retention: prune the journal down and the cold resync path finally
-	// reports typed truncation.
-	fs2 := wal.NewMemFS()
+	// Retention: with small segments the journal is pruned down, and the
+	// resync of a replica behind it reports typed truncation. r3 starts a
+	// fresh stream, so it gets a fresh replica (srvA is at seq 11 and
+	// would rightly refuse r3's batches as ErrReplicaAhead).
+	_, srvB := writeNode(t, base)
+	defer srvB.Close()
 	r3, err := NewRemote(RemoteOptions{
-		Replicas: [][]string{{srvA.URL}},
-		Write: WriteOptions{
-			ReplayLogSize:    2,
-			WALFS:            fs2,
-			WALSegmentBytes:  200,
-			WALRetainBatches: 4,
-		},
+		Replicas: [][]string{{srvB.URL}},
+		Write:    WriteOptions{Log: wal.Options{FS: wal.NewMemFS(), SegmentBytes: 200}, Retain: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r3.Close()
-	// srvA is already at seq 11 from the streams above; r3 starts at 0 and
-	// its writes 1..20 are idempotent replays on the replica — harmless
-	// for what this block tests (the coordinator's own log retention).
 	for i := 1; i <= 20; i++ {
 		ins := []remote.Triple{{S: fmt.Sprintf("<t%d>", i), P: "<wp>", O: "<o>"}}
 		if _, err := r3.Write(ctx, ins, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ws := r3.WriteLog(); ws.WALFirst <= 1 {
-		t.Fatalf("retention never pruned: wal starts at %d", ws.WALFirst)
+	if ws := r3.WriteLog(); ws.FirstSeq <= 1 {
+		t.Fatalf("retention never pruned: wal starts at %d", ws.FirstSeq)
 	}
 	_, srvCold := writeNode(t, base)
 	defer srvCold.Close()
 	if err := r3.Resync(ctx, srvCold.URL); !errors.Is(err, ErrLogTruncated) {
 		t.Fatalf("resync past retention returned %v, want ErrLogTruncated", err)
+	}
+}
+
+// TestRemoteWriteRestartedCoordinator: a coordinator restarted without its
+// log starts its stream at seq 1 again, but the fleet has applied 1..3
+// already. A replica answers such a batch as an idempotent replay at its own
+// position and drops it, so the coordinator must not report the write as
+// committed: the write fails with ErrReplicaAhead (the replica is the sole
+// one of its group). The verdict is sticky: once the restarted head reaches
+// the replica's position, seq 3 would be acknowledged as a "replay" and seq 4
+// would apply on top of the old stream, so every later Write and Resync must
+// keep failing. A Resync that finds a replica ahead trips the same verdict.
+func TestRemoteWriteRestartedCoordinator(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	ctx := context.Background()
+	base := lubm.Triples(1, lubm.Config{})
+	node, srv := writeNode(t, base)
+	defer srv.Close()
+	opts := RemoteOptions{Replicas: [][]string{{srv.URL}}}
+
+	first, err := NewRemote(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := first.Write(ctx, []remote.Triple{{S: fmt.Sprintf("<old%d>", i), P: "<wp>", O: "<o>"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first.Close()
+
+	restarted, err := NewRemote(opts) // volatile: the log died with the process
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for i := 1; i <= 5; i++ {
+		tr := remote.Triple{S: fmt.Sprintf("<new%d>", i), P: "<wp>", O: "<o>"}
+		seq, err := restarted.Write(ctx, []remote.Triple{tr}, nil)
+		st := node.Store()
+		s, p, o := st.Resources.Lookup(tr.S), st.Predicates.Lookup(tr.P), st.Resources.Lookup(tr.O)
+		applied := s != 0 && p != 0 && o != 0 && st.HasTriple(s, p, o)
+		if err == nil {
+			t.Fatalf("write %d acknowledged at seq %d with nil error; replica applied it: %v", i, seq, applied)
+		}
+		if !errors.Is(err, ErrReplicaAhead) {
+			t.Fatalf("write %d on a fleet ahead of the coordinator returned %v, want ErrReplicaAhead", i, err)
+		}
+		if applied {
+			t.Fatalf("replica applied batch %d, which it acknowledged at another sequence", i)
+		}
+		if sz := node.Statz(); sz.WriteSeq != 3 {
+			t.Fatalf("replica at seq %d after write %d, want 3", sz.WriteSeq, i)
+		}
+		if err := restarted.Resync(ctx, srv.URL); !errors.Is(err, ErrReplicaAhead) {
+			t.Fatalf("resync after write %d of a replica ahead of the coordinator returned %v, want ErrReplicaAhead", i, err)
+		}
+	}
+	if head := restarted.WriteSeq(); head != 1 {
+		t.Fatalf("refused writes advanced the sequencer to %d, want 1 (only the write that found the fork)", head)
+	}
+
+	// A fresh coordinator over a fresh replica: Resync of the replica ahead
+	// (still at seq 3) finds the fork, so no write reaches seq 3 and makes
+	// the old replica look current.
+	_, srvFresh := writeNode(t, base)
+	defer srvFresh.Close()
+	other, err := NewRemote(RemoteOptions{Replicas: [][]string{{srvFresh.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.Resync(ctx, srv.URL); !errors.Is(err, ErrReplicaAhead) {
+		t.Fatalf("resync of a replica ahead returned %v, want ErrReplicaAhead", err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := other.Write(ctx, []remote.Triple{{S: fmt.Sprintf("<other%d>", i), P: "<wp>", O: "<o>"}}, nil); !errors.Is(err, ErrReplicaAhead) {
+			t.Fatalf("write %d after a fork was found returned %v, want ErrReplicaAhead", i, err)
+		}
+	}
+	if err := other.Resync(ctx, srv.URL); !errors.Is(err, ErrReplicaAhead) {
+		t.Fatalf("second resync of a replica ahead returned %v, want ErrReplicaAhead", err)
+	}
+}
+
+// TestRemoteWriteVolatileLogRetention: the volatile replay log is bounded —
+// ten Retain spans of batches over small segments move its first sequence
+// forward — and still replays: a replica warmed inside the window resyncs
+// to the head.
+func TestRemoteWriteVolatileLogRetention(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	ctx := context.Background()
+	base := lubm.Triples(1, lubm.Config{})
+	_, srvA := writeNode(t, base)
+	defer srvA.Close()
+	const retain = 8
+	r, err := NewRemote(RemoteOptions{
+		Replicas: [][]string{{srvA.URL}},
+		Write:    WriteOptions{Log: wal.Options{SegmentBytes: 256}, Retain: retain},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	write := func(i int) {
+		t.Helper()
+		if _, err := r.Write(ctx, []remote.Triple{{S: fmt.Sprintf("<v%d>", i), P: "<wp>", O: "<o>"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 9*retain; i++ {
+		write(i)
+	}
+	// Warm a replica from the survivor's snapshot inside the window...
+	c := remote.NewClient(srvA.URL, 0)
+	warmSt, warmSeq, err := c.SnapshotSeq(ctx)
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := remote.NewNode(warmSt, nil, remote.NodeOptions{})
+	fresh.Live().SeedSeq(warmSeq)
+	srvF := httptest.NewServer(fresh.Handler())
+	defer srvF.Close()
+	// ...and let the stream move on by less than Retain.
+	for i := 9*retain + 1; i <= 10*retain; i++ {
+		write(i)
+	}
+
+	ws := r.WriteLog()
+	t.Logf("volatile log after %d batches: %+v", 10*retain, ws)
+	if ws.LastSeq != 10*retain || ws.FirstSeq <= 1 || ws.FirstSeq > 10*retain-retain+1 {
+		t.Fatalf("volatile log span %d..%d, want head %d, pruned, and at least %d batches replayable",
+			ws.FirstSeq, ws.LastSeq, 10*retain, retain)
+	}
+	if ws.Segments > 10 {
+		t.Fatalf("volatile log keeps %d segments for a %d-batch window", ws.Segments, retain)
+	}
+	if err := r.Resync(ctx, srvF.URL); err != nil {
+		t.Fatalf("resync inside the window: %v", err)
+	}
+	if sz := fresh.Statz(); sz.WriteSeq != 10*retain {
+		t.Fatalf("replica after resync at seq %d, want %d", sz.WriteSeq, 10*retain)
+	}
+	_, srvCold := writeNode(t, base)
+	defer srvCold.Close()
+	if err := r.Resync(ctx, srvCold.URL); !errors.Is(err, ErrLogTruncated) {
+		t.Fatalf("resync of a replica behind the window returned %v, want ErrLogTruncated", err)
+	}
+}
+
+// TestRemoteWriteOptionsRefuseIgnoredLogFields: WriteOptions.Log fields the
+// coordinator would not honour are refused, not silently dropped — Log.Clock
+// (RemoteOptions.Clock drives the log) and, without Log.Dir or Log.FS, a
+// fsync policy or interval for a log that never fsyncs.
+func TestRemoteWriteOptionsRefuseIgnoredLogFields(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	for name, lo := range map[string]wal.Options{
+		"clock":             {FS: wal.NewMemFS(), Clock: resilience.RealClock{}},
+		"volatile sync":     {Sync: wal.SyncInterval},
+		"volatile interval": {Interval: time.Second},
+	} {
+		r, err := NewRemote(RemoteOptions{Replicas: [][]string{{"http://127.0.0.1:1"}}, Write: WriteOptions{Log: lo}})
+		if err == nil {
+			r.Close()
+			t.Errorf("%s: NewRemote accepted WriteOptions.Log %+v", name, lo)
+		}
 	}
 }
 
@@ -619,7 +774,8 @@ func TestRemoteWriteSeqGapEviction(t *testing.T) {
 
 // TestRemoteWriteLogTruncation: a replica that falls behind the bounded
 // replay log cannot be resynced incrementally — the coordinator reports
-// ErrLogTruncated instead of replaying a hole.
+// ErrLogTruncated instead of replaying a hole. One-byte segments hold one
+// batch each, so Retain 4 keeps exactly the last four on the volatile log.
 func TestRemoteWriteLogTruncation(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	base := lubm.Triples(1, lubm.Config{})
@@ -630,7 +786,7 @@ func TestRemoteWriteLogTruncation(t *testing.T) {
 
 	r, err := NewRemote(RemoteOptions{
 		Replicas: [][]string{{srvA.URL}},
-		Write:    WriteOptions{ReplayLogSize: 4},
+		Write:    WriteOptions{Log: wal.Options{SegmentBytes: 1}, Retain: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,47 +60,13 @@ func Shrink(triples []rdf.Triple, q *Query, ec EngineConfig, oracleBudget int64,
 			best = next
 			changed = true
 		}
-		if next, ok := shrinkTriples(cur, best, fails); ok {
+		// An empty triple set is never a repro worth keeping.
+		if next, ok := ddmin(cur, func(ts []rdf.Triple) bool { return len(ts) > 0 && fails(ts, best) }); ok {
 			cur = next
 			changed = true
 		}
 	}
 	return cur, best
-}
-
-// shrinkTriples is the ddmin loop: try dropping ever-smaller chunks while
-// the failure persists.
-func shrinkTriples(triples []rdf.Triple, q *Query, fails func([]rdf.Triple, *Query) bool) ([]rdf.Triple, bool) {
-	cur := triples
-	reduced := false
-	n := 2
-	for len(cur) >= 2 && n <= len(cur) {
-		chunk := (len(cur) + n - 1) / n
-		removedAny := false
-		for start := 0; start < len(cur); start += chunk {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			cand := make([]rdf.Triple, 0, len(cur)-(end-start))
-			cand = append(cand, cur[:start]...)
-			cand = append(cand, cur[end:]...)
-			if len(cand) > 0 && fails(cand, q) {
-				cur = cand
-				reduced = true
-				removedAny = true
-				start -= chunk // re-test the same offset on the shrunk slice
-			}
-		}
-		if removedAny {
-			if n > 2 {
-				n--
-			}
-		} else {
-			n *= 2
-		}
-	}
-	return cur, reduced
 }
 
 // shrinkQuery tries structural simplifications in decreasing order of

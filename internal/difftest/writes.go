@@ -198,10 +198,10 @@ func (e *liveWriteEngine) Name() string { return e.name }
 
 func (e *liveWriteEngine) Apply(inserts, deletes []rdf.Triple) error {
 	if len(deletes) > 0 {
-		e.db.Delete(toParjTriples(deletes))
+		e.db.Delete(deletes)
 	}
 	if len(inserts) > 0 {
-		e.db.Insert(toParjTriples(inserts))
+		e.db.Insert(inserts)
 	}
 	return nil
 }
@@ -220,14 +220,6 @@ func (e *liveWriteEngine) Evaluate(q *sparql.Query) ([][]string, error) {
 }
 
 func (e *liveWriteEngine) Close() { e.db.Quiesce() }
-
-func toParjTriples(ts []rdf.Triple) []parj.Triple {
-	out := make([]parj.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = parj.Triple(t)
-	}
-	return out
-}
 
 // clusterWriteConfig is the networked leg of the mutable matrix: a 2-group
 // × 2-replica loopback fleet where every node holds its own independently
@@ -279,7 +271,7 @@ func newClusterWriteEngine(base []rdf.Triple) (WriteEngine, error) {
 func (e *clusterWriteEngine) Name() string { return "cluster-write-2x2" }
 
 func (e *clusterWriteEngine) Apply(inserts, deletes []rdf.Triple) error {
-	seq, err := e.rem.Write(context.Background(), toWireTriples(inserts), toWireTriples(deletes))
+	seq, err := e.rem.Write(context.Background(), inserts, deletes)
 	if err != nil {
 		return err
 	}
@@ -317,17 +309,6 @@ func (e *clusterWriteEngine) Close() {
 	for _, s := range e.servers {
 		s.Close()
 	}
-}
-
-func toWireTriples(ts []rdf.Triple) []remote.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]remote.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = remote.Triple{S: t.S, P: t.P, O: t.O}
-	}
-	return out
 }
 
 // writeOracle is the naive mutable oracle: a plain triple set updated by
@@ -692,8 +673,9 @@ func ShrinkWriteSchedule(sched *WriteSchedule, ec WriteEngineConfig, oracleBudge
 	return cur
 }
 
-// ddmin is the generic chunk-removal loop shared by the schedule shrinker:
-// repeatedly drop ever-smaller chunks of xs while fails still holds.
+// ddmin is the generic chunk-removal loop shared by both shrinkers (query
+// repros and write schedules): repeatedly drop ever-smaller chunks of xs
+// while fails still holds.
 func ddmin[T any](xs []T, fails func([]T) bool) ([]T, bool) {
 	cur := xs
 	reduced := false

@@ -176,9 +176,9 @@ func (g *Governor) Err() error {
 // Stopped reports whether workers should abandon the query.
 func (g *Governor) Stopped() bool { return g.stopped.Load() }
 
-// Interval returns the resolved amortized check interval. Engines that keep
-// their own step countdown (cheaper than a per-step Gate call in the inner
-// recursion) refill it from here.
+// Interval returns the resolved amortized check interval. Engines keep their
+// own worker-local step countdown (cheaper than a per-step call in the inner
+// recursion) and refill it from here.
 func (g *Governor) Interval() int { return g.interval }
 
 // Check runs the slow-path inspection: context state first (a deadline is
@@ -253,65 +253,31 @@ func IntervalForEstimate(estRows float64) int {
 	return DefaultCheckInterval
 }
 
-// Gate is one worker's view of the Governor: a local countdown that makes
-// the common case a single decrement, plus local row/byte accumulators
-// flushed on the same schedule. Gates are not safe for concurrent use; each
-// worker owns one.
+// Gate is one worker's view of the Governor: local row/byte accumulators
+// the worker flushes on its own amortized schedule (it keeps a step
+// countdown refilled from Interval and calls Tick when it expires). Gates
+// are not safe for concurrent use; each worker owns one. Every method on a
+// nil Gate is a cheap no-op that reports "keep going" — ungoverned
+// executions pay one predictable nil check.
 type Gate struct {
-	gov       *Governor
-	countdown int
-	rows      int64
-	bytes     int64
-}
-
-// NewGate returns a fresh gate for one worker. A nil Governor yields a nil
-// Gate, and every method on a nil Gate is a cheap no-op that reports
-// "keep going" — ungoverned executions pay one predictable nil check.
-func (g *Governor) NewGate() *Gate {
-	if g == nil {
-		return nil
-	}
-	return g.GateAt(new(Gate))
+	gov   *Governor
+	rows  int64
+	bytes int64
 }
 
 // GateAt initializes t in place as a fresh gate for one worker and returns
 // it. The worker writes its gate on every amortized check, so an engine that
 // keeps each worker's mutable state in one cache-line-isolated block embeds
-// the Gate there instead of letting NewGate allocate it beside a sibling's.
+// the Gate there.
 func (g *Governor) GateAt(t *Gate) *Gate {
-	*t = Gate{gov: g, countdown: g.interval}
+	*t = Gate{gov: g}
 	return t
 }
 
-// Step accounts one unit of work (a binding produced or a key scanned) and,
-// every CheckInterval steps, runs the full governance check. It reports
-// whether the worker should continue.
-func (t *Gate) Step() bool {
-	if t == nil {
-		return true
-	}
-	t.countdown--
-	if t.countdown > 0 {
-		return true
-	}
-	return t.sync()
-}
-
-// Produced accounts one emitted result row of the given materialized size
-// in bytes (0 when the row is only counted). Budget verification happens on
-// the amortized schedule, not here.
-func (t *Gate) Produced(bytes int64) {
-	if t == nil {
-		return
-	}
-	t.rows++
-	t.bytes += bytes
-}
-
 // ProducedN accounts n emitted result rows totalling bytes materialized
-// bytes. Engines that already count rows for their own bookkeeping charge
-// the delta here on the amortized schedule instead of calling Produced per
-// row.
+// bytes. Engines count rows for their own bookkeeping and charge the delta
+// here on their amortized schedule; budget verification happens at the next
+// Tick or Close.
 func (t *Gate) ProducedN(n, bytes int64) {
 	if t == nil {
 		return
@@ -328,10 +294,9 @@ func (t *Gate) Interval() int {
 	return t.gov.interval
 }
 
-// Tick flushes the accumulators and runs the full governance check now,
-// regardless of the built-in countdown. Engines that amortize with their own
-// worker-local counter call it when that counter expires; it reports whether
-// the worker should continue.
+// Tick flushes the accumulators and runs the full governance check now.
+// Engines call it when their worker-local step countdown expires; it reports
+// whether the worker should continue.
 func (t *Gate) Tick() bool {
 	if t == nil {
 		return true
@@ -341,7 +306,6 @@ func (t *Gate) Tick() bool {
 
 // sync flushes the local accumulators and runs the slow-path check.
 func (t *Gate) sync() bool {
-	t.countdown = t.gov.interval
 	rows, bytes := t.rows, t.bytes
 	t.rows, t.bytes = 0, 0
 	if !t.gov.charge(rows, bytes) {

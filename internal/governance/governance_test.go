@@ -93,17 +93,32 @@ func TestGovernorCancellation(t *testing.T) {
 	}
 }
 
-func TestGateRowBudget(t *testing.T) {
-	g := New(Config{MaxResultRows: 10, CheckInterval: 4})
-	gate := g.NewGate()
-	for i := 0; i < 10; i++ {
-		gate.Produced(0)
-		if !gate.Step() {
-			t.Fatalf("gate tripped at row %d, within budget", i+1)
+// drive runs a worker's amortized loop the way core does: one step per
+// emitted row, charging the row on every step and ticking the gate each
+// time the worker-local countdown (refilled from Interval) expires.
+func drive(gate *Gate, rows int) bool {
+	tick := gate.Interval()
+	for i := 0; i < rows; i++ {
+		gate.ProducedN(1, 0)
+		if tick--; tick > 0 {
+			continue
+		}
+		tick = gate.Interval()
+		if !gate.Tick() {
+			return false
 		}
 	}
+	return true
+}
+
+func TestGateRowBudget(t *testing.T) {
+	g := New(Config{MaxResultRows: 10, CheckInterval: 4})
+	gate := g.GateAt(new(Gate))
+	if !drive(gate, 10) {
+		t.Fatal("gate tripped within budget")
+	}
 	// The 11th row exceeds the budget at the next flush.
-	gate.Produced(0)
+	gate.ProducedN(1, 0)
 	if gate.Close() {
 		t.Fatal("Close passed with budget exceeded")
 	}
@@ -114,13 +129,13 @@ func TestGateRowBudget(t *testing.T) {
 
 func TestGateMemoryBudget(t *testing.T) {
 	g := New(Config{MemoryBudget: 100, CheckInterval: 1 << 20})
-	gate := g.NewGate()
-	gate.Produced(64)
+	gate := g.GateAt(new(Gate))
+	gate.ProducedN(1, 64)
 	if !gate.Close() {
 		t.Fatal("within-budget close failed")
 	}
-	gate2 := g.NewGate()
-	gate2.Produced(64) // shared total now 128 > 100
+	gate2 := g.GateAt(new(Gate))
+	gate2.ProducedN(1, 64) // shared total now 128 > 100
 	if gate2.Close() {
 		t.Fatal("over-budget close passed")
 	}
@@ -131,13 +146,12 @@ func TestGateMemoryBudget(t *testing.T) {
 
 func TestNilGateNoops(t *testing.T) {
 	var gate *Gate
-	if !gate.Step() || !gate.Close() {
+	if !gate.Tick() || !gate.Close() || !drive(gate, 3) {
 		t.Error("nil gate does not report keep-going")
 	}
-	gate.Produced(123) // must not panic
-	var g *Governor
-	if g.NewGate() != nil {
-		t.Error("nil governor yields non-nil gate")
+	gate.ProducedN(1, 123) // must not panic
+	if gate.Interval() != DefaultCheckInterval {
+		t.Errorf("nil gate interval = %d, want the default", gate.Interval())
 	}
 }
 

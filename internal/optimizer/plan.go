@@ -126,13 +126,6 @@ func (p *Plan) EstResultRows() float64 {
 	return p.EstCard
 }
 
-// EstMemoryBytes estimates the bytes a fully materialized result would
-// occupy (projected uint32 payload plus per-row slice overhead), the figure
-// a MemoryBudget is compared against when sizing admission policies.
-func (p *Plan) EstMemoryBytes() float64 {
-	return p.EstResultRows() * float64(len(p.Project)*4+24)
-}
-
 // Explain renders a human-readable description of the plan.
 func (p *Plan) Explain() string {
 	if p.Empty {

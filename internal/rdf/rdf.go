@@ -7,9 +7,13 @@
 package rdf
 
 // Triple is a single RDF statement. Each field is a term in N-Triples
-// syntax (see package comment).
+// syntax (see package comment). It is the one triple type of the module:
+// the public parj.Triple and the /write wire form are aliases of it, and its
+// JSON form is {"s","p","o"}.
 type Triple struct {
-	S, P, O string
+	S string `json:"s"`
+	P string `json:"p"`
+	O string `json:"o"`
 }
 
 // TermKind classifies a term string.

@@ -157,10 +157,6 @@ func (h *Hierarchy) SubClasses(c uint32) []uint32 { return h.subClasses[c] }
 // nil when p has none.
 func (h *Hierarchy) SubProperties(p uint32) []uint32 { return h.subProperties[p] }
 
-// TypePredicate returns the predicate ID of rdf:type in the store (0 when
-// the data has no type triples).
-func (h *Hierarchy) TypePredicate() uint32 { return h.typePred }
-
 // HasExpansions reports whether any hierarchy with more than one member
 // exists — if not, hierarchy-aware evaluation equals plain evaluation.
 func (h *Hierarchy) HasExpansions() bool {

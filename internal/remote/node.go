@@ -17,7 +17,6 @@ import (
 	"parj/internal/governance"
 	"parj/internal/live"
 	"parj/internal/optimizer"
-	"parj/internal/rdf"
 	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
@@ -275,7 +274,7 @@ func (n *Node) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, KindParse, fmt.Errorf("decoding write: %w", err))
 		return
 	}
-	seq, err := n.h.Apply(req.Seq, toRDFTriples(req.Inserts), toRDFTriples(req.Deletes))
+	seq, err := n.h.Apply(req.Seq, req.Inserts, req.Deletes)
 	if err != nil {
 		if errors.Is(err, live.ErrSeqGap) {
 			writeError(w, http.StatusConflict, KindSeqGap, err)
@@ -303,17 +302,6 @@ func (n *Node) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	}
 	v := n.h.Reconcile()
 	writeJSON(w, http.StatusOK, WriteResponse{Seq: v.Seq(), Pending: v.Pending(), Epoch: v.Version()})
-}
-
-func toRDFTriples(ts []Triple) []rdf.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]rdf.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = rdf.Triple{S: t.S, P: t.P, O: t.O}
-	}
-	return out
 }
 
 func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {

@@ -31,7 +31,9 @@ import (
 
 	"parj/internal/core"
 	"parj/internal/governance"
+	"parj/internal/rdf"
 	"parj/internal/search"
+	"parj/internal/wal"
 )
 
 // QueryPath answers one whole query with decoded rows: GET ?query=..., a
@@ -75,26 +77,20 @@ const ReconcilePath = "/reconcile"
 // write stream exactly where the snapshot left off.
 const WriteSeqHeader = "X-Parj-Write-Seq"
 
-// Triple is one term-string triple on the wire. Writes travel as raw terms
-// (not dictionary IDs): every replica encodes them against its own
-// dictionaries, and because batches apply in identical sequence order with
-// deletes before inserts, all replicas assign identical IDs.
-type Triple struct {
-	S string `json:"s"`
-	P string `json:"p"`
-	O string `json:"o"`
-}
+// Triple is one term-string triple on the wire, {"s","p","o"}. Writes
+// travel as raw terms (not dictionary IDs): every replica encodes them
+// against its own dictionaries, and because batches apply in identical
+// sequence order with deletes before inserts, all replicas assign identical
+// IDs.
+type Triple = rdf.Triple
 
-// WriteRequest applies one write batch. Deletes are applied before inserts
-// on every replica (the order that keeps dictionary growth deterministic:
-// deletes never touch the dictionaries, inserts grow them identically).
-type WriteRequest struct {
-	// Seq sequences the batch in the coordinator's write stream; 0 means
-	// "next" (the direct single-node path).
-	Seq     uint64   `json:"seq,omitempty"`
-	Inserts []Triple `json:"inserts,omitempty"`
-	Deletes []Triple `json:"deletes,omitempty"`
-}
+// WriteRequest is the /write body: one sequenced write batch, the same
+// struct the coordinator journals and a replica's WAL frames. Seq sequences
+// the batch in the coordinator's write stream; 0 means "next" (the direct
+// single-node path). Deletes are applied before inserts on every replica
+// (the order that keeps dictionary growth deterministic: deletes never touch
+// the dictionaries, inserts grow them identically).
+type WriteRequest = wal.Record
 
 // WriteResponse reports the node's write-stream position after an applied
 // batch or a reconciliation.

@@ -198,15 +198,6 @@ func (s *Stats) CountExact(c Column, v uint32) int {
 	return hi - lo
 }
 
-// KeyHistogram returns the histogram of column c.
-func (s *Stats) KeyHistogram(c Column) Histogram {
-	i := 2 * (c.Pred - 1)
-	if !c.Subject {
-		i++
-	}
-	return s.keyHists[i]
-}
-
 // PairCardinality returns the exact size of the equi-join between column a
 // of predicate a.Pred and column b of predicate b.Pred, i.e. the number of
 // (ta, tb) triple pairs agreeing on those columns. Results are memoized.

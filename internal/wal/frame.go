@@ -49,11 +49,15 @@ const (
 )
 
 // Record is one sequenced write batch: deletes are applied before
-// inserts, the order the replication contract fixes.
+// inserts, the order the replication contract fixes. It is the module's one
+// batch type: the /write request body (remote.WriteRequest is an alias), the
+// coordinator's replay log and this log's frames all carry it. Seq 0 on the
+// wire means "next" (the unsequenced single-node path); the log itself only
+// holds positive sequences.
 type Record struct {
-	Seq     uint64
-	Inserts []rdf.Triple
-	Deletes []rdf.Triple
+	Seq     uint64       `json:"seq,omitempty"`
+	Inserts []rdf.Triple `json:"inserts,omitempty"`
+	Deletes []rdf.Triple `json:"deletes,omitempty"`
 }
 
 func segName(start uint64) string              { return fmt.Sprintf("%s%016x%s", segPrefix, start, segSuffix) }

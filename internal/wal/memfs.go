@@ -29,6 +29,11 @@ import (
 // ErrCrashed; Recover yields a fresh MemFS seeded with exactly the bytes
 // and entries that were durable — the disk as the restarted process finds
 // it.
+//
+// Unscripted, it is also the plain in-memory backing of a volatile log: the
+// cluster coordinator journals its write stream through a wal.Log on a
+// MemFS under SyncNever when it is not configured to be durable, so replay
+// and retention take the same path in both configurations.
 
 // ErrCrashed reports an operation on a MemFS whose simulated process has
 // been killed.
@@ -92,12 +97,6 @@ type memFile struct {
 }
 
 func (f *memFile) size() int { return len(f.durable) + len(f.pending) }
-
-func (f *memFile) bytes() []byte {
-	b := make([]byte, 0, f.size())
-	b = append(b, f.durable...)
-	return append(b, f.pending...)
-}
 
 // MemFS is an in-memory FS with scripted crash injection. The zero value
 // is not usable; call NewMemFS.
@@ -416,11 +415,18 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	if h.closed {
 		return 0, errors.New("wal: read on closed file")
 	}
-	b := h.f.bytes()
-	if h.pos >= len(b) {
+	if h.pos >= h.f.size() {
 		return 0, io.EOF
 	}
-	n := copy(p, b[h.pos:])
+	// Copy straight from the durable bytes, then the pending ones: a read
+	// costs what it returns, not the file's size.
+	n := 0
+	if d := len(h.f.durable); h.pos < d {
+		n = copy(p, h.f.durable[h.pos:])
+	}
+	if start := h.pos + n - len(h.f.durable); n < len(p) && start >= 0 {
+		n += copy(p[n:], h.f.pending[start:])
+	}
 	h.pos += n
 	return n, nil
 }

@@ -178,13 +178,9 @@ func Open(opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	switch {
-	case opts.Sync == SyncAlways:
+	if opts.Sync != SyncNever {
 		l.wg.Add(1)
-		go l.groupFlusher()
-	case opts.Sync == SyncInterval:
-		l.wg.Add(1)
-		go l.intervalFlusher()
+		go l.flusher()
 	}
 	return l, nil
 }
@@ -482,81 +478,60 @@ func (l *Log) completeWaitersLocked() {
 	l.waiters = kept
 }
 
-// groupFlusher is the single fsync issuer under SyncAlways: it snapshots
-// the active segment and the highest enqueued sequence, fsyncs outside
-// the log mutex (writers keep enqueuing meanwhile), then wakes every
-// waiter the fsync covered. One fsync acknowledges a whole convoy.
-func (l *Log) groupFlusher() {
+// flusher is the single background fsync issuer. The policies differ only
+// in what wakes it: under SyncAlways an Enqueue (flushCh; the timer channel
+// stays nil), under SyncInterval the clock (flushCh is never signalled).
+// Group commit keeps flushing while writers enqueued during the last fsync,
+// so one fsync acknowledges a whole convoy; the interval policy flushes once
+// per tick.
+func (l *Log) flusher() {
 	defer l.wg.Done()
+	group := l.opts.Sync == SyncAlways
 	for {
+		var tick <-chan time.Time
+		if !group {
+			tick = l.clock.After(l.opts.Interval)
+		}
 		select {
 		case <-l.stopCh:
 			return
 		case <-l.flushCh:
+		case <-tick:
 		}
-		for {
-			l.mu.Lock()
-			if l.err != nil || l.closed || l.seg == nil || l.lastSeq <= l.durableSeq {
-				l.mu.Unlock()
-				break
-			}
-			seg, target := l.seg, l.lastSeq
-			l.syncing = true
-			l.mu.Unlock()
-
-			err := seg.Sync()
-
-			l.mu.Lock()
-			l.syncing = false
-			l.cond.Broadcast()
-			if err != nil {
-				l.fail(fmt.Errorf("wal: group fsync: %w", err))
-				l.mu.Unlock()
-				break
-			}
-			if target > l.durableSeq {
-				l.durableSeq = target
-			}
-			l.completeWaitersLocked()
-			again := l.lastSeq > l.durableSeq
-			l.mu.Unlock()
-			if !again {
-				break
-			}
+		for l.flush() && group {
 		}
 	}
 }
 
-// intervalFlusher fsyncs on the clock under SyncInterval.
-func (l *Log) intervalFlusher() {
-	defer l.wg.Done()
-	for {
-		select {
-		case <-l.stopCh:
-			return
-		case <-l.clock.After(l.opts.Interval):
-		}
-		l.mu.Lock()
-		if l.err != nil || l.closed || l.seg == nil || l.lastSeq <= l.durableSeq {
-			l.mu.Unlock()
-			continue
-		}
-		seg, target := l.seg, l.lastSeq
-		l.syncing = true
-		l.mu.Unlock()
-
-		err := seg.Sync()
-
-		l.mu.Lock()
-		l.syncing = false
-		l.cond.Broadcast()
-		if err != nil {
-			l.fail(fmt.Errorf("wal: interval fsync: %w", err))
-		} else if target > l.durableSeq {
-			l.durableSeq = target
-		}
-		l.mu.Unlock()
+// flush snapshots the active segment and the highest enqueued sequence,
+// fsyncs outside the log mutex (writers keep enqueuing meanwhile), then
+// advances the durable position and wakes every waiter the fsync covered —
+// or poisons the log on failure. It reports whether records arrived during
+// the fsync and are still unsynced.
+func (l *Log) flush() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil || l.closed || l.seg == nil || l.lastSeq <= l.durableSeq {
+		return false
 	}
+	seg, target := l.seg, l.lastSeq
+	l.syncing = true
+	l.mu.Unlock()
+
+	err := seg.Sync()
+
+	l.mu.Lock()
+	l.syncing = false
+	l.cond.Broadcast()
+	if err != nil {
+		l.fail(fmt.Errorf("wal: background fsync: %w", err))
+		return false
+	}
+	if target > l.durableSeq {
+		l.durableSeq = target
+	}
+	l.completeWaitersLocked()
+	return l.lastSeq > l.durableSeq
 }
 
 // Sync forces an fsync of the active segment — a manual durability

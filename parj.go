@@ -441,25 +441,20 @@ func (s *Store) NumResources() int { return s.live.View().Base().Resources.Len()
 func (s *Store) MemoryBytes() int { return s.live.View().Base().Bytes() }
 
 // Triple is one RDF statement in N-Triples term syntax (IRIs in angle
-// brackets, literals quoted) — the unit of the live write path.
-type Triple struct {
-	S, P, O string
-}
+// brackets, literals quoted) — the unit of the live write path, and the same
+// type the cluster's /write wire form and the write-ahead log carry.
+type Triple = rdf.Triple
 
 // Insert adds triples to the live store while queries run. Duplicates of
 // already-stored triples are no-ops (RDF graphs are sets). The write lands
 // in the current epoch's delta overlay; queries admitted afterwards see it
 // immediately, queries already running keep their pinned epoch. Returns
 // the write-batch sequence number.
-func (s *Store) Insert(triples []Triple) uint64 {
-	return s.live.Insert(toRDF(triples))
-}
+func (s *Store) Insert(triples []Triple) uint64 { return s.live.Insert(triples) }
 
 // Delete removes triples from the live store while queries run. Deleting
 // an absent triple is a no-op. Same epoch semantics as Insert.
-func (s *Store) Delete(triples []Triple) uint64 {
-	return s.live.Delete(toRDF(triples))
-}
+func (s *Store) Delete(triples []Triple) uint64 { return s.live.Delete(triples) }
 
 // Reconcile synchronously merges all pending write deltas into fresh base
 // tables and swaps the epoch. Queries in flight keep their views; writes
@@ -480,14 +475,6 @@ func (s *Store) Epoch() uint64 { return s.live.View().Version() }
 // Quiesce blocks until any background reconciliation (DBOptions.
 // AutoReconcileOps) has finished. Stop writing before calling it.
 func (s *Store) Quiesce() { s.live.Quiesce() }
-
-func toRDF(triples []Triple) []rdf.Triple {
-	out := make([]rdf.Triple, len(triples))
-	for i, t := range triples {
-		out[i] = rdf.Triple(t)
-	}
-	return out
-}
 
 // PredicateInfo describes one predicate's tables.
 type PredicateInfo struct {
