@@ -367,7 +367,9 @@ func BenchmarkMaterializeBatch(b *testing.B) {
 		return out
 	}
 	prev := batch(0)
-	h.Insert(prev)
+	if _, err := h.Apply(0, prev, nil); err != nil {
+		b.Fatal(err)
+	}
 	h.View().Store()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -87,7 +87,7 @@ type DurabilityStats = live.DurabilityStats
 // before Open returns, so it survives any later crash.
 //
 // The returned store must be released with Close; writes issued through
-// Write (or Insert/Delete) after Close fail with the log's closed error.
+// Write after Close fail with the log's closed error.
 func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
 	d := opts.DB.Durability
 	if !d.Enabled() {
@@ -118,10 +118,13 @@ func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
 	return s, nil
 }
 
-// Write applies one batch — deletes first, then inserts — and, on a
-// durable store, returns only once the sync policy has acknowledged it.
-// Insert and Delete are equivalent but drop the error; durable callers
-// should use Write. A returned error after a non-zero sequence means the
+// Write applies one batch to the live store while queries run — deletes
+// first, then inserts — and returns its write-batch sequence number. The
+// store is a set: inserting a stored triple or deleting an absent one is a
+// no-op. The batch lands in the current epoch's delta overlay; queries
+// admitted afterwards see it, queries already running keep their pinned
+// epoch. On a durable store Write returns only once the sync policy has
+// acknowledged the batch; an error after a non-zero sequence means the
 // batch is visible to queries but its durability is unknown — the store
 // should be closed and recovered.
 func (s *Store) Write(inserts, deletes []Triple) (uint64, error) {

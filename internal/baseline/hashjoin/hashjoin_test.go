@@ -26,7 +26,9 @@ func dedup(ts []rdf.Triple) []rdf.Triple {
 
 func fixture() []rdf.Triple {
 	var ts []rdf.Triple
-	add := func(s, p, o string) { ts = append(ts, rdf.Triple{S: "<" + s + ">", P: "<" + p + ">", O: "<" + o + ">"}) }
+	add := func(s, p, o string) {
+		ts = append(ts, rdf.Triple{S: "<" + s + ">", P: "<" + p + ">", O: "<" + o + ">"})
+	}
 	for i := 0; i < 20; i++ {
 		add(fmt.Sprintf("p%d", i), "worksFor", fmt.Sprintf("d%d", i%4))
 		for c := 0; c < 3; c++ {

@@ -106,8 +106,8 @@ type roleTerm struct {
 
 // compiled is one pipeline step.
 type compiled struct {
-	perm      int      // permutation index
-	prefixLen int      // number of leading key positions fixed per probe
+	perm      int         // permutation index
+	prefixLen int         // number of leading key positions fixed per probe
 	roles     [3]roleTerm // in permutation key order
 }
 

@@ -69,8 +69,8 @@ type Engine struct {
 
 	// Summary graph (TriAD-SG): per predicate, the set of (sBucket <<32 |
 	// oBucket) pairs present in the data.
-	buckets  int
-	summary  []map[uint64]bool
+	buckets   int
+	summary   []map[uint64]bool
 	exchanges int64 // rehash exchanges performed by the last Count/Evaluate
 
 	simulate bool

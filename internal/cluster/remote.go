@@ -77,11 +77,8 @@ type RemoteOptions struct {
 	Seed int64
 
 	// HedgeAfter launches a second attempt on the next replica when the
-	// first is still pending after this delay (0 disables hedging). When
-	// HedgeQuantile is also set and enough latencies have been observed,
-	// the delay adapts to that quantile instead.
-	HedgeAfter    time.Duration
-	HedgeQuantile float64
+	// first is still pending after this delay (0 disables hedging).
+	HedgeAfter time.Duration
 
 	// Policy selects FailFast (default) or Partial degradation.
 	Policy Policy
@@ -164,11 +161,10 @@ type RemoteResult struct {
 // The routing table is live: Reconfigure swaps in a new replica layout
 // while queries are in flight (see topology.go).
 type Remote struct {
-	opts    RemoteOptions
-	tracker *resilience.LatencyTracker
-	jitter  *resilience.Jitter
-	clock   resilience.Clock
-	health  *resilience.HealthChecker
+	opts   RemoteOptions
+	jitter *resilience.Jitter
+	clock  resilience.Clock
+	health *resilience.HealthChecker
 
 	// topoMu guards the epoch machinery in topology.go: the current
 	// epoch, retired epochs still draining, and the endpoint registry.
@@ -213,7 +209,6 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 	}
 	r := &Remote{
 		opts:      opts,
-		tracker:   resilience.NewLatencyTracker(64),
 		jitter:    resilience.NewJitter(opts.Seed),
 		clock:     opts.Clock,
 		endpoints: make(map[string]*endpointState),
@@ -500,24 +495,11 @@ func (r *Remote) saturated(ep *epoch) bool {
 	return total > 0 && over*2 >= total
 }
 
-// hedgeDelay decides the current hedging delay: the configured latency
-// quantile once the tracker has warmed up, else the static HedgeAfter.
-// Zero disables hedging.
-func (r *Remote) hedgeDelay() time.Duration {
-	if r.opts.HedgeQuantile > 0 {
-		if q, ok := r.tracker.Quantile(r.opts.HedgeQuantile); ok && q > 0 {
-			return q
-		}
-	}
-	return r.opts.HedgeAfter
-}
-
 // attemptOut is one replica attempt's outcome.
 type attemptOut struct {
 	breaker *resilience.Breaker
 	resp    *remote.ExecResponse
 	err     error
-	elapsed time.Duration
 }
 
 // execShard serves one shard group: it walks the shard's replica order,
@@ -600,7 +582,7 @@ func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.Ex
 				default:
 					load.Abort()
 				}
-				results <- attemptOut{breaker: breaker, resp: resp, err: err, elapsed: elapsed}
+				results <- attemptOut{breaker: breaker, resp: resp, err: err}
 			}()
 			return true
 		}
@@ -642,7 +624,7 @@ func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.Ex
 		finish()
 		return nil, fmt.Errorf("cluster: shard %d: all replica breakers open: %w", s, governance.ErrOverloaded)
 	}
-	hedge := r.hedgeDelay()
+	hedge := r.opts.HedgeAfter
 	if hedge > 0 && r.saturated(ep) {
 		// Hedge suppression: with half the tier shedding, a duplicate
 		// attempt is pure storm amplification, not tail-latency insurance.
@@ -661,7 +643,6 @@ func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.Ex
 			pending--
 			if o.err == nil {
 				settle(o, false)
-				r.tracker.Record(o.elapsed)
 				finish()
 				return o.resp, nil
 			}

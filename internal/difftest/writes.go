@@ -197,13 +197,8 @@ func newLiveWriteEngine(name string, base []rdf.Triple, opts parj.QueryOptions, 
 func (e *liveWriteEngine) Name() string { return e.name }
 
 func (e *liveWriteEngine) Apply(inserts, deletes []rdf.Triple) error {
-	if len(deletes) > 0 {
-		e.db.Delete(deletes)
-	}
-	if len(inserts) > 0 {
-		e.db.Insert(inserts)
-	}
-	return nil
+	_, err := e.db.Write(inserts, deletes)
+	return err
 }
 
 func (e *liveWriteEngine) Reconcile() error {

@@ -46,8 +46,7 @@ func rebuilt(t *testing.T, like *store.Store, triples map[rdf.Triple]bool, opts 
 		// their (empty) tables, the Builder never made them. Tombstoning an
 		// absent pair pads the reference with the missing empty tables and
 		// shares every table the Builder did make.
-		d := &store.Delta{}
-		d.Delete(1, last, 1)
+		d := (&store.Delta{}).With([]store.Verdict{{S: 1, P: last, O: 1}})
 		st = store.ApplyDelta(st, d, opts)
 	}
 	return saved(t, st)
@@ -180,7 +179,7 @@ func TestOnlyLatestMaterializationRetained(t *testing.T) {
 	const writes = 300
 	var freed atomic.Int64
 	for i := 0; i < writes; i++ {
-		h.Insert([]rdf.Triple{{S: fmt.Sprintf("<n%d>", i), P: "<p>", O: "<x>"}})
+		h.Apply(0, []rdf.Triple{{S: fmt.Sprintf("<n%d>", i), P: "<p>", O: "<x>"}}, nil)
 		eff := h.View().Store()
 		if eff.NumTriples() != len(fixture)+i+1 {
 			t.Fatalf("after %d writes the view holds %d triples", i+1, eff.NumTriples())
@@ -326,7 +325,7 @@ func BenchmarkApplyWideDelta(b *testing.B) {
 				for i := range batch {
 					batch[i] = rdf.Triple{S: fmt.Sprintf("<s%d>", i), P: fmt.Sprintf("<p%d>", p), O: "<o>"}
 				}
-				h.Insert(batch)
+				h.Apply(0, batch, nil)
 			}
 			h.View().Store()
 			one := []rdf.Triple{{S: "<s7>", P: "<p3>", O: "<s9>"}}
@@ -334,14 +333,66 @@ func BenchmarkApplyWideDelta(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%2 == 0 {
-					h.Insert(one)
+					h.Apply(0, one, nil)
 				} else {
-					h.Delete(one)
+					h.Apply(0, nil, one)
 				}
 				if read {
 					h.View().Store()
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOpenDurableReplay prices recovery of a long log suffix: 4096
+// batches of 16 inserts (fresh subjects, four predicates, a shared object
+// pool) on an in-memory log with no checkpoint, so OpenDurable encodes and
+// merges every record into one view.
+func BenchmarkOpenDurableReplay(b *testing.B) {
+	const batches, size = 4096, 16
+	fs := wal.NewMemFS()
+	open := func() *wal.Log {
+		log, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return log
+	}
+	log := open()
+	h, err := OpenDurable(log, nil, store.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < batches; k++ {
+		batch := make([]rdf.Triple, size)
+		for i := range batch {
+			batch[i] = rdf.Triple{S: fmt.Sprintf("<s%d-%d>", k, i), P: fmt.Sprintf("<p%d>", i%4), O: fmt.Sprintf("<o%d>", (k*size+i)%1000)}
+		}
+		if _, err := h.Apply(0, batch, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		log := open()
+		b.StartTimer()
+		h, err := OpenDurable(log, nil, store.BuildOptions{})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if h.Seq() != batches {
+			b.Fatalf("recovered at seq %d, want %d", h.Seq(), batches)
+		}
+		if err := log.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

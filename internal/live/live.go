@@ -3,9 +3,11 @@
 // path:
 //
 //   - Writes accumulate in a store.Delta (sorted adds and tombstones per
-//     predicate, mirroring the CSR layout). Every write batch publishes a
-//     new View — an immutable pair (base store, frozen delta) plus a
-//     monotonically increasing version.
+//     predicate, mirroring the CSR layout). A delta is a value: a write
+//     batch encodes its verdicts, merges them into a new delta
+//     (store.Delta.With) and publishes a new View — an immutable pair
+//     (base store, delta) plus a monotonically increasing version.
+//     Recovery takes the same step once for a whole WAL suffix.
 //   - Queries pin one View for their whole plan+execute lifetime. A view
 //     with an empty delta hands back the base store unchanged, so read-only
 //     workloads pay exactly one atomic load and one branch per query — the
@@ -16,7 +18,7 @@
 //     store oracle-exact by construction.
 //   - Materializing carries forward: the handle remembers the most recently
 //     materialized view, and a later view over the same base merges only the
-//     difference between the two frozen deltas into that view's tables
+//     difference between the two deltas into that view's tables
 //     (store.CarryForward), so a read pays for the batches written since
 //     the last read, not for everything pending. The first view of an
 //     epoch, and a reader pinned to a view older than the remembered one,
@@ -45,6 +47,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,8 +66,8 @@ import (
 // resynced (warm-from + replay) before it can serve again.
 var ErrSeqGap = errors.New("live: write sequence gap")
 
-// View is one immutable epoch of the store: a base CSR store plus a frozen
-// delta overlay. Safe for concurrent use; queries pin one view for both
+// View is one immutable epoch of the store: a base CSR store plus a delta
+// overlay. Safe for concurrent use; queries pin one view for both
 // planning and execution so constants, plans and statistics agree.
 type View struct {
 	version uint64
@@ -257,16 +260,7 @@ func (h *Handle) SeedSeq(seq uint64) {
 	if h.seq != 0 || seq == 0 {
 		return
 	}
-	h.seq = seq
-	v := h.cur.Load()
-	h.cur.Store(&View{
-		version: v.version + 1,
-		seq:     seq,
-		base:    v.base,
-		delta:   v.delta,
-		bstats:  v.bstats,
-		h:       h,
-	})
+	h.publish(seq, h.cur.Load().delta)
 }
 
 // AttachWAL makes every subsequent Apply durable: the batch is enqueued
@@ -289,7 +283,7 @@ func (h *Handle) WAL() *wal.Log {
 
 // SetAutoReconcile arms (or, with 0, disarms) the background reconciler:
 // once a published view carries at least ops pending verdicts, one
-// goroutine merges the frozen delta into a fresh base and swaps the epoch.
+// goroutine merges the view's delta into a fresh base and swaps the epoch.
 // At most one background reconcile runs at a time.
 func (h *Handle) SetAutoReconcile(ops int) { h.autoOps.Store(int64(ops)) }
 
@@ -322,17 +316,11 @@ func (h *Handle) Quiesce() { h.wg.Wait() }
 // replica as failed (the log is sticky-poisoned from then on).
 func (h *Handle) Apply(seq uint64, inserts, deletes []rdf.Triple) (uint64, error) {
 	h.mu.Lock()
-	switch {
-	case seq == 0:
-		seq = h.seq + 1
-	case seq <= h.seq:
+	seq, ok, err := nextSeq(h.seq, seq)
+	if !ok {
 		cur := h.seq
 		h.mu.Unlock()
-		return cur, nil
-	case seq != h.seq+1:
-		cur := h.seq
-		h.mu.Unlock()
-		return cur, fmt.Errorf("%w: applied %d, got %d", ErrSeqGap, cur, seq)
+		return cur, err
 	}
 	var commit *wal.Commit
 	if h.wal != nil {
@@ -345,44 +333,7 @@ func (h *Handle) Apply(seq uint64, inserts, deletes []rdf.Triple) (uint64, error
 		commit = c
 	}
 	v := h.cur.Load()
-	nd := v.delta.Clone()
-	res, preds := v.base.Resources, v.base.Predicates
-	for _, t := range deletes {
-		s, p, o := res.Lookup(t.S), preds.Lookup(t.P), res.Lookup(t.O)
-		if s == 0 || p == 0 || o == 0 {
-			continue
-		}
-		nd.Delete(s, p, o)
-	}
-	// One lock per dictionary per batch; subjects and objects are encoded
-	// in the order a triple-by-triple encode would assign them.
-	n := len(inserts)
-	terms, ids := make([]string, 3*n), make([]uint32, 3*n)
-	for i, t := range inserts {
-		terms[2*i], terms[2*i+1], terms[2*n+i] = t.S, t.O, t.P
-	}
-	res.EncodeAll(terms[:2*n], ids[:2*n])
-	preds.EncodeAll(terms[2*n:], ids[2*n:])
-	for i := range inserts {
-		nd.Insert(ids[2*i], ids[2*n+i], ids[2*i+1])
-	}
-	h.seq = seq
-	h.cur.Store(&View{
-		version: v.version + 1,
-		seq:     seq,
-		base:    v.base,
-		delta:   nd,
-		bstats:  v.bstats,
-		h:       h,
-	})
-	if n := h.autoOps.Load(); n > 0 && int64(nd.Ops()) >= n && h.recMu.TryLock() {
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			defer h.recMu.Unlock()
-			h.reconcile()
-		}()
-	}
+	h.publish(seq, v.delta.With(appendVerdicts(nil, v.base, inserts, deletes)))
 	h.mu.Unlock()
 	if commit != nil {
 		if err := commit.Wait(); err != nil {
@@ -392,16 +343,73 @@ func (h *Handle) Apply(seq uint64, inserts, deletes []rdf.Triple) (uint64, error
 	return seq, nil
 }
 
-// Insert applies one insert batch (sequence "next").
-func (h *Handle) Insert(triples []rdf.Triple) uint64 {
-	seq, _ := h.Apply(0, triples, nil)
-	return seq
+// nextSeq places a batch numbered seq after the applied position: it
+// returns the sequence the batch takes (seq 0 means "next"), or ok=false
+// for a batch already applied (err nil) or one that would skip ahead
+// (ErrSeqGap).
+func nextSeq(applied, seq uint64) (next uint64, ok bool, err error) {
+	switch {
+	case seq == 0:
+		return applied + 1, true, nil
+	case seq <= applied:
+		return applied, false, nil
+	case seq != applied+1:
+		return applied, false, fmt.Errorf("%w: applied %d, got %d", ErrSeqGap, applied, seq)
+	}
+	return seq, true, nil
 }
 
-// Delete applies one delete batch (sequence "next").
-func (h *Handle) Delete(triples []rdf.Triple) uint64 {
-	seq, _ := h.Apply(0, nil, triples)
-	return seq
+// appendVerdicts appends the verdicts of one write batch, encoded against
+// st's dictionaries, to vs: deletes first, then inserts — the order every
+// replica must share for dictionary determinism. A delete naming a term the
+// dictionary has never seen is skipped (the triple cannot exist) and does
+// not grow the dictionary; inserts encode their terms, one lock per
+// dictionary per batch, in the order a triple-by-triple encode would assign
+// them.
+func appendVerdicts(vs []store.Verdict, st *store.Store, inserts, deletes []rdf.Triple) []store.Verdict {
+	res, preds := st.Resources, st.Predicates
+	vs = slices.Grow(vs, len(deletes)+len(inserts))
+	for _, t := range deletes {
+		s, p, o := res.Lookup(t.S), preds.Lookup(t.P), res.Lookup(t.O)
+		if s != 0 && p != 0 && o != 0 {
+			vs = append(vs, store.Verdict{S: s, P: p, O: o})
+		}
+	}
+	n := len(inserts)
+	terms, ids := make([]string, 3*n), make([]uint32, 3*n)
+	for i, t := range inserts {
+		terms[2*i], terms[2*i+1], terms[2*n+i] = t.S, t.O, t.P
+	}
+	res.EncodeAll(terms[:2*n], ids[:2*n])
+	preds.EncodeAll(terms[2*n:], ids[2*n:])
+	for i := range inserts {
+		vs = append(vs, store.Verdict{S: ids[2*i], P: ids[2*n+i], O: ids[2*i+1], Insert: true})
+	}
+	return vs
+}
+
+// publish makes delta d, holding the write stream up to seq, the current
+// view, and starts a background reconcile once d's pending verdicts reach
+// the auto-reconcile threshold. h.mu must be held.
+func (h *Handle) publish(seq uint64, d *store.Delta) {
+	v := h.cur.Load()
+	h.seq = seq
+	h.cur.Store(&View{
+		version: v.version + 1,
+		seq:     seq,
+		base:    v.base,
+		delta:   d,
+		bstats:  v.bstats,
+		h:       h,
+	})
+	if n := h.autoOps.Load(); n > 0 && int64(d.Ops()) >= n && h.recMu.TryLock() {
+		h.wg.Add(1)
+		go func() {
+			defer h.wg.Done()
+			defer h.recMu.Unlock()
+			h.reconcile()
+		}()
+	}
 }
 
 // Reconcile synchronously merges the pending delta into a fresh base store
@@ -440,9 +448,9 @@ func (h *Handle) reconcile() *View {
 	}
 	h.cur.Store(nv)
 	// The remembered view belongs to the epoch just retired: no view over
-	// the new base can start from it, and it pins the old base and the
-	// frozen delta. Drop it now, or a store that goes quiet after this
-	// reconcile keeps them until a next materialization that never comes.
+	// the new base can start from it, and it pins the old base and its
+	// delta. Drop it now, or a store that goes quiet after this reconcile
+	// keeps them until a next materialization that never comes.
 	if m := h.memo.Load(); m != nil && m.base != merged {
 		h.memo.CompareAndSwap(m, nil)
 	}

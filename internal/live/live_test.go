@@ -41,8 +41,8 @@ func TestViewPinning(t *testing.T) {
 		t.Fatal("empty-delta view must hand back the base store itself")
 	}
 
-	h.Insert([]rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}})
-	h.Delete([]rdf.Triple{{S: "<a>", P: "<p>", O: "<y>"}})
+	h.Apply(0, []rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}, nil)
+	h.Apply(0, nil, []rdf.Triple{{S: "<a>", P: "<p>", O: "<y>"}})
 
 	// The pinned view is frozen at its epoch.
 	if has(v1, "<c>", "<p>", "<x>") || !has(v1, "<a>", "<p>", "<y>") {
@@ -66,7 +66,7 @@ func TestViewPinning(t *testing.T) {
 
 func TestDeleteUnknownTermsIsNoOp(t *testing.T) {
 	h := newHandle(t)
-	h.Delete([]rdf.Triple{{S: "<never>", P: "<seen>", O: "<before>"}})
+	h.Apply(0, nil, []rdf.Triple{{S: "<never>", P: "<seen>", O: "<before>"}})
 	v := h.View()
 	if v.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", v.Pending())
@@ -117,7 +117,7 @@ func TestSeedSeq(t *testing.T) {
 	}
 	// Seeding after writes is refused (stream already in progress).
 	h2 := newHandle(t)
-	h2.Insert([]rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}})
+	h2.Apply(0, []rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}, nil)
 	h2.SeedSeq(9)
 	if h2.Seq() != 1 {
 		t.Fatalf("SeedSeq after writes moved seq to %d", h2.Seq())
@@ -126,8 +126,8 @@ func TestSeedSeq(t *testing.T) {
 
 func TestReconcilePromotesAndPrunes(t *testing.T) {
 	h := newHandle(t)
-	h.Insert([]rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}})
-	h.Delete([]rdf.Triple{{S: "<b>", P: "<q>", O: "<z>"}})
+	h.Apply(0, []rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}, nil)
+	h.Apply(0, nil, []rdf.Triple{{S: "<b>", P: "<q>", O: "<z>"}})
 
 	v := h.Reconcile()
 	if v.Pending() != 0 {
@@ -150,13 +150,13 @@ func TestReconcilePromotesAndPrunes(t *testing.T) {
 
 func TestReconcileKeepsLateWrites(t *testing.T) {
 	h := newHandle(t)
-	h.Insert([]rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}})
+	h.Apply(0, []rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}, nil)
 	// Force the merge to be memoized on the pre-write view, then land more
 	// writes before reconciling — they must survive as the residual.
 	v := h.View()
 	_ = v.Store()
-	h.Insert([]rdf.Triple{{S: "<d>", P: "<p>", O: "<x>"}})
-	h.Delete([]rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}) // delete a pair the merge contains
+	h.Apply(0, []rdf.Triple{{S: "<d>", P: "<p>", O: "<x>"}}, nil)
+	h.Apply(0, nil, []rdf.Triple{{S: "<c>", P: "<p>", O: "<x>"}}) // delete a pair the merge contains
 
 	nv := h.Reconcile()
 	if has(nv, "<c>", "<p>", "<x>") {
@@ -176,7 +176,7 @@ func TestAutoReconcile(t *testing.T) {
 	h := newHandle(t)
 	h.SetAutoReconcile(3)
 	for i := 0; i < 3; i++ {
-		h.Insert([]rdf.Triple{{S: fmt.Sprintf("<n%d>", i), P: "<p>", O: "<x>"}})
+		h.Apply(0, []rdf.Triple{{S: fmt.Sprintf("<n%d>", i), P: "<p>", O: "<x>"}}, nil)
 	}
 	h.Quiesce()
 	v := h.View()
@@ -230,10 +230,10 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < batches; i++ {
 				s := fmt.Sprintf("<w%d-s%d>", w, i)
-				h.Insert([]rdf.Triple{{S: s, P: "<p>", O: "<x>"}})
+				h.Apply(0, []rdf.Triple{{S: s, P: "<p>", O: "<x>"}}, nil)
 				if rng.Intn(3) == 0 {
-					h.Delete([]rdf.Triple{{S: s, P: "<p>", O: "<x>"}})
-					h.Insert([]rdf.Triple{{S: s, P: "<p>", O: "<x>"}}) // reinsert
+					h.Apply(0, nil, []rdf.Triple{{S: s, P: "<p>", O: "<x>"}})
+					h.Apply(0, []rdf.Triple{{S: s, P: "<p>", O: "<x>"}}, nil) // reinsert
 				}
 			}
 		}(w)
@@ -293,7 +293,7 @@ func TestHierarchyPerView(t *testing.T) {
 	}
 	wg.Wait()
 
-	h.Insert([]rdf.Triple{{S: "<Freshman>", P: subClassOf, O: "<Student>"}})
+	h.Apply(0, []rdf.Triple{{S: "<Freshman>", P: subClassOf, O: "<Student>"}}, nil)
 	v2 := h.View()
 	if v2.Hierarchy() == first {
 		t.Fatal("the view after a schema write reuses the previous view's hierarchy")

@@ -20,11 +20,12 @@ import (
 // two) with a correspondingly longer replay. Replaying re-encodes novel
 // terms in the exact order the original process did, so recovered
 // dictionary IDs — and therefore dictionary-encoded shard results — are
-// byte-identical to the pre-crash store.
+// byte-identical to the pre-crash store. The replayed suffix becomes one
+// delta, merged and published once, however many records it holds.
 
 // OpenDurable recovers a handle from log: it loads the newest loadable
-// checkpoint (falling back past corrupt ones), seeds the handle at the
-// checkpoint's sequence, replays the log suffix, and attaches the log so
+// checkpoint (falling back past corrupt ones), replays the log suffix past
+// the checkpoint's sequence into one view, and attaches the log so
 // subsequent writes are journaled.
 //
 // seed supplies the base state for a log with no checkpoint — the first
@@ -79,14 +80,25 @@ func OpenDurable(log *wal.Log, seed func() (*store.Store, uint64, error), opts s
 		return nil, fmt.Errorf("%w: checkpoint covers %d but log starts at %d", wal.ErrCorruptWAL, startSeq, first)
 	}
 
-	h := New(base, nil, opts)
-	h.SeedSeq(startSeq)
+	// The suffix is encoded record by record in log order — so every novel
+	// term gets the ID the original process gave it — and merged once.
+	pos := startSeq
+	var vs []store.Verdict
 	err := log.Replay(startSeq+1, func(rec wal.Record) error {
-		_, err := h.Apply(rec.Seq, rec.Inserts, rec.Deletes)
+		seq, ok, err := nextSeq(pos, rec.Seq)
+		if ok {
+			vs, pos = appendVerdicts(vs, base, rec.Inserts, rec.Deletes), seq
+		}
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("live: replay wal: %w", err)
+	}
+	h := New(base, nil, opts)
+	if pos > 0 {
+		h.mu.Lock()
+		h.publish(pos, h.cur.Load().delta.With(vs))
+		h.mu.Unlock()
 	}
 	// A checkpoint can cover batches the log no longer holds — tail damage
 	// truncated past an already-checkpointed record. Fast-forward the

@@ -217,10 +217,10 @@ func generateUniversity(u, scale int, cfg Config, t func(s, p, o string)) {
 	}
 }
 
-func uniIRI(u int) string           { return fmt.Sprintf("<%suniv%d>", ns, u) }
-func deptIRI(u, d int) string       { return fmt.Sprintf("<%suniv%d/dept%d>", ns, u, d) }
-func profIRI(u, d, p int) string    { return fmt.Sprintf("<%suniv%d/dept%d/prof%d>", ns, u, d, p) }
-func gradIRI(u, d, s int) string    { return fmt.Sprintf("<%suniv%d/dept%d/grad%d>", ns, u, d, s) }
+func uniIRI(u int) string        { return fmt.Sprintf("<%suniv%d>", ns, u) }
+func deptIRI(u, d int) string    { return fmt.Sprintf("<%suniv%d/dept%d>", ns, u, d) }
+func profIRI(u, d, p int) string { return fmt.Sprintf("<%suniv%d/dept%d/prof%d>", ns, u, d, p) }
+func gradIRI(u, d, s int) string { return fmt.Sprintf("<%suniv%d/dept%d/grad%d>", ns, u, d, s) }
 func courseIRI(u, d, p, c int) string {
 	return fmt.Sprintf("<%suniv%d/dept%d/course%d_%d>", ns, u, d, p, c)
 }

@@ -163,7 +163,7 @@ func TestNoDuplicatesFromOverlappingHierarchies(t *testing.T) {
 	// return her exactly once even though GradStudent ⊑ Student ⊑ Person
 	// gives multiple derivation paths once bob's type is also present.
 	ts := append(fixtureTriples(),
-		rdf.Triple{S: "<alice>", P: RDFType, O: "<Student>"}, // redundant assertion
+		rdf.Triple{S: "<alice>", P: RDFType, O: "<Student>"},    // redundant assertion
 		rdf.Triple{S: "<alice>", P: "<hasFriend>", O: "<dave>"}, // duplicate knows-edge via 2 props
 	)
 	f := newFixture(t, ts)
@@ -206,10 +206,10 @@ func TestWithoutExpanderNoEntailment(t *testing.T) {
 func TestForwardChainFixpointFreeCases(t *testing.T) {
 	out := ForwardChain(fixtureTriples(), "", "", "")
 	want := map[rdf.Triple]bool{
-		{S: "<alice>", P: RDFType, O: "<Student>"}:  true,
-		{S: "<alice>", P: RDFType, O: "<Person>"}:   true,
-		{S: "<alice>", P: "<knows>", O: "<dave>"}:   true,
-		{S: "<carol>", P: "<knows>", O: "<bob>"}:    true,
+		{S: "<alice>", P: RDFType, O: "<Student>"}: true,
+		{S: "<alice>", P: RDFType, O: "<Person>"}:  true,
+		{S: "<alice>", P: "<knows>", O: "<dave>"}:  true,
+		{S: "<carol>", P: "<knows>", O: "<bob>"}:   true,
 	}
 	have := map[rdf.Triple]bool{}
 	for _, tr := range out {

@@ -100,9 +100,13 @@ func TestProxyKillRefusesNewConnections(t *testing.T) {
 	}
 	defer p.Close()
 	addr := p.Addr()
-	if _, err := client().Get(p.URL()); err != nil {
+	resp, err := client().Get(p.URL())
+	if err != nil {
 		t.Fatal(err)
 	}
+	// An unread, unclosed body keeps the client's connection goroutines
+	// alive until the client's own 5 s timeout, which races the leak check.
+	resp.Body.Close()
 	p.Kill()
 	if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		t.Fatal("dial succeeded after Kill")

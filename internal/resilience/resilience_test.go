@@ -198,30 +198,6 @@ func TestSleepRespectsContext(t *testing.T) {
 	}
 }
 
-func TestLatencyTrackerQuantile(t *testing.T) {
-	lt := NewLatencyTracker(16)
-	if _, ok := lt.Quantile(0.9); ok {
-		t.Fatal("quantile reported ok with no samples")
-	}
-	for i := 1; i <= 10; i++ {
-		lt.Record(time.Duration(i) * time.Millisecond)
-	}
-	q, ok := lt.Quantile(0.9)
-	if !ok {
-		t.Fatal("quantile not ok with 10 samples")
-	}
-	if q != 9*time.Millisecond {
-		t.Fatalf("p90 of 1..10ms = %v, want 9ms", q)
-	}
-	// Window slides: flood with 20ms, old samples fall out.
-	for i := 0; i < 16; i++ {
-		lt.Record(20 * time.Millisecond)
-	}
-	if q, _ := lt.Quantile(0.5); q != 20*time.Millisecond {
-		t.Fatalf("p50 after window slide = %v, want 20ms", q)
-	}
-}
-
 func TestHealthCheckerFailover(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	var mu sync.Mutex

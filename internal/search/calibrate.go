@@ -120,7 +120,7 @@ func timeProbes(arr []uint32, probe Locator, gap float64, n int) time.Duration {
 		probe(arr, uint32(toFind), &cur)
 		toFind += gap
 		if toFind > hi {
-			toFind = lo + (toFind-hi) // wrap to keep probes in range
+			toFind = lo + (toFind - hi) // wrap to keep probes in range
 			if toFind > hi {
 				toFind = lo
 			}

@@ -1,118 +1,15 @@
 // Package stats provides the cardinality statistics PARJ's optimizer uses
-// (paper §4.3): equi-depth histograms over table columns plus exact
-// predicate-pair join cardinalities used as a corrective step, since
-// histogram estimates are known to be unreliable on RDF data.
+// (paper §4.3): per-table counts read straight off the CSR tables (triples,
+// distinct keys, exact run lengths of a constant) plus exact predicate-pair
+// join cardinalities, the corrective step the paper adds because column
+// summaries are known to be unreliable on RDF data.
 package stats
 
 import (
-	"sort"
 	"sync"
 
 	"parj/internal/store"
 )
-
-// Histogram is an equi-depth histogram over a sorted column. Each bucket
-// holds approximately the same number of values; bucket boundaries adapt to
-// skew.
-type Histogram struct {
-	// bounds[i] is the largest value in bucket i; buckets span
-	// (bounds[i-1], bounds[i]].
-	bounds []uint32
-	// counts[i] is the exact number of values in bucket i (the last bucket
-	// may be smaller than the others).
-	counts []int
-	min    uint32 // smallest summarized value; first bucket spans [min, bounds[0]]
-	total  int
-}
-
-// BuildHistogram constructs an equi-depth histogram with at most buckets
-// buckets from a sorted slice. The slice may contain duplicates.
-func BuildHistogram(sorted []uint32, buckets int) Histogram {
-	h := Histogram{total: len(sorted)}
-	if len(sorted) == 0 || buckets <= 0 {
-		return h
-	}
-	h.min = sorted[0]
-	depth := (len(sorted) + buckets - 1) / buckets
-	for start := 0; start < len(sorted); {
-		end := start + depth
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		// Extend the bucket so equal values never straddle a boundary;
-		// otherwise EstimateEq double-counts.
-		for end < len(sorted) && sorted[end] == sorted[end-1] {
-			end++
-		}
-		h.bounds = append(h.bounds, sorted[end-1])
-		h.counts = append(h.counts, end-start)
-		start = end
-	}
-	return h
-}
-
-// Total returns the number of values summarized.
-func (h Histogram) Total() int { return h.total }
-
-// Buckets returns the number of buckets.
-func (h Histogram) Buckets() int { return len(h.bounds) }
-
-// EstimateEq estimates how many values equal v, assuming values are spread
-// uniformly across their bucket's value range.
-func (h Histogram) EstimateEq(v uint32) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	if i == len(h.bounds) {
-		return 0
-	}
-	lo := h.min
-	if i > 0 {
-		lo = h.bounds[i-1] + 1
-	}
-	if v < lo {
-		return 0
-	}
-	width := float64(h.bounds[i]-lo) + 1
-	return float64(h.counts[i]) / width
-}
-
-// EstimateRange estimates how many values fall in [lo, hi].
-func (h Histogram) EstimateRange(lo, hi uint32) float64 {
-	if h.total == 0 || hi < lo {
-		return 0
-	}
-	est := 0.0
-	for i := range h.bounds {
-		bLo := h.min
-		if i > 0 {
-			bLo = h.bounds[i-1] + 1
-		}
-		bHi := h.bounds[i]
-		if bHi < lo || bLo > hi {
-			continue
-		}
-		overlapLo, overlapHi := maxU32(bLo, lo), minU32(bHi, hi)
-		width := float64(bHi-bLo) + 1
-		est += float64(h.counts[i]) * (float64(overlapHi-overlapLo) + 1) / width
-	}
-	return est
-}
-
-func maxU32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Column identifies one column of one predicate's table: the subject or
 // object column of predicate Pred.
@@ -126,11 +23,6 @@ type Column struct {
 type Stats struct {
 	st *store.Store
 
-	// keyHists[i] summarizes the key column; one entry per table, S-O
-	// tables at 2·(p−1), O-S at 2·(p−1)+1, mirroring the paper's directory
-	// layout.
-	keyHists []Histogram
-
 	mu        sync.Mutex
 	pairCards map[pairKey]float64
 
@@ -142,22 +34,10 @@ type pairKey struct {
 	a, b Column
 }
 
-// DefaultBuckets is the histogram resolution used by New.
-const DefaultBuckets = 64
-
-// New computes statistics for st. Histograms are built per table key
-// column; pair cardinalities are computed lazily and memoized.
+// New returns statistics for st. Table counts are read from st on demand;
+// pair cardinalities are computed lazily and memoized.
 func New(st *store.Store) *Stats {
-	s := &Stats{
-		st:        st,
-		keyHists:  make([]Histogram, 2*st.NumPredicates()),
-		pairCards: make(map[pairKey]float64),
-	}
-	for p := 1; p <= st.NumPredicates(); p++ {
-		s.keyHists[2*(p-1)] = BuildHistogram(st.SO(uint32(p)).Keys, DefaultBuckets)
-		s.keyHists[2*(p-1)+1] = BuildHistogram(st.OS(uint32(p)).Keys, DefaultBuckets)
-	}
-	return s
+	return &Stats{st: st, pairCards: make(map[pairKey]float64)}
 }
 
 // table returns the replica whose key column is c.

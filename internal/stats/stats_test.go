@@ -3,109 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"parj/internal/rdf"
 	"parj/internal/store"
 )
-
-func TestBuildHistogramEquiDepth(t *testing.T) {
-	vals := make([]uint32, 1000)
-	for i := range vals {
-		vals[i] = uint32(i)
-	}
-	h := BuildHistogram(vals, 10)
-	if h.Buckets() != 10 {
-		t.Fatalf("Buckets = %d, want 10", h.Buckets())
-	}
-	if h.Total() != 1000 {
-		t.Fatalf("Total = %d, want 1000", h.Total())
-	}
-	// Uniform data: each value occurs once, estimate should be ~1.
-	for _, v := range []uint32{0, 250, 999} {
-		if est := h.EstimateEq(v); math.Abs(est-1) > 0.2 {
-			t.Errorf("EstimateEq(%d) = %f, want ~1", v, est)
-		}
-	}
-}
-
-func TestHistogramSkew(t *testing.T) {
-	// 900 copies of 5, then 100 distinct values: equi-depth must isolate
-	// the heavy value so its estimate is high.
-	var vals []uint32
-	for i := 0; i < 900; i++ {
-		vals = append(vals, 5)
-	}
-	for i := 0; i < 100; i++ {
-		vals = append(vals, uint32(1000+i*3))
-	}
-	h := BuildHistogram(vals, 10)
-	if est := h.EstimateEq(5); est < 300 {
-		t.Errorf("EstimateEq(heavy 5) = %f, want large", est)
-	}
-	if est := h.EstimateEq(1000); est > 20 {
-		t.Errorf("EstimateEq(light 1000) = %f, want small", est)
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := BuildHistogram([]uint32{10, 20, 30}, 2)
-	if est := h.EstimateEq(100); est != 0 {
-		t.Errorf("EstimateEq(100) = %f, want 0", est)
-	}
-	if est := h.EstimateRange(40, 50); est != 0 {
-		t.Errorf("EstimateRange(40,50) = %f, want 0", est)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := BuildHistogram(nil, 8)
-	if h.EstimateEq(1) != 0 || h.EstimateRange(0, 10) != 0 || h.Total() != 0 {
-		t.Error("empty histogram must estimate 0")
-	}
-}
-
-func TestEstimateRangeCoversTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vals := make([]uint32, 5000)
-	for i := range vals {
-		vals[i] = uint32(rng.Intn(10000))
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	h := BuildHistogram(vals, 32)
-	full := h.EstimateRange(0, 10000)
-	if math.Abs(full-5000) > 1 {
-		t.Errorf("full-range estimate = %f, want 5000", full)
-	}
-}
-
-// Property: the sum of bucket counts is the input size and bounds are
-// non-decreasing.
-func TestQuickHistogramInvariants(t *testing.T) {
-	f := func(raw []uint32, b uint8) bool {
-		buckets := int(b)%63 + 1
-		sort.Slice(raw, func(i, j int) bool { return raw[i] < raw[j] })
-		h := BuildHistogram(raw, buckets)
-		sum := 0
-		for _, c := range h.counts {
-			sum += c
-		}
-		if sum != len(raw) {
-			return false
-		}
-		for i := 1; i < len(h.bounds); i++ {
-			if h.bounds[i] < h.bounds[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func buildTestStore() *store.Store {
 	var triples []rdf.Triple

@@ -82,7 +82,7 @@ func TestCarryForwardMatchesRebuild(t *testing.T) {
 		d := &Delta{}
 		prev, from := base, (*Delta)(nil)
 		for step := 1; step <= 60; step++ {
-			d = d.Clone()
+			var vs []Verdict
 			for i := 0; i < 1+rng.Intn(6); i++ {
 				tr := randTriple()
 				switch rng.Intn(8) {
@@ -98,22 +98,23 @@ func TestCarryForwardMatchesRebuild(t *testing.T) {
 				if del {
 					s, p, o := base.Resources.Lookup(tr.S), base.Predicates.Lookup(tr.P), base.Resources.Lookup(tr.O)
 					if s != 0 && p != 0 && o != 0 {
-						d.Delete(s, p, o)
+						vs = append(vs, Verdict{S: s, P: p, O: o})
 					}
 					delete(oracle, tr)
 				} else {
-					d.Insert(base.Resources.Encode(tr.S), base.Predicates.Encode(tr.P), base.Resources.Encode(tr.O))
+					vs = append(vs, Verdict{S: base.Resources.Encode(tr.S), P: base.Predicates.Encode(tr.P), O: base.Resources.Encode(tr.O), Insert: true})
 					oracle[tr] = true
 				}
 			}
 			if step%20 == 0 {
 				for tr := range oracle {
 					if tr.P == "<p0>" {
-						d.Delete(base.Resources.Lookup(tr.S), base.Predicates.Lookup(tr.P), base.Resources.Lookup(tr.O))
+						vs = append(vs, Verdict{S: base.Resources.Lookup(tr.S), P: base.Predicates.Lookup(tr.P), O: base.Resources.Lookup(tr.O)})
 						delete(oracle, tr)
 					}
 				}
 			}
+			d = d.With(vs)
 			if step%k != 0 {
 				continue
 			}
@@ -139,34 +140,32 @@ func TestCarryForwardMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestDeltaCloneIsPersistentPerPredicate: a clone shares every predicate's
-// arrays with its parent and copies only the predicate it writes, and the
-// parent never observes the write.
-func TestDeltaCloneIsPersistentPerPredicate(t *testing.T) {
-	d := &Delta{}
+// TestDeltaWithIsPersistentPerPredicate: a new version shares every
+// predicate's arrays with its receiver except those its verdicts name, and
+// the receiver never observes the new verdicts.
+func TestDeltaWithIsPersistentPerPredicate(t *testing.T) {
+	var vs []Verdict
 	for i := uint32(1); i <= 100; i++ {
-		d.Insert(i, 1, i+1)
-		d.Delete(i, 2, i+1)
+		vs = append(vs, Verdict{S: i, P: 1, O: i + 1, Insert: true}, Verdict{S: i, P: 2, O: i + 1})
 	}
-	c := d.Clone()
-	if &c.adds[0][0] != &d.adds[0][0] || &c.dels[1][0] != &d.dels[1][0] {
-		t.Fatal("clone copied arrays before writing them")
-	}
-	c.Insert(7, 1, 1) // sorts before every pair of predicate 1
-	c.Delete(3, 1, 4) // removes a shared pair in place — on the copy only
+	d := (&Delta{}).With(vs)
+	c := d.With([]Verdict{
+		{S: 7, P: 1, O: 1, Insert: true}, // lands between shared pairs of predicate 1
+		{S: 3, P: 1, O: 4},               // moves a shared pair from adds to dels — in the new version only
+	})
 	if &c.adds[0][0] == &d.adds[0][0] {
-		t.Fatal("written predicate still shares its adds with the parent")
+		t.Fatal("written predicate still shares its adds with the receiver")
 	}
 	if &c.dels[1][0] != &d.dels[1][0] {
 		t.Fatal("untouched predicate was copied")
 	}
 	if adds, dels := d.Counts(); adds != 100 || dels != 100 || d.adds[0][0] != 1<<32|2 || d.adds[0][2] != 3<<32|4 {
-		t.Fatalf("parent observed the clone's writes: %d adds %d dels, first %x", adds, dels, d.adds[0][0])
+		t.Fatalf("receiver observed the new verdicts: %d adds %d dels, first %x", adds, dels, d.adds[0][0])
 	}
 	if adds, dels := c.Counts(); adds != 100 || dels != 101 {
-		t.Fatalf("clone holds %d adds %d dels, want 100 and 101", adds, dels)
+		t.Fatalf("new version holds %d adds %d dels, want 100 and 101", adds, dels)
 	}
-	// The difference a carry-forward merges is exactly what the clone wrote.
+	// The difference a carry-forward merges is exactly what the verdicts wrote.
 	if got := diffPairs(c.adds[0], d.adds[0]); len(got) != 1 || got[0] != 7<<32|1 {
 		t.Fatalf("adds difference = %x, want the one new pair", got)
 	}
@@ -191,12 +190,12 @@ func TestMergeCarriesWindowsAndNeverCalibrates(t *testing.T) {
 	} {
 		base := LoadTriples(triples, opts)
 		p := base.Predicates.Lookup("<p>")
-		d := &Delta{}
+		var vs []Verdict
 		for i := 0; i < 64; i++ { // widen the key range on both replicas
-			d.Insert(base.Resources.Encode(fmt.Sprintf("<late-s%d>", i)), p, base.Resources.Encode(fmt.Sprintf("<late-o%d>", i)))
+			vs = append(vs, Verdict{S: base.Resources.Encode(fmt.Sprintf("<late-s%d>", i)), P: p, O: base.Resources.Encode(fmt.Sprintf("<late-o%d>", i)), Insert: true})
 		}
-		d.Insert(base.Resources.Encode("<x>"), base.Predicates.Encode("<fresh>"), base.Resources.Encode("<y>"))
-		merged := ApplyDelta(base, d, BuildOptions{Calibrate: opts.Calibrate, BuildPosIndex: true})
+		vs = append(vs, Verdict{S: base.Resources.Encode("<x>"), P: base.Predicates.Encode("<fresh>"), O: base.Resources.Encode("<y>"), Insert: true})
+		merged := ApplyDelta(base, (&Delta{}).With(vs), BuildOptions{Calibrate: opts.Calibrate, BuildPosIndex: true})
 		for _, pair := range [][2]*Table{{base.SO(p), merged.SO(p)}, {base.OS(p), merged.OS(p)}} {
 			was, now := pair[0], pair[1]
 			if now.BinaryWindow != was.BinaryWindow || now.IndexWindow != was.IndexWindow {

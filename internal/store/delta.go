@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -17,14 +18,14 @@ import (
 //
 //	effective(p) = (base(p) ∖ dels(p)) ∪ adds(p)
 //
-// with the invariant adds(p) ∩ dels(p) = ∅: inserting a pair removes it
-// from the tombstones before recording the add, deleting removes it from
-// the adds before recording the tombstone. The invariant is what makes
-// delete-then-reinsert and duplicate inserts land on plain set semantics —
-// the last verdict per pair wins, independently of when a reconciliation
-// happens to freeze the delta. It also means a pair that has a verdict
-// keeps one: later versions of a delta only ever move it between adds and
-// dels, which is what lets a materialisation be carried forward.
+// with the invariant adds(p) ∩ dels(p) = ∅: an insert verdict puts its
+// pair in the adds and takes it out of the tombstones, a delete verdict the
+// reverse. The invariant is what makes delete-then-reinsert and duplicate
+// inserts land on plain set semantics — the last verdict per pair wins,
+// independently of when a reconciliation happens to cut the delta. It also
+// means a pair that has a verdict keeps one: later versions of a delta
+// (Delta.With) only ever move it between adds and dels, which is what lets
+// a materialisation be carried forward.
 //
 // CarryForward materializes the effective store of a delta from the most
 // recent materialisation over the same base instead of from the base:
@@ -42,17 +43,21 @@ import (
 // exactly the property the snapshot-under-writes tests pin.
 
 // Delta is a set-semantic batch of pending writes against a base Store.
-// The zero value is empty and ready to use. A Delta published inside a view
-// is frozen: mutation happens only on private clones (see Clone).
+// A Delta is a value: no method changes it, With returns a new one. The
+// zero value (and nil) is empty and ready to use.
 type Delta struct {
 	// adds[p-1] and dels[p-1] hold the pending pairs of predicate ID p,
 	// packed uint64(s)<<32|uint64(o) and sorted ascending.
 	adds [][]uint64
 	dels [][]uint64
-	// owned[p-1] is false while predicate p's two arrays are still shared
-	// with the delta this one was cloned from.
-	owned []bool
-	ops   int // verdicts recorded since the delta was last empty
+	ops  int // verdicts recorded since the delta was last empty
+}
+
+// Verdict is one write's effect on one pair: pair (S,O) of predicate P
+// exists (Insert) or does not.
+type Verdict struct {
+	S, P, O uint32
+	Insert  bool
 }
 
 // Empty reports whether the delta holds no pending pairs.
@@ -86,40 +91,6 @@ func (d *Delta) Counts() (adds, dels int) {
 	return adds, dels
 }
 
-// Clone returns a private version that can be mutated without disturbing
-// views holding the receiver. The versions are persistent per predicate: a
-// clone shares every predicate's arrays with the receiver and copies only
-// those it goes on to write.
-func (d *Delta) Clone() *Delta {
-	nd := &Delta{}
-	if d == nil {
-		return nd
-	}
-	nd.ops = d.ops
-	nd.adds = append([][]uint64(nil), d.adds...)
-	nd.dels = append([][]uint64(nil), d.dels...)
-	nd.owned = make([]bool, len(d.adds))
-	return nd
-}
-
-// Insert records the verdict "pair (s,o) of predicate p exists".
-func (d *Delta) Insert(s, p, o uint32) {
-	pair := uint64(s)<<32 | uint64(o)
-	d.own(p)
-	d.dels[p-1] = sortedRemove(d.dels[p-1], pair)
-	d.adds[p-1] = sortedInsert(d.adds[p-1], pair)
-	d.ops++
-}
-
-// Delete records the verdict "pair (s,o) of predicate p does not exist".
-func (d *Delta) Delete(s, p, o uint32) {
-	pair := uint64(s)<<32 | uint64(o)
-	d.own(p)
-	d.adds[p-1] = sortedRemove(d.adds[p-1], pair)
-	d.dels[p-1] = sortedInsert(d.dels[p-1], pair)
-	d.ops++
-}
-
 // NumPredicates reports the predicate ID space the delta spans (it can
 // exceed the base store's when inserts introduced new predicates).
 func (d *Delta) NumPredicates() int {
@@ -129,49 +100,80 @@ func (d *Delta) NumPredicates() int {
 	return len(d.adds)
 }
 
-// own makes predicate p's arrays private to d, growing the predicate space
-// and copying arrays still shared with the delta d was cloned from.
-func (d *Delta) own(p uint32) {
-	for int(p) > len(d.adds) {
-		d.adds = append(d.adds, nil)
-		d.dels = append(d.dels, nil)
-		d.owned = append(d.owned, true)
+// With returns d followed by the verdicts vs, applied in order: the last
+// verdict on a pair wins, within vs and over d's. Neither d nor vs changes.
+// A predicate vs names gets fresh adds and dels arrays, merged in one pass
+// that copies in bulk between the pairs it edits; every other predicate
+// shares d's arrays, which is what lets CarryForward tell them apart in
+// O(1).
+func (d *Delta) With(vs []Verdict) *Delta {
+	nd := &Delta{ops: d.Ops() + len(vs)}
+	if d != nil {
+		nd.adds, nd.dels = slices.Clone(d.adds), slices.Clone(d.dels)
 	}
-	if !d.owned[p-1] {
-		d.adds[p-1] = append([]uint64(nil), d.adds[p-1]...)
-		d.dels[p-1] = append([]uint64(nil), d.dels[p-1]...)
-		d.owned[p-1] = true
+	vs = slices.Clone(vs)
+	slices.SortStableFunc(vs, func(a, b Verdict) int {
+		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(pairOf(a), pairOf(b)))
+	})
+	for len(vs) > 0 {
+		// vs[:m] are predicate p's verdicts; compact them to vs[:n], the
+		// last one per pair.
+		p, m, n := vs[0].P, 0, 0
+		for ; m < len(vs) && vs[m].P == p; m++ {
+			if n > 0 && pairOf(vs[n-1]) == pairOf(vs[m]) {
+				n--
+			}
+			vs[n] = vs[m]
+			n++
+		}
+		for int(p) > len(nd.adds) {
+			nd.adds, nd.dels = append(nd.adds, nil), append(nd.dels, nil)
+		}
+		nd.adds[p-1] = edit(nd.adds[p-1], vs[:n], true)
+		nd.dels[p-1] = edit(nd.dels[p-1], vs[:n], false)
+		vs = vs[m:]
 	}
+	return nd
 }
 
-// sortedInsert adds pair into sorted xs unless already present.
-func sortedInsert(xs []uint64, pair uint64) []uint64 {
-	if i, found := slices.BinarySearch(xs, pair); !found {
-		xs = slices.Insert(xs, i, pair)
-	}
-	return xs
-}
+func pairOf(v Verdict) uint64 { return uint64(v.S)<<32 | uint64(v.O) }
 
-// sortedRemove removes pair from sorted xs if present.
-func sortedRemove(xs []uint64, pair uint64) []uint64 {
-	if i, found := slices.BinarySearch(xs, pair); found {
-		xs = slices.Delete(xs, i, i+1)
+// edit returns a fresh copy of sorted xs in which the pair of every verdict
+// of vs — sorted by pair, one per pair — is present iff its Insert equals
+// in; pairs no verdict names are kept as they are.
+func edit(xs []uint64, vs []Verdict, in bool) []uint64 {
+	out := make([]uint64, 0, len(xs)+len(vs))
+	for _, v := range vs {
+		pair := pairOf(v)
+		n, found := slices.BinarySearch(xs, pair)
+		out = append(out, xs[:n]...)
+		if found {
+			n++
+		}
+		xs = xs[n:]
+		if v.Insert == in {
+			out = append(out, pair)
+		}
 	}
-	return xs
+	out = append(out, xs...)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // Prune returns the residual delta of d against st: adds already present
 // in st are dropped, tombstones of pairs absent from st are dropped. After
 // a reconciliation promotes a merged store to the new base, the residual of
 // the (possibly advanced) current delta is exactly what must still overlay
-// it — in particular, a pair deleted and reinserted across the freeze does
+// it — in particular, a pair deleted and reinserted across the merge does
 // not resurrect, and a pair inserted twice does not double. The residual's
 // op counter is reset to its net pair count so reconcile thresholds re-arm.
 func (d *Delta) Prune(st *Store) *Delta {
-	nd := &Delta{}
 	if d == nil {
-		return nd
+		return &Delta{}
 	}
+	nd := &Delta{adds: make([][]uint64, len(d.adds)), dels: make([][]uint64, len(d.dels))}
 	for p := range d.adds {
 		pred := uint32(p + 1)
 		var adds, dels []uint64
@@ -185,11 +187,11 @@ func (d *Delta) Prune(st *Store) *Delta {
 				dels = append(dels, pair)
 			}
 		}
-		if adds != nil || dels != nil {
-			nd.own(uint32(len(d.adds)))
-			nd.adds[p], nd.dels[p] = adds, dels
-			nd.ops += len(adds) + len(dels)
-		}
+		nd.adds[p], nd.dels[p] = adds, dels
+		nd.ops += len(adds) + len(dels)
+	}
+	if nd.ops == 0 {
+		return &Delta{}
 	}
 	return nd
 }

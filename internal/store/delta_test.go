@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -62,8 +64,8 @@ func TestDeltaVerdictSemantics(t *testing.T) {
 	if !d.Empty() {
 		t.Fatal("zero delta not empty")
 	}
-	d.Insert(1, 1, 2)
-	d.Insert(1, 1, 2) // duplicate insert: set semantics
+	ins, del := Verdict{S: 1, P: 1, O: 2, Insert: true}, Verdict{S: 1, P: 1, O: 2}
+	d = d.With([]Verdict{ins, ins}) // duplicate insert: set semantics
 	adds, dels := d.Counts()
 	if adds != 1 || dels != 0 {
 		t.Fatalf("after double insert: adds=%d dels=%d, want 1,0", adds, dels)
@@ -71,23 +73,110 @@ func TestDeltaVerdictSemantics(t *testing.T) {
 	if d.Ops() != 2 {
 		t.Fatalf("Ops = %d, want 2 (ops count verdicts, not net pairs)", d.Ops())
 	}
-	d.Delete(1, 1, 2) // delete moves the pair from adds to dels
+	d = d.With([]Verdict{del}) // delete moves the pair from adds to dels
 	adds, dels = d.Counts()
 	if adds != 0 || dels != 1 {
 		t.Fatalf("after delete: adds=%d dels=%d, want 0,1", adds, dels)
 	}
-	d.Insert(1, 1, 2) // reinsert: tombstone removed, add restored
+	d = d.With([]Verdict{ins}) // reinsert: tombstone removed, add restored
 	adds, dels = d.Counts()
 	if adds != 1 || dels != 0 {
 		t.Fatalf("after reinsert: adds=%d dels=%d, want 1,0 (no resurrection ambiguity)", adds, dels)
 	}
 
-	// Clone isolation: mutations on the clone never touch the original.
-	c := d.Clone()
-	c.Delete(1, 1, 2)
-	c.Insert(2, 3, 4)
-	if adds, _ := d.Counts(); adds != 1 {
-		t.Fatal("Clone mutation leaked into original")
+	// Within one call the last verdict on a pair wins too, and the
+	// receiver never observes the new version.
+	e := d.With([]Verdict{del, ins, del, {S: 2, P: 3, O: 4, Insert: true}})
+	if adds, dels := e.Counts(); adds != 1 || dels != 1 || e.Ops() != d.Ops()+4 {
+		t.Fatalf("after delete, reinsert, delete and a new pair: adds=%d dels=%d ops=%d", adds, dels, e.Ops())
+	}
+	if adds, dels := d.Counts(); adds != 1 || dels != 0 || d.NumPredicates() != 1 {
+		t.Fatal("With changed its receiver")
+	}
+}
+
+// TestDeltaWith drives random verdict sequences — one pair repeated inside
+// a call and across calls, predicates named out of order, empty calls —
+// through With and holds every version to a map of last verdicts. Each call
+// must also leave its receiver and its argument as they were, share the
+// receiver's arrays for every predicate the call does not name, and keep
+// adds and dels sorted and disjoint.
+func TestDeltaWith(t *testing.T) {
+	type key struct{ p, s, o uint32 }
+	snapshot := func(d *Delta) ([][]uint64, [][]uint64) {
+		if d == nil {
+			return nil, nil
+		}
+		var adds, dels [][]uint64
+		for p := range d.adds {
+			adds, dels = append(adds, slices.Clone(d.adds[p])), append(dels, slices.Clone(d.dels[p]))
+		}
+		return adds, dels
+	}
+	for round := 0; round < 60; round++ {
+		rng := rand.New(rand.NewSource(int64(round)))
+		oracle := map[key]bool{} // pair → last verdict was an insert
+		var d *Delta
+		ops := 0
+		for call := 0; call < 25; call++ {
+			vs := make([]Verdict, rng.Intn(14))
+			for i := range vs {
+				vs[i] = Verdict{S: uint32(1 + rng.Intn(5)), P: uint32(1 + rng.Intn(6)), O: uint32(1 + rng.Intn(3)), Insert: rng.Intn(2) == 0}
+				if i > 0 && rng.Intn(4) == 0 {
+					vs[i].S, vs[i].P, vs[i].O = vs[i-1].S, vs[i-1].P, vs[i-1].O // the same pair again
+				}
+			}
+			arg := slices.Clone(vs)
+			wasAdds, wasDels := snapshot(d)
+			nd := d.With(vs)
+			ops += len(vs)
+
+			if !slices.Equal(vs, arg) {
+				t.Fatalf("round %d call %d: With reordered its argument", round, call)
+			}
+			if adds, dels := snapshot(d); !slices.EqualFunc(adds, wasAdds, slices.Equal) || !slices.EqualFunc(dels, wasDels, slices.Equal) {
+				t.Fatalf("round %d call %d: With changed its receiver", round, call)
+			}
+			named := map[uint32]bool{}
+			for _, v := range vs {
+				named[v.P] = true
+				oracle[key{v.P, v.S, v.O}] = v.Insert
+			}
+			for p := 0; p < d.NumPredicates(); p++ {
+				if named[uint32(p+1)] {
+					continue
+				}
+				for _, pair := range [][2][]uint64{{nd.adds[p], d.adds[p]}, {nd.dels[p], d.dels[p]}} {
+					if len(pair[0]) != len(pair[1]) || len(pair[0]) > 0 && &pair[0][0] != &pair[1][0] {
+						t.Fatalf("round %d call %d: untouched predicate %d does not share the receiver's arrays", round, call, p+1)
+					}
+				}
+			}
+
+			if nd.Ops() != ops {
+				t.Fatalf("round %d call %d: Ops = %d, want %d", round, call, nd.Ops(), ops)
+			}
+			got := map[key]bool{}
+			for p := range nd.adds {
+				for i, in := range []bool{true, false} {
+					pairs := [][]uint64{nd.adds[p], nd.dels[p]}[i]
+					if !slices.IsSorted(pairs) || len(slices.Compact(slices.Clone(pairs))) != len(pairs) {
+						t.Fatalf("round %d call %d: predicate %d pairs not strictly ascending", round, call, p+1)
+					}
+					for _, pair := range pairs {
+						k := key{uint32(p + 1), uint32(pair >> 32), uint32(pair)}
+						if _, dup := got[k]; dup {
+							t.Fatalf("round %d call %d: %v both added and tombstoned", round, call, k)
+						}
+						got[k] = in
+					}
+				}
+			}
+			if !maps.Equal(got, oracle) {
+				t.Fatalf("round %d call %d: delta holds %v, last verdicts are %v", round, call, got, oracle)
+			}
+			d = nd
+		}
 	}
 }
 
@@ -114,8 +203,7 @@ func TestApplyDeltaSharesUntouchedTables(t *testing.T) {
 	teaches := st.Predicates.Lookup("<teaches>")
 	worksFor := st.Predicates.Lookup("<worksFor>")
 
-	d := &Delta{}
-	d.Insert(st.Resources.Lookup("<ProfessorB>"), teaches, st.Resources.Lookup("<Physics>"))
+	d := (&Delta{}).With([]Verdict{{S: st.Resources.Lookup("<ProfessorB>"), P: teaches, O: st.Resources.Lookup("<Physics>"), Insert: true}})
 	merged := ApplyDelta(st, d, InferBuildOptions(st))
 
 	// worksFor untouched: its slices must alias the base store's.
@@ -178,7 +266,7 @@ func TestApplyDeltaEquivalence(t *testing.T) {
 		for tr := range seen {
 			oracle[tr] = true
 		}
-		d := &Delta{}
+		var vs []Verdict
 		for i := 0; i < 30; i++ {
 			tr := randTriple()
 			if rng.Intn(4) == 0 {
@@ -188,16 +276,17 @@ func TestApplyDeltaEquivalence(t *testing.T) {
 				tr.O = fmt.Sprintf("<new-o%d>", rng.Intn(3))
 			}
 			if rng.Intn(2) == 0 {
-				d.Insert(base.Resources.Encode(tr.S), base.Predicates.Encode(tr.P), base.Resources.Encode(tr.O))
+				vs = append(vs, Verdict{S: base.Resources.Encode(tr.S), P: base.Predicates.Encode(tr.P), O: base.Resources.Encode(tr.O), Insert: true})
 				oracle[tr] = true
 			} else {
 				s, p, o := base.Resources.Lookup(tr.S), base.Predicates.Lookup(tr.P), base.Resources.Lookup(tr.O)
 				if s != 0 && p != 0 && o != 0 {
-					d.Delete(s, p, o)
+					vs = append(vs, Verdict{S: s, P: p, O: o})
 				}
 				delete(oracle, tr)
 			}
 		}
+		d := (&Delta{}).With(vs)
 
 		merged := ApplyDelta(base, d, InferBuildOptions(base))
 		got := tripleSet(t, merged)
@@ -246,11 +335,12 @@ func TestPruneResidual(t *testing.T) {
 	phys := st.Resources.Lookup("<Physics>")
 	novel := st.Resources.Encode("<Robotics>")
 
-	d := &Delta{}
-	d.Insert(profA, teaches, math)  // already in base: prunes away
-	d.Delete(profA, teaches, phys)  // in base: survives as tombstone
-	d.Insert(profA, teaches, novel) // not in base: survives as add
-	d.Delete(profA, teaches, novel) // verdict flips: tombstone of absent pair prunes
+	d := (&Delta{}).With([]Verdict{
+		{S: profA, P: teaches, O: math, Insert: true},  // already in base: prunes away
+		{S: profA, P: teaches, O: phys},                // in base: survives as tombstone
+		{S: profA, P: teaches, O: novel, Insert: true}, // not in base: survives as add
+		{S: profA, P: teaches, O: novel},               // verdict flips: tombstone of absent pair prunes
+	})
 
 	res := d.Prune(st)
 	adds, dels := res.Counts()

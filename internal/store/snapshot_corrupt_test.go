@@ -94,8 +94,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(valid)
 	f.Add(plain)
 	f.Add(deltaSnapshot(f, true)) // snapshot taken with unreconciled deltas merged in
-	f.Add(valid[:len(valid)/2])      // truncation
-	f.Add(valid[:len(valid)-3])      // truncated checksum
+	f.Add(valid[:len(valid)/2])   // truncation
+	f.Add(valid[:len(valid)-3])   // truncated checksum
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/3] ^= 0x40 // payload bit flip
 	f.Add(flipped)

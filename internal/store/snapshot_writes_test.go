@@ -14,10 +14,11 @@ func deltaSnapshot(t testing.TB, withIndex bool) []byte {
 	st := LoadTriples(paperExample, BuildOptions{BuildPosIndex: withIndex})
 	teaches := st.Predicates.Lookup("<teaches>")
 	profA := st.Resources.Lookup("<ProfessorA>")
-	d := &Delta{}
-	d.Insert(st.Resources.Encode("<ProfessorZ>"), st.Predicates.Encode("<advises>"), st.Resources.Encode("<StudentZ>"))
-	d.Insert(profA, teaches, st.Resources.Lookup("<Mathematics>")) // duplicate of a base triple
-	d.Delete(profA, teaches, st.Resources.Lookup("<Physics>"))
+	d := (&Delta{}).With([]Verdict{
+		{S: st.Resources.Encode("<ProfessorZ>"), P: st.Predicates.Encode("<advises>"), O: st.Resources.Encode("<StudentZ>"), Insert: true},
+		{S: profA, P: teaches, O: st.Resources.Lookup("<Mathematics>"), Insert: true}, // duplicate of a base triple
+		{S: profA, P: teaches, O: st.Resources.Lookup("<Physics>")},
+	})
 	merged := ApplyDelta(st, d, InferBuildOptions(st))
 	var buf bytes.Buffer
 	if err := merged.Save(&buf); err != nil {

@@ -63,14 +63,14 @@ func iri(local string) string { return "<" + ns + local + ">" }
 // Config tunes entity counts per scale unit. The zero value gives ~5.5k
 // triples per scale unit.
 type Config struct {
-	UsersPerScale    int // default 400
-	ProductsPerScale int // default 200
-	ReviewsPerScale  int // default 300
+	UsersPerScale     int // default 400
+	ProductsPerScale  int // default 200
+	ReviewsPerScale   int // default 300
 	RetailersPerScale int // default 12
-	WebsitesPerScale int // default 25
-	Cities           int // default 20 (global)
-	Countries        int // default 10 (global)
-	Genres           int // default 15 (global)
+	WebsitesPerScale  int // default 25
+	Cities            int // default 20 (global)
+	Countries         int // default 10 (global)
+	Genres            int // default 15 (global)
 	// Skew is the power-law exponent for popularity skew (higher = more
 	// skewed). Default 2.5.
 	Skew float64

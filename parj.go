@@ -258,11 +258,10 @@ type Results struct {
 }
 
 // Store is a fully in-memory RDF database, safe for concurrent queries and
-// — since the live write path — concurrent Insert/Delete. Reads run on
-// immutable epoch views: each query pins the view current at admission and
-// sees a consistent base-plus-delta state for its whole lifetime, while
-// writes publish new views and a reconciler folds accumulated deltas into
-// fresh base tables. With no writes pending, the read path is exactly the
+// concurrent writes (Write). Reads run on immutable epoch views: each query
+// pins the view current at admission and sees a consistent base-plus-delta
+// state for its whole lifetime, while writes publish new views and a
+// reconciler folds accumulated deltas into fresh base tables. With no writes pending, the read path is exactly the
 // original immutable engine plus one atomic load.
 type Store struct {
 	live *live.Handle
@@ -444,17 +443,6 @@ func (s *Store) MemoryBytes() int { return s.live.View().Base().Bytes() }
 // brackets, literals quoted) — the unit of the live write path, and the same
 // type the cluster's /write wire form and the write-ahead log carry.
 type Triple = rdf.Triple
-
-// Insert adds triples to the live store while queries run. Duplicates of
-// already-stored triples are no-ops (RDF graphs are sets). The write lands
-// in the current epoch's delta overlay; queries admitted afterwards see it
-// immediately, queries already running keep their pinned epoch. Returns
-// the write-batch sequence number.
-func (s *Store) Insert(triples []Triple) uint64 { return s.live.Insert(triples) }
-
-// Delete removes triples from the live store while queries run. Deleting
-// an absent triple is a no-op. Same epoch semantics as Insert.
-func (s *Store) Delete(triples []Triple) uint64 { return s.live.Delete(triples) }
 
 // Reconcile synchronously merges all pending write deltas into fresh base
 // tables and swaps the epoch. Queries in flight keep their views; writes

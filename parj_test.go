@@ -376,7 +376,9 @@ func TestOrderByAndOffset(t *testing.T) {
 		// executions re-plan on the new view. The plan is shared, so the
 		// concurrent executions must each un-limit their own copy of it.
 		planned := p.v
-		db.Insert([]Triple{{S: "<alice>", P: "<knows>", O: "<bob>"}})
+		if _, err := db.Write([]Triple{{S: "<alice>", P: "<knows>", O: "<bob>"}}, nil); err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
