@@ -30,6 +30,15 @@
 // instead of timing out on a closed port; it flips back to 503 the moment
 // a drain starts. SIGINT/SIGTERM drains in-flight requests before exiting.
 //
+// The flags configure two things. The replica — its admission controller
+// and shared memory pool (-max-concurrent, -admission-*,
+// -shared-memory-budget), its reconciler (-reconcile-ops) and its
+// write-ahead log (-wal*) — is one live.Handle built by live.Open from
+// live.Options, which also recovers it from -wal and is checkpointed and
+// closed through the handle. The HTTP shell over it takes only the /query
+// defaults (-threads, -timeout, -max-rows, -memory-budget) as
+// remote.NodeOptions.
+//
 // Status mapping: 400 unparsable or unplannable query, 409 write sequence
 // gap, 413 budget exceeded, 503 overloaded or not ready (with
 // Retry-After), 504 deadline exceeded or client gone, 500 contained engine
@@ -73,7 +82,7 @@ type config struct {
 	noIndex     bool
 	drain       time.Duration
 	node        remote.NodeOptions
-	wal         wal.Options // Dir == "" = volatile
+	live        live.Options // the replica's governance and log; Durability.Dir == "" = volatile
 	ckptOps     int
 	ckptIntv    time.Duration
 }
@@ -91,16 +100,16 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&c.node.Query.Timeout, "timeout", 30*time.Second, "per-/query wall-clock limit (0 = none)")
 	fs.Int64Var(&c.node.Query.MaxResultRows, "max-rows", 10_000_000, "per-/query produced-row budget (0 = unlimited)")
 	fs.Int64Var(&c.node.Query.MemoryBudget, "memory-budget", 1<<30, "per-/query materialized-result byte budget (0 = unlimited)")
-	fs.Int64Var(&c.node.SharedMemoryBudget, "shared-memory-budget", 0, "materialized-result byte budget shared across ALL concurrent requests (0 = unlimited)")
-	fs.IntVar(&c.node.MaxConcurrent, "max-concurrent", 8, "/query and /exec requests executing at once; further ones queue then shed (0 = unlimited)")
-	fs.DurationVar(&c.node.AdmissionWait, "admission-wait", 2*time.Second, "how long an over-admission request queues before 503 (0 = do not queue)")
-	fs.DurationVar(&c.node.AdmissionTarget, "admission-target", 0, "acceptable admission-queue sojourn; sustained above it, excess requests shed after the target instead of the full wait (0 = 5ms default; >= -admission-wait never sheds early)")
-	fs.DurationVar(&c.node.AdmissionInterval, "admission-interval", 0, "admission control window (0 = 100ms default)")
-	fs.IntVar(&c.node.AutoReconcileOps, "reconcile-ops", 4096, "pending write verdicts that trigger background reconciliation (0 = only on explicit /reconcile)")
-	fs.StringVar(&c.wal.Dir, "wal", "", "write-ahead-log directory; makes the replica durable (recovers on start, journals every write)")
+	fs.Int64Var(&c.live.SharedMemoryBudget, "shared-memory-budget", 0, "materialized-result byte budget shared across ALL concurrent requests (0 = unlimited)")
+	fs.IntVar(&c.live.MaxConcurrentQueries, "max-concurrent", 8, "/query and /exec requests executing at once; further ones queue then shed (0 = unlimited)")
+	fs.DurationVar(&c.live.AdmissionWait, "admission-wait", 2*time.Second, "how long an over-admission request queues before 503 (0 = do not queue)")
+	fs.DurationVar(&c.live.AdmissionTarget, "admission-target", 0, "acceptable admission-queue sojourn; sustained above it, excess requests shed after the target instead of the full wait (0 = 5ms default; >= -admission-wait never sheds early)")
+	fs.DurationVar(&c.live.AdmissionInterval, "admission-interval", 0, "admission control window (0 = 100ms default)")
+	fs.IntVar(&c.live.AutoReconcileOps, "reconcile-ops", 4096, "pending write verdicts that trigger background reconciliation (0 = only on explicit /reconcile)")
+	fs.StringVar(&c.live.Durability.Dir, "wal", "", "write-ahead-log directory; makes the replica durable (recovers on start, journals every write)")
 	walSync := fs.String("wal-sync", "always", "WAL fsync policy: always (group commit), interval, never")
-	fs.DurationVar(&c.wal.Interval, "wal-sync-interval", 50*time.Millisecond, "flush period under -wal-sync=interval")
-	fs.Int64Var(&c.wal.SegmentBytes, "wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 4 MiB)")
+	fs.DurationVar(&c.live.Durability.SyncInterval, "wal-sync-interval", 50*time.Millisecond, "flush period under -wal-sync=interval")
+	fs.Int64Var(&c.live.Durability.SegmentBytes, "wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 4 MiB)")
 	fs.IntVar(&c.ckptOps, "checkpoint-ops", 4096, "write batches between automatic checkpoints (0 = never checkpoint automatically)")
 	fs.DurationVar(&c.ckptIntv, "checkpoint-interval", time.Minute, "how often the checkpoint loop looks at the write position")
 	if err := fs.Parse(args); err != nil {
@@ -111,11 +120,11 @@ func parseFlags(args []string) (*config, error) {
 	}
 	// A durable replica can also start bare: recovery alone rebuilds it
 	// from its own WAL directory.
-	if c.wal.Dir == "" && c.dataPath == "" && c.warmFrom == "" {
+	if c.live.Durability.Dir == "" && c.dataPath == "" && c.warmFrom == "" {
 		return nil, errors.New("one of -data, -warm-from or -wal is required")
 	}
 	var err error
-	c.wal.Sync, err = wal.ParseSyncPolicy(*walSync)
+	c.live.Durability.Sync, err = wal.ParseSyncPolicy(*walSync)
 	return c, err
 }
 
@@ -160,7 +169,7 @@ func run(ctx context.Context, cfg *config, ln net.Listener) error {
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	start := time.Now()
-	h, wlog, err := open(ctx, cfg, bo)
+	h, err := open(ctx, cfg, bo)
 	if err != nil {
 		srv.Close()
 		return fmt.Errorf("load: %w", err)
@@ -178,7 +187,7 @@ func run(ctx context.Context, cfg *config, ln net.Listener) error {
 	ckptDone := make(chan struct{})
 	go func() {
 		defer close(ckptDone)
-		if wlog == nil || cfg.ckptOps <= 0 {
+		if !h.Durability().Enabled || cfg.ckptOps <= 0 {
 			return
 		}
 		t := time.NewTicker(cfg.ckptIntv)
@@ -188,8 +197,8 @@ func run(ctx context.Context, cfg *config, ln net.Listener) error {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if h.Seq() >= wlog.Stats().CheckpointSeq+uint64(cfg.ckptOps) {
-					if err := live.Checkpoint(h, wlog); err != nil {
+				if h.Seq() >= h.Durability().CheckpointSeq+uint64(cfg.ckptOps) {
+					if err := h.Checkpoint(); err != nil {
 						fmt.Fprintln(os.Stderr, "parj-server: checkpoint:", err)
 					}
 				}
@@ -212,24 +221,24 @@ func run(ctx context.Context, cfg *config, ln net.Listener) error {
 		srv.Close()
 	}
 	<-ckptDone
-	h.Quiesce()
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			return fmt.Errorf("wal close: %w", err)
-		}
+	if err := h.Close(); err != nil {
+		return fmt.Errorf("wal close: %w", err)
 	}
 	return nil
 }
 
-// open builds the replica's live handle: WAL recovery when -wal is set
-// (newest loadable checkpoint plus the log suffix), the seed otherwise.
-func open(ctx context.Context, cfg *config, bo store.BuildOptions) (*live.Handle, *wal.Log, error) {
+// open builds the replica's live handle under cfg.live: WAL recovery when
+// -wal is set (newest loadable checkpoint plus the log suffix), the seed
+// otherwise.
+func open(ctx context.Context, cfg *config, bo store.BuildOptions) (*live.Handle, error) {
 	// seed supplies the base state when there is no WAL or its directory
-	// holds no prior state (a durable replica's first boot). A snapshot
-	// warmed from a peer embeds that peer's write-stream position: the
-	// replica resumes the stream there, so a coordinator's resync replays
-	// exactly the batches the snapshot does not contain.
-	seed := func() (*store.Store, uint64, error) {
+	// holds no prior state (a durable replica's first boot) — a restarted
+	// replica rebuilds itself without touching -data or its peers, then the
+	// coordinator resyncs just the missing tail. A snapshot warmed from a
+	// peer embeds that peer's write-stream position: the replica resumes
+	// the stream there, so a coordinator's resync replays exactly the
+	// batches the snapshot does not contain.
+	return live.Open(cfg.live, func() (*store.Store, uint64, error) {
 		switch {
 		case cfg.warmFrom != "":
 			return warmFromPeers(ctx, strings.Split(cfg.warmFrom, ","), cfg.warmTimeout)
@@ -237,31 +246,9 @@ func open(ctx context.Context, cfg *config, bo store.BuildOptions) (*live.Handle
 			st, err := store.LoadFile(cfg.dataPath, bo)
 			return st, 0, err
 		default:
-			return store.LoadTriples(nil, bo), 0, nil
+			return nil, 0, nil
 		}
-	}
-	if cfg.wal.Dir == "" {
-		st, seq, err := seed()
-		if err != nil {
-			return nil, nil, err
-		}
-		h := live.New(st, nil, store.InferBuildOptions(st))
-		h.SeedSeq(seq)
-		return h, nil, nil
-	}
-	wlog, err := wal.Open(cfg.wal)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The seed runs only when the directory holds no prior state — a
-	// restarted replica rebuilds itself without touching -data or its
-	// peers, then the coordinator resyncs just the missing tail.
-	h, err := live.OpenDurable(wlog, seed, bo)
-	if err != nil {
-		wlog.Close()
-		return nil, nil, err
-	}
-	return h, wlog, nil
+	}, bo)
 }
 
 // warmFromPeers pulls a CRC-checked snapshot stream from the first peer

@@ -39,9 +39,11 @@ func testServer(t *testing.T, n int, args ...string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := testStore(n)
-	node := remote.NewNodeHandle(live.New(st, nil, store.InferBuildOptions(st)), cfg.node)
-	srv := httptest.NewServer(node.Handler())
+	h, err := live.Open(cfg.live, func() (*store.Store, uint64, error) { return testStore(n), 0, nil }, store.BuildOptions{BuildPosIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(remote.NewNodeHandle(h, cfg.node).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }

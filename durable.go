@@ -3,8 +3,6 @@ package parj
 import (
 	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"parj/internal/live"
 	"parj/internal/store"
@@ -42,37 +40,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // instead). Dispatch with errors.Is.
 var ErrCorruptWAL = wal.ErrCorruptWAL
 
-// Durability configures the write-ahead log of a store opened with Open.
-// The zero value disables durability.
-type Durability struct {
-	// Dir is the log directory; it is created if missing. Required
-	// unless FS is set.
-	Dir string
-	// Sync is the fsync policy (default SyncAlways).
-	Sync SyncPolicy
-	// SyncInterval is the flush period under SyncInterval (default 50ms).
-	SyncInterval time.Duration
-	// SegmentBytes caps a log segment before rotation (default 4 MiB).
-	// Checkpoints prune whole segments, so smaller segments reclaim
-	// space sooner at the cost of more files.
-	SegmentBytes int64
-	// FS overrides the filesystem (crash-injection tests). When set,
-	// Dir is ignored.
-	FS wal.FS
-}
-
-// Enabled reports whether this configuration turns durability on.
-func (d Durability) Enabled() bool { return d.Dir != "" || d.FS != nil }
-
-func (d Durability) walOptions() wal.Options {
-	return wal.Options{
-		Dir:          d.Dir,
-		FS:           d.FS,
-		Sync:         d.Sync,
-		Interval:     d.SyncInterval,
-		SegmentBytes: d.SegmentBytes,
-	}
-}
+// Durability configures the write-ahead log of a store opened with Open:
+// Dir (or FS), Sync, SyncInterval and SegmentBytes. The zero value disables
+// durability.
+type Durability = live.Durability
 
 // DurabilityStats describes a store's durable position; the zero value
 // means "volatile store".
@@ -89,13 +60,8 @@ type DurabilityStats = live.DurabilityStats
 // The returned store must be released with Close; writes issued through
 // Write after Close fail with the log's closed error.
 func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
-	d := opts.DB.Durability
-	if !d.Enabled() {
+	if !opts.DB.Durability.Enabled() {
 		return nil, errors.New("parj: Open requires DBOptions.Durability (use NewBuilder/Load for a volatile store)")
-	}
-	log, err := wal.Open(d.walOptions())
-	if err != nil {
-		return nil, fmt.Errorf("parj: open wal: %w", err)
 	}
 	bo := opts.buildOptions()
 	var seedFn func() (*store.Store, uint64, error)
@@ -108,14 +74,11 @@ func Open(opts LoadOptions, seed func() ([]Triple, error)) (*Store, error) {
 			return store.LoadTriples(ts, bo), 0, nil
 		}
 	}
-	h, err := live.OpenDurable(log, seedFn, bo)
+	h, err := live.Open(opts.DB, seedFn, bo)
 	if err != nil {
-		log.Close()
-		return nil, fmt.Errorf("parj: recover: %w", err)
+		return nil, fmt.Errorf("parj: %w", err)
 	}
-	s := &Store{live: h, wal: log}
-	s.applyDB(opts.DB)
-	return s, nil
+	return &Store{live: h}, nil
 }
 
 // Write applies one batch to the live store while queries run — deletes
@@ -134,12 +97,7 @@ func (s *Store) Write(inserts, deletes []Triple) (uint64, error) {
 // Checkpoint publishes the current view as a snapshot checkpoint paired
 // with its write sequence and prunes log segments it covers. Queries and
 // writes keep running throughout. No-op on a volatile store.
-func (s *Store) Checkpoint() error {
-	if s.wal == nil {
-		return nil
-	}
-	return live.Checkpoint(s.live, s.wal)
-}
+func (s *Store) Checkpoint() error { return s.live.Checkpoint() }
 
 // DurabilityStats reports the store's durable position (zero value for a
 // volatile store).
@@ -149,38 +107,4 @@ func (s *Store) DurabilityStats() DurabilityStats { return s.live.Durability() }
 // any unsynced suffix. Volatile stores need not call it (it is then a
 // no-op), but durable stores must: writes acknowledged under SyncInterval
 // or SyncNever become durable at the latest here.
-func (s *Store) Close() error {
-	s.live.Quiesce()
-	if s.wal == nil {
-		return nil
-	}
-	err := s.wal.Close()
-	if err != nil && errors.Is(err, wal.ErrClosed) {
-		return nil
-	}
-	return err
-}
-
-// SaveCheckpointTo is a convenience for tooling: it streams the newest
-// checkpoint the log holds, without opening the store. Returns the
-// checkpoint's sequence.
-func SaveCheckpointTo(d Durability, w io.Writer) (uint64, error) {
-	log, err := wal.Open(d.walOptions())
-	if err != nil {
-		return 0, err
-	}
-	defer log.Close()
-	cks := log.Checkpoints()
-	if len(cks) == 0 {
-		return 0, errors.New("parj: no checkpoint")
-	}
-	rc, err := log.OpenCheckpoint(cks[0])
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	if _, err := io.Copy(w, rc); err != nil {
-		return 0, err
-	}
-	return cks[0], nil
-}
+func (s *Store) Close() error { return s.live.Close() }

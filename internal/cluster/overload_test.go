@@ -11,19 +11,23 @@ import (
 	"time"
 
 	"parj/internal/governance"
+	"parj/internal/live"
 	"parj/internal/lubm"
 	"parj/internal/remote"
 	"parj/internal/resilience"
 	"parj/internal/resilience/chaos"
+	"parj/internal/store"
 	"parj/internal/testutil"
 )
 
 // startTunedNode is startNode with admission knobs: a tiny concurrency cap
 // plus the adaptive controller, so a handful of concurrent coordinator
 // queries is already an overload storm.
-func startTunedNode(t *testing.T, f *fixture, opts remote.NodeOptions) (*remote.Node, *httptest.Server) {
+func startTunedNode(t *testing.T, f *fixture, gov live.Options) (*remote.Node, *httptest.Server) {
 	t.Helper()
-	n := remote.NewNode(f.st, f.ss, opts)
+	h := live.New(f.st, f.ss, store.InferBuildOptions(f.st))
+	h.SetOptions(gov)
+	n := remote.NewNodeHandle(h, remote.NodeOptions{})
 	return n, httptest.NewServer(n.Handler())
 }
 
@@ -124,9 +128,9 @@ func TestReplicaOrderSheddingTier(t *testing.T) {
 func TestBreakerClosedThroughRejectionBurst(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	f := lubmFixture(t)
-	node, srv := startTunedNode(t, f, remote.NodeOptions{
-		MaxConcurrent: 1,
-		AdmissionWait: time.Millisecond,
+	node, srv := startTunedNode(t, f, live.Options{
+		MaxConcurrentQueries: 1,
+		AdmissionWait:        time.Millisecond,
 	})
 	defer srv.Close()
 
@@ -202,11 +206,11 @@ func TestOverloadStormChaos(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	f := lubmFixture(t)
 
-	tuned := remote.NodeOptions{
-		MaxConcurrent:     1,
-		AdmissionWait:     20 * time.Millisecond,
-		AdmissionTarget:   2 * time.Millisecond,
-		AdmissionInterval: 20 * time.Millisecond,
+	tuned := live.Options{
+		MaxConcurrentQueries: 1,
+		AdmissionWait:        20 * time.Millisecond,
+		AdmissionTarget:      2 * time.Millisecond,
+		AdmissionInterval:    20 * time.Millisecond,
 	}
 	n0, s0 := startTunedNode(t, f, tuned)
 	defer s0.Close()

@@ -385,13 +385,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 				rows = append(rows, o.resp.Rows...)
 			}
 		}
-		if q.Distinct {
-			rows = core.DedupRows(rows)
-		}
-		if q.HasLimit && len(rows) > q.Limit {
-			rows = rows[:q.Limit]
-		}
-		res.Count = int64(len(rows))
+		rows, res.Count = core.Compact(rows, 0, q.Distinct, q.Limit)
 		if !silent {
 			res.Rows = rows
 		}
@@ -401,11 +395,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 				res.Count += o.resp.Count
 			}
 		}
-		// Each shard already truncated its count to LIMIT, so the capped
-		// sum equals min(LIMIT, global count).
-		if q.HasLimit && res.Count > int64(q.Limit) {
-			res.Count = int64(q.Limit)
-		}
+		_, res.Count = core.Compact(nil, res.Count, q.Distinct, q.Limit)
 	}
 	return res, nil
 }

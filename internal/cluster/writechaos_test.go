@@ -329,11 +329,7 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 	seed := func() (*store.Store, uint64, error) {
 		return store.LoadTriples(append([]rdf.Triple(nil), base...), bo), 0, nil
 	}
-	log1, err := wal.Open(wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := live.OpenDurable(log1, seed, bo)
+	h1, err := live.Open(live.Options{Durability: live.Durability{FS: fs}}, seed, bo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +374,7 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 	// yet fsynced — the crash a power cut would produce.
 	srvB.Close()
 	fs.Crash()
-	h1.Quiesce()
-	log1.Close()
+	h1.Close() // the error is the crash itself
 
 	// The stream moves on; the first write that fails against B evicts it.
 	for i := 26; i <= 40; i++ {
@@ -393,18 +388,11 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 
 	// Restart from the crashed filesystem image: recovery is checkpoint +
 	// local replay — no peer snapshot, no full reload.
-	log2, err := wal.Open(wal.Options{FS: fs.Recover()})
-	if err != nil {
-		t.Fatalf("reopen wal after crash: %v", err)
-	}
-	h2, err := live.OpenDurable(log2, seed, bo)
+	h2, err := live.Open(live.Options{Durability: live.Durability{FS: fs.Recover()}}, seed, bo)
 	if err != nil {
 		t.Fatalf("recover replica: %v", err)
 	}
-	defer func() {
-		h2.Quiesce()
-		log2.Close()
-	}()
+	defer h2.Close()
 	// Every batch acknowledged before the kill was group-committed, so the
 	// local replay must land exactly on the kill position.
 	if got := h2.Seq(); got != killSeq {

@@ -312,13 +312,7 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		for _, w := range workers {
 			rows = append(rows, w.rows...)
 		}
-		if plan.Distinct {
-			rows = DedupRows(rows)
-		}
-		if plan.Limit > 0 && len(rows) > plan.Limit {
-			rows = rows[:plan.Limit]
-		}
-		res.Count = int64(len(rows))
+		rows, res.Count = Compact(rows, 0, plan.Distinct, plan.Limit)
 		if !opts.Silent {
 			res.Rows = rows
 		}
@@ -326,9 +320,7 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		for _, w := range workers {
 			res.Count += w.count
 		}
-		if plan.Limit > 0 && res.Count > int64(plan.Limit) {
-			res.Count = int64(plan.Limit)
-		}
+		_, res.Count = Compact(nil, res.Count, plan.Distinct, plan.Limit)
 	}
 	return res, nil
 }
@@ -531,11 +523,33 @@ func (x *execution) newWorker(initSink func(*streamSink)) *worker {
 	return w
 }
 
-// DedupRows removes duplicate rows in place, keeping first occurrences in
-// order. It is the engine's DISTINCT compaction, exported so gather phases
-// (cluster coordinators) apply exactly the same semantics to merged
-// partial results.
-func DedupRows(rows [][]uint32) [][]uint32 {
+// Compact is the last DISTINCT/LIMIT step of an answer gathered from parts
+// — a query's workers, or a coordinator's shards — each of which applied
+// both to its own rows: over the concatenated rows it yields the global
+// answer, min(LIMIT, |distinct rows|), and their count. rows == nil is a
+// count-only gather: count, the parts' summed counts, is capped at limit.
+// limit <= 0 means no LIMIT (a LIMIT 0 query plans empty and gathers
+// nothing). Distinct rows are deduplicated in place, first occurrences kept
+// in order.
+func Compact(rows [][]uint32, count int64, distinct bool, limit int) ([][]uint32, int64) {
+	if rows == nil {
+		if limit > 0 && count > int64(limit) {
+			count = int64(limit)
+		}
+		return nil, count
+	}
+	if distinct {
+		rows = dedupRows(rows)
+	}
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rows, int64(len(rows))
+}
+
+// dedupRows removes duplicate rows in place, keeping first occurrences in
+// order.
+func dedupRows(rows [][]uint32) [][]uint32 {
 	seen := make(map[string]bool, len(rows))
 	var key []byte
 	out := rows[:0]
@@ -551,7 +565,7 @@ func DedupRows(rows [][]uint32) [][]uint32 {
 }
 
 // rowKey appends row's canonical byte encoding to dst — the map key both
-// DedupRows and the workers' incremental DISTINCT tracking hash on.
+// dedupRows and the workers' incremental DISTINCT tracking hash on.
 func rowKey(dst []byte, row []uint32) []byte {
 	for _, v := range row {
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))

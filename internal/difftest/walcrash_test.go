@@ -18,7 +18,7 @@ import (
 // crash-injection MemFS, arms one fault per run (kill before/after fsync,
 // torn frame, short write, checkpoint-publish and prune crashes, skipped
 // directory fsync, a recovery-time bit flip), and after every injected
-// crash recovers with live.OpenDurable and demands exact oracle equality:
+// crash recovers with live.Open and demands exact oracle equality:
 // the recovered triple set must be states[recoveredSeq] — the mutable
 // oracle's snapshot at exactly the sequence recovery landed on — and for
 // every fault that honors fsync semantics, recoveredSeq must not trail the
@@ -97,20 +97,12 @@ func handleTriples(h *live.Handle) map[rdf.Triple]bool {
 
 const crashSegmentBytes = 1 << 10 // small segments: rotation + pruning under fire
 
-func openCrashStore(fs *wal.MemFS, base []rdf.Triple) (*wal.Log, *live.Handle, error) {
-	log, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncAlways, SegmentBytes: crashSegmentBytes})
-	if err != nil {
-		return nil, nil, err
-	}
+func openCrashStore(fs *wal.MemFS, base []rdf.Triple) (*live.Handle, error) {
 	seed := func() (*store.Store, uint64, error) {
 		return store.LoadTriples(base, store.BuildOptions{}), 0, nil
 	}
-	h, err := live.OpenDurable(log, seed, store.BuildOptions{})
-	if err != nil {
-		log.Close()
-		return nil, nil, err
-	}
-	return log, h, nil
+	d := live.Durability{FS: fs, Sync: wal.SyncAlways, SegmentBytes: crashSegmentBytes}
+	return live.Open(live.Options{Durability: d}, seed, store.BuildOptions{})
 }
 
 // replayUntilCrash drives the schedule through a durable handle on fs until
@@ -119,7 +111,7 @@ func openCrashStore(fs *wal.MemFS, base []rdf.Triple) (*wal.Log, *live.Handle, e
 func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRun {
 	t.Helper()
 	run := crashRun{states: []map[rdf.Triple]bool{newCrashOracle(sched.Base)}}
-	log, h, err := openCrashStore(fs, sched.Base)
+	h, err := openCrashStore(fs, sched.Base)
 	if err != nil {
 		// The fault fired during seed load or the initial checkpoint:
 		// nothing was ever acknowledged.
@@ -137,7 +129,7 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 			// Checkpoint every other reconciliation so recovery
 			// alternates between snapshot-heavy and replay-heavy paths.
 			if reconciles++; reconciles%2 == 0 {
-				if err := live.Checkpoint(h, log); err != nil {
+				if err := h.Checkpoint(); err != nil {
 					break
 				}
 			}
@@ -167,8 +159,7 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 	if !fs.Crashed() {
 		fs.Crash()
 	}
-	log.Close() // stops the flusher; the error is the crash itself
-	h.Quiesce()
+	h.Close() // stops the flusher; the error is the crash itself
 	return run
 }
 
@@ -178,17 +169,14 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 func checkRecovery(t *testing.T, label string, run crashRun, fs *wal.MemFS, base []rdf.Triple, f crashFault) {
 	t.Helper()
 	rfs := fs.Recover()
-	log, h, err := openCrashStore(rfs, base)
+	h, err := openCrashStore(rfs, base)
 	if err != nil {
 		if f.corruptOK && errors.Is(err, wal.ErrCorruptWAL) {
 			return // typed refusal is a legal outcome for media damage
 		}
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
-	defer func() {
-		h.Quiesce()
-		log.Close()
-	}()
+	defer h.Close()
 	rec := h.Seq()
 	last := uint64(len(run.states) - 1)
 	if rec > last {

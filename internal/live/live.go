@@ -35,9 +35,12 @@
 //     their pinned views alive through the garbage collector — the same
 //     pattern internal/cluster/topology.go uses for routing epochs.
 //
-// View.Plan and View.Query are the plan and run steps every front door (the
-// root Store and Prepared, a node's /query and /exec) takes on the one view
-// it pinned.
+// A Handle is one replica, whatever serves it. Every front door (the root
+// Store and Prepared, a node's /query and /exec) takes the same steps on
+// it: Admit on the replica's one admission controller, then Plan (parse,
+// then View.Plan on the view it pins), then View.Query on that view. Open
+// builds a handle from Options, recovering it from its write-ahead log
+// when the options ask for one.
 //
 // The dictionaries are shared across all epochs and append-only: IDs are
 // stable forever, so a snapshot, a replica replay, or an old view can never
@@ -45,13 +48,16 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"parj/internal/core"
+	"parj/internal/governance"
 	"parj/internal/optimizer"
 	"parj/internal/rdf"
 	"parj/internal/rdfs"
@@ -201,8 +207,84 @@ func (v *View) materialize() {
 	})
 }
 
-// Handle is the mutable façade over a chain of immutable views. All writes
-// are serialized through it; reads are a single atomic pointer load.
+// Options configures a replica: its admission controller, its shared
+// memory pool, its background reconciler and its write-ahead log. It is
+// parj.DBOptions, and cmd/parj-server maps its flags onto it.
+type Options struct {
+	// MaxConcurrentQueries caps how many queries execute at once; further
+	// queries wait up to AdmissionWait and are then shed with
+	// governance.ErrOverloaded. 0 = unlimited. Under overload the replica
+	// degrades gracefully — shedding queries with a typed error — instead
+	// of accumulating unbounded concurrent result buffers.
+	MaxConcurrentQueries int
+	// AdmissionWait bounds how long an over-admission query queues before
+	// it is shed. 0 means shed immediately when saturated.
+	AdmissionWait time.Duration
+	// AdmissionTarget is the acceptable queue sojourn of the CoDel-style
+	// admission controller (0 = 5ms default): when sojourn stays above it
+	// for a full AdmissionInterval the replica enters shedding mode,
+	// rejecting excess arrivals after only the target (with a Retry-After
+	// hint on the error) instead of letting every query wait the full
+	// AdmissionWait, so admitted queries keep a bounded queue delay under
+	// sustained overload. A target at or above AdmissionWait never
+	// shortens the wait: that is the plain fixed-wait queue.
+	AdmissionTarget time.Duration
+	// AdmissionInterval is the admission controller's control window
+	// (0 = 100ms default).
+	AdmissionInterval time.Duration
+	// SharedMemoryBudget bounds the bytes of materialized result rows
+	// across ALL concurrently executing queries, complementing each
+	// query's own memory budget: N concurrent queries race one budget, so
+	// a burst cannot multiply the per-query bound into process exhaustion.
+	// The query that would tip the replica over fails with
+	// governance.ErrBudgetExceeded. 0 = unlimited.
+	SharedMemoryBudget int64
+	// AutoReconcileOps arms the background reconciler: once at least this
+	// many write verdicts are pending, a goroutine merges them into fresh
+	// base tables and swaps the epoch. 0 leaves reconciliation to explicit
+	// Reconcile calls — the deterministic mode tests use.
+	AutoReconcileOps int
+	// Durability configures write-ahead logging. It takes effect only
+	// through Open (recovery must happen before the handle exists); New
+	// and SetOptions ignore it.
+	Durability Durability
+}
+
+// governor is one configuration of the replica's admission controller and
+// shared memory pool. SetOptions swaps in a new one whole, so a query
+// releases its slot on the controller that admitted it.
+type governor struct {
+	limiter *governance.AdaptiveLimiter // nil admits everything
+	pool    *governance.Pool            // nil = unlimited
+}
+
+// ParseError is a query text the SPARQL parser refused.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// PlanError is a parsed query the replica cannot plan or run as asked.
+type PlanError struct{ Err error }
+
+func (e *PlanError) Error() string { return e.Err.Error() }
+func (e *PlanError) Unwrap() error { return e.Err }
+
+// AdmissionStats is a snapshot of the replica's admission and shared-memory
+// counters. The admission controller's counters (InFlight, Admitted, Sheds,
+// Expired, QueueDelay, Shedding) are promoted from the embedded snapshot;
+// they count since the controller was configured.
+type AdmissionStats struct {
+	governance.AdmissionStats
+	// PoolUsed/PoolCapacity report the shared memory budget (0 when off).
+	PoolUsed     int64
+	PoolCapacity int64
+}
+
+// Handle is one replica: the mutable façade over a chain of immutable
+// views, the write-ahead log it recovered from, and the one admission
+// controller and memory pool every front door of the replica shares. All
+// writes are serialized through it; reads are a single atomic pointer load.
 type Handle struct {
 	opts store.BuildOptions
 
@@ -219,7 +301,9 @@ type Handle struct {
 	autoOps atomic.Int64 // pending-op threshold for background reconcile; 0 = off
 	wg      sync.WaitGroup
 
-	wal *wal.Log // nil when the handle is volatile
+	gov atomic.Pointer[governor]
+
+	wal *wal.Log // set by Open before the handle is shared; nil = volatile
 }
 
 // New wraps a built store. ss may be nil (statistics are then computed
@@ -233,7 +317,68 @@ func New(base *store.Store, ss *stats.Stats, opts store.BuildOptions) *Handle {
 	}
 	h := &Handle{opts: opts}
 	h.cur.Store(&View{version: 1, base: base, delta: &store.Delta{}, bstats: ss, h: h})
+	h.gov.Store(&governor{})
 	return h
+}
+
+// SetOptions (re)configures the replica's admission controller, shared
+// memory pool and background reconciler; opts.Durability takes effect only
+// through Open. Queries already admitted keep their slots and their pool
+// charges on the controller that admitted them.
+func (h *Handle) SetOptions(opts Options) {
+	h.gov.Store(&governor{
+		limiter: governance.NewAdaptiveLimiter(governance.AdmissionOptions{
+			MaxConcurrent: opts.MaxConcurrentQueries,
+			MaxWait:       opts.AdmissionWait,
+			Target:        opts.AdmissionTarget,
+			Interval:      opts.AdmissionInterval,
+		}),
+		pool: governance.NewPool(opts.SharedMemoryBudget),
+	})
+	h.SetAutoReconcile(opts.AutoReconcileOps)
+}
+
+// Admit reserves one execution slot on the replica's admission controller:
+// it sheds with governance.ErrOverloaded when the replica stays saturated
+// longer than the admission wait, and refuses with ErrDeadlineExceeded a
+// ctx deadline the queue cannot meet. After a nil error the query charges
+// pool, the replica's shared memory budget, and the caller calls release
+// exactly once. Every front door — the root Store and Prepared, a node's
+// /query and /exec — admits here, so a replica has one controller and one
+// pool however many doors serve it.
+func (h *Handle) Admit(ctx context.Context) (pool *governance.Pool, release func(), err error) {
+	g := h.gov.Load()
+	if err := g.limiter.Acquire(ctx); err != nil {
+		return nil, nil, err
+	}
+	return g.pool, g.limiter.Release, nil
+}
+
+// AdmissionStats snapshots the replica's admission counters.
+func (h *Handle) AdmissionStats() AdmissionStats {
+	g := h.gov.Load()
+	return AdmissionStats{
+		AdmissionStats: g.limiter.Stats(),
+		PoolUsed:       g.pool.Used(),
+		PoolCapacity:   g.pool.Capacity(),
+	}
+}
+
+// Plan parses src and optimizes it on the current view, the view the caller
+// must then run the plan on (View.Query): constants, statistics and the
+// executed tables agree however many writes land meanwhile. A parse failure
+// is a *ParseError, a planning failure a *PlanError.
+func (h *Handle) Plan(src string, entail bool) (*sparql.Query, *View, *optimizer.Plan, error) {
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return nil, nil, nil, &ParseError{err}
+	}
+	v := h.View()
+	plan, err := v.Plan(q, entail)
+	if err != nil {
+		return nil, nil, nil, &PlanError{err}
+	}
+	return q, v, plan, nil
 }
 
 // View returns the current epoch. Callers must use one View per query for
@@ -263,24 +408,6 @@ func (h *Handle) SeedSeq(seq uint64) {
 	h.publish(seq, h.cur.Load().delta)
 }
 
-// AttachWAL makes every subsequent Apply durable: the batch is enqueued
-// to the log under the writer lock (preserving sequence order) and Apply
-// returns only once the log's sync policy has acknowledged it. The
-// handle must already be positioned after the log's last record — attach
-// happens at the end of recovery, after SeedSeq and replay.
-func (h *Handle) AttachWAL(l *wal.Log) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.wal = l
-}
-
-// WAL returns the attached log, or nil for a volatile handle.
-func (h *Handle) WAL() *wal.Log {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.wal
-}
-
 // SetAutoReconcile arms (or, with 0, disarms) the background reconciler:
 // once a published view carries at least ops pending verdicts, one
 // goroutine merges the view's delta into a fresh base and swaps the epoch.
@@ -306,7 +433,7 @@ func (h *Handle) Quiesce() { h.wg.Wait() }
 // and shared with every existing view, which is safe because an ID, once
 // assigned, never changes.
 //
-// With a WAL attached the batch is logged before the view is published
+// On a durable handle the batch is logged before the view is published
 // and Apply blocks until the log's sync policy acknowledges it. The
 // enqueue happens under the writer lock (log order = sequence order) but
 // the fsync wait happens outside it, so sequential writers coalesce into

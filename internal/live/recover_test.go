@@ -44,7 +44,7 @@ func recoverRecords() []wal.Record {
 	return recs
 }
 
-// TestRecoverEqualsLiveApply: a handle recovered through OpenDurable — the
+// TestRecoverEqualsLiveApply: a handle recovered through Open — the
 // whole suffix replayed past the seed's checkpoint, or past a checkpoint
 // cut mid-stream — holds exactly what a volatile handle holds after Apply
 // of the same records one at a time: the same write position, the same
@@ -61,21 +61,17 @@ func TestRecoverEqualsLiveApply(t *testing.T) {
 	wantBytes := saved(t, want.Reconcile().Store())
 
 	for _, cut := range []int{0, 2, 3, 40} { // records covered by a checkpoint
-		fs := wal.NewMemFS()
-		log, err := wal.Open(wal.Options{FS: fs, Sync: wal.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
+		durable := Options{Durability: Durability{FS: wal.NewMemFS(), Sync: wal.SyncNever}}
 		seed := func() (*store.Store, uint64, error) {
 			return store.LoadTriples(fixture, store.BuildOptions{}), 0, nil
 		}
-		h, err := OpenDurable(log, seed, store.BuildOptions{})
+		h, err := Open(durable, seed, store.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, rec := range recs {
 			if i == cut && cut > 0 {
-				if err := Checkpoint(h, log); err != nil {
+				if err := h.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -83,15 +79,11 @@ func TestRecoverEqualsLiveApply(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := log.Close(); err != nil {
+		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		log, err = wal.Open(wal.Options{FS: fs, Sync: wal.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := OpenDurable(log, nil, store.BuildOptions{})
+		got, err := Open(durable, nil, store.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +107,7 @@ func TestRecoverEqualsLiveApply(t *testing.T) {
 		if !bytes.Equal(saved(t, got.Reconcile().Store()), wantBytes) {
 			t.Fatalf("cut %d: reconciled recovered store differs from the live one", cut)
 		}
-		if err := log.Close(); err != nil {
+		if err := got.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

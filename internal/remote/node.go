@@ -16,8 +16,6 @@ import (
 	"parj/internal/core"
 	"parj/internal/governance"
 	"parj/internal/live"
-	"parj/internal/optimizer"
-	"parj/internal/sparql"
 	"parj/internal/stats"
 	"parj/internal/store"
 )
@@ -46,18 +44,12 @@ type Node struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 
-	// admit sheds load when too many /query and /exec requests execute at
-	// once, refuses a request whose deadline cannot outlast the queue, and
-	// counts both outcomes for /statz. nil admits (and counts) nothing.
-	admit *governance.AdaptiveLimiter
-	// pool is the memory budget those requests share; nil = unlimited.
-	pool *governance.Pool
 	// defaults are the per-request settings of /query.
 	defaults QueryDefaults
 
-	// Cumulative /statz counters beside admit's. totals is guarded by
-	// statMu; the plain counters are atomic so the hot path never takes the
-	// lock.
+	// Cumulative /statz counters beside the handle's admission counters.
+	// totals is guarded by statMu; the plain counters are atomic so the hot
+	// path never takes the lock.
 	queries  atomic.Int64
 	failures atomic.Int64
 	statMu   sync.Mutex
@@ -69,25 +61,10 @@ type Node struct {
 	ExecStarted func(req *ExecRequest)
 }
 
-// NodeOptions configures a Node.
+// NodeOptions configures a Node's HTTP concerns. Governance — admission,
+// the shared memory pool, reconciliation, durability — belongs to the
+// replica's live.Handle (live.Options), which the node serves as it is.
 type NodeOptions struct {
-	// MaxConcurrent caps concurrent /query and /exec evaluations
-	// (0 = unlimited); excess requests queue up to AdmissionWait (0 = do
-	// not queue) and then shed with 503.
-	MaxConcurrent int
-	AdmissionWait time.Duration
-	// AdmissionTarget is the acceptable queue sojourn (0 = 5ms default):
-	// sojourn above it for a full AdmissionInterval flips the node into
-	// shedding mode, where excess arrivals are rejected after only the
-	// target instead of the full AdmissionWait. A target at or above
-	// AdmissionWait never sheds early. See governance.AdaptiveLimiter.
-	AdmissionTarget time.Duration
-	// AdmissionInterval is the admission controller's window (0 = default).
-	AdmissionInterval time.Duration
-	// SharedMemoryBudget bounds the bytes of materialized result rows
-	// across ALL concurrently executing requests, on top of each request's
-	// own budget (0 = unlimited).
-	SharedMemoryBudget int64
 	// Query holds the per-request settings of /query, which — unlike an
 	// /exec request — carries none of its own.
 	Query QueryDefaults
@@ -95,10 +72,6 @@ type NodeOptions struct {
 	// mounts while its replica still loads. The zero value is ready
 	// immediately, which is what in-process tests want.
 	NotReady bool
-	// AutoReconcileOps arms background reconciliation: once at least this
-	// many write verdicts are pending, a goroutine merges them into a fresh
-	// base store (0 = reconcile only on explicit /reconcile).
-	AutoReconcileOps int
 }
 
 // QueryDefaults are the settings every /query request runs under.
@@ -113,27 +86,16 @@ type QueryDefaults struct {
 	MemoryBudget  int64
 }
 
-// NewNode wraps a loaded replica. ss may be nil (computed from st).
+// NewNode wraps a loaded replica under no governance. ss may be nil
+// (computed from st).
 func NewNode(st *store.Store, ss *stats.Stats, opts NodeOptions) *Node {
 	return NewNodeHandle(live.New(st, ss, store.InferBuildOptions(st)), opts)
 }
 
-// NewNodeHandle wraps an existing live handle — the durable-node path,
-// where the handle comes out of WAL recovery (live.OpenDurable) already
-// positioned in the write stream.
+// NewNodeHandle serves an existing replica — one built by live.Open, or a
+// root Store's — with its admission controller, memory pool and log.
 func NewNodeHandle(h *live.Handle, opts NodeOptions) *Node {
-	n := &Node{
-		h: h,
-		admit: governance.NewAdaptiveLimiter(governance.AdmissionOptions{
-			MaxConcurrent: opts.MaxConcurrent,
-			MaxWait:       opts.AdmissionWait,
-			Target:        opts.AdmissionTarget,
-			Interval:      opts.AdmissionInterval,
-		}),
-		pool:     governance.NewPool(opts.SharedMemoryBudget),
-		defaults: opts.Query,
-	}
-	n.h.SetAutoReconcile(opts.AutoReconcileOps)
+	n := &Node{h: h, defaults: opts.Query}
 	n.ready.Store(!opts.NotReady)
 	return n
 }
@@ -167,7 +129,7 @@ func (n *Node) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"triples":  n.h.View().ApproxTriples(),
-			"inflight": n.admit.InFlight(),
+			"inflight": n.h.AdmissionStats().InFlight,
 			"ready":    n.Ready(),
 		})
 	})
@@ -203,7 +165,7 @@ func (n *Node) Statz() *StatzResponse {
 	n.statMu.Lock()
 	totals := n.totals
 	n.statMu.Unlock()
-	astats := n.admit.Stats()
+	astats := n.h.AdmissionStats()
 	v := n.h.View()
 	d := n.h.Durability()
 	return &StatzResponse{
@@ -217,8 +179,8 @@ func (n *Node) Statz() *StatzResponse {
 		QueueDelayMS:     float64(astats.QueueDelay) / float64(time.Millisecond),
 		Shedding:         astats.Shedding,
 		Failures:         n.failures.Load(),
-		PoolUsed:         n.pool.Used(),
-		PoolCapacity:     n.pool.Capacity(),
+		PoolUsed:         astats.PoolUsed,
+		PoolCapacity:     astats.PoolCapacity,
 		WriteSeq:         n.h.Seq(),
 		PendingWrites:    v.Pending(),
 		Epoch:            v.Version(),
@@ -323,7 +285,7 @@ func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {
 		hook(&req)
 	}
 	n.serve(w, r, time.Duration(req.TimeoutMS)*time.Millisecond, time.Duration(req.DeadlineBudgetMS)*time.Millisecond,
-		func(ctx context.Context) (any, error) { return n.exec(ctx, &req) })
+		func(ctx context.Context, pool *governance.Pool) (any, error) { return n.exec(ctx, pool, &req) })
 }
 
 // handleQuery answers one whole query with decoded rows: /exec over the
@@ -341,7 +303,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	silent := r.URL.Query().Get("silent") == "1"
 	n.serve(w, r, n.defaults.Timeout, 0,
-		func(ctx context.Context) (any, error) { return n.query(ctx, src, silent) })
+		func(ctx context.Context, pool *governance.Pool) (any, error) { return n.query(ctx, pool, src, silent) })
 }
 
 // querySource extracts the SPARQL text from a query parameter, a form
@@ -370,14 +332,15 @@ func querySource(r *http.Request) (string, error) {
 }
 
 // serve runs eval under the request path /query and /exec share: the
-// node-side deadline, admission, the /statz counters and the error-to-status
-// mapping. timeout is the request's own limit, clientBudget the remaining
+// node-side deadline, admission on the replica's controller, the /statz
+// counters and the error-to-status mapping; eval charges pool, the
+// replica's shared memory budget. timeout is the request's own limit, clientBudget the remaining
 // client deadline a coordinator propagated; 0 means none for either. A
 // request whose deadline is below the admission queue-delay estimate while
 // every slot is taken cannot finish here: Acquire refuses it with
 // ErrDeadlineExceeded before it takes a slot, so the coordinator's attempt
 // fails fast (non-retryable) instead of timing out in the queue.
-func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudget time.Duration, eval func(context.Context) (any, error)) {
+func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudget time.Duration, eval func(context.Context, *governance.Pool) (any, error)) {
 	ctx := r.Context()
 	// Effective node-side deadline: the smaller of the two.
 	budget := timeout
@@ -389,15 +352,16 @@ func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudg
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	if err := n.admit.Acquire(ctx); err != nil {
+	pool, release, err := n.h.Admit(ctx)
+	if err != nil {
 		status, kind := statusKind(err)
 		writeError(w, status, kind, err)
 		return
 	}
-	defer n.admit.Release()
+	defer release()
 
 	n.queries.Add(1)
-	resp, err := eval(ctx)
+	resp, err := eval(ctx, pool)
 	if err != nil {
 		n.failures.Add(1)
 		status, kind := statusKind(err)
@@ -405,22 +369,6 @@ func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudg
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// plan parses src and optimizes it on the current epoch view, the view the
-// caller must then run the plan on: plan, statistics and the executed
-// tables agree even while writes land concurrently.
-func (n *Node) plan(src string, entailment bool) (*sparql.Query, *live.View, *optimizer.Plan, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, nil, nil, &parseError{err}
-	}
-	v := n.h.View()
-	plan, err := v.Plan(q, entailment)
-	if err != nil {
-		return nil, nil, nil, &planError{err}
-	}
-	return q, v, plan, nil
 }
 
 // account folds one execution's scheduler activity into the /statz totals.
@@ -431,16 +379,16 @@ func (n *Node) account(res *core.Result) {
 }
 
 // exec evaluates one shard range; rows stay dictionary-encoded.
-func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error) {
-	q, v, plan, err := n.plan(req.Query, req.Entailment)
+func (n *Node) exec(ctx context.Context, pool *governance.Pool, req *ExecRequest) (*ExecResponse, error) {
+	q, v, plan, err := n.h.Plan(req.Query, req.Entailment)
 	if err != nil {
 		return nil, err
 	}
 	if req.TotalShards <= 0 || req.ShardFrom < 0 || req.ShardTo < req.ShardFrom {
-		return nil, &planError{fmt.Errorf("invalid shard range [%d, %d) of %d", req.ShardFrom, req.ShardTo, req.TotalShards)}
+		return nil, &live.PlanError{Err: fmt.Errorf("invalid shard range [%d, %d) of %d", req.ShardFrom, req.ShardTo, req.TotalShards)}
 	}
 	if q.Buffered() {
-		return nil, &planError{errors.New("ORDER BY and OFFSET need the whole decoded result; a shard range cannot serve them (use " + QueryPath + ")")}
+		return nil, &live.PlanError{Err: errors.New("ORDER BY and OFFSET need the whole decoded result; a shard range cannot serve them (use " + QueryPath + ")")}
 	}
 	res, err := core.ExecuteShardRange(v.Store(), plan, core.Options{
 		Threads:       req.TotalShards,
@@ -449,7 +397,7 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 		Context:       ctx,
 		MaxResultRows: req.MaxResultRows,
 		MemoryBudget:  req.MemoryBudget,
-		MemPool:       n.pool,
+		MemPool:       pool,
 	}, req.ShardFrom, req.ShardTo)
 	if err != nil {
 		return nil, err
@@ -467,9 +415,9 @@ func (n *Node) exec(ctx context.Context, req *ExecRequest) (*ExecResponse, error
 
 // query evaluates src over the full shard range on one pinned view and
 // decodes the rows, solution modifiers included.
-func (n *Node) query(ctx context.Context, src string, silent bool) (*QueryResponse, error) {
+func (n *Node) query(ctx context.Context, pool *governance.Pool, src string, silent bool) (*QueryResponse, error) {
 	start := time.Now()
-	q, v, plan, err := n.plan(src, false)
+	q, v, plan, err := n.h.Plan(src, false)
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +427,7 @@ func (n *Node) query(ctx context.Context, src string, silent bool) (*QueryRespon
 		Context:       ctx,
 		MaxResultRows: n.defaults.MaxResultRows,
 		MemoryBudget:  n.defaults.MemoryBudget,
-		MemPool:       n.pool,
+		MemPool:       pool,
 	})
 	if err != nil {
 		return nil, err
@@ -489,21 +437,10 @@ func (n *Node) query(ctx context.Context, src string, silent bool) (*QueryRespon
 		Took: time.Since(start).Round(time.Microsecond).String()}, nil
 }
 
-// parseError / planError tag deterministic 400-class failures.
-type parseError struct{ err error }
-
-func (e *parseError) Error() string { return e.err.Error() }
-func (e *parseError) Unwrap() error { return e.err }
-
-type planError struct{ err error }
-
-func (e *planError) Error() string { return e.err.Error() }
-func (e *planError) Unwrap() error { return e.err }
-
 // statusKind maps a node-side error onto (HTTP status, wire kind).
 func statusKind(err error) (int, string) {
-	var pe *parseError
-	var le *planError
+	var pe *live.ParseError
+	var le *live.PlanError
 	var panicErr *governance.PanicError
 	switch {
 	case errors.As(err, &pe):

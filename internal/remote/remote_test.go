@@ -17,6 +17,7 @@ import (
 
 	"parj/internal/core"
 	"parj/internal/governance"
+	"parj/internal/live"
 	"parj/internal/rdf"
 	"parj/internal/store"
 	"parj/internal/testutil"
@@ -33,7 +34,17 @@ func testStore() *store.Store {
 
 func testNode(t *testing.T, opts NodeOptions) (*Node, *Client, func()) {
 	t.Helper()
-	n := NewNode(testStore(), nil, opts)
+	return governedNode(t, live.Options{}, opts)
+}
+
+// governedNode serves testStore's replica under the governance in gov.
+func governedNode(t *testing.T, gov live.Options, opts NodeOptions) (*Node, *Client, func()) {
+	t.Helper()
+	h, err := live.Open(gov, func() (*store.Store, uint64, error) { return testStore(), 0, nil }, store.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNodeHandle(h, opts)
 	srv := httptest.NewServer(n.Handler())
 	return n, NewClient(srv.URL, 5*time.Second), srv.Close
 }
@@ -489,8 +500,8 @@ func TestStatusKindTaxonomy(t *testing.T) {
 		{governance.ErrCanceled, http.StatusGatewayTimeout, KindCanceled},
 		{governance.ErrBudgetExceeded, http.StatusRequestEntityTooLarge, KindBudget},
 		{&governance.PanicError{Value: "boom"}, http.StatusInternalServerError, KindPanic},
-		{&parseError{errors.New("parse error")}, http.StatusBadRequest, KindParse},
-		{&planError{errors.New("no such plan")}, http.StatusBadRequest, KindPlan},
+		{&live.ParseError{Err: errors.New("parse error")}, http.StatusBadRequest, KindParse},
+		{&live.PlanError{Err: errors.New("no such plan")}, http.StatusBadRequest, KindPlan},
 		{errors.New("anything else"), http.StatusInternalServerError, KindInternal},
 	}
 	for _, c := range cases {
@@ -505,7 +516,7 @@ func TestStatusKindTaxonomy(t *testing.T) {
 // either path sheds the other) and one shared memory pool.
 func TestQueryAndExecShareGovernance(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	_, c, stop := testNode(t, NodeOptions{MaxConcurrent: 1, SharedMemoryBudget: 1})
+	_, c, stop := governedNode(t, live.Options{MaxConcurrentQueries: 1, SharedMemoryBudget: 1}, NodeOptions{})
 	defer stop()
 	defer c.Close()
 
@@ -587,12 +598,11 @@ func TestQueryAndExecShareGovernance(t *testing.T) {
 // alike — and /statz counts both under expired.
 func TestNodeRefusesExpiredOnArrival(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	_, c, stop := testNode(t, NodeOptions{
-		MaxConcurrent:   1,
-		AdmissionWait:   10 * time.Second,
-		AdmissionTarget: 10 * time.Second, // never shed early
-		Query:           QueryDefaults{Timeout: time.Millisecond},
-	})
+	_, c, stop := governedNode(t, live.Options{
+		MaxConcurrentQueries: 1,
+		AdmissionWait:        10 * time.Second,
+		AdmissionTarget:      10 * time.Second, // never shed early
+	}, NodeOptions{Query: QueryDefaults{Timeout: time.Millisecond}})
 	defer stop()
 	defer c.Close()
 

@@ -163,9 +163,6 @@ type BuildOptions struct {
 	IndexWindow  int
 	// BuildPosIndex builds the ID-to-Position index for every table.
 	BuildPosIndex bool
-	// PosIndexInterval is the anchor spacing; zero means
-	// posindex.DefaultInterval.
-	PosIndexInterval int
 	// Parallelism bounds the number of predicates built concurrently
 	// (sorting and CSR construction are per-predicate independent).
 	// 0 means GOMAXPROCS; 1 forces the serial path.
@@ -308,7 +305,7 @@ func finishTable(t *Table, opts BuildOptions, maxID uint32) {
 		iw = search.DefaultIndexWindow
 	}
 	if opts.BuildPosIndex {
-		t.Index = posindex.Build(t.Keys, maxID, opts.PosIndexInterval)
+		t.Index = posindex.Build(t.Keys, maxID, posindex.DefaultInterval)
 	}
 	if opts.Calibrate && len(t.Keys) > 1024 {
 		bw = search.Calibrate(t.Keys, func(a []uint32, v uint32, cur *int) (int, bool) {

@@ -39,7 +39,6 @@ import (
 	"parj/internal/search"
 	"parj/internal/sparql"
 	"parj/internal/store"
-	"parj/internal/wal"
 )
 
 // Typed governance errors. Every error returned by Query, QueryStream and
@@ -129,46 +128,14 @@ type LoadOptions struct {
 	DB DBOptions
 }
 
-// DBOptions configures store-wide resource governance.
-type DBOptions struct {
-	// MaxConcurrentQueries caps how many queries execute at once; further
-	// queries wait up to AdmissionWait and are then shed with
-	// ErrOverloaded. 0 = unlimited. Under overload the store degrades
-	// gracefully — shedding queries with a typed error — instead of
-	// accumulating unbounded concurrent result buffers.
-	MaxConcurrentQueries int
-	// AdmissionWait bounds how long an over-admission query queues before
-	// it is shed. 0 means shed immediately when saturated.
-	AdmissionWait time.Duration
-	// AdmissionTarget is the acceptable queue sojourn of the CoDel-style
-	// admission controller (0 = 5ms default): when sojourn stays above it
-	// for a full AdmissionInterval the store enters shedding mode,
-	// rejecting excess arrivals after only the target (with a Retry-After
-	// hint on the error) instead of letting every query wait the full
-	// AdmissionWait, so admitted queries keep a bounded queue delay under
-	// sustained overload. A target at or above AdmissionWait never
-	// shortens the wait: that is the plain fixed-wait queue.
-	AdmissionTarget time.Duration
-	// AdmissionInterval is the admission controller's control window
-	// (0 = 100ms default).
-	AdmissionInterval time.Duration
-	// SharedMemoryBudget bounds the bytes of materialized result rows
-	// across ALL concurrently executing queries, complementing the
-	// per-query QueryOptions.MemoryBudget: N concurrent queries race one
-	// budget, so a burst cannot multiply the per-query bound into process
-	// exhaustion. The query that would tip the store over fails with
-	// ErrBudgetExceeded. 0 = unlimited.
-	SharedMemoryBudget int64
-	// AutoReconcileOps arms the background reconciler: once at least this
-	// many write verdicts are pending, a goroutine merges them into fresh
-	// base tables and swaps the epoch. 0 leaves reconciliation to explicit
-	// Reconcile calls — the deterministic mode tests use.
-	AutoReconcileOps int
-	// Durability configures write-ahead logging. It takes effect only
-	// through Open (recovery must happen before the store exists);
-	// Builder.Build, Load and SetDBOptions ignore it.
-	Durability Durability
-}
+// DBOptions configures the store's replica: its admission controller
+// (MaxConcurrentQueries, AdmissionWait, AdmissionTarget, AdmissionInterval),
+// its shared memory pool (SharedMemoryBudget), its background reconciler
+// (AutoReconcileOps) and its write-ahead log (Durability). It is the
+// options struct of internal/live, which documents each field. Durability
+// takes effect only through Open (recovery must happen before the store
+// exists); Builder.Build, Load and SetDBOptions ignore it.
+type DBOptions = live.Options
 
 func (o LoadOptions) buildOptions() store.BuildOptions {
 	return store.BuildOptions{
@@ -262,73 +229,30 @@ type Results struct {
 // pins the view current at admission and sees a consistent base-plus-delta
 // state for its whole lifetime, while writes publish new views and a
 // reconciler folds accumulated deltas into fresh base tables. With no writes pending, the read path is exactly the
-// original immutable engine plus one atomic load.
+// original immutable engine plus one atomic load. The live handle is the
+// whole replica: its admission controller, memory pool and write-ahead log
+// are the ones a node serving the same handle uses.
 type Store struct {
 	live *live.Handle
-
-	// wal is the store's write-ahead log when it was opened with
-	// DBOptions.Durability (see Open); nil for volatile stores.
-	wal *wal.Log
-
-	// limiter implements DB-level admission control; nil admits everything.
-	limiter *governance.AdaptiveLimiter
-	// memPool is the store-wide shared memory budget; nil = unlimited.
-	memPool *governance.Pool
 }
 
-// SetDBOptions (re)configures store-wide governance. It must not be called
-// concurrently with queries; set it once right after loading. Queries
-// already admitted keep their slots (and their shared-pool reservations).
-func (s *Store) SetDBOptions(opts DBOptions) {
-	s.applyDB(opts)
-}
-
-func (s *Store) applyDB(opts DBOptions) {
-	s.limiter = governance.NewAdaptiveLimiter(governance.AdmissionOptions{
-		MaxConcurrent: opts.MaxConcurrentQueries,
-		MaxWait:       opts.AdmissionWait,
-		Target:        opts.AdmissionTarget,
-		Interval:      opts.AdmissionInterval,
-	})
-	s.memPool = governance.NewPool(opts.SharedMemoryBudget)
-	s.live.SetAutoReconcile(opts.AutoReconcileOps)
-}
+// SetDBOptions (re)configures store-wide governance. Queries already
+// admitted keep their slots (and their shared-pool reservations).
+func (s *Store) SetDBOptions(opts DBOptions) { s.live.SetOptions(opts) }
 
 // InFlightQueries reports how many queries are currently admitted (always 0
 // when admission control is off) — a cheap load signal for health checks.
-func (s *Store) InFlightQueries() int { return s.limiter.InFlight() }
+func (s *Store) InFlightQueries() int { return s.live.AdmissionStats().InFlight }
 
 // AdmissionStats is a snapshot of the store's admission and shared-memory
 // counters — what parj-server surfaces on /statz so the shedding behavior
 // is operator-visible. The admission controller's counters (InFlight,
 // Admitted, Sheds, Expired, QueueDelay, Shedding) are promoted from the
 // embedded snapshot; they count since the controller was configured.
-type AdmissionStats struct {
-	governance.AdmissionStats
-	// PoolUsed/PoolCapacity report the shared memory budget (0 when off).
-	PoolUsed     int64
-	PoolCapacity int64
-}
+type AdmissionStats = live.AdmissionStats
 
 // AdmissionStats snapshots the store's admission counters.
-func (s *Store) AdmissionStats() AdmissionStats {
-	return AdmissionStats{
-		AdmissionStats: s.limiter.Stats(),
-		PoolUsed:       s.memPool.Used(),
-		PoolCapacity:   s.memPool.Capacity(),
-	}
-}
-
-// admit reserves an execution slot, shedding with ErrOverloaded when the
-// store stays saturated longer than the admission wait (or only the
-// admission target, once the controller is in shed mode). After a nil error
-// the caller must call s.limiter.Release exactly once.
-func (s *Store) admit(ctx context.Context) error {
-	if err := s.limiter.Acquire(ctx); err != nil {
-		return fmt.Errorf("parj: %w", err)
-	}
-	return nil
-}
+func (s *Store) AdmissionStats() AdmissionStats { return s.live.AdmissionStats() }
 
 // Builder accumulates triples for a Store.
 type Builder struct {
@@ -379,9 +303,9 @@ func LoadFile(path string, opts LoadOptions) (*Store, error) {
 func newStore(st *store.Store, opts LoadOptions) *Store {
 	bo := store.InferBuildOptions(st)
 	bo.BuildPosIndex = bo.BuildPosIndex || opts.PosIndex
-	s := &Store{live: live.New(st, nil, bo)}
-	s.applyDB(opts.DB)
-	return s
+	h := live.New(st, nil, bo)
+	h.SetOptions(opts.DB)
+	return &Store{live: h}
 }
 
 // SaveSnapshot writes a binary snapshot of the store that LoadSnapshot can
@@ -500,7 +424,7 @@ func (s *Store) PredicateInfos() []PredicateInfo {
 // and the probe statistics — but never partial rows.
 func (s *Store) Query(src string, opts QueryOptions) (*Results, error) {
 	return s.run(opts, func() (*sparql.Query, *live.View, *optimizer.Plan, error) {
-		return s.plan(src, opts.Entailment)
+		return s.live.Plan(src, opts.Entailment)
 	})
 }
 
@@ -513,16 +437,17 @@ func (s *Store) Query(src string, opts QueryOptions) (*Results, error) {
 func (s *Store) run(opts QueryOptions, plan func() (*sparql.Query, *live.View, *optimizer.Plan, error)) (*Results, error) {
 	ctx, cancel := opts.execContext()
 	defer cancel()
-	if err := s.admit(ctx); err != nil {
-		return nil, err
+	pool, release, err := s.live.Admit(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("parj: %w", err)
 	}
-	defer s.limiter.Release()
+	defer release()
 
 	q, v, p, err := plan()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("parj: %w", err)
 	}
-	res, rows, err := v.Query(q, p, opts.coreOptions(ctx, s.memPool))
+	res, rows, err := v.Query(q, p, opts.coreOptions(ctx, pool))
 	if err != nil {
 		err = fmt.Errorf("parj: %w", err)
 	}
@@ -545,20 +470,21 @@ var errStreamBuffered = errors.New("parj: QueryStream does not support DISTINCT,
 func (s *Store) QueryStream(src string, opts QueryOptions, fn func(row []string) bool) (int64, error) {
 	ctx, cancel := opts.execContext()
 	defer cancel()
-	if err := s.admit(ctx); err != nil {
-		return 0, err
-	}
-	defer s.limiter.Release()
-
-	q, v, plan, err := s.plan(src, opts.Entailment)
+	pool, release, err := s.live.Admit(ctx)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("parj: %w", err)
+	}
+	defer release()
+
+	q, v, plan, err := s.live.Plan(src, opts.Entailment)
+	if err != nil {
+		return 0, fmt.Errorf("parj: %w", err)
 	}
 	if q.Distinct || q.Limit > 0 || q.Buffered() {
 		return 0, errStreamBuffered
 	}
 	st, dec := v.Store(), &core.Result{Plan: plan}
-	n, err := core.ExecuteStream(st, plan, opts.coreOptions(ctx, s.memPool), func(row []uint32) bool {
+	n, err := core.ExecuteStream(st, plan, opts.coreOptions(ctx, pool), func(row []uint32) bool {
 		return fn(dec.Decode(st, row))
 	})
 	if err != nil {
@@ -588,9 +514,9 @@ type Prepared struct {
 // Prepare parses and optimizes src once. Entailment selects
 // hierarchy-aware planning, as in QueryOptions.
 func (s *Store) Prepare(src string, entailment bool) (*Prepared, error) {
-	q, v, plan, err := s.plan(src, entailment)
+	q, v, plan, err := s.live.Plan(src, entailment)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("parj: %w", err)
 	}
 	return &Prepared{s: s, q: q, entail: entailment, v: v, plan: plan}, nil
 }
@@ -604,7 +530,7 @@ func (p *Prepared) current() (*sparql.Query, *live.View, *optimizer.Plan, error)
 	if p.v != v {
 		plan, err := v.Plan(p.q, p.entail)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("parj: %w", err)
+			return nil, nil, nil, &live.PlanError{Err: err}
 		}
 		p.v, p.plan = v, plan
 	}
@@ -648,24 +574,9 @@ func (s *Store) Count(src string, opts QueryOptions) (int64, error) {
 
 // Explain returns a human-readable description of the plan chosen for src.
 func (s *Store) Explain(src string) (string, error) {
-	_, _, plan, err := s.plan(src, false)
+	_, _, plan, err := s.live.Plan(src, false)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("parj: %w", err)
 	}
 	return plan.Explain(), nil
-}
-
-// plan parses src and optimizes it on the current epoch view, the view the
-// caller must then run the plan on.
-func (s *Store) plan(src string, entail bool) (*sparql.Query, *live.View, *optimizer.Plan, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("parj: %w", err)
-	}
-	v := s.live.View()
-	plan, err := v.Plan(q, entail)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("parj: %w", err)
-	}
-	return q, v, plan, nil
 }

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -435,6 +436,61 @@ func getQuery(u string) ([][]string, int64, error) {
 	return out.Rows, out.Count, nil
 }
 
+// TestOneReplicaOneAdmission: a node serving a Store's live handle is a
+// second door into the same replica, so it admits on the store's one
+// controller and charges the store's one memory pool. A Store.Query parked
+// on its first probe holds the only slot against the node's /query too, and
+// the store and the node's /statz report the same shed and the same pool.
+func TestOneReplicaOneAdmission(t *testing.T) {
+	const budget = 1 << 20
+	db := familyStore(t, LoadOptions{DB: DBOptions{MaxConcurrentQueries: 1, SharedMemoryBudget: budget}})
+	srv := httptest.NewServer(remote.NewNodeHandle(db.live, remote.NodeOptions{}).Handler())
+	defer srv.Close()
+	client := remote.NewClient(srv.URL, 5*time.Second)
+	defer client.Close()
+
+	const join = `SELECT ?x ?z WHERE { ?x <knows> ?y . ?y <knows> ?z }`
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var parked atomic.Bool
+	defer core.SetProbeFaultHook(func() {
+		if parked.CompareAndSwap(false, true) {
+			close(entered)
+			<-gate
+		}
+	})()
+	held := make(chan error, 1)
+	go func() {
+		_, err := db.Query(join, QueryOptions{Silent: true})
+		held <- err
+	}()
+	<-entered
+	resp, err := http.Get(srv.URL + remote.QueryPath + "?silent=1&query=" + url.QueryEscape(join))
+	var er remote.ErrorResponse
+	if err == nil {
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+	}
+	close(gate)
+	if herr := <-held; herr != nil {
+		t.Errorf("parked Store.Query: %v", herr)
+	}
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || er.Kind != remote.KindOverload {
+		t.Fatalf("node /query while Store.Query holds the only slot = %+v (%v), want 503 %s", er, err, remote.KindOverload)
+	}
+
+	sz, err := client.Statz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := db.AdmissionStats()
+	if sz.Sheds != 1 || as.Sheds != 1 {
+		t.Errorf("sheds: node /statz %d, store %d; want the one /query both", sz.Sheds, as.Sheds)
+	}
+	if as.PoolCapacity != budget || sz.PoolCapacity != as.PoolCapacity {
+		t.Errorf("pool capacity: store %d, node /statz %d; want %d both", as.PoolCapacity, sz.PoolCapacity, budget)
+	}
+}
+
 // execHalves answers q through two /exec half ranges and gathers them as a
 // coordinator does: DISTINCT and LIMIT apply again over the union, and the
 // rows decode against the store's current view.
@@ -451,18 +507,8 @@ func execHalves(db *Store, c *remote.Client, q *sparql.Query, src string, silent
 		}
 		ids, count = append(ids, resp.Rows...), count+resp.Count
 	}
-	if !wireSilent {
-		if q.Distinct {
-			ids = core.DedupRows(ids)
-		}
-		count = int64(len(ids))
-	}
-	if q.Limit > 0 && count > int64(q.Limit) {
-		count = int64(q.Limit)
-		if !wireSilent {
-			ids = ids[:q.Limit]
-		}
-	}
+	// A silent half carries no rows, so ids stays nil: a count-only gather.
+	ids, count = core.Compact(ids, count, q.Distinct, q.Limit)
 	if silent {
 		return nil, count, nil
 	}
