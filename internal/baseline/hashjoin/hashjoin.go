@@ -1,20 +1,16 @@
 // Package hashjoin implements the single-threaded, materializing hash-join
 // engine used as the RDFox-like comparator in the paper's single-thread
-// experiments (Tables 2–4).
-//
-// The engine captures the properties the paper attributes to RDFox's query
-// path: no intra-query parallelism, full materialization of every
-// intermediate result, and hash probes that exploit neither sort order nor
-// locality. It is a competent implementation of that design — hash tables
-// are built on the smaller side and patterns are ordered greedily by
-// estimated cardinality — so the comparison measures the architecture, not
-// a strawman.
+// experiments (Tables 2–4): no intra-query parallelism, every intermediate
+// result materialized, and hash joins (the table built on the smaller side)
+// that exploit neither sort order nor locality. Encoding, the greedy join
+// order and result handling come from package baseline.
 package hashjoin
 
 import (
+	"slices"
 	"sort"
 
-	"parj/internal/dict"
+	"parj/internal/baseline"
 	"parj/internal/rdf"
 	"parj/internal/sparql"
 )
@@ -24,43 +20,22 @@ type pair struct{ s, o uint32 }
 
 // Engine is an immutable single-threaded BGP evaluator.
 type Engine struct {
-	resources  *dict.Dict
-	predicates *dict.Dict
-	tables     [][]pair // tables[p-1] holds predicate p's pairs
+	d      *baseline.Data
+	tables [][]pair // tables[p-1] holds predicate p's pairs
 }
 
 // Load builds an engine from parsed triples (duplicates ignored).
 func Load(triples []rdf.Triple) *Engine {
-	e := &Engine{resources: dict.New(), predicates: dict.New()}
-	type key struct {
-		s, p, o uint32
-	}
-	seen := make(map[key]bool, len(triples))
-	for _, t := range triples {
-		s := e.resources.Encode(t.S)
-		p := e.predicates.Encode(t.P)
-		o := e.resources.Encode(t.O)
-		k := key{s, p, o}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		for int(p) > len(e.tables) {
-			e.tables = append(e.tables, nil)
-		}
-		e.tables[p-1] = append(e.tables[p-1], pair{s, o})
+	d, spo := baseline.Encode(triples)
+	e := &Engine{d: d, tables: make([][]pair, len(d.PredCount))}
+	for _, t := range spo {
+		e.tables[t[1]-1] = append(e.tables[t[1]-1], pair{t[0], t[2]})
 	}
 	return e
 }
 
 // NumTriples reports the number of distinct triples loaded.
-func (e *Engine) NumTriples() int {
-	n := 0
-	for _, t := range e.tables {
-		n += len(t)
-	}
-	return n
-}
+func (e *Engine) NumTriples() int { return e.d.N }
 
 // relation is a materialized intermediate result: a schema of variable
 // names and a flat row buffer.
@@ -69,68 +44,24 @@ type relation struct {
 	rows [][]uint32
 }
 
-func (r *relation) varIndex(v string) int {
-	for i, x := range r.vars {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // Count evaluates q and returns the result-row count (after DISTINCT and
 // LIMIT), without decoding rows.
 func (e *Engine) Count(q *sparql.Query) (int64, error) {
-	rel, err := e.eval(q)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(rel.rows)), nil
+	return e.eval(q, false).Count, nil
 }
 
 // Evaluate returns the decoded projected rows.
 func (e *Engine) Evaluate(q *sparql.Query) ([][]string, error) {
-	rel, err := e.eval(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, len(rel.rows))
-	predSlots := predicateVarSet(q)
-	for i, row := range rel.rows {
-		dec := make([]string, len(row))
-		for j, id := range row {
-			if predSlots[rel.vars[j]] {
-				dec[j] = e.predicates.Decode(id)
-			} else {
-				dec[j] = e.resources.Decode(id)
-			}
-		}
-		out[i] = dec
-	}
-	return out, nil
+	return e.d.Decode(q, e.eval(q, true).Rows), nil
 }
 
-func predicateVarSet(q *sparql.Query) map[string]bool {
-	m := map[string]bool{}
-	for _, tp := range q.Patterns {
-		if tp.P.IsVar() {
-			m[tp.P.Var] = true
-		}
-	}
-	return m
-}
-
-// eval runs the full pipeline: greedy order, pattern scans, hash joins,
-// projection, DISTINCT, LIMIT.
-func (e *Engine) eval(q *sparql.Query) (*relation, error) {
-	if q.HasLimit && q.Limit == 0 {
-		return &relation{vars: q.Projection()}, nil
-	}
-	order := e.order(q.Patterns)
-	var acc *relation
-	for _, idx := range order {
+// eval scans the patterns in greedy order, hash-joining each into the
+// accumulated relation, and hands the result to a collector.
+func (e *Engine) eval(q *sparql.Query, keep bool) *baseline.Collector {
+	acc := &relation{}
+	for n, idx := range e.d.Order(q.Patterns) {
 		scanned := e.scan(q.Patterns[idx])
-		if acc == nil {
+		if n == 0 {
 			acc = scanned
 		} else {
 			acc = hashJoin(acc, scanned)
@@ -139,190 +70,46 @@ func (e *Engine) eval(q *sparql.Query) (*relation, error) {
 			break
 		}
 	}
-	if acc == nil {
-		acc = &relation{}
-	}
-	proj := q.Projection()
-	out := &relation{vars: proj}
-	cols := make([]int, len(proj))
-	for i, v := range proj {
-		cols[i] = acc.varIndex(v)
-	}
-	seen := map[string]bool{}
+	c := baseline.NewCollector(q, acc.vars, keep)
 	for _, row := range acc.rows {
-		pr := make([]uint32, len(cols))
-		for i, c := range cols {
-			if c >= 0 {
-				pr[i] = row[c]
-			}
-		}
-		if q.Distinct {
-			k := rowKey(pr)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		out.rows = append(out.rows, pr)
-		if q.Limit > 0 && len(out.rows) >= q.Limit {
+		if !c.Add(row) {
 			break
 		}
 	}
-	return out, nil
-}
-
-func rowKey(row []uint32) string {
-	b := make([]byte, 0, len(row)*4)
-	for _, v := range row {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
-// order sorts patterns greedily: cheapest base cardinality first, then
-// patterns connected to the joined set.
-func (e *Engine) order(patterns []sparql.TriplePattern) []int {
-	n := len(patterns)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	var out []int
-	for len(out) < n {
-		best, bestCard := -1, 0.0
-		bestConnected := false
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			connected := len(out) == 0
-			for _, v := range patterns[i].Vars() {
-				if bound[v] {
-					connected = true
-				}
-			}
-			card := e.baseCard(patterns[i])
-			if best == -1 ||
-				(connected && !bestConnected) ||
-				(connected == bestConnected && card < bestCard) {
-				best, bestCard, bestConnected = i, card, connected
-			}
-		}
-		used[best] = true
-		out = append(out, best)
-		for _, v := range patterns[best].Vars() {
-			bound[v] = true
-		}
-	}
-	return out
-}
-
-func (e *Engine) baseCard(tp sparql.TriplePattern) float64 {
-	count := func(p uint32) float64 {
-		t := e.tables[p-1]
-		switch {
-		case !tp.S.IsVar() && !tp.O.IsVar():
-			return 1
-		case !tp.S.IsVar() || !tp.O.IsVar():
-			// Without per-value stats assume uniform spread over a nominal
-			// hundred distinct values; the greedy order only needs ranks.
-			return float64(len(t)) / 100
-		default:
-			return float64(len(t))
-		}
-	}
-	if !tp.P.IsVar() {
-		p := e.predicates.Lookup(tp.P.Value)
-		if p == 0 {
-			return 0
-		}
-		return count(p)
-	}
-	total := 0.0
-	for p := 1; p <= len(e.tables); p++ {
-		total += count(uint32(p))
-	}
-	return total
+	return c
 }
 
 // scan materializes the bindings of a single pattern.
 func (e *Engine) scan(tp sparql.TriplePattern) *relation {
-	rel := &relation{}
-	var sVar, pVar, oVar string
-	if tp.S.IsVar() {
-		sVar = tp.S.Var
-		rel.vars = append(rel.vars, sVar)
-	}
-	if tp.P.IsVar() {
-		pVar = tp.P.Var
-		if rel.varIndex(pVar) < 0 {
-			rel.vars = append(rel.vars, pVar)
-		}
-	}
-	if tp.O.IsVar() {
-		oVar = tp.O.Var
-		if rel.varIndex(oVar) < 0 {
-			rel.vars = append(rel.vars, oVar)
-		}
-	}
+	pat := baseline.NewPattern(tp)
+	rel := &relation{vars: pat.Vars}
 	var sConst, oConst uint32
 	if !tp.S.IsVar() {
-		sConst = e.resources.Lookup(tp.S.Value)
-		if sConst == 0 {
+		if sConst = e.d.Resources.Lookup(tp.S.Value); sConst == 0 {
 			return rel
 		}
 	}
 	if !tp.O.IsVar() {
-		oConst = e.resources.Lookup(tp.O.Value)
-		if oConst == 0 {
+		if oConst = e.d.Resources.Lookup(tp.O.Value); oConst == 0 {
 			return rel
 		}
 	}
-	emit := func(p uint32, pr pair) {
-		if sConst != 0 && pr.s != sConst {
-			return
+	var preds []uint32
+	if tp.P.IsVar() {
+		for p := range e.tables {
+			preds = append(preds, uint32(p+1))
 		}
-		if oConst != 0 && pr.o != oConst {
-			return
-		}
-		// Repeated variables within the pattern must agree.
-		vals := map[string]uint32{}
-		row := make([]uint32, 0, len(rel.vars))
-		ok := true
-		set := func(v string, id uint32) {
-			if prev, exists := vals[v]; exists {
-				if prev != id {
-					ok = false
-				}
-				return
+	} else if p := e.d.Predicates.Lookup(tp.P.Value); p != 0 {
+		preds = []uint32{p}
+	}
+	for _, p := range preds {
+		for _, pr := range e.tables[p-1] {
+			if sConst != 0 && pr.s != sConst || oConst != 0 && pr.o != oConst {
+				continue
 			}
-			vals[v] = id
-			row = append(row, id)
-		}
-		if sVar != "" {
-			set(sVar, pr.s)
-		}
-		if pVar != "" {
-			set(pVar, p)
-		}
-		if oVar != "" {
-			set(oVar, pr.o)
-		}
-		if ok {
-			rel.rows = append(rel.rows, row)
-		}
-	}
-	if !tp.P.IsVar() {
-		p := e.predicates.Lookup(tp.P.Value)
-		if p == 0 {
-			return rel
-		}
-		for _, pr := range e.tables[p-1] {
-			emit(p, pr)
-		}
-		return rel
-	}
-	for p := 1; p <= len(e.tables); p++ {
-		for _, pr := range e.tables[p-1] {
-			emit(uint32(p), pr)
+			if row, ok := pat.Bind(pr.s, p, pr.o); ok {
+				rel.rows = append(rel.rows, row)
+			}
 		}
 	}
 	return rel
@@ -334,51 +121,34 @@ func hashJoin(a, b *relation) *relation {
 	if len(a.rows) > len(b.rows) {
 		a, b = b, a
 	}
-	var aCols, bCols []int
-	for i, v := range a.vars {
-		if j := b.varIndex(v); j >= 0 {
+	// Output schema: a's vars then b's non-shared vars.
+	out := &relation{vars: slices.Clone(a.vars)}
+	var aCols, bCols, bExtra []int
+	for j, v := range b.vars {
+		if i := slices.Index(a.vars, v); i >= 0 {
 			aCols = append(aCols, i)
 			bCols = append(bCols, j)
-		}
-	}
-	// Output schema: a's vars then b's non-shared vars.
-	out := &relation{vars: append([]string(nil), a.vars...)}
-	var bExtra []int
-	for j, v := range b.vars {
-		if a.varIndex(v) < 0 {
+		} else {
 			out.vars = append(out.vars, v)
 			bExtra = append(bExtra, j)
 		}
 	}
-	if len(aCols) == 0 {
-		// Cartesian product.
-		for _, ra := range a.rows {
-			for _, rb := range b.rows {
-				row := append(append(make([]uint32, 0, len(out.vars)), ra...), pick(rb, bExtra)...)
-				out.rows = append(out.rows, row)
-			}
-		}
-		return out
-	}
+	// Without shared variables every key is empty: a Cartesian product.
 	ht := make(map[string][][]uint32, len(a.rows))
 	for _, ra := range a.rows {
-		k := rowKey(pick(ra, aCols))
+		k := string(baseline.AppendKey(nil, ra, aCols))
 		ht[k] = append(ht[k], ra)
 	}
+	var key []byte
 	for _, rb := range b.rows {
-		k := rowKey(pick(rb, bCols))
-		for _, ra := range ht[k] {
-			row := append(append(make([]uint32, 0, len(out.vars)), ra...), pick(rb, bExtra)...)
+		key = baseline.AppendKey(key[:0], rb, bCols)
+		for _, ra := range ht[string(key)] {
+			row := slices.Grow(slices.Clone(ra), len(bExtra))
+			for _, c := range bExtra {
+				row = append(row, rb[c])
+			}
 			out.rows = append(out.rows, row)
 		}
-	}
-	return out
-}
-
-func pick(row []uint32, cols []int) []uint32 {
-	out := make([]uint32, len(cols))
-	for i, c := range cols {
-		out[i] = row[c]
 	}
 	return out
 }

@@ -8,14 +8,16 @@
 //
 // This captures what the paper measures about RDF-3X in memory: B+ tree
 // page organization and per-page processing rather than flat arrays.
+// Encoding, the greedy join order and result handling come from package
+// baseline.
 package rdf3x
 
 import (
 	"fmt"
 	"sort"
 
+	"parj/internal/baseline"
 	"parj/internal/baseline/btree"
-	"parj/internal/dict"
 	"parj/internal/rdf"
 	"parj/internal/sparql"
 )
@@ -38,11 +40,8 @@ var perms = []perm{
 
 // Engine is an immutable six-index BGP evaluator.
 type Engine struct {
-	resources  *dict.Dict
-	predicates *dict.Dict
-	trees      [6]*btree.Tree
-	predCount  map[uint32]int // triples per predicate, for greedy ordering
-	nTriples   int
+	d     *baseline.Data
+	trees [6]*btree.Tree
 }
 
 // Load builds the six permutation indexes from parsed triples.
@@ -52,21 +51,8 @@ func Load(triples []rdf.Triple) *Engine {
 
 // LoadWithPageSize allows tests to force small pages.
 func LoadWithPageSize(triples []rdf.Triple, pageSize int) *Engine {
-	e := &Engine{resources: dict.New(), predicates: dict.New(), predCount: map[uint32]int{}}
-	seen := make(map[btree.Key]bool, len(triples))
-	var spo []btree.Key
-	for _, t := range triples {
-		k := btree.Key{e.resources.Encode(t.S), e.predicates.Encode(t.P), e.resources.Encode(t.O)}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		spo = append(spo, k)
-	}
-	e.nTriples = len(spo)
-	for _, k := range spo {
-		e.predCount[k[1]]++
-	}
+	d, spo := baseline.Encode(triples)
+	e := &Engine{d: d}
 	for pi, p := range perms {
 		keys := make([]btree.Key, len(spo))
 		for i, t := range spo {
@@ -79,7 +65,7 @@ func LoadWithPageSize(triples []rdf.Triple, pageSize int) *Engine {
 }
 
 // NumTriples reports the number of distinct triples loaded.
-func (e *Engine) NumTriples() int { return e.nTriples }
+func (e *Engine) NumTriples() int { return e.d.N }
 
 // PageReads sums the page-access counters across indexes.
 func (e *Engine) PageReads() uint64 {
@@ -117,92 +103,49 @@ type evalState struct {
 	binding []uint32
 	cursors []btree.Cursor
 	hasCur  []bool
-
-	project  []int
-	distinct bool
-	limit    int
-
-	seen      map[string]bool
-	rows      [][]uint32
-	count     int64
-	silent    bool
-	limitZero bool // LIMIT 0: zero rows
+	out     *baseline.Collector
 }
 
 // Count evaluates q without materializing rows (other than DISTINCT
 // bookkeeping).
 func (e *Engine) Count(q *sparql.Query) (int64, error) {
-	st, err := e.prepare(q)
+	c, err := e.run(q, false)
 	if err != nil {
 		return 0, err
 	}
-	st.silent = true
-	st.run()
-	return st.count, nil
+	return c.Count, nil
 }
 
 // Evaluate returns the decoded projected rows.
 func (e *Engine) Evaluate(q *sparql.Query) ([][]string, error) {
-	st, err := e.prepare(q)
+	c, err := e.run(q, true)
 	if err != nil {
 		return nil, err
 	}
-	st.run()
-	predVar := map[int]bool{}
-	slotOf := map[string]int{}
-	// Recover slot names for decoding: recompute as prepare did.
-	for _, tp := range q.Patterns {
-		for _, tm := range []sparql.Term{tp.S, tp.P, tp.O} {
-			if tm.IsVar() {
-				if _, ok := slotOf[tm.Var]; !ok {
-					slotOf[tm.Var] = len(slotOf)
-				}
-			}
-		}
-		if tp.P.IsVar() {
-			predVar[slotOf[tp.P.Var]] = true
-		}
-	}
-	out := make([][]string, len(st.rows))
-	for i, row := range st.rows {
-		dec := make([]string, len(row))
-		for j, id := range row {
-			if predVar[st.project[j]] {
-				dec[j] = e.predicates.Decode(id)
-			} else {
-				dec[j] = e.resources.Decode(id)
-			}
-		}
-		out[i] = dec
-	}
-	return out, nil
+	return e.d.Decode(q, c.Rows), nil
 }
 
-// prepare orders the patterns greedily and compiles them to pipeline steps.
-func (e *Engine) prepare(q *sparql.Query) (*evalState, error) {
-	// Slot assignment in variable first-appearance order (must match
-	// Evaluate's reconstruction).
+// run orders the patterns greedily, compiles them to pipeline steps and
+// drives the pipeline into a collector over the binding slots.
+func (e *Engine) run(q *sparql.Query, keep bool) (*baseline.Collector, error) {
+	// Slots in variable first-appearance order.
+	var slots []string
 	slotOf := map[string]int{}
 	for _, tp := range q.Patterns {
-		for _, tm := range []sparql.Term{tp.S, tp.P, tp.O} {
-			if tm.IsVar() {
-				if _, ok := slotOf[tm.Var]; !ok {
-					slotOf[tm.Var] = len(slotOf)
-				}
+		for _, v := range tp.Vars() {
+			if _, ok := slotOf[v]; !ok {
+				slotOf[v] = len(slots)
+				slots = append(slots, v)
 			}
 		}
 	}
-
-	order := e.greedyOrder(q.Patterns)
 	st := &evalState{
-		e:         e,
-		binding:   make([]uint32, len(slotOf)),
-		distinct:  q.Distinct,
-		limit:     q.Limit,
-		limitZero: q.HasLimit && q.Limit == 0,
+		e:       e,
+		binding: make([]uint32, len(slots)),
+		out:     baseline.NewCollector(q, slots, keep),
 	}
 	bound := map[string]bool{}
-	for _, idx := range order {
+	for _, idx := range e.d.Order(q.Patterns) {
 		c, err := e.compile(q.Patterns[idx], slotOf, bound)
 		if err != nil {
 			return nil, err
@@ -214,63 +157,10 @@ func (e *Engine) prepare(q *sparql.Query) (*evalState, error) {
 	}
 	st.cursors = make([]btree.Cursor, len(st.steps))
 	st.hasCur = make([]bool, len(st.steps))
-	for _, v := range q.Projection() {
-		st.project = append(st.project, slotOf[v])
+	if !st.out.Done() {
+		st.step(0)
 	}
-	if q.Distinct {
-		st.seen = map[string]bool{}
-	}
-	return st, nil
-}
-
-func (e *Engine) greedyOrder(patterns []sparql.TriplePattern) []int {
-	n := len(patterns)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	var out []int
-	for len(out) < n {
-		best, bestCard := -1, 0.0
-		bestConnected := false
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			connected := len(out) == 0
-			for _, v := range patterns[i].Vars() {
-				if bound[v] {
-					connected = true
-				}
-			}
-			card := e.baseCard(patterns[i])
-			if best == -1 ||
-				(connected && !bestConnected) ||
-				(connected == bestConnected && card < bestCard) {
-				best, bestCard, bestConnected = i, card, connected
-			}
-		}
-		used[best] = true
-		out = append(out, best)
-		for _, v := range patterns[best].Vars() {
-			bound[v] = true
-		}
-	}
-	return out
-}
-
-func (e *Engine) baseCard(tp sparql.TriplePattern) float64 {
-	var n float64
-	if tp.P.IsVar() {
-		n = float64(e.nTriples)
-	} else {
-		n = float64(e.predCount[e.predicates.Lookup(tp.P.Value)])
-	}
-	if !tp.S.IsVar() {
-		n /= 100
-	}
-	if !tp.O.IsVar() {
-		n /= 100
-	}
-	return n
+	return st.out, nil
 }
 
 // compile chooses the permutation whose key order puts the pattern's
@@ -306,13 +196,9 @@ func (e *Engine) compile(tp sparql.TriplePattern, slotOf map[string]int, bound m
 		for i, role := range p.order {
 			tm := terms[role]
 			if !tm.IsVar() {
-				id := e.lookupConst(role, tm.Value)
-				c.roles[i] = roleTerm{constID: id, slot: -1}
-				if id == 0 {
-					// Unknown constant: empty range, signalled by a probe
-					// that can never match. Keep constID 0; run() checks.
-					c.roles[i].isNew = false
-				}
+				// An unknown constant keeps constID 0, which step reads as
+				// an empty range.
+				c.roles[i] = roleTerm{constID: e.lookupConst(role, tm.Value), slot: -1}
 				continue
 			}
 			slot := slotOf[tm.Var]
@@ -330,22 +216,15 @@ func (e *Engine) compile(tp sparql.TriplePattern, slotOf map[string]int, bound m
 
 func (e *Engine) lookupConst(role int, value string) uint32 {
 	if role == 1 {
-		return e.predicates.Lookup(value)
+		return e.d.Predicates.Lookup(value)
 	}
-	return e.resources.Lookup(value)
-}
-
-func (st *evalState) run() {
-	if st.limitZero {
-		return
-	}
-	st.step(0)
+	return e.d.Resources.Lookup(value)
 }
 
 // step executes pipeline stage i; returns false when the limit is reached.
 func (st *evalState) step(i int) bool {
 	if i == len(st.steps) {
-		return st.emit()
+		return st.out.Add(st.binding)
 	}
 	c := &st.steps[i]
 	var lower btree.Key
@@ -383,8 +262,6 @@ func (st *evalState) step(i int) bool {
 			break // past the range
 		}
 		ok := true
-		var newSlots [3]int
-		nNew := 0
 		for k := c.prefixLen; k < 3; k++ {
 			rt := c.roles[k]
 			if rt.slot < 0 {
@@ -399,8 +276,6 @@ func (st *evalState) step(i int) bool {
 				// later duplicate in the same key compiles as non-new and
 				// is checked against the value bound here.
 				st.binding[rt.slot] = key[k]
-				newSlots[nNew] = rt.slot
-				nNew++
 			} else if st.binding[rt.slot] != key[k] {
 				ok = false
 				break
@@ -411,31 +286,4 @@ func (st *evalState) step(i int) bool {
 		}
 	}
 	return true
-}
-
-func (st *evalState) emit() bool {
-	row := make([]uint32, len(st.project))
-	for i, slot := range st.project {
-		row[i] = st.binding[slot]
-	}
-	if st.distinct {
-		k := rowKey(row)
-		if st.seen[k] {
-			return true
-		}
-		st.seen[k] = true
-	}
-	st.count++
-	if !st.silent {
-		st.rows = append(st.rows, row)
-	}
-	return st.limit == 0 || st.count < int64(st.limit)
-}
-
-func rowKey(row []uint32) string {
-	b := make([]byte, 0, len(row)*4)
-	for _, v := range row {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
 }

@@ -8,15 +8,17 @@
 // contrasts PARJ's communication-free design against. An optional summary
 // graph mode (TriAD-SG) prunes with bucket-level domains computed before
 // execution, paying a pre-pass overhead that only helps selective queries,
-// mirroring the behavior observed in the paper.
+// mirroring the behavior observed in the paper. Encoding, the greedy join
+// order and result handling come from package baseline.
 package triad
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"parj/internal/dict"
+	"parj/internal/baseline"
 	"parj/internal/rdf"
 	"parj/internal/sparql"
 )
@@ -54,18 +56,14 @@ func (t *shardTable) run(i int) []uint32 { return t.vals[t.offs[i]:t.offs[i+1]] 
 
 // Engine is an immutable multi-worker BGP evaluator.
 type Engine struct {
-	resources  *dict.Dict
-	predicates *dict.Dict
-	workers    int
+	d       *baseline.Data
+	workers int
 
 	// bySubj[w][p-1] is predicate p's table holding only triples whose
 	// subject hashes to worker w, keyed by subject. byObj is the replica
 	// partitioned and keyed by object.
 	bySubj [][]shardTable
 	byObj  [][]shardTable
-
-	predCount []int
-	nTriples  int
 
 	// Summary graph (TriAD-SG): per predicate, the set of (sBucket <<32 |
 	// oBucket) pairs present in the data.
@@ -85,40 +83,25 @@ func Load(triples []rdf.Triple, opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = 8
 	}
+	d, all := baseline.Encode(triples)
+	nPred := len(d.PredCount)
 	e := &Engine{
-		resources:  dict.New(),
-		predicates: dict.New(),
-		workers:    opts.Workers,
-		buckets:    opts.SummaryBuckets,
-		simulate:   opts.SimulateParallel,
+		d:        d,
+		workers:  opts.Workers,
+		buckets:  opts.SummaryBuckets,
+		simulate: opts.SimulateParallel,
 	}
-	type trip struct{ s, p, o uint32 }
-	seen := map[trip]bool{}
-	var all []trip
-	for _, t := range triples {
-		tr := trip{e.resources.Encode(t.S), e.predicates.Encode(t.P), e.resources.Encode(t.O)}
-		if !seen[tr] {
-			seen[tr] = true
-			all = append(all, tr)
-		}
-	}
-	e.nTriples = len(all)
-	nPred := e.predicates.Len()
-	e.predCount = make([]int, nPred)
-	for _, t := range all {
-		e.predCount[t.p-1]++
-	}
-	// Partition twice: by hash(subject) and by hash(object).
+	// Partition twice: by hash(subject) and by hash(object); k and v are the
+	// key's and the value's position in a triple.
 	type pair struct{ k, v uint32 }
-	build := func(keyOf func(trip) (uint32, uint32)) [][]shardTable {
+	build := func(k, v int) [][]shardTable {
 		parts := make([][][]pair, e.workers)
 		for w := range parts {
 			parts[w] = make([][]pair, nPred)
 		}
 		for _, t := range all {
-			k, v := keyOf(t)
-			w := int(k) % e.workers
-			parts[w][t.p-1] = append(parts[w][t.p-1], pair{k, v})
+			w := int(t[k]) % e.workers
+			parts[w][t[1]-1] = append(parts[w][t[1]-1], pair{t[k], t[v]})
 		}
 		out := make([][]shardTable, e.workers)
 		for w := range out {
@@ -149,8 +132,8 @@ func Load(triples []rdf.Triple, opts Options) *Engine {
 		}
 		return out
 	}
-	e.bySubj = build(func(t trip) (uint32, uint32) { return t.s, t.o })
-	e.byObj = build(func(t trip) (uint32, uint32) { return t.o, t.s })
+	e.bySubj = build(0, 2)
+	e.byObj = build(2, 0)
 
 	if e.buckets > 0 {
 		e.summary = make([]map[uint64]bool, nPred)
@@ -158,16 +141,16 @@ func Load(triples []rdf.Triple, opts Options) *Engine {
 			e.summary[p] = map[uint64]bool{}
 		}
 		for _, t := range all {
-			sb := uint64(t.s % uint32(e.buckets))
-			ob := uint64(t.o % uint32(e.buckets))
-			e.summary[t.p-1][sb<<32|ob] = true
+			sb := uint64(t[0] % uint32(e.buckets))
+			ob := uint64(t[2] % uint32(e.buckets))
+			e.summary[t[1]-1][sb<<32|ob] = true
 		}
 	}
 	return e
 }
 
 // NumTriples reports the number of distinct triples loaded.
-func (e *Engine) NumTriples() int { return e.nTriples }
+func (e *Engine) NumTriples() int { return e.d.N }
 
 // Exchanges reports how many rehash exchanges the last query performed.
 func (e *Engine) Exchanges() int64 { return e.exchanges }
@@ -186,14 +169,7 @@ type relation struct {
 	partVar string
 }
 
-func (r *relation) varIndex(v string) int {
-	for i, x := range r.vars {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
+func (r *relation) varIndex(v string) int { return slices.Index(r.vars, v) }
 
 func (r *relation) size() int {
 	n := 0
@@ -205,174 +181,43 @@ func (r *relation) size() int {
 
 // Count evaluates q and returns the result count.
 func (e *Engine) Count(q *sparql.Query) (int64, error) {
-	rel, err := e.eval(q)
-	if err != nil {
-		return 0, err
-	}
-	proj := q.Projection()
-	cols := make([]int, len(proj))
-	for i, v := range proj {
-		cols[i] = rel.varIndex(v)
-	}
-	if !q.Distinct {
-		n := int64(rel.size())
-		if q.Limit > 0 && n > int64(q.Limit) {
-			n = int64(q.Limit)
-		}
-		return n, nil
-	}
-	seen := map[string]bool{}
-	for _, ws := range rel.rows {
-		for _, row := range ws {
-			seen[projKey(row, cols)] = true
-		}
-	}
-	n := int64(len(seen))
-	if q.Limit > 0 && n > int64(q.Limit) {
-		n = int64(q.Limit)
-	}
-	return n, nil
+	return e.eval(q, false).Count, nil
 }
 
 // Evaluate returns the decoded projected rows (master-side gather).
 func (e *Engine) Evaluate(q *sparql.Query) ([][]string, error) {
-	rel, err := e.eval(q)
-	if err != nil {
-		return nil, err
-	}
-	proj := q.Projection()
-	cols := make([]int, len(proj))
-	for i, v := range proj {
-		cols[i] = rel.varIndex(v)
-	}
-	predVars := map[string]bool{}
-	for _, tp := range q.Patterns {
-		if tp.P.IsVar() {
-			predVars[tp.P.Var] = true
-		}
-	}
-	var out [][]string
-	seen := map[string]bool{}
-	for _, ws := range rel.rows {
-		for _, row := range ws {
-			if q.Distinct {
-				k := projKey(row, cols)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-			}
-			dec := make([]string, len(cols))
-			for i, c := range cols {
-				var id uint32
-				if c >= 0 {
-					id = row[c]
-				}
-				if predVars[proj[i]] {
-					dec[i] = e.predicates.Decode(id)
-				} else {
-					dec[i] = e.resources.Decode(id)
-				}
-			}
-			out = append(out, dec)
-			if q.Limit > 0 && len(out) >= q.Limit {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
-func projKey(row []uint32, cols []int) string {
-	b := make([]byte, 0, len(cols)*4)
-	for _, c := range cols {
-		var v uint32
-		if c >= 0 {
-			v = row[c]
-		}
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
+	return e.d.Decode(q, e.eval(q, true).Rows), nil
 }
 
 // varDomains holds the per-variable bucket domains computed from the
 // summary graph; nil when SG mode is off or pruning found nothing to cut.
 type varDomains map[string][]bool
 
-func (e *Engine) eval(q *sparql.Query) (*relation, error) {
+// eval joins the patterns one at a time in greedy order and gathers the
+// workers' rows into a collector on the master.
+func (e *Engine) eval(q *sparql.Query, keep bool) *baseline.Collector {
 	e.exchanges = 0
 	e.serialExcess = 0
-	if q.HasLimit && q.Limit == 0 {
-		return &relation{vars: q.Projection(), rows: make([][][]uint32, e.workers)}, nil
-	}
-	order := e.order(q.Patterns)
 	domains := e.summaryPrune(q.Patterns)
 	var rel *relation
-	for _, idx := range order {
-		next, err := e.joinStep(rel, q.Patterns[idx], domains)
-		if err != nil {
-			return nil, err
-		}
-		rel = next
+	for _, idx := range e.d.Order(q.Patterns) {
+		rel = e.joinStep(rel, q.Patterns[idx], domains)
 		if rel.size() == 0 {
 			break
 		}
 	}
 	if rel == nil {
-		rel = &relation{rows: make([][][]uint32, e.workers)}
+		rel = &relation{}
 	}
-	return rel, nil
-}
-
-// order mirrors the greedy ordering of the other baselines.
-func (e *Engine) order(patterns []sparql.TriplePattern) []int {
-	n := len(patterns)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	var out []int
-	for len(out) < n {
-		best, bestCard := -1, 0.0
-		bestConnected := false
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			connected := len(out) == 0
-			for _, v := range patterns[i].Vars() {
-				if bound[v] {
-					connected = true
-				}
-			}
-			card := e.baseCard(patterns[i])
-			if best == -1 ||
-				(connected && !bestConnected) ||
-				(connected == bestConnected && card < bestCard) {
-				best, bestCard, bestConnected = i, card, connected
+	c := baseline.NewCollector(q, rel.vars, keep)
+	for _, ws := range rel.rows {
+		for _, row := range ws {
+			if !c.Add(row) {
+				return c
 			}
 		}
-		used[best] = true
-		out = append(out, best)
-		for _, v := range patterns[best].Vars() {
-			bound[v] = true
-		}
 	}
-	return out
-}
-
-func (e *Engine) baseCard(tp sparql.TriplePattern) float64 {
-	var n float64
-	if tp.P.IsVar() {
-		n = float64(e.nTriples)
-	} else if p := e.predicates.Lookup(tp.P.Value); p != 0 {
-		n = float64(e.predCount[p-1])
-	}
-	if !tp.S.IsVar() {
-		n /= 100
-	}
-	if !tp.O.IsVar() {
-		n /= 100
-	}
-	return n
+	return c
 }
 
 // summaryPrune computes bucket domains per variable with a few rounds of
@@ -400,7 +245,7 @@ func (e *Engine) summaryPrune(patterns []sparql.TriplePattern) varDomains {
 	// Constants restrict their variable's counterpart through their own
 	// bucket.
 	bucketOf := func(value string) (uint32, bool) {
-		id := e.resources.Lookup(value)
+		id := e.d.Resources.Lookup(value)
 		if id == 0 {
 			return 0, false
 		}
@@ -411,7 +256,7 @@ func (e *Engine) summaryPrune(patterns []sparql.TriplePattern) varDomains {
 			if tp.P.IsVar() {
 				continue // summary is per predicate only
 			}
-			p := e.predicates.Lookup(tp.P.Value)
+			p := e.d.Predicates.Lookup(tp.P.Value)
 			if p == 0 {
 				continue
 			}
@@ -434,8 +279,8 @@ func (e *Engine) summaryPrune(patterns []sparql.TriplePattern) varDomains {
 				}
 				oFix, oConst = b, true
 			}
-			curS := domains[varOrEmpty(tp.S)]
-			curO := domains[varOrEmpty(tp.O)]
+			curS := domains[tp.S.Var]
+			curO := domains[tp.O.Var]
 			for pair := range pairs {
 				sb := uint32(pair >> 32)
 				ob := uint32(pair & 0xffffffff)
@@ -465,8 +310,6 @@ func (e *Engine) summaryPrune(patterns []sparql.TriplePattern) varDomains {
 	return domains
 }
 
-func varOrEmpty(t sparql.Term) string { return t.Var }
-
 func intersect(dst, src []bool) {
 	for i := range dst {
 		dst[i] = dst[i] && src[i]
@@ -487,17 +330,10 @@ func (e *Engine) allowed(domains varDomains, v string, id uint32) bool {
 
 // joinStep joins rel (possibly nil, for the first pattern) with one
 // pattern, rehashing when the partitioning variable does not match.
-func (e *Engine) joinStep(rel *relation, tp sparql.TriplePattern, domains varDomains) (*relation, error) {
-	sVar, oVar := "", ""
-	if tp.S.IsVar() {
-		sVar = tp.S.Var
-	}
-	if tp.O.IsVar() {
-		oVar = tp.O.Var
-	}
-
+func (e *Engine) joinStep(rel *relation, tp sparql.TriplePattern, domains varDomains) *relation {
+	sVar, oVar := tp.S.Var, tp.O.Var // "" for a constant
 	if rel == nil {
-		return e.scanPattern(tp, domains), nil
+		return e.scanPattern(tp, domains)
 	}
 
 	// Choose the probe key column: a shared variable, preferring the
@@ -516,58 +352,43 @@ func (e *Engine) joinStep(rel *relation, tp sparql.TriplePattern, domains varDom
 		// No shared variable: the pattern's rows live on workers unrelated
 		// to rel's partitioning, so they must be gathered and broadcast —
 		// the expensive exchange case the paper attributes to such joins.
-		return e.broadcastJoin(rel, tp, domains), nil
+		return e.broadcastJoin(rel, tp, domains)
 	}
 
 	if rel.partVar != keyVar {
 		rel = e.rehash(rel, keyVar)
 	}
-	return e.localJoin(rel, tp, keySubject, keyVar, domains), nil
+	return e.localJoin(rel, tp, keySubject, keyVar, domains)
 }
 
 // scanPattern evaluates the first pattern: each worker scans its partition.
 func (e *Engine) scanPattern(tp sparql.TriplePattern, domains varDomains) *relation {
-	out := &relation{rows: make([][][]uint32, e.workers)}
-	var sVar, pVar, oVar string
-	if tp.S.IsVar() {
-		sVar = tp.S.Var
-		out.vars = append(out.vars, sVar)
-	}
-	if tp.P.IsVar() {
-		pVar = tp.P.Var
-		if out.varIndex(pVar) < 0 {
-			out.vars = append(out.vars, pVar)
-		}
-	}
-	if tp.O.IsVar() {
-		oVar = tp.O.Var
-		if out.varIndex(oVar) < 0 {
-			out.vars = append(out.vars, oVar)
-		}
-	}
+	pat := baseline.NewPattern(tp)
+	out := &relation{vars: pat.Vars, rows: make([][][]uint32, e.workers)}
+	sVar, oVar := tp.S.Var, tp.O.Var
 	// Scan the subject partition (complete and disjoint across workers);
 	// the result is partitioned by subject when it is a variable.
 	out.partVar = sVar
 
 	var sConst, oConst uint32
 	if !tp.S.IsVar() {
-		if sConst = e.resources.Lookup(tp.S.Value); sConst == 0 {
+		if sConst = e.d.Resources.Lookup(tp.S.Value); sConst == 0 {
 			return out
 		}
 		out.partVar = ""
 	}
 	if !tp.O.IsVar() {
-		if oConst = e.resources.Lookup(tp.O.Value); oConst == 0 {
+		if oConst = e.d.Resources.Lookup(tp.O.Value); oConst == 0 {
 			return out
 		}
 	}
 	var preds []uint32
 	if tp.P.IsVar() {
-		for p := uint32(1); p <= uint32(e.predicates.Len()); p++ {
+		for p := uint32(1); p <= uint32(e.d.Predicates.Len()); p++ {
 			preds = append(preds, p)
 		}
 	} else {
-		p := e.predicates.Lookup(tp.P.Value)
+		p := e.d.Predicates.Lookup(tp.P.Value)
 		if p == 0 {
 			return out
 		}
@@ -585,35 +406,10 @@ func (e *Engine) scanPattern(tp sparql.TriplePattern, domains varDomains) *relat
 				t = &e.byObj[w][p-1]
 			}
 			emit := func(s, o uint32) {
-				if sVar != "" && !e.allowed(domains, sVar, s) {
+				if !e.allowed(domains, sVar, s) || !e.allowed(domains, oVar, o) {
 					return
 				}
-				if oVar != "" && !e.allowed(domains, oVar, o) {
-					return
-				}
-				row := make([]uint32, 0, len(out.vars))
-				vals := map[string]uint32{}
-				ok := true
-				push := func(v string, id uint32) {
-					if prev, exists := vals[v]; exists {
-						if prev != id {
-							ok = false
-						}
-						return
-					}
-					vals[v] = id
-					row = append(row, id)
-				}
-				if sVar != "" {
-					push(sVar, s)
-				}
-				if pVar != "" {
-					push(pVar, p)
-				}
-				if oVar != "" {
-					push(oVar, o)
-				}
-				if ok {
+				if row, ok := pat.Bind(s, p, o); ok {
 					out.rows[w] = append(out.rows[w], row)
 				}
 			}
@@ -700,14 +496,14 @@ func (e *Engine) localJoin(rel *relation, tp sparql.TriplePattern, keySubject bo
 	if keyTerm.IsVar() {
 		keyCol = rel.varIndex(keyTerm.Var)
 	} else {
-		keyConst = e.resources.Lookup(keyTerm.Value)
+		keyConst = e.d.Resources.Lookup(keyTerm.Value)
 		if keyConst == 0 {
 			return &relation{vars: out.vars, rows: make([][][]uint32, e.workers)}
 		}
 	}
 	var valConst uint32
 	if !valTerm.IsVar() {
-		valConst = e.resources.Lookup(valTerm.Value)
+		valConst = e.d.Resources.Lookup(valTerm.Value)
 		if valConst == 0 {
 			return &relation{vars: out.vars, rows: make([][][]uint32, e.workers)}
 		}
@@ -721,11 +517,11 @@ func (e *Engine) localJoin(rel *relation, tp sparql.TriplePattern, keySubject bo
 			pNew = true
 			out.vars = append(out.vars, tp.P.Var)
 		}
-		for p := uint32(1); p <= uint32(e.predicates.Len()); p++ {
+		for p := uint32(1); p <= uint32(e.d.Predicates.Len()); p++ {
 			preds = append(preds, p)
 		}
 	} else {
-		p := e.predicates.Lookup(tp.P.Value)
+		p := e.d.Predicates.Lookup(tp.P.Value)
 		if p == 0 {
 			return &relation{vars: out.vars, rows: make([][][]uint32, e.workers)}
 		}

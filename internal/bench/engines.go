@@ -24,9 +24,9 @@ type Dataset struct {
 	store      *store.Store
 	storeStats *stats.Stats
 
-	hash  *hashjoin.Engine
-	r3x   *rdf3x.Engine
-	triad map[int]*triad.Engine // keyed by summary buckets (0 = plain)
+	hash   *hashjoin.Engine
+	r3x    *rdf3x.Engine
+	triads map[int]*triad.Engine // keyed by summary buckets (0 = plain)
 
 	triadWorkers int
 }
@@ -66,54 +66,68 @@ func (d *Dataset) PARJ(name string, opts core.Options) Engine {
 	return &parjEngine{name: name, st: st, stats: ss, opts: opts}
 }
 
-// HashJoin returns the RDFox-like single-threaded baseline.
-func (d *Dataset) HashJoin() Engine {
+// loadHashJoin loads the RDFox-like baseline on first use.
+func (d *Dataset) loadHashJoin() *hashjoin.Engine {
 	if d.hash == nil {
 		d.hash = hashjoin.Load(d.Triples)
 	}
-	return namedEngine{"HashJoin-1", func(q *sparql.Query) (int64, error) { return d.hash.Count(q) }}
+	return d.hash
+}
+
+// loadRDF3X loads the RDF-3X-like baseline on first use.
+func (d *Dataset) loadRDF3X() *rdf3x.Engine {
+	if d.r3x == nil {
+		d.r3x = rdf3x.Load(d.Triples)
+	}
+	return d.r3x
+}
+
+// loadTriAD loads the TriAD-like baseline with the given summary buckets on
+// first use. On hosts with fewer cores than the worker count it simulates
+// parallel phases (see triad.Options.SimulateParallel).
+func (d *Dataset) loadTriAD(buckets int) *triad.Engine {
+	if d.triads == nil {
+		d.triads = map[int]*triad.Engine{}
+	}
+	if d.triads[buckets] == nil {
+		workers := d.triadWorkers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		d.triads[buckets] = triad.Load(d.Triples, triad.Options{
+			Workers:          workers,
+			SummaryBuckets:   buckets,
+			SimulateParallel: workers > runtime.NumCPU(),
+		})
+	}
+	return d.triads[buckets]
+}
+
+// HashJoin returns the RDFox-like single-threaded baseline.
+func (d *Dataset) HashJoin() Engine {
+	return namedEngine{"HashJoin-1", d.loadHashJoin().Count}
 }
 
 // RDF3X returns the RDF-3X-like single-threaded baseline.
 func (d *Dataset) RDF3X() Engine {
-	if d.r3x == nil {
-		d.r3x = rdf3x.Load(d.Triples)
-	}
-	return namedEngine{"BTree6-1", func(q *sparql.Query) (int64, error) { return d.r3x.Count(q) }}
+	return namedEngine{"BTree6-1", d.loadRDF3X().Count}
 }
 
 // TriAD returns the TriAD-like distributed baseline; buckets > 0 selects
-// the summary-graph (SG) mode. On hosts with fewer cores than the worker
-// count, phases run sequentially and the engine reports the simulated
-// parallel elapsed time (each barrier phase costs its slowest worker).
+// the summary-graph (SG) mode. When the engine simulates parallel phases
+// it reports the simulated parallel elapsed time (each barrier phase costs
+// its slowest worker).
 func (d *Dataset) TriAD(buckets int) Engine {
-	if d.triad == nil {
-		d.triad = map[int]*triad.Engine{}
-	}
-	workers := d.triadWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	simulate := workers > runtime.NumCPU()
-	if d.triad[buckets] == nil {
-		d.triad[buckets] = triad.Load(d.Triples, triad.Options{
-			Workers:          workers,
-			SummaryBuckets:   buckets,
-			SimulateParallel: simulate,
-		})
-	}
-	e := d.triad[buckets]
 	name := "MsgJoin"
 	if buckets > 0 {
 		name = "MsgJoin-SG"
 	}
-	return &triadEngine{name: name, e: e, simulate: simulate}
+	return &triadEngine{name: name, e: d.loadTriAD(buckets)}
 }
 
 type triadEngine struct {
-	name     string
-	e        *triad.Engine
-	simulate bool
+	name string
+	e    *triad.Engine
 }
 
 func (t *triadEngine) Name() string { return t.name }
@@ -121,18 +135,12 @@ func (t *triadEngine) Name() string { return t.name }
 func (t *triadEngine) Count(q *sparql.Query) (int64, error) { return t.e.Count(q) }
 
 // CountTimed reports the simulated parallel elapsed time: wall clock minus
-// the per-phase worker time a real cluster would overlap away.
+// the per-phase worker time a real cluster would overlap away (none when the
+// engine runs its workers in parallel).
 func (t *triadEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) {
 	start := time.Now()
 	n, err := t.e.Count(q)
-	wall := time.Since(start)
-	if t.simulate {
-		wall -= t.e.SerialExcess()
-		if wall < 0 {
-			wall = 0
-		}
-	}
-	return n, wall, err
+	return n, max(time.Since(start)-t.e.SerialExcess(), 0), err
 }
 
 type parjEngine struct {
@@ -219,18 +227,12 @@ func (d *Dataset) PARJRows(name string, opts core.Options, x optimizer.Expander)
 // HashJoinRows returns the row-materializing form of the RDFox-like
 // baseline.
 func (d *Dataset) HashJoinRows() RowEngine {
-	if d.hash == nil {
-		d.hash = hashjoin.Load(d.Triples)
-	}
-	return rowEngine{"hashjoin", d.hash.Evaluate}
+	return rowEngine{"hashjoin", d.loadHashJoin().Evaluate}
 }
 
 // RDF3XRows returns the row-materializing form of the RDF-3X-like baseline.
 func (d *Dataset) RDF3XRows() RowEngine {
-	if d.r3x == nil {
-		d.r3x = rdf3x.Load(d.Triples)
-	}
-	return rowEngine{"rdf3x", d.r3x.Evaluate}
+	return rowEngine{"rdf3x", d.loadRDF3X().Evaluate}
 }
 
 // BTreeRows returns an RDF-3X-like baseline over deliberately tiny B+ tree
@@ -245,23 +247,9 @@ func (d *Dataset) BTreeRows(pageSize int) RowEngine {
 // TriADRows returns the row-materializing form of the TriAD-like baseline;
 // buckets > 0 selects summary-graph pruning, as in TriAD.
 func (d *Dataset) TriADRows(buckets int) RowEngine {
-	if d.triad == nil {
-		d.triad = map[int]*triad.Engine{}
-	}
-	workers := d.triadWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if d.triad[buckets] == nil {
-		d.triad[buckets] = triad.Load(d.Triples, triad.Options{
-			Workers:          workers,
-			SummaryBuckets:   buckets,
-			SimulateParallel: workers > runtime.NumCPU(),
-		})
-	}
 	name := "triad"
 	if buckets > 0 {
 		name = "triad-sg"
 	}
-	return rowEngine{name, d.triad[buckets].Evaluate}
+	return rowEngine{name, d.loadTriAD(buckets).Evaluate}
 }

@@ -264,13 +264,6 @@ func (r *Remote) Close() {
 	r.drainingEpochs = nil
 }
 
-// Shards reports the number of shard groups in the current topology.
-func (r *Remote) Shards() int {
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	return len(r.cur.replicas)
-}
-
 // ErrNeedsDecodedRows rejects a query with ORDER BY or OFFSET: both apply
 // to the whole result compared by term, and the coordinator gathers
 // per-shard rows of dictionary IDs. Send such a query to one node's /query.

@@ -511,7 +511,7 @@ func (x *execution) newWorker(initSink func(*streamSink)) *worker {
 		w.seen = make(map[string]bool)
 	}
 	if x.governed {
-		w.gate = x.gov.GateAt(&w.gateMem)
+		w.gov = x.gov
 		w.tick = int64(x.gov.Interval())
 		if w.materialize {
 			w.rowBytes = rowFootprint(len(plan.Project))
@@ -575,7 +575,7 @@ func rowKey(dst []byte, row []uint32) []byte {
 
 // worker executes morsels of the first relation through the whole
 // pipeline. Workers share only immutable data, and — guard pads at both ends,
-// gate, sink and WCOJ scratch held by value — no cache line either.
+// sink and WCOJ scratch held by value — no cache line either.
 type worker struct {
 	_ [guard]byte
 
@@ -604,17 +604,16 @@ type worker struct {
 	seenKey []byte
 
 	// tick is the amortized governance countdown: every probe decrements
-	// it, and only when it reaches zero does slowTick consult the gate. For
-	// ungoverned queries it starts at a practically unreachable value, so
+	// it, and only when it reaches zero does slowTick consult the governor.
+	// For ungoverned queries it starts at a practically unreachable value, so
 	// the hot recursion pays one decrement-and-branch on a field it already
-	// owns — no pointer chase, no inlined slow-path code. gate is nil when
+	// owns — no pointer chase, no inlined slow-path code. gov is nil when
 	// the query is ungoverned; rowBytes is the per-row memory charge when
 	// rows are materialized; flushed is how many produced rows have been
-	// charged to the gate so far (production itself is read off count/rows,
-	// so emit carries no governance code at all).
+	// charged to gov so far (production itself is read off count/rows, so
+	// emit carries no governance code at all).
 	tick     int64
-	gate     *governance.Gate // &gateMem, or nil
-	gateMem  governance.Gate
+	gov      *governance.Governor
 	rowBytes int64
 	flushed  int64
 
@@ -812,19 +811,18 @@ func searchRun(run []uint32, v uint32) bool {
 const ungovernedTick = 1 << 62
 
 // slowTick is the amortized slow path of the per-step governance check: it
-// refills the countdown, charges the rows produced since the last check,
-// and consults the gate. Kept out of line so the hot recursion inlines only
-// the decrement-and-branch.
+// refills the countdown, then charges the rows produced since the last
+// check and consults the governor. Kept out of line so the hot recursion
+// inlines only the decrement-and-branch.
 //
 //go:noinline
 func (w *worker) slowTick() bool {
-	if w.gate == nil {
+	if w.gov == nil {
 		w.tick = ungovernedTick
 		return true
 	}
-	w.tick = int64(w.gate.Interval())
-	w.flushProduced()
-	return w.gate.Tick()
+	w.tick = int64(w.gov.Interval())
+	return w.flushProduced()
 }
 
 // produced reports how many result rows the worker has emitted so far,
@@ -837,21 +835,13 @@ func (w *worker) produced() int64 {
 }
 
 // flushProduced charges the rows emitted since the last flush (and their
-// materialized bytes) to the gate. Only called when w.gate != nil.
-func (w *worker) flushProduced() {
+// materialized bytes) to the governor and reports whether the worker should
+// continue. Only called when w.gov != nil.
+func (w *worker) flushProduced() bool {
 	p := w.produced()
-	w.gate.ProducedN(p-w.flushed, (p-w.flushed)*w.rowBytes)
+	n := p - w.flushed
 	w.flushed = p
-}
-
-// closeGate flushes the final row accounting and runs the gate's last
-// check, so budget enforcement is exact once all workers finish.
-func (w *worker) closeGate() {
-	if w.gate == nil {
-		return
-	}
-	w.flushProduced()
-	w.gate.Close()
+	return w.gov.Produced(n, n*w.rowBytes)
 }
 
 // step evaluates pattern pi under the current binding and recurses. It
@@ -924,7 +914,7 @@ func (w *worker) stepWithPred(pi int, pp *optimizer.PatternPlan, pred uint32) bo
 }
 
 // values handles the value column of pattern pi for the key at pos. The
-// gate tick here (in addition to step's) covers key scans whose probes all
+// governance tick here (in addition to step's) covers key scans whose probes all
 // miss — a worst-case scan must still observe cancellation.
 func (w *worker) values(pi int, pp *optimizer.PatternPlan, t *store.Table, pos int) bool {
 	if w.tick--; w.tick <= 0 && !w.slowTick() {

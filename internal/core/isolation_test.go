@@ -39,7 +39,7 @@ func gap(a, b region) uintptr {
 }
 
 // workerRegions lists everything worker id writes in the hot loop: the live
-// part of its struct (which must contain its gate, sink and in-flight slot)
+// part of its struct (which must contain its sink and in-flight slot)
 // and every small slice carved for it.
 func workerRegions(t *testing.T, w *worker, id int) []region {
 	t.Helper()
@@ -49,9 +49,6 @@ func workerRegions(t *testing.T, w *worker, id int) []region {
 		if lo := uintptr(p); lo < live.lo || lo+size > live.hi {
 			t.Errorf("worker %d: %s lives outside the worker's guarded struct", id, name)
 		}
-	}
-	if w.gate != nil {
-		inside("gate", unsafe.Pointer(w.gate), unsafe.Sizeof(*w.gate))
 	}
 	if w.stream != nil {
 		inside("stream sink", unsafe.Pointer(w.stream), unsafe.Sizeof(*w.stream))

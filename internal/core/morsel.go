@@ -418,7 +418,7 @@ func (w *worker) runScheduler(s *scheduler) {
 // returns false when the worker must stop — its own LIMIT budget, a
 // governance trip, or a cancelled streaming consumer (which poisons the
 // scheduler so stealers stop promptly too). Chunk boundaries double as
-// amortized gate points: one atomic flag read per chunk, nothing per tuple.
+// amortized governance points: one atomic flag read per chunk, nothing per tuple.
 func (w *worker) drainMorsel(s *scheduler, m *morsel) bool {
 	grain := int(m.grain)
 	for {
@@ -531,7 +531,7 @@ func (w *worker) unionTables() []*store.Table {
 // containment: a panic anywhere inside the pipeline is recovered, converted
 // into a typed query error on the governor (stack attached), and stops the
 // remaining workers at their next governance check instead of crashing the
-// process. On normal completion the worker's gate is flushed so budget
+// process. On normal completion the worker's produced rows are charged so budget
 // accounting is exact, and a streaming worker ships its last partial batch.
 func runContained(gov *governance.Governor, s *scheduler, w *worker) {
 	defer func() {
@@ -540,7 +540,9 @@ func runContained(gov *governance.Governor, s *scheduler, w *worker) {
 		}
 	}()
 	w.runScheduler(s)
-	w.closeGate()
+	if w.gov != nil {
+		w.flushProduced() // exact budget accounting once all workers finish
+	}
 	if w.stream != nil {
 		w.stream.flush()
 	}

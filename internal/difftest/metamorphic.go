@@ -176,7 +176,7 @@ func evalSrc(eng bench.RowEngine, q *Query) ([][]string, error) {
 }
 
 // governedEvaluate runs parsed with a one-hour deadline, effectively
-// unlimited budgets, and a tiny check interval, so the gates actually sync
+// unlimited budgets, and a tiny check interval, so the governed workers check in
 // many times even on difftest-sized data.
 func governedEvaluate(benchDS *bench.Dataset, parsed *sparql.Query) ([][]string, error) {
 	st, ss := benchDS.Store()

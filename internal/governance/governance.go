@@ -84,8 +84,8 @@ func IsPolicy(err error) bool {
 const DefaultCheckInterval = 4096
 
 // Governor is the shared per-query control block. Workers consult it on an
-// amortized schedule (every CheckInterval steps) through worker-local
-// Gates; the first violation or panic stops every worker at its next check.
+// amortized schedule (every CheckInterval steps) through Produced; the first
+// violation or panic stops every worker at its next check.
 //
 // The zero Governor is not usable; call New.
 type Governor struct {
@@ -182,8 +182,8 @@ func (g *Governor) Stopped() bool { return g.stopped.Load() }
 func (g *Governor) Interval() int { return g.interval }
 
 // Check runs the slow-path inspection: context state first (a deadline is
-// the most common violation), then a cross-worker stop set by a peer. Gates
-// call it amortized; collectors call it per batch.
+// the most common violation), then a cross-worker stop set by a peer.
+// Produced calls it amortized; collectors call it per batch.
 func (g *Governor) Check() bool {
 	if g.done != nil {
 		select {
@@ -196,11 +196,13 @@ func (g *Governor) Check() bool {
 	return !g.stopped.Load()
 }
 
-// charge adds a worker's locally accumulated rows and bytes to the shared
-// totals and verifies the budgets. Called amortized, so the shared atomics
-// stay off the per-row path; the overshoot is bounded by
-// workers × CheckInterval rows.
-func (g *Governor) charge(rows, bytes int64) bool {
+// Produced charges rows result rows totalling bytes materialized bytes,
+// produced by one worker since its last call, to the shared totals, verifies
+// the budgets and then runs Check. Workers call it on their own amortized
+// schedule and once more when they finish, so the shared atomics stay off
+// the per-row path, the overshoot is bounded by workers × CheckInterval rows
+// and the accounting is exact once all workers are done.
+func (g *Governor) Produced(rows, bytes int64) bool {
 	if g.maxRows > 0 && g.rows.Add(rows) > g.maxRows {
 		g.Fail(fmt.Errorf("%w: more than %d result rows", ErrBudgetExceeded, g.maxRows))
 		return false
@@ -217,7 +219,7 @@ func (g *Governor) charge(rows, bytes int64) bool {
 		}
 		g.pooled.Add(bytes)
 	}
-	return true
+	return g.Check()
 }
 
 // ReleasePool returns every byte this query holds in the shared pool.
@@ -251,75 +253,4 @@ func IntervalForEstimate(estRows float64) int {
 		return DefaultCheckInterval / 4
 	}
 	return DefaultCheckInterval
-}
-
-// Gate is one worker's view of the Governor: local row/byte accumulators
-// the worker flushes on its own amortized schedule (it keeps a step
-// countdown refilled from Interval and calls Tick when it expires). Gates
-// are not safe for concurrent use; each worker owns one. Every method on a
-// nil Gate is a cheap no-op that reports "keep going" — ungoverned
-// executions pay one predictable nil check.
-type Gate struct {
-	gov   *Governor
-	rows  int64
-	bytes int64
-}
-
-// GateAt initializes t in place as a fresh gate for one worker and returns
-// it. The worker writes its gate on every amortized check, so an engine that
-// keeps each worker's mutable state in one cache-line-isolated block embeds
-// the Gate there.
-func (g *Governor) GateAt(t *Gate) *Gate {
-	*t = Gate{gov: g}
-	return t
-}
-
-// ProducedN accounts n emitted result rows totalling bytes materialized
-// bytes. Engines count rows for their own bookkeeping and charge the delta
-// here on their amortized schedule; budget verification happens at the next
-// Tick or Close.
-func (t *Gate) ProducedN(n, bytes int64) {
-	if t == nil {
-		return
-	}
-	t.rows += n
-	t.bytes += bytes
-}
-
-// Interval returns the owning governor's amortized check interval.
-func (t *Gate) Interval() int {
-	if t == nil {
-		return DefaultCheckInterval
-	}
-	return t.gov.interval
-}
-
-// Tick flushes the accumulators and runs the full governance check now.
-// Engines call it when their worker-local step countdown expires; it reports
-// whether the worker should continue.
-func (t *Gate) Tick() bool {
-	if t == nil {
-		return true
-	}
-	return t.sync()
-}
-
-// sync flushes the local accumulators and runs the slow-path check.
-func (t *Gate) sync() bool {
-	rows, bytes := t.rows, t.bytes
-	t.rows, t.bytes = 0, 0
-	if !t.gov.charge(rows, bytes) {
-		return false
-	}
-	return t.gov.Check()
-}
-
-// Close flushes whatever the worker accumulated since its last check, so
-// budget accounting is exact once all workers finish. Returns the gate's
-// final verdict.
-func (t *Gate) Close() bool {
-	if t == nil {
-		return true
-	}
-	return t.sync()
 }

@@ -94,33 +94,32 @@ func TestGovernorCancellation(t *testing.T) {
 }
 
 // drive runs a worker's amortized loop the way core does: one step per
-// emitted row, charging the row on every step and ticking the gate each
-// time the worker-local countdown (refilled from Interval) expires.
-func drive(gate *Gate, rows int) bool {
-	tick := gate.Interval()
+// emitted row, charging the rows produced since the last check each time the
+// worker-local countdown (refilled from Interval) expires.
+func drive(g *Governor, rows int) bool {
+	tick, pending := g.Interval(), int64(0)
 	for i := 0; i < rows; i++ {
-		gate.ProducedN(1, 0)
+		pending++
 		if tick--; tick > 0 {
 			continue
 		}
-		tick = gate.Interval()
-		if !gate.Tick() {
+		tick = g.Interval()
+		if !g.Produced(pending, 0) {
 			return false
 		}
+		pending = 0
 	}
-	return true
+	return g.Produced(pending, 0)
 }
 
 func TestGateRowBudget(t *testing.T) {
 	g := New(Config{MaxResultRows: 10, CheckInterval: 4})
-	gate := g.GateAt(new(Gate))
-	if !drive(gate, 10) {
-		t.Fatal("gate tripped within budget")
+	if !drive(g, 10) {
+		t.Fatal("budget tripped within budget")
 	}
-	// The 11th row exceeds the budget at the next flush.
-	gate.ProducedN(1, 0)
-	if gate.Close() {
-		t.Fatal("Close passed with budget exceeded")
+	// The 11th row exceeds the budget at the next charge.
+	if g.Produced(1, 0) {
+		t.Fatal("Produced passed with budget exceeded")
 	}
 	if !errors.Is(g.Err(), ErrBudgetExceeded) {
 		t.Errorf("Err = %v, want ErrBudgetExceeded", g.Err())
@@ -129,29 +128,15 @@ func TestGateRowBudget(t *testing.T) {
 
 func TestGateMemoryBudget(t *testing.T) {
 	g := New(Config{MemoryBudget: 100, CheckInterval: 1 << 20})
-	gate := g.GateAt(new(Gate))
-	gate.ProducedN(1, 64)
-	if !gate.Close() {
-		t.Fatal("within-budget close failed")
+	if !g.Produced(1, 64) {
+		t.Fatal("within-budget charge failed")
 	}
-	gate2 := g.GateAt(new(Gate))
-	gate2.ProducedN(1, 64) // shared total now 128 > 100
-	if gate2.Close() {
-		t.Fatal("over-budget close passed")
+	// A second worker's charge brings the shared total to 128 > 100.
+	if g.Produced(1, 64) {
+		t.Fatal("over-budget charge passed")
 	}
 	if !errors.Is(g.Err(), ErrBudgetExceeded) {
 		t.Errorf("Err = %v, want ErrBudgetExceeded", g.Err())
-	}
-}
-
-func TestNilGateNoops(t *testing.T) {
-	var gate *Gate
-	if !gate.Tick() || !gate.Close() || !drive(gate, 3) {
-		t.Error("nil gate does not report keep-going")
-	}
-	gate.ProducedN(1, 123) // must not panic
-	if gate.Interval() != DefaultCheckInterval {
-		t.Errorf("nil gate interval = %d, want the default", gate.Interval())
 	}
 }
 

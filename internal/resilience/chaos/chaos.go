@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -292,45 +291,4 @@ func hardClose(c net.Conn) {
 		tc.SetLinger(0)
 	}
 	c.Close()
-}
-
-// Fleet is a set of proxies fronting a set of replica addresses, one per
-// replica — a convenience for tests that stand up whole shard groups.
-type Fleet struct {
-	Proxies []*Proxy
-}
-
-// NewFleet builds one proxy per target; scripts[i] (nil = None) drives
-// target i.
-func NewFleet(targets []string, scripts []Script) (*Fleet, error) {
-	f := &Fleet{}
-	for i, t := range targets {
-		var s Script
-		if i < len(scripts) {
-			s = scripts[i]
-		}
-		p, err := New(t, s)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("chaos: proxy %d: %w", i, err)
-		}
-		f.Proxies = append(f.Proxies, p)
-	}
-	return f, nil
-}
-
-// URLs lists the proxies' base URLs in target order.
-func (f *Fleet) URLs() []string {
-	out := make([]string, len(f.Proxies))
-	for i, p := range f.Proxies {
-		out[i] = p.URL()
-	}
-	return out
-}
-
-// Close shuts every proxy down.
-func (f *Fleet) Close() {
-	for _, p := range f.Proxies {
-		p.Close()
-	}
 }

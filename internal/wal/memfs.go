@@ -217,18 +217,6 @@ func (fs *MemFS) Recover() *MemFS {
 	return nfs
 }
 
-// DurableNames lists the committed directory entries, sorted.
-func (fs *MemFS) DurableNames() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.durable))
-	for name := range fs.durable {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // check counts the operation and fires any due rule. It returns the fault
 // to apply (or -1) and whether the operation may proceed.
 func (fs *MemFS) check(op Op) (Fault, error) {
