@@ -5,6 +5,7 @@
 package parj_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -317,6 +318,29 @@ func BenchmarkLoad(b *testing.B) {
 		store.LoadTriples(triples, store.BuildOptions{BuildPosIndex: true})
 	}
 	b.SetBytes(int64(len(triples)))
+}
+
+// BenchmarkLoadNTriples measures the N-Triples loader (read, parse, encode,
+// build) on a LUBM 8 document held in memory; MB/s is document bytes.
+func BenchmarkLoadNTriples(b *testing.B) {
+	var doc bytes.Buffer
+	w := rdf.NewWriter(&doc)
+	lubm.Generate(8, lubm.Config{}, func(t rdf.Triple) {
+		if err := w.Write(t); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.LoadNTriples(bytes.NewReader(doc.Bytes()), store.BuildOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkOptimizer measures planning latency on a 9-pattern star (the

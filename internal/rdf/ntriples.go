@@ -36,20 +36,34 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Read() (Triple, error) {
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || line[0] == '#' {
-			continue
+		if t, ok, err := parseLine(r.line, r.sc.Text()); ok || err != nil {
+			return t, err
 		}
-		t, err := r.parseLine(line)
-		if err != nil {
-			return Triple{}, err
-		}
-		return t, nil
 	}
 	if err := r.sc.Err(); err != nil {
 		return Triple{}, err
 	}
 	return Triple{}, io.EOF
+}
+
+// ParseLines parses data, a run of whole N-Triples lines split on '\n' as
+// Reader splits them, and calls emit with each triple in order. It copies
+// nothing: every term is a substring of data. A *ParseError numbers lines
+// from 1 at data's first line. lines is the number of lines data holds.
+func ParseLines(data string, emit func(Triple)) (lines int, err error) {
+	for data != "" {
+		var line string
+		line, data, _ = strings.Cut(data, "\n")
+		lines++
+		t, ok, err := parseLine(lines, line)
+		if err != nil {
+			return lines, err
+		}
+		if ok {
+			emit(t)
+		}
+	}
+	return lines, nil
 }
 
 // ReadAll consumes the remaining input and returns all triples.
@@ -67,55 +81,60 @@ func (r *Reader) ReadAll() ([]Triple, error) {
 	}
 }
 
-func (r *Reader) errf(line, format string, args ...any) error {
+func errf(no int, line, format string, args ...any) error {
 	if len(line) > 80 {
 		line = line[:80] + "..."
 	}
-	return &ParseError{Line: r.line, Msg: fmt.Sprintf(format, args...), Text: line}
+	return &ParseError{Line: no, Msg: fmt.Sprintf(format, args...), Text: line}
 }
 
-func (r *Reader) parseLine(line string) (Triple, error) {
-	rest := line
-	var t Triple
-	var err error
-	if t.S, rest, err = r.parseTerm(line, rest, false); err != nil {
-		return Triple{}, err
+// parseLine parses line number no. ok is false for a blank or comment line.
+func parseLine(no int, line string) (t Triple, ok bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '#' {
+		return Triple{}, false, nil
 	}
-	if t.P, rest, err = r.parseTerm(line, rest, false); err != nil {
-		return Triple{}, err
+	rest := line
+	if t.S, rest, err = parseTerm(no, line, rest, false); err != nil {
+		return Triple{}, false, err
+	}
+	if t.P, rest, err = parseTerm(no, line, rest, false); err != nil {
+		return Triple{}, false, err
 	}
 	if KindOf(t.P) != IRI {
-		return Triple{}, r.errf(line, "predicate must be an IRI, got %q", t.P)
+		return Triple{}, false, errf(no, line, "predicate must be an IRI, got %q", t.P)
 	}
-	if t.O, rest, err = r.parseTerm(line, rest, true); err != nil {
-		return Triple{}, err
+	if t.O, rest, err = parseTerm(no, line, rest, true); err != nil {
+		return Triple{}, false, err
 	}
 	rest = strings.TrimSpace(rest)
 	if rest != "." && rest != ". " {
 		if !strings.HasPrefix(rest, ".") || strings.TrimSpace(rest[1:]) != "" {
-			return Triple{}, r.errf(line, "expected terminating '.', got %q", rest)
+			return Triple{}, false, errf(no, line, "expected terminating '.', got %q", rest)
 		}
 	}
-	return t, nil
+	return t, true, nil
 }
 
 // parseTerm consumes one term from rest and returns it with the remainder.
 // allowLiteral permits literal terms (only valid in the object position).
-func (r *Reader) parseTerm(line, rest string, allowLiteral bool) (term, remainder string, err error) {
-	rest = strings.TrimLeft(rest, " \t")
+func parseTerm(no int, line, rest string, allowLiteral bool) (term, remainder string, err error) {
+	for rest != "" && (rest[0] == ' ' || rest[0] == '\t') {
+		rest = rest[1:]
+	}
 	if rest == "" {
-		return "", "", r.errf(line, "unexpected end of line")
+		return "", "", errf(no, line, "unexpected end of line")
 	}
 	switch rest[0] {
 	case '<':
 		end := strings.IndexByte(rest, '>')
 		if end < 0 {
-			return "", "", r.errf(line, "unterminated IRI")
+			return "", "", errf(no, line, "unterminated IRI")
 		}
 		return rest[:end+1], rest[end+1:], nil
 	case '_':
 		if len(rest) < 3 || rest[1] != ':' {
-			return "", "", r.errf(line, "malformed blank node")
+			return "", "", errf(no, line, "malformed blank node")
 		}
 		end := strings.IndexAny(rest, " \t")
 		if end < 0 {
@@ -127,33 +146,32 @@ func (r *Reader) parseTerm(line, rest string, allowLiteral bool) (term, remainde
 		return label, rest[end:], nil
 	case '"':
 		if !allowLiteral {
-			return "", "", r.errf(line, "literal not allowed in this position")
+			return "", "", errf(no, line, "literal not allowed in this position")
 		}
 		end := closingQuote(rest)
 		if end < 0 {
-			return "", "", r.errf(line, "unterminated literal")
+			return "", "", errf(no, line, "unterminated literal")
 		}
-		term := rest[:end+1]
-		rest = rest[end+1:]
-		switch {
-		case strings.HasPrefix(rest, "^^<"):
-			dtEnd := strings.IndexByte(rest, '>')
+		// The term runs on through a datatype or language tag, so it stays
+		// one substring of the line.
+		n := end + 1
+		switch tail := rest[n:]; {
+		case strings.HasPrefix(tail, "^^<"):
+			dtEnd := strings.IndexByte(tail, '>')
 			if dtEnd < 0 {
-				return "", "", r.errf(line, "unterminated datatype IRI")
+				return "", "", errf(no, line, "unterminated datatype IRI")
 			}
-			term += rest[:dtEnd+1]
-			rest = rest[dtEnd+1:]
-		case strings.HasPrefix(rest, "@"):
-			end := strings.IndexAny(rest, " \t")
+			n += dtEnd + 1
+		case strings.HasPrefix(tail, "@"):
+			end := strings.IndexAny(tail, " \t")
 			if end < 0 {
-				return "", "", r.errf(line, "language tag runs to end of line")
+				return "", "", errf(no, line, "language tag runs to end of line")
 			}
-			term += rest[:end]
-			rest = rest[end:]
+			n += end
 		}
-		return term, rest, nil
+		return rest[:n], rest[n:], nil
 	default:
-		return "", "", r.errf(line, "unexpected character %q", rest[0])
+		return "", "", errf(no, line, "unexpected character %q", rest[0])
 	}
 }
 

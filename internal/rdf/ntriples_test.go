@@ -204,3 +204,35 @@ func randomText(rng *rand.Rand) string {
 	}
 	return string(out)
 }
+
+// TestParseLinesMatchesReader: ParseLines yields the triples and the
+// *ParseError Reader yields on the same text, counts its lines as Reader
+// numbers them, and allocates nothing per line.
+func TestParseLinesMatchesReader(t *testing.T) {
+	docs := []string{
+		"<a> <p> <b> .\n# comment\n\n_:x <p> \"1\"^^<http://t> .\r\n",
+		"\t<a>\t<p>\t\"v\"@en .  \n<a> <p> <c> .",
+		"<a> <p> <b> .\n\n<a> \"p\" <b> .\n<a> <p> .\n",
+		"",
+	}
+	for _, doc := range docs {
+		want, wantErr := ParseString(doc)
+		var got []Triple
+		lines, err := ParseLines(doc, func(t Triple) { got = append(got, t) })
+		if !reflect.DeepEqual(err, wantErr) || wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseLines(%q) = %v, %v; Reader gives %v, %v", doc, got, err, want, wantErr)
+		}
+		if n := len(strings.Split(strings.TrimSuffix(doc, "\n"), "\n")); wantErr == nil && doc != "" && lines != n {
+			t.Errorf("ParseLines(%q) counted %d lines, want %d", doc, lines, n)
+		}
+	}
+	doc := docs[0] + docs[1]
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ParseLines(doc, func(Triple) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ParseLines allocated %.0f times, want 0", allocs)
+	}
+}

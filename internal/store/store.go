@@ -14,11 +14,9 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"parj/internal/dict"
@@ -164,8 +162,9 @@ type BuildOptions struct {
 	// BuildPosIndex builds the ID-to-Position index for every table.
 	BuildPosIndex bool
 	// Parallelism bounds the number of predicates built concurrently
-	// (sorting and CSR construction are per-predicate independent).
-	// 0 means GOMAXPROCS; 1 forces the serial path.
+	// (sorting and CSR construction are per-predicate independent) and
+	// the number of goroutines LoadNTriples parses with.
+	// 0 means GOMAXPROCS; 1 forces the serial build.
 	Parallelism int
 }
 
@@ -176,6 +175,7 @@ type Builder struct {
 	// perPred[p-1] holds the encoded (subject, object) pairs of predicate
 	// ID p, packed subject-high for cheap sorting.
 	perPred [][]uint64
+	ids     []uint32 // addBlock's scratch
 }
 
 // NewBuilder returns an empty Builder.
@@ -186,9 +186,7 @@ func NewBuilder() *Builder {
 // Add encodes and buffers one triple given as term strings, taking each
 // dictionary's lock once.
 func (b *Builder) Add(subject, predicate, object string) {
-	var so [2]uint32
-	b.resources.EncodeAll([]string{subject, object}, so[:])
-	b.AddEncoded(so[0], b.predicates.Encode(predicate), so[1])
+	b.addBlock([]string{subject, object}, []string{predicate})
 }
 
 // AddTriple buffers one parsed triple.
@@ -232,7 +230,7 @@ func (b *Builder) Build(opts BuildOptions) *Store {
 	}
 	buildOne := func(p int) {
 		pairs := b.perPred[p]
-		sortPairs(pairs)
+		slices.Sort(pairs)
 		pairs = dedupPairs(pairs)
 		st.so[p] = buildCSR(pairs)
 		// Reuse the buffer for the swapped pairs to build the O-S replica.
@@ -328,17 +326,13 @@ func (t *Table) setThresholds() {
 	t.IndexThreshold = search.ValueThreshold(t.Keys, int(t.IndexWindow))
 }
 
-func sortPairs(pairs []uint64) {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-}
-
 // swapSort repacks S-O pairs object-high, in place, and sorts them: the same
 // pairs in the O-S replica's order.
 func swapSort(pairs []uint64) []uint64 {
 	for i, pr := range pairs {
 		pairs[i] = pr<<32 | pr>>32
 	}
-	sortPairs(pairs)
+	slices.Sort(pairs)
 	return pairs
 }
 
@@ -373,47 +367,6 @@ func buildCSR(pairs []uint64) Table {
 	}
 	t.Offs = append(t.Offs, uint32(len(pairs)))
 	return t
-}
-
-// LoadTriples builds a Store directly from parsed triples.
-func LoadTriples(triples []rdf.Triple, opts BuildOptions) *Store {
-	b := NewBuilder()
-	for _, t := range triples {
-		b.AddTriple(t)
-	}
-	return b.Build(opts)
-}
-
-// LoadNTriples streams an N-Triples document through a Builder, so the
-// parsed triples are never held beside the dictionary-encoded ones.
-func LoadNTriples(r io.Reader, opts BuildOptions) (*Store, error) {
-	b := NewBuilder()
-	rd := rdf.NewReader(r)
-	for {
-		t, err := rd.Read()
-		if err == io.EOF {
-			return b.Build(opts), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.AddTriple(t)
-	}
-}
-
-// LoadFile loads a file by name: a ".snapshot" file with LoadSnapshot (opts
-// do not apply: a snapshot keeps the tables it was saved with), anything
-// else as N-Triples with LoadNTriples.
-func LoadFile(path string, opts BuildOptions) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".snapshot") {
-		return LoadSnapshot(f)
-	}
-	return LoadNTriples(f, opts)
 }
 
 // String summarizes the store for logs.
