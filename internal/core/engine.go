@@ -19,7 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -518,7 +518,7 @@ func (x *execution) newWorker(initSink func(*streamSink)) *worker {
 		}
 	}
 	if x.wp != nil {
-		w.wcoj = newWCOJExec(x.wp)
+		w.wcoj = newWCOJExec(x.wp, !w.materialize && w.stream == nil)
 	}
 	return w
 }
@@ -801,8 +801,8 @@ func (w *worker) locateKeyHooked(t *store.Table, v uint32, cur *int) (int, bool)
 
 // searchRun locates v inside a (short, sorted) run with binary search.
 func searchRun(run []uint32, v uint32) bool {
-	i := sort.Search(len(run), func(i int) bool { return run[i] >= v })
-	return i < len(run) && run[i] == v
+	_, ok := slices.BinarySearch(run, v)
+	return ok
 }
 
 // ungovernedTick is the step countdown for ungoverned workers: large enough

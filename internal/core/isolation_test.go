@@ -61,6 +61,8 @@ func workerRegions(t *testing.T, w *worker, id int) []region {
 		sliceRegion("wcoj bufs", w.wcoj.bufs),
 		sliceRegion("wcoj arrs", w.wcoj.arrs),
 		sliceRegion("wcoj curs", w.wcoj.curs),
+		sliceRegion("wcoj runs", w.wcoj.runs),
+		sliceRegion("wcoj bind curs", w.wcoj.bcur),
 		sliceRegion("sink batch", w.sinkMem.batch),
 	}
 	out := rs[:0]

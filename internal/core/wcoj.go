@@ -16,7 +16,9 @@ package core
 // sorted Keys array and its value variable through the sorted run of the
 // (by then bound) key — and because both replicas exist, either column of a
 // pattern can serve as the "key" side regardless of which replica the
-// pipeline planner picked.
+// pipeline planner picked. The key's run is looked up once, when the key
+// variable's level binds it (wcojBind), and a silent execution counts its
+// deepest level instead of enumerating it.
 //
 // Parallelism reuses the whole morsel machinery: the first variable's
 // domain is materialized once, split into contiguous shards (preserving the
@@ -70,7 +72,7 @@ const (
 	// constant key (pos).
 	srcRun
 	// srcDynRun: the variable ranges over the run of a key bound at an
-	// earlier level (binding[slot]); an absent key yields the empty array.
+	// earlier level, which that level's bind resolved into runs[run].
 	srcDynRun
 )
 
@@ -80,28 +82,33 @@ type wcojSrc struct {
 	t    *store.Table
 	mode uint8
 	pos  int // srcRun: key position whose run constrains the variable
-	slot int // srcDynRun: binding slot holding the run's key
+	run  int // srcDynRun: index of the run in wcojExec.runs
 }
 
-func (s *wcojSrc) resolve(binding []uint32) []uint32 {
+func (s *wcojSrc) resolve(runs [][]uint32) []uint32 {
 	switch s.mode {
 	case srcKeys:
 		return s.t.Keys
 	case srcRun:
 		return s.t.Run(s.pos)
 	default: // srcDynRun
-		pos, ok := s.t.LookupKey(binding[s.slot])
-		if !ok {
-			return nil
-		}
-		return s.t.Run(pos)
+		return runs[s.run]
 	}
+}
+
+// wcojBind looks the candidate its level binds up among t's keys, once per
+// binding, and stores the key's run in runs[run] for the later level whose
+// srcDynRun reads it.
+type wcojBind struct {
+	t   *store.Table
+	run int
 }
 
 // wcojVar is one level of the variable-elimination order.
 type wcojVar struct {
-	slot int
-	srcs []wcojSrc
+	slot  int
+	srcs  []wcojSrc
+	binds []wcojBind
 	// self lists the S-O tables of self-loop patterns (?x p ?x) on this
 	// variable: a candidate x must additionally satisfy (x p x), checked by
 	// membership of x in x's own run.
@@ -196,6 +203,12 @@ func buildWCOJPlan(st *store.Store, plan *optimizer.Plan) *wcojPlan {
 		rank[slot] = lvl
 		vars[lvl] = wcojVar{slot: slot}
 	}
+	runs := 0
+	bind := func(t *store.Table, keyLvl, valLvl int) {
+		vars[keyLvl].binds = append(vars[keyLvl].binds, wcojBind{t: t, run: runs})
+		vars[valLvl].srcs = append(vars[valLvl].srcs, wcojSrc{t: t, mode: srcDynRun, run: runs})
+		runs++
+	}
 	for i := range edges {
 		e := &edges[i]
 		switch {
@@ -218,17 +231,24 @@ func buildWCOJPlan(st *store.Store, plan *optimizer.Plan) *wcojPlan {
 				wcojSrc{t: e.valTab, mode: srcKeys})
 			v.self = append(v.self, e.keyTab)
 		case rank[e.key.Slot] < rank[e.val.Slot]:
-			vars[rank[e.key.Slot]].srcs = append(vars[rank[e.key.Slot]].srcs,
-				wcojSrc{t: e.keyTab, mode: srcKeys})
-			vars[rank[e.val.Slot]].srcs = append(vars[rank[e.val.Slot]].srcs,
-				wcojSrc{t: e.keyTab, mode: srcDynRun, slot: e.key.Slot})
+			bind(e.keyTab, rank[e.key.Slot], rank[e.val.Slot])
 		default:
 			// The value side binds first: flip to the mirror replica, whose
 			// keys are the Val term's values.
-			vars[rank[e.val.Slot]].srcs = append(vars[rank[e.val.Slot]].srcs,
-				wcojSrc{t: e.valTab, mode: srcKeys})
-			vars[rank[e.key.Slot]].srcs = append(vars[rank[e.key.Slot]].srcs,
-				wcojSrc{t: e.valTab, mode: srcDynRun, slot: e.val.Slot})
+			bind(e.valTab, rank[e.val.Slot], rank[e.key.Slot])
+		}
+	}
+	// A bind drops every candidate absent from its table's keys, so those
+	// keys constrain a level as a source only where they must: at level 0,
+	// whose sources alone define the domain makeWCOJShards cuts, and at a
+	// level with no other source (the first variable of a further connected
+	// component), which iterates its first bind's keys.
+	for lvl := range vars {
+		v := &vars[lvl]
+		for i, b := range v.binds {
+			if lvl == 0 || i == 0 && len(v.srcs) == 0 {
+				v.srcs = append(v.srcs, wcojSrc{t: b.t, mode: srcKeys})
+			}
 		}
 	}
 	return &wcojPlan{vars: vars}
@@ -268,18 +288,57 @@ type wcojExec struct {
 	arrs [][]uint32 // current level's constraint arrays
 	curs []int      // leapfrog cursor scratch
 	bufs [][]uint32 // per-level intersection output
+	runs [][]uint32 // per-bind resolved run, read by srcDynRun sources
+	bcur []int      // per-bind cursor into its table's keys
+	// countAt is the deepest level when nothing needs its rows (silent, no
+	// DISTINCT, not streamed, no self-loop check there): that level adds
+	// the size of its candidate set to the worker's count instead of
+	// enumerating it. -1 otherwise.
+	countAt int
 }
 
-// newWCOJExec sizes one worker's scratch for wp: a slice header per level
-// plus the widest level's constraint arrays and cursors, all rewritten per
-// candidate and therefore isolated like the worker's binding.
-func newWCOJExec(wp *wcojPlan) wcojExec {
-	nv, width := len(wp.vars), 0
+// newWCOJExec sizes one worker's scratch for wp: a slice header per level,
+// the widest level's constraint arrays and cursors, and a run and a cursor
+// per bind, all rewritten per candidate and therefore isolated like the
+// worker's binding. count reports that the worker neither materializes nor
+// streams its rows.
+func newWCOJExec(wp *wcojPlan, count bool) wcojExec {
+	nv, width, nr := len(wp.vars), 0, 0
 	for i := range wp.vars {
 		width = max(width, len(wp.vars[i].srcs))
+		nr += len(wp.vars[i].binds)
 	}
-	hdrs := isolated[[]uint32](nv + width)
-	return wcojExec{plan: wp, bufs: hdrs[:nv:nv], arrs: hdrs[nv:nv], curs: isolated[int](width)}
+	hdrs := isolated[[]uint32](nv + width + nr)
+	ints := isolated[int](width + nr)
+	e := wcojExec{plan: wp, bufs: hdrs[:nv:nv], arrs: hdrs[nv : nv : nv+width], runs: hdrs[nv+width:],
+		curs: ints[:width:width], bcur: ints[width:], countAt: -1}
+	if count && nv > 1 && len(wp.vars[nv-1].self) == 0 {
+		e.countAt = nv - 1
+	}
+	return e
+}
+
+// enter starts a visit of level v: its candidates ascend from here on, so
+// each bind seeks forward from its cursor.
+func (e *wcojExec) enter(v *wcojVar) {
+	for _, b := range v.binds {
+		e.bcur[b.run] = 0
+	}
+}
+
+// bind resolves the runs keyed by x, v's next candidate; false when one of
+// them is absent, which drops x.
+func (e *wcojExec) bind(v *wcojVar, x uint32) bool {
+	for _, b := range v.binds {
+		keys := b.t.Keys
+		i := search.SeekGE(keys, x, e.bcur[b.run])
+		e.bcur[b.run] = i
+		if i == len(keys) || keys[i] != x {
+			return false
+		}
+		e.runs[b.run] = b.t.Run(i)
+	}
+	return true
 }
 
 // wcojRange enumerates a slice of the first variable's materialized domain
@@ -289,6 +348,7 @@ func newWCOJExec(wp *wcojPlan) wcojExec {
 // point for panic-containment tests.
 func (w *worker) wcojRange(dom []uint32) bool {
 	v0 := &w.wcoj.plan.vars[0]
+	w.wcoj.enter(v0)
 	for _, x := range dom {
 		if w.tick--; w.tick <= 0 && !w.slowTick() {
 			return false
@@ -296,7 +356,7 @@ func (w *worker) wcojRange(dom []uint32) bool {
 		if w.hooked && w.fault != nil {
 			w.fault()
 		}
-		if len(v0.self) != 0 && !w.wcojSelfOK(v0, x) {
+		if len(v0.self) != 0 && !w.wcojSelfOK(v0, x) || !w.wcoj.bind(v0, x) {
 			continue
 		}
 		w.binding[v0.slot] = x
@@ -309,34 +369,50 @@ func (w *worker) wcojRange(dom []uint32) bool {
 
 // wcojLevel binds variable d from the leapfrog intersection of its
 // constraint arrays under the current partial binding, and recurses; the
-// deepest level emits. Returns false when the worker must stop (LIMIT,
-// governance, stream cancel), exactly like the pipeline's step.
+// deepest level emits, or counts (countAt). Returns false when the worker
+// must stop (LIMIT, governance, stream cancel), exactly like the pipeline's
+// step.
 func (w *worker) wcojLevel(d int) bool {
-	vars := w.wcoj.plan.vars
+	e := &w.wcoj
+	vars := e.plan.vars
 	if d == len(vars) {
 		return w.emit()
 	}
 	v := &vars[d]
-	arrs := w.wcoj.arrs[:0]
+	arrs := e.arrs[:0]
 	for i := range v.srcs {
-		a := v.srcs[i].resolve(w.binding)
+		a := v.srcs[i].resolve(e.runs)
 		if len(a) == 0 {
 			return true // some constraint is empty: no candidates
 		}
 		arrs = append(arrs, a)
 	}
+	if d == e.countAt {
+		// The count is charged to the governor at the next tick, as emit's
+		// rows are; a LIMIT stops the worker as emit does.
+		if w.tick--; w.tick <= 0 && !w.slowTick() {
+			return false
+		}
+		if len(arrs) == 1 {
+			w.count += int64(len(arrs[0]))
+		} else {
+			w.count += int64(search.IntersectCount(e.curs, arrs...))
+		}
+		return w.limit == 0 || w.count < int64(w.limit)
+	}
 	var cands []uint32
 	if len(arrs) == 1 {
 		cands = arrs[0] // a table-owned array: stable across recursion
 	} else {
-		w.wcoj.bufs[d] = search.Intersect(w.wcoj.bufs[d][:0], w.wcoj.curs, arrs...)
-		cands = w.wcoj.bufs[d]
+		e.bufs[d] = search.Intersect(e.bufs[d][:0], e.curs, arrs...)
+		cands = e.bufs[d]
 	}
+	e.enter(v)
 	for _, x := range cands {
 		if w.tick--; w.tick <= 0 && !w.slowTick() {
 			return false
 		}
-		if len(v.self) != 0 && !w.wcojSelfOK(v, x) {
+		if len(v.self) != 0 && !w.wcojSelfOK(v, x) || !e.bind(v, x) {
 			continue
 		}
 		w.binding[v.slot] = x

@@ -154,6 +154,69 @@ func TestWCOJStream(t *testing.T) {
 	}
 }
 
+// wcojCountShapes are the shapes whose deepest level the silent executor
+// counts instead of enumerating, or (self-loop last) must not: a triangle
+// and a 4-cycle; self-loops alone and as the last variable of a cartesian
+// product; a constant key; a second connected component whose first
+// variable has only its binds' keys as sources; a path closed by a repeated
+// predicate.
+var wcojCountShapes = []string{
+	wcojTriangle,
+	wcojCycle4,
+	`SELECT ?x WHERE { ?x <e> ?x }`,
+	`SELECT * WHERE { ?a <e> ?b . ?x <e> ?x }`,
+	`SELECT ?b ?c WHERE { <n1> <e> ?b . ?b <e> ?c . ?c <e> <n1> }`,
+	`SELECT * WHERE { ?a <e> ?b . ?b <e> ?a . ?c <color> ?k . ?c <e> ?d }`,
+	`SELECT * WHERE { ?a <e> ?b . ?b <color> ?k . ?c <color> ?k . ?c <e> ?a }`,
+}
+
+// TestWCOJCountMatchesEnumerate holds the counted last level to the
+// enumerated one: a silent count equals the number of materialized rows,
+// which equals the pipeline's count, and a silent LIMIT k counts exactly
+// min(k, total) — across worker counts and morsel sizes. Beside the dense
+// graph sit uncolored sinks and sources, so a bind at every level meets
+// candidates that are not keys of its table.
+func TestWCOJCountMatchesEnumerate(t *testing.T) {
+	triples := denseCyclicFixture(t).triples
+	for i := 0; i < 60; i += 4 {
+		triples = append(triples,
+			rdf.Triple{S: fmt.Sprintf("<n%d>", i), P: "<e>", O: fmt.Sprintf("<sink%d>", i%5)},
+			rdf.Triple{S: fmt.Sprintf("<source%d>", i%3), P: "<e>", O: fmt.Sprintf("<n%d>", i)})
+	}
+	f := newFixture(t, triples)
+	exec := func(src string, opts Options) *Result {
+		t.Helper()
+		res, err := Execute(f.st, f.planFor(t, src), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return res
+	}
+	for _, src := range wcojCountShapes {
+		for _, threads := range []int{1, 4} {
+			for _, size := range []int{1, 7, DefaultMorselSize} {
+				opts := Options{Threads: threads, MorselSize: size, Join: JoinWCOJ}
+				rows := exec(src, opts)
+				opts.Silent = true
+				count := exec(src, opts).Count
+				opts.Join = JoinPipeline
+				pipe := exec(src, opts).Count
+				if count != int64(len(rows.Rows)) || count != pipe || count == 0 {
+					t.Fatalf("%s [w=%d m=%d]: silent count %d, %d materialized rows, pipeline count %d",
+						src, threads, size, count, len(rows.Rows), pipe)
+				}
+				opts.Join = JoinWCOJ
+				for _, k := range []int64{1, 7, count + 1} {
+					if got := exec(fmt.Sprintf("%s LIMIT %d", src, k), opts).Count; got != min(k, count) {
+						t.Errorf("%s LIMIT %d [w=%d m=%d]: silent count %d, want %d",
+							src, k, threads, size, got, min(k, count))
+					}
+				}
+			}
+		}
+	}
+}
+
 // wcojSpanSum is spanSum for the WCOJ decomposition: the exactly-once claim
 // budget of the first variable's domain under this (threads, size) cut.
 func (f *fixture) wcojSpanSum(t testing.TB, plan *optimizer.Plan, threads, size int) int64 {
@@ -169,7 +232,10 @@ func (f *fixture) wcojSpanSum(t testing.TB, plan *optimizer.Plan, threads, size 
 	return sum
 }
 
-const wcojTriangle = `SELECT * WHERE { ?a <e> ?b . ?b <e> ?c . ?c <e> ?a }`
+const (
+	wcojTriangle = `SELECT * WHERE { ?a <e> ?b . ?b <e> ?c . ?c <e> ?a }`
+	wcojCycle4   = `SELECT * WHERE { ?a <e> ?b . ?b <e> ?c . ?c <e> ?d . ?d <e> ?a }`
+)
 
 // TestWCOJCancellation cancels mid-query from inside the per-candidate
 // fault hook: the query must fail with a cancellation (not a panic), never
@@ -264,6 +330,14 @@ func TestWCOJGovernanceBudget(t *testing.T) {
 	if !errors.Is(err, governance.ErrBudgetExceeded) {
 		t.Fatalf("error %v, want ErrBudgetExceeded", err)
 	}
+	// A silent 4-cycle counts its last level: the count still reaches the
+	// governor, at the next tick or when the worker finishes.
+	_, err = Execute(f.st, f.planFor(t, wcojCycle4), Options{
+		Threads: 3, Join: JoinWCOJ, Silent: true, MaxResultRows: 1000,
+	})
+	if !errors.Is(err, governance.ErrBudgetExceeded) {
+		t.Fatalf("silent 4-cycle: error %v, want ErrBudgetExceeded", err)
+	}
 }
 
 // TestWCOJShardRangeSums verifies the cluster contract on the WCOJ
@@ -271,7 +345,7 @@ func TestWCOJGovernanceBudget(t *testing.T) {
 // full-range count for the same thread total.
 func TestWCOJShardRangeSums(t *testing.T) {
 	f := denseCyclicFixture(t)
-	for _, src := range []string{wcojTriangle, `SELECT ?x WHERE { ?x <e> ?x }`} {
+	for _, src := range []string{wcojTriangle, wcojCycle4, `SELECT ?x WHERE { ?x <e> ?x }`} {
 		plan := f.planFor(t, src)
 		full, err := Execute(f.st, plan, Options{Threads: 4, Join: JoinWCOJ, Silent: true})
 		if err != nil {

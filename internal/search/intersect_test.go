@@ -161,3 +161,90 @@ func TestIntersectAppends(t *testing.T) {
 		t.Fatalf("got %v, want [99 2]", got)
 	}
 }
+
+// FuzzIntersect checks Intersect against the map oracle, and IntersectCount
+// against len(Intersect), on lists cut from the fuzz input. The first byte
+// picks k = 1..4 and the next k bytes the list lengths: a length byte with
+// its high bit set is scaled by 32, so two lists land on either side of
+// mergeFactor. Values start at one input byte and step by the following
+// bytes mod 4, read cyclically; a zero step repeats a value.
+func FuzzIntersect(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 2, 0})
+	f.Add([]byte{1, 4, 4, 0, 1, 2, 3})
+	f.Add([]byte{1, 2, 0x82, 0, 1, 1, 2})
+	f.Add([]byte{2, 5, 0x90, 7, 3, 1, 0, 2, 1, 3})
+	f.Add([]byte{3, 9, 9, 0x81, 0x81, 1, 2, 0, 3, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0]%4)
+		data = data[1:]
+		if len(data) < k {
+			return
+		}
+		lens, steps := data[:k], data[k:]
+		pos := 0
+		next := func() uint32 {
+			if len(steps) == 0 {
+				return 1
+			}
+			b := steps[pos%len(steps)]
+			pos++
+			return uint32(b)
+		}
+		lists := make([][]uint32, k)
+		for i, lb := range lens {
+			n := int(lb & 0x7f)
+			if lb&0x80 != 0 {
+				n *= 32
+			}
+			v := next()
+			for range n {
+				lists[i] = append(lists[i], v)
+				v += next() % 4
+			}
+		}
+		want := naiveIntersect(lists...)
+		got := Intersect(nil, nil, lists...)
+		if len(got) != len(want) {
+			t.Fatalf("Intersect(%v): got %v, want %v", lists, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Intersect(%v): got %v, want %v", lists, got, want)
+			}
+		}
+		if n := IntersectCount(nil, lists...); n != len(got) {
+			t.Fatalf("IntersectCount(%v) = %d, want %d", lists, n, len(got))
+		}
+	})
+}
+
+// BenchmarkIntersect2 times the two-list kernel on the two shapes it picks
+// between: lists of equal length (merged) and a 1 : 1000 length ratio
+// (the short list galloped through the long one).
+func BenchmarkIntersect2(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name        string
+		short, long int
+		universe    int
+	}{
+		{"equal", 4096, 4096, 16384},
+		{"1:1000", 64, 64000, 256000},
+	} {
+		short, long := randSorted(rng, c.short, c.universe), randSorted(rng, c.long, c.universe)
+		var dst []uint32
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				dst = Intersect(dst[:0], nil, short, long)
+			}
+		})
+		b.Run(c.name+"/count", func(b *testing.B) {
+			for range b.N {
+				_ = IntersectCount(nil, short, long)
+			}
+		})
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"parj/internal/dict"
@@ -79,8 +78,7 @@ func (t *Table) NumTriples() int { return len(t.Vals) }
 
 // LookupKey locates id in Keys with plain binary search (no cursor state).
 func (t *Table) LookupKey(id uint32) (int, bool) {
-	i := sort.Search(len(t.Keys), func(i int) bool { return t.Keys[i] >= id })
-	return i, i < len(t.Keys) && t.Keys[i] == id
+	return slices.BinarySearch(t.Keys, id)
 }
 
 // Store is the complete in-memory database: dictionaries plus both replicas
