@@ -64,45 +64,15 @@ func parseAll(b *testing.B, qs []bench.NamedQuery) []*sparql.Query {
 	return out
 }
 
-func lubmNamed() []bench.NamedQuery {
-	var out []bench.NamedQuery
-	for _, q := range lubm.Queries() {
-		out = append(out, bench.NamedQuery{Name: q.Name, Group: "LUBM", SPARQL: q.SPARQL})
-	}
-	return out
-}
-
-func watdivNamed(qs []watdiv.Query) []bench.NamedQuery {
-	var out []bench.NamedQuery
-	for _, q := range qs {
-		out = append(out, bench.NamedQuery{Name: q.Name, Group: q.Group, SPARQL: q.SPARQL})
-	}
-	return out
-}
-
-// runWorkload executes every query once on the engine.
-func runWorkload(b *testing.B, e bench.Engine, queries []*sparql.Query) {
+// runWorkload executes every query once on the engine and returns the
+// engine-reported elapsed milliseconds summed, which for multi-thread PARJ
+// on an under-provisioned host is the simulated parallel time (max over
+// shards) rather than serial wall clock.
+func runWorkload(b *testing.B, e bench.Engine, queries []*sparql.Query) float64 {
 	b.Helper()
-	for _, q := range queries {
-		if _, err := e.Count(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// runWorkloadTimed additionally sums the engine-reported elapsed time,
-// which for multi-thread PARJ on an under-provisioned host is the
-// simulated parallel time (max over shards) rather than serial wall clock.
-func runWorkloadTimed(b *testing.B, e bench.Engine, queries []*sparql.Query) float64 {
-	b.Helper()
-	te, ok := e.(bench.TimedEngine)
-	if !ok {
-		runWorkload(b, e, queries)
-		return 0
-	}
 	total := 0.0
 	for _, q := range queries {
-		_, elapsed, err := te.CountTimed(q)
+		_, elapsed, err := e.Count(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +99,7 @@ func benchEngines(b *testing.B, engines []bench.Engine, queries []*sparql.Query)
 // BenchmarkTable2 is the LUBM engine comparison (paper Table 2).
 func BenchmarkTable2(b *testing.B) {
 	d := lubmDataset()
-	queries := parseAll(b, lubmNamed())
+	queries := parseAll(b, bench.LUBMQueries())
 	benchEngines(b, []bench.Engine{
 		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
@@ -143,7 +113,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 is the WatDiv basic workload comparison (paper Table 3).
 func BenchmarkTable3(b *testing.B) {
 	d := watdivDataset()
-	queries := parseAll(b, watdivNamed(watdiv.BasicQueries()))
+	queries := parseAll(b, bench.WatDivQueries(watdiv.BasicQueries()))
 	benchEngines(b, []bench.Engine{
 		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
 		d.HashJoin(),
@@ -158,7 +128,7 @@ func BenchmarkTable3(b *testing.B) {
 // The unbounded IL-3 family explodes with scale, so this stays small.
 func BenchmarkTable4(b *testing.B) {
 	d := watdivDataset()
-	qs := append(watdivNamed(watdiv.ILQueries()), watdivNamed(watdiv.MLQueries())...)
+	qs := append(bench.WatDivQueries(watdiv.ILQueries()), bench.WatDivQueries(watdiv.MLQueries())...)
 	queries := parseAll(b, qs)
 	benchEngines(b, []bench.Engine{
 		d.PARJ("PARJ-1", core.Options{Threads: 1, Strategy: core.AdaptiveIndex}),
@@ -174,7 +144,7 @@ func BenchmarkTable4(b *testing.B) {
 // workload single-threaded under each strategy.
 func BenchmarkTable5(b *testing.B) {
 	d := lubmDataset()
-	queries := parseAll(b, lubmNamed())
+	queries := parseAll(b, bench.LUBMQueries())
 	benchEngines(b, []bench.Engine{
 		d.PARJ("Binary", core.Options{Threads: 1, Strategy: core.BinaryOnly}),
 		d.PARJ("AdBinary", core.Options{Threads: 1, Strategy: core.AdaptiveBinary}),
@@ -189,7 +159,7 @@ func BenchmarkTable6(b *testing.B) {
 	d := lubmDataset()
 	st, ss := d.Store()
 	var plans []*optimizer.Plan
-	for _, nq := range lubmNamed() {
+	for _, nq := range bench.LUBMQueries() {
 		q, err := sparql.Parse(nq.SPARQL)
 		if err != nil {
 			b.Fatal(err)
@@ -222,14 +192,7 @@ func BenchmarkTable6(b *testing.B) {
 // BenchmarkFig2 is the thread-scalability sweep (paper Figure 2).
 func BenchmarkFig2(b *testing.B) {
 	d := lubmDataset()
-	var qs []bench.NamedQuery
-	for _, q := range lubm.Queries() {
-		if q.Name == "L4" || q.Name == "L5" || q.Name == "L6" {
-			continue
-		}
-		qs = append(qs, bench.NamedQuery{Name: q.Name, Group: "LUBM", SPARQL: q.SPARQL})
-	}
-	queries := parseAll(b, qs)
+	queries := parseAll(b, bench.LUBMScalingQueries())
 	for _, threads := range []int{1, 2, 4, 8, 16} {
 		threads := threads
 		e := d.PARJ(fmt.Sprintf("threads-%d", threads), core.Options{Threads: threads, Strategy: core.AdaptiveIndex})
@@ -238,7 +201,7 @@ func BenchmarkFig2(b *testing.B) {
 			b.ResetTimer()
 			var simMS float64
 			for i := 0; i < b.N; i++ {
-				simMS = runWorkloadTimed(b, e, queries)
+				simMS = runWorkload(b, e, queries)
 			}
 			if simMS > 0 {
 				// Simulated parallel elapsed per workload pass; on hosts
@@ -256,12 +219,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkThreadScaling(b *testing.B) {
 	d := bench.NewDataset(lubm.Triples(32, lubm.Config{}), 0)
 	st, ss := d.Store()
-	var named []bench.NamedQuery
-	for _, nq := range lubmNamed() {
-		if nq.Name != "L4" && nq.Name != "L5" && nq.Name != "L6" {
-			named = append(named, nq)
-		}
-	}
+	named := bench.LUBMScalingQueries()
 	queries := parseAll(b, named)
 	for threads := 1; threads <= runtime.NumCPU(); threads *= 2 {
 		opts := core.Options{Threads: threads, Silent: true}
@@ -284,14 +242,7 @@ func BenchmarkThreadScaling(b *testing.B) {
 
 // BenchmarkFig3 is the dataset-size sweep (paper Figure 3).
 func BenchmarkFig3(b *testing.B) {
-	var qs []bench.NamedQuery
-	for _, q := range lubm.Queries() {
-		if q.Name == "L4" || q.Name == "L5" || q.Name == "L6" {
-			continue
-		}
-		qs = append(qs, bench.NamedQuery{Name: q.Name, Group: "LUBM", SPARQL: q.SPARQL})
-	}
-	queries := parseAll(b, qs)
+	queries := parseAll(b, bench.LUBMScalingQueries())
 	for _, scale := range []int{1, 2, 4, 8} {
 		scale := scale
 		b.Run(fmt.Sprintf("scale-%d", scale), func(b *testing.B) {
@@ -301,7 +252,7 @@ func BenchmarkFig3(b *testing.B) {
 			b.ResetTimer()
 			var simMS float64
 			for i := 0; i < b.N; i++ {
-				simMS = runWorkloadTimed(b, e, queries)
+				simMS = runWorkload(b, e, queries)
 			}
 			if simMS > 0 {
 				b.ReportMetric(simMS, "parallel-ms/op")

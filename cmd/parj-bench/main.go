@@ -5,18 +5,22 @@
 //
 //	parj-bench -exp table2                 # LUBM engine comparison
 //	parj-bench -exp table3 -watdiv-scale 20
-//	parj-bench -exp table5 -repeats 10
+//	parj-bench -exp table5 -blocks 10
 //	parj-bench -exp all -lubm-scale 32    # everything, smaller LUBM
 //	parj-bench -exp table5 -json -out docs/results   # machine-readable medians
 //
-// Experiments: table2, table3, table4, table5, table6, fig2, fig3, skew,
-// cyclic. Scales default to laptop-friendly sizes; the paper's own scales
-// (LUBM 10240, WatDiv 1000) need a large-memory server, exactly as in the
-// paper.
+// Experiments: table2, table3, table4, table5, table6, fig2, fig3, results,
+// skew, cyclic. Scales default to laptop-friendly sizes; the paper's own
+// scales (LUBM 10240, WatDiv 1000) need a large-memory server, exactly as
+// in the paper.
 //
-// With -json, the experiment (table5, skew or cyclic) is measured over
-// interleaved A/B blocks and written as BENCH_<name>.json into -out; CI
-// diffs these files across commits (see internal/bench/json.go).
+// Every timed experiment is measured once, over interleaved blocks, and
+// printed as a text table or, with -json, written as BENCH_<name>.json into
+// -out; CI diffs these files across commits (see internal/bench/json.go).
+// A report with a failed cell or a count disagreement is not written, and
+// the command exits non-zero. "-exp all -json" writes table5, skew, cyclic
+// and slo (open-loop admission under overload, a report only); table6
+// (simulated cache counts) is a table only.
 package main
 
 import (
@@ -36,13 +40,12 @@ func main() {
 		lubmScale   = flag.Int("lubm-scale", 64, "LUBM universities")
 		watdivScale = flag.Int("watdiv-scale", 10, "WatDiv scale units")
 		threads     = flag.Int("threads", 0, "multi-thread worker count (0 = 16, simulated if the host has fewer cores)")
-		repeats     = flag.Int("repeats", 3, "timed runs per query")
+		blocks      = flag.Int("blocks", 5, "interleaved measurement blocks per query")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-query timeout")
 		quiet       = flag.Bool("quiet", false, "suppress per-measurement progress on stderr")
 		format      = flag.String("format", "table", "output format: table or csv")
 		jsonMode    = flag.Bool("json", false, "write machine-readable BENCH_<name>.json reports instead of tables")
 		outDir      = flag.String("out", ".", "directory for -json reports")
-		blocks      = flag.Int("blocks", 5, "interleaved measurement blocks per query in -json mode")
 	)
 	flag.Parse()
 	if *exp == "" {
@@ -54,7 +57,7 @@ func main() {
 		LUBMScale:   *lubmScale,
 		WatDivScale: *watdivScale,
 		Threads:     *threads,
-		Repeats:     *repeats,
+		Blocks:      *blocks,
 		Timeout:     *timeout,
 	}
 	if !*quiet {
@@ -69,36 +72,40 @@ func main() {
 			names = bench.JSONExperiments()
 		}
 	}
-	if *jsonMode {
-		for _, name := range names {
-			start := time.Now()
-			rep, err := bench.RunJSONExperiment(name, cfg, *blocks)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "parj-bench:", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*outDir, "BENCH_"+name+".json")
-			if err := rep.WriteFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, "parj-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "[%s written to %s in %v]\n", name, path, time.Since(start).Round(time.Second))
-		}
-		return
-	}
 	for _, name := range names {
 		start := time.Now()
-		tab, err := bench.Run(name, cfg)
+		done, err := run(name, cfg, *jsonMode, *format, *outDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "parj-bench:", err)
 			os.Exit(1)
 		}
-		if *format == "csv" {
-			fmt.Print(tab.CSV())
-			fmt.Println()
-		} else {
-			fmt.Println(tab.String())
-		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Second))
+		fmt.Fprintf(os.Stderr, "[%s %s in %v]\n", name, done, time.Since(start).Round(time.Second))
 	}
+}
+
+// run measures one experiment, then prints its table or, in JSON mode,
+// writes its report into outDir as BENCH_<name>.json unless the report
+// holds a failed cell or a count disagreement.
+func run(name string, cfg bench.ExpConfig, jsonMode bool, format, outDir string) (string, error) {
+	rep, err := bench.Run(name, cfg)
+	if err != nil {
+		return "", err
+	}
+	if jsonMode {
+		if err := rep.Err(); err != nil {
+			return "", err
+		}
+		path := filepath.Join(outDir, "BENCH_"+rep.Name+".json")
+		return "written to " + path, rep.WriteFile(path)
+	}
+	tab := rep.Table()
+	if tab == nil {
+		return "", fmt.Errorf("%s has no text table; write its report with -json", name)
+	}
+	if format == "csv" {
+		fmt.Println(tab.CSV())
+	} else {
+		fmt.Println(tab.String())
+	}
+	return "completed", nil
 }

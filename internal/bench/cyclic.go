@@ -115,13 +115,23 @@ func CyclicEngines(d *Dataset) []Engine {
 }
 
 // Cyclic runs the join-operator experiment: triangle and 4-cycle on the
-// dense Zipf graph, WCOJ vs pipeline at 8 workers.
-func Cyclic(cfg ExpConfig) *Table {
+// dense Zipf graph, WCOJ vs pipeline at 8 workers, with the WCOJ speedup
+// noted per query.
+func Cyclic(cfg ExpConfig) *Report {
 	cfg.fill()
 	cc := CyclicConfig{}
 	cc.fill()
 	d := NewDataset(CyclicTriples(cc), cfg.Threads)
 	title := fmt.Sprintf("Cyclic joins: Zipf(s=%.1f) dense graph, %d nodes × %d edges, %d workers, times in ms",
 		cc.S, cc.Nodes, cc.Edges, CyclicWorkers)
-	return RunMatrix(title, CyclicQueries(), CyclicEngines(d), cfg.run())
+	rep := timeGrid("cyclic", title, CyclicQueries(), CyclicEngines(d), false, cfg)
+	rep.Params = map[string]string{
+		"nodes":       fmt.Sprint(cc.Nodes),
+		"edges":       fmt.Sprint(cc.Edges),
+		"zipf_s":      fmt.Sprint(cc.S),
+		"workers":     fmt.Sprint(CyclicWorkers),
+		"morsel_size": fmt.Sprint(cyclicMorselSize),
+	}
+	rep.noteSpeedups("Pipe-8", "WCOJ-8")
+	return rep
 }

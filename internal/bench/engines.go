@@ -63,7 +63,26 @@ func (d *Dataset) PARJ(name string, opts core.Options) Engine {
 	if opts.Threads > runtime.NumCPU() {
 		opts.MeasureShards = true
 	}
-	return &parjEngine{name: name, st: st, stats: ss, opts: opts}
+	// The elapsed time includes query optimization, as the paper's does.
+	// Under simulation (opts.MeasureShards) the morsel execution portion is
+	// replaced by its simulated parallel makespan; planning and result
+	// merging stay serial.
+	return engine{name, func(q *sparql.Query) (int64, time.Duration, error) {
+		start := time.Now()
+		plan, err := optimizer.Optimize(q, st, ss)
+		if err != nil {
+			return 0, 0, err
+		}
+		res, err := core.Execute(st, plan, opts)
+		if err != nil {
+			return 0, 0, err
+		}
+		wall := time.Since(start)
+		if opts.MeasureShards {
+			wall = max(wall-(res.SumShardTime()-res.MaxShardTime()), 0)
+		}
+		return res.Count, wall, nil
+	}}
 }
 
 // loadHashJoin loads the RDFox-like baseline on first use.
@@ -105,89 +124,32 @@ func (d *Dataset) loadTriAD(buckets int) *triad.Engine {
 
 // HashJoin returns the RDFox-like single-threaded baseline.
 func (d *Dataset) HashJoin() Engine {
-	return namedEngine{"HashJoin-1", d.loadHashJoin().Count}
+	return wallClock("HashJoin-1", d.loadHashJoin().Count)
 }
 
 // RDF3X returns the RDF-3X-like single-threaded baseline.
 func (d *Dataset) RDF3X() Engine {
-	return namedEngine{"BTree6-1", d.loadRDF3X().Count}
+	return wallClock("BTree6-1", d.loadRDF3X().Count)
 }
 
 // TriAD returns the TriAD-like distributed baseline; buckets > 0 selects
 // the summary-graph (SG) mode. When the engine simulates parallel phases
-// it reports the simulated parallel elapsed time (each barrier phase costs
-// its slowest worker).
+// it reports the simulated parallel elapsed time: wall clock minus the
+// per-phase worker time a real cluster would overlap away (each barrier
+// phase costs its slowest worker; nothing when the workers run in
+// parallel).
 func (d *Dataset) TriAD(buckets int) Engine {
 	name := "MsgJoin"
 	if buckets > 0 {
 		name = "MsgJoin-SG"
 	}
-	return &triadEngine{name: name, e: d.loadTriAD(buckets)}
+	e := d.loadTriAD(buckets)
+	return engine{name, func(q *sparql.Query) (int64, time.Duration, error) {
+		start := time.Now()
+		n, err := e.Count(q)
+		return n, max(time.Since(start)-e.SerialExcess(), 0), err
+	}}
 }
-
-type triadEngine struct {
-	name string
-	e    *triad.Engine
-}
-
-func (t *triadEngine) Name() string { return t.name }
-
-func (t *triadEngine) Count(q *sparql.Query) (int64, error) { return t.e.Count(q) }
-
-// CountTimed reports the simulated parallel elapsed time: wall clock minus
-// the per-phase worker time a real cluster would overlap away (none when the
-// engine runs its workers in parallel).
-func (t *triadEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) {
-	start := time.Now()
-	n, err := t.e.Count(q)
-	return n, max(time.Since(start)-t.e.SerialExcess(), 0), err
-}
-
-type parjEngine struct {
-	name  string
-	st    *store.Store
-	stats *stats.Stats
-	opts  core.Options
-}
-
-func (e *parjEngine) Name() string { return e.name }
-
-func (e *parjEngine) Count(q *sparql.Query) (int64, error) {
-	n, _, err := e.CountTimed(q)
-	return n, err
-}
-
-// CountTimed includes query optimization in the elapsed time, as the paper
-// does. Under simulation (opts.MeasureShards) the morsel execution portion
-// is replaced by its simulated parallel makespan; planning and result
-// merging stay serial.
-func (e *parjEngine) CountTimed(q *sparql.Query) (int64, time.Duration, error) {
-	start := time.Now()
-	plan, err := optimizer.Optimize(q, e.st, e.stats)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := core.Execute(e.st, plan, e.opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	wall := time.Since(start)
-	if e.opts.MeasureShards {
-		wall -= res.SumShardTime() - res.MaxShardTime()
-		if wall < 0 {
-			wall = 0
-		}
-	}
-	return res.Count, wall, nil
-}
-
-type namedEngine struct {
-	name string
-	fn   func(q *sparql.Query) (int64, error)
-}
-
-func (e namedEngine) Name() string                         { return e.name }
-func (e namedEngine) Count(q *sparql.Query) (int64, error) { return e.fn(q) }
 
 // RowEngine is an engine that materializes decoded result rows, the form
 // differential tests diff against the reference oracle. Timing harnesses

@@ -78,7 +78,10 @@ func TestReportRoundTrip(t *testing.T) {
 // A modest 1.2x bound keeps the test robust on noisy CI machines; the
 // committed BENCH_skew.json documents the real margin.
 func TestJSONSkewReport(t *testing.T) {
-	rep, err := RunJSONExperiment("skew", ExpConfig{Timeout: 2 * time.Minute}, 3)
+	rep, err := Run("skew", ExpConfig{Blocks: 3, Timeout: 2 * time.Minute})
+	if err == nil {
+		err = rep.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,10 @@ func TestJSONSkewReport(t *testing.T) {
 // (>= 5x); the in-test bound is a modest 1.5x so noisy CI machines don't
 // flake, while still catching an operator that lost its asymptotic edge.
 func TestJSONCyclicReport(t *testing.T) {
-	rep, err := RunJSONExperiment("cyclic", ExpConfig{Timeout: 2 * time.Minute}, 3)
+	rep, err := Run("cyclic", ExpConfig{Blocks: 3, Timeout: 2 * time.Minute})
+	if err == nil {
+		err = rep.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +152,14 @@ func TestBenchRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ExpConfig{Timeout: 5 * time.Minute}
+	cfg := ExpConfig{Blocks: base.Blocks, Timeout: 5 * time.Minute}
 	if s, err := strconv.Atoi(base.Params["lubm_scale"]); err == nil {
 		cfg.LUBMScale = s
 	}
-	cur, err := RunJSONExperiment(base.Name, cfg, base.Blocks)
+	cur, err := Run(base.Name, cfg)
+	if err == nil {
+		err = cur.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

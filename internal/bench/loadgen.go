@@ -153,7 +153,7 @@ func percentileDur(sorted []time.Duration, p int) time.Duration {
 // sloSlots is the executing-query cap both admission configurations start
 // from. Deliberately small: the experiment measures the admission path
 // under saturation, not join throughput, and a modest capacity keeps the
-// 4x storm rate cheap to generate on any host. jsonSLO lowers it further
+// 4x storm rate cheap to generate on any host. SLO lowers it further
 // when the probe query is so fast that 4x sustainable would outrun the
 // arrival scheduler.
 const sloSlots = 4
@@ -166,14 +166,15 @@ const sloMaxRate = 1500
 // sloWindow is the offered-load window per measurement block.
 const sloWindow = 1500 * time.Millisecond
 
-// jsonSLO A/Bs two admission targets at a storm arrival rate on one LUBM
+// SLO A/Bs two admission targets at a storm arrival rate on one LUBM
 // store: "noshed" queues every arrival until its deadline binds (the
 // classic collapse mode — admitted queries carry the full queue delay in
 // their latency), "shed" lets the controller refuse excess arrivals early
 // with a typed error. Blocks interleave the two
 // configurations so machine drift hits both alike, as everywhere else in
 // this package.
-func jsonSLO(cfg ExpConfig, blocks int) (*Report, error) {
+func SLO(cfg ExpConfig) (*Report, error) {
+	cfg.fill()
 	// A quarter of the table experiments' scale: capacity is capped by
 	// sloSlots anyway, and a smaller store keeps the serial calibration
 	// and the build itself in seconds.
@@ -253,7 +254,7 @@ func jsonSLO(cfg ExpConfig, blocks int) (*Report, error) {
 	}
 
 	samples := map[string][]float64{}
-	for blk := 0; blk < blocks; blk++ {
+	for blk := 0; blk < cfg.Blocks; blk++ {
 		for _, c := range configs {
 			db.SetDBOptions(c.opts)
 			r := RunLoadgen(lg, do)
@@ -261,11 +262,9 @@ func jsonSLO(cfg ExpConfig, blocks int) (*Report, error) {
 			samples["p99_ms/"+c.name] = append(samples["p99_ms/"+c.name], float64(r.P99.Microseconds())/1000)
 			samples["goodput_qps/"+c.name] = append(samples["goodput_qps/"+c.name], r.GoodputQPS)
 			samples["shed_rate/"+c.name] = append(samples["shed_rate/"+c.name], r.ShedRate)
-			if cfg.Progress != nil {
-				cfg.Progress("block %d %-6s offered %4d ok %4d shed %4d expired %4d err %d  p50 %6.1fms p99 %6.1fms goodput %6.1f qps",
-					blk, c.name, r.Offered, r.OK, r.Shed, r.Expired, r.Errors,
-					float64(r.P50.Microseconds())/1000, float64(r.P99.Microseconds())/1000, r.GoodputQPS)
-			}
+			cfg.progress("block %d %-6s offered %4d ok %4d shed %4d expired %4d err %d  p50 %6.1fms p99 %6.1fms goodput %6.1f qps",
+				blk, c.name, r.Offered, r.OK, r.Shed, r.Expired, r.Errors,
+				float64(r.P50.Microseconds())/1000, float64(r.P99.Microseconds())/1000, r.GoodputQPS)
 			if r.Errors > 0 {
 				return nil, fmt.Errorf("bench: slo: %d untyped errors under %s config — overload must degrade into typed errors", r.Errors, c.name)
 			}
@@ -274,7 +273,7 @@ func jsonSLO(cfg ExpConfig, blocks int) (*Report, error) {
 
 	rep := &Report{
 		Name:   "slo",
-		Blocks: blocks,
+		Blocks: cfg.Blocks,
 		Params: map[string]string{
 			// The knob a replay passes back in (TestBenchRegression), not
 			// the quarter of it the store is built at.
@@ -365,8 +364,6 @@ func sloProbe(db *parj.Store, cfg ExpConfig) (*sloProbeInfo, error) {
 	if p.serial <= 0 {
 		p.serial = 100 * time.Microsecond
 	}
-	if cfg.Progress != nil {
-		cfg.Progress("slo probe %s: serial %.2fms, %d rows", p.name, p.serial.Seconds()*1000, p.count)
-	}
+	cfg.progress("slo probe %s: serial %.2fms, %d rows", p.name, p.serial.Seconds()*1000, p.count)
 	return p, nil
 }

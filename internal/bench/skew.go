@@ -211,13 +211,23 @@ func SkewEngines(d *Dataset) []Engine {
 }
 
 // Skew runs the scheduling experiment: the skewed joins under static
-// sharding vs the morsel scheduler at 8 workers.
-func Skew(cfg ExpConfig) *Table {
+// sharding vs the morsel scheduler at 8 workers, with the morsel speedup
+// noted per query.
+func Skew(cfg ExpConfig) *Report {
 	cfg.fill()
 	sc := SkewConfig{}
 	sc.fill()
 	d := NewDataset(SkewTriples(sc), cfg.Threads)
 	title := fmt.Sprintf("Skewed scheduling: Zipf(s=%.1f) outer, %d users × %d pages (%d triples), %d workers, times in ms",
 		sc.S, sc.Users, sc.Pages, len(d.Triples), SkewWorkers)
-	return RunMatrix(title, SkewQueries(), SkewEngines(d), cfg.run())
+	rep := timeGrid("skew", title, SkewQueries(), SkewEngines(d), false, cfg)
+	rep.Params = map[string]string{
+		"users":       fmt.Sprint(sc.Users),
+		"pages":       fmt.Sprint(sc.Pages),
+		"zipf_s":      fmt.Sprint(sc.S),
+		"workers":     fmt.Sprint(SkewWorkers),
+		"morsel_size": fmt.Sprint(skewMorselSize),
+	}
+	rep.noteSpeedups("Static-8", "Morsel-8")
+	return rep
 }

@@ -82,7 +82,7 @@ func TestSkewEnginesAgree(t *testing.T) {
 		}
 		var counts []int64
 		for _, e := range SkewEngines(d) {
-			n, err := e.Count(parsed)
+			n, _, err := e.Count(parsed)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", q.Name, e.Name(), err)
 			}

@@ -20,6 +20,7 @@ package difftest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,17 +49,13 @@ var strategies = []core.Strategy{
 
 // WorkerCounts returns the worker-count axis of the matrix: 1, 2 and
 // NumCPU, deduplicated (on a dual-core host that is {1, 2}).
-func WorkerCounts() []int {
-	counts := []int{1, 2, runtime.NumCPU()}
+func WorkerCounts() []int { return distinct(1, 2, runtime.NumCPU()) }
+
+// distinct returns counts without repeats, in first-seen order.
+func distinct(counts ...int) []int {
 	var out []int
 	for _, c := range counts {
-		dup := false
-		for _, o := range out {
-			if o == c {
-				dup = true
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -111,22 +108,7 @@ var joinAlgos = []core.JoinAlgo{core.JoinWCOJ, core.JoinPipeline, core.JoinAuto}
 // WCOJWorkerCounts is the worker axis of the WCOJ matrix: single-worker
 // (pure leapfrog, no scheduler), an odd count that never divides the outer
 // domain evenly, and full parallelism — deduplicated like WorkerCounts.
-func WCOJWorkerCounts() []int {
-	counts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	var out []int
-	for _, c := range counts {
-		dup := false
-		for _, o := range out {
-			if o == c {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+func WCOJWorkerCounts() []int { return distinct(1, 3, runtime.GOMAXPROCS(0)) }
 
 // WCOJConfigs returns the join-operator differential matrix: PARJ with the
 // join operator forced to WCOJ, to the pipeline, and left on auto, at each

@@ -94,7 +94,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 
 	// COUNT agreement: the silent path must count what the materializing
 	// path returns. Same strategy and worker count as eng.
-	if n, err := benchDS.PARJ("meta-count", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}).Count(parsed); err != nil {
+	if n, _, err := benchDS.PARJ("meta-count", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}).Count(parsed); err != nil {
 		fail("meta-count", "error: "+err.Error())
 	} else if n != int64(len(base)) {
 		fail("meta-count", fmt.Sprintf("silent COUNT %d vs %d materialized rows", n, len(base)))
