@@ -1,6 +1,7 @@
 // Command parj-fuzz soaks the differential harness: random datasets ×
-// random BGP queries × every engine configuration, diffed against the
-// naive oracle, indefinitely or for a fixed number of trials.
+// random BGP queries × every engine configuration, plus write schedules on
+// every writable configuration, diffed against the naive oracle,
+// indefinitely or for a fixed number of trials.
 //
 // Usage:
 //
@@ -38,7 +39,7 @@ func main() {
 	}
 
 	start := time.Now()
-	var pairs, runs, skipped int
+	var pairs, checkpoints, runs, skipped int
 	for batch := 0; *trials == 0 || batch < *trials; batch++ {
 		cfg := difftest.Config{
 			// Batches must not overlap: Run derives every dataset seed
@@ -56,6 +57,7 @@ func main() {
 		}
 		rep := difftest.Run(cfg)
 		pairs += rep.Pairs
+		checkpoints += rep.Checkpoints
 		runs += rep.EngineRuns
 		skipped += rep.Skipped
 
@@ -67,12 +69,12 @@ func main() {
 					fmt.Printf("\n%s\n", f.Repro)
 				}
 			}
-			fmt.Printf("after %d pairs, %d engine runs in %s\n",
-				pairs, runs, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("after %d pairs, %d write checkpoints, %d engine runs in %s\n",
+				pairs, checkpoints, runs, time.Since(start).Round(time.Millisecond))
 			os.Exit(1)
 		}
-		fmt.Printf("batch %d ok (seed %d): %d pairs, %d engine runs, %d skipped — %d pairs total in %s\n",
-			batch+1, cfg.Seed, rep.Pairs, rep.EngineRuns, rep.Skipped,
+		fmt.Printf("batch %d ok (seed %d): %d pairs, %d write checkpoints, %d engine runs, %d skipped — %d pairs total in %s\n",
+			batch+1, cfg.Seed, rep.Pairs, rep.Checkpoints, rep.EngineRuns, rep.Skipped,
 			pairs, time.Since(start).Round(time.Millisecond))
 	}
 }

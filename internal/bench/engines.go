@@ -150,68 +150,3 @@ func (d *Dataset) TriAD(buckets int) Engine {
 		return n, max(time.Since(start)-e.SerialExcess(), 0), err
 	}}
 }
-
-// RowEngine is an engine that materializes decoded result rows, the form
-// differential tests diff against the reference oracle. Timing harnesses
-// use Engine (silent counts); correctness harnesses use RowEngine.
-type RowEngine interface {
-	Name() string
-	Evaluate(q *sparql.Query) ([][]string, error)
-}
-
-type rowEngine struct {
-	name string
-	fn   func(q *sparql.Query) ([][]string, error)
-}
-
-func (e rowEngine) Name() string                                 { return e.name }
-func (e rowEngine) Evaluate(q *sparql.Query) ([][]string, error) { return e.fn(q) }
-
-// PARJRows returns a row-materializing PARJ engine running with opts — the
-// engine the differential matrix builds for every point of its strategy ×
-// workers × morsel size × join operator axes. x, when non-nil, plans with
-// hierarchy expansion (RDFS entailment); pass nil for plain BGP semantics.
-func (d *Dataset) PARJRows(name string, opts core.Options, x optimizer.Expander) RowEngine {
-	st, ss := d.Store()
-	return rowEngine{name, func(q *sparql.Query) ([][]string, error) {
-		plan, err := optimizer.OptimizeExpanded(q, st, ss, x)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Execute(st, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.StringRows(st), nil
-	}}
-}
-
-// HashJoinRows returns the row-materializing form of the RDFox-like
-// baseline.
-func (d *Dataset) HashJoinRows() RowEngine {
-	return rowEngine{"hashjoin", d.loadHashJoin().Evaluate}
-}
-
-// RDF3XRows returns the row-materializing form of the RDF-3X-like baseline.
-func (d *Dataset) RDF3XRows() RowEngine {
-	return rowEngine{"rdf3x", d.loadRDF3X().Evaluate}
-}
-
-// BTreeRows returns an RDF-3X-like baseline over deliberately tiny B+ tree
-// pages, so that every scan and sideways skip crosses many page boundaries
-// — the configuration that stresses the btree cursor logic itself rather
-// than the join order.
-func (d *Dataset) BTreeRows(pageSize int) RowEngine {
-	e := rdf3x.LoadWithPageSize(d.Triples, pageSize)
-	return rowEngine{"btree", e.Evaluate}
-}
-
-// TriADRows returns the row-materializing form of the TriAD-like baseline;
-// buckets > 0 selects summary-graph pruning, as in TriAD.
-func (d *Dataset) TriADRows(buckets int) RowEngine {
-	name := "triad"
-	if buckets > 0 {
-		name = "triad-sg"
-	}
-	return rowEngine{name, d.loadTriAD(buckets).Evaluate}
-}

@@ -1,16 +1,22 @@
 // Package difftest is a deterministic differential-testing harness for
-// every query engine in this repository. It generates seeded random
-// datasets with adversarial shapes and seeded random Basic Graph Patterns,
-// evaluates each (dataset, query) pair on the naive reference oracle and on
-// the full engine matrix — PARJ under all four probe strategies at several
-// worker counts, plus the hashjoin, rdf3x, btree and triad baselines — and
-// diffs the result multisets. Failing pairs are greedily shrunk to a small
-// repro printed as a ready-to-paste Go test.
+// every query engine in this repository. Every trial is one kind of Case:
+// a base triple set plus an op schedule of write batches, reconciliations
+// and queries. A read case is a generated dataset whose ops are all
+// queries; a write case loads half a dataset and interleaves churn with
+// query checkpoints. The harness replays each case on one mutable oracle
+// (a plain triple set evaluated by the naive reference engine) and on the
+// engine matrix — PARJ under all four probe strategies, several worker
+// counts and all three join operators, the loopback cluster, and, on
+// write-free cases, the hashjoin, rdf3x, btree and triad baselines — and
+// diffs every query's result multiset. A failing case is shrunk (ddmin over
+// ops and base, structural simplification of its queries) to a small repro
+// printed as a ready-to-paste Go test.
 //
 // Alongside the oracle diff, the harness applies metamorphic checks that
-// need no oracle at all: pattern-order permutation invariance, DISTINCT
-// idempotence, COUNT vs materialized-row agreement, and snapshot save/load
-// round-trip equivalence.
+// need no oracle at all to every plain read query: pattern-order
+// permutation invariance, DISTINCT idempotence, COUNT vs materialized-row
+// agreement, join-operator equivalence, governance transparency and
+// snapshot save/load round-trip equivalence.
 //
 // Entry points: the go test files in this package (seed-matrix smoke in
 // short mode, a large matrix behind -long), and cmd/parj-fuzz for
@@ -24,22 +30,37 @@ import (
 	"strconv"
 	"strings"
 
-	"parj/internal/bench"
+	"parj/internal/baseline/hashjoin"
+	"parj/internal/baseline/rdf3x"
+	"parj/internal/baseline/triad"
 	"parj/internal/core"
-	"parj/internal/optimizer"
-	"parj/internal/rdfs"
+	"parj/internal/rdf"
+	"parj/internal/sparql"
 )
 
+// Engine is an engine under differential test. Apply must execute deletes
+// before inserts (the write path's batch order); Evaluate must observe
+// every previously applied batch.
+type Engine interface {
+	Evaluate(q *sparql.Query) ([][]string, error)
+	Apply(inserts, deletes []rdf.Triple) error
+	Reconcile() error
+	Close()
+}
+
 // EngineConfig names one engine configuration of the differential matrix
-// and knows how to instantiate it over a loaded dataset. Make must be
-// callable repeatedly (the shrinker rebuilds engines over reduced data).
+// and knows how to build it over a case's base triples. Make must be
+// callable repeatedly (the shrinker rebuilds engines over reduced cases).
 type EngineConfig struct {
 	Name string
-	// Entail marks configurations that evaluate with RDFS entailment; they
-	// are diffed against the oracle over forward-chained triples and only
-	// run on queries generated for entailment.
+	// Entail marks configurations that evaluate with RDFS entailment; the
+	// oracle answers their queries over forward-chained triples, and they
+	// run only the entailment cases.
 	Entail bool
-	Make   func(d *bench.Dataset) bench.RowEngine
+	// ReadOnly marks engines that take no writes (the baselines); they
+	// run only write-free cases.
+	ReadOnly bool
+	Make     func(base []rdf.Triple) (Engine, error)
 }
 
 // strategies is the full probe-strategy axis of the matrix (Table 5).
@@ -62,9 +83,26 @@ func distinct(counts ...int) []int {
 	return out
 }
 
+// parjConfig is one PARJ configuration: a live store queried with opts,
+// planned with RDFS entailment when entail is set.
+func parjConfig(name string, opts core.Options, entail bool) EngineConfig {
+	return EngineConfig{Name: name, Entail: entail, Make: func(base []rdf.Triple) (Engine, error) {
+		return newPARJ(base, opts, entail), nil
+	}}
+}
+
+// baseline is one read-only baseline configuration; load builds it over
+// the base triples and returns its row-materializing evaluator.
+func baseline(name string, load func(base []rdf.Triple) readOnly) EngineConfig {
+	return EngineConfig{Name: name, ReadOnly: true, Make: func(base []rdf.Triple) (Engine, error) {
+		return load(base), nil
+	}}
+}
+
 // Configs returns the plain-semantics differential matrix: PARJ under every
-// strategy at each worker count, plus the four baselines. A nil workers
-// slice selects WorkerCounts().
+// strategy at each worker count, the join-operator matrix, PARJ with
+// background reconciliation, the loopback cluster, and the four read-only
+// baselines. A nil workers slice selects WorkerCounts().
 func Configs(workers []int) []EngineConfig {
 	wcojWorkers := workers // nil lets WCOJConfigs pick its own axis
 	if workers == nil {
@@ -73,26 +111,36 @@ func Configs(workers []int) []EngineConfig {
 	var out []EngineConfig
 	for _, s := range strategies {
 		for _, w := range workers {
-			s, w := s, w
-			out = append(out, EngineConfig{
-				Name: fmt.Sprintf("parj-%s-w%d", s, w),
-				Make: func(d *bench.Dataset) bench.RowEngine {
-					return d.PARJRows(fmt.Sprintf("parj-%s-w%d", s, w), core.Options{Threads: w, Strategy: s}, nil)
-				},
-			})
+			out = append(out, parjConfig(fmt.Sprintf("parj-%s-w%d", s, w), core.Options{Threads: w, Strategy: s}, false))
 		}
 	}
 	out = append(out, WCOJConfigs(wcojWorkers)...)
 	out = append(out,
-		EngineConfig{Name: "hashjoin", Make: func(d *bench.Dataset) bench.RowEngine { return d.HashJoinRows() }},
-		EngineConfig{Name: "rdf3x", Make: func(d *bench.Dataset) bench.RowEngine { return d.RDF3XRows() }},
+		// Background reconciliation armed at a tiny threshold: epoch swaps
+		// land mid-schedule at goroutine-scheduling whim, and every query
+		// must still match the oracle exactly.
+		EngineConfig{Name: "parj-autoreconcile", Make: func(base []rdf.Triple) (Engine, error) {
+			e := newPARJ(base, core.Options{Threads: 2, Strategy: core.AdaptiveBinary}, false)
+			e.h.SetAutoReconcile(4)
+			return e, nil
+		}},
+		// The distributed serving tier: a 2-shard × 2-replica loopback
+		// fleet, diffed against the oracle like any local engine.
+		EngineConfig{Name: "cluster-2x2", Make: newCluster},
+		baseline("hashjoin", func(b []rdf.Triple) readOnly {
+			return hashjoin.Load(b).Evaluate
+		}),
+		baseline("rdf3x", func(b []rdf.Triple) readOnly {
+			return rdf3x.Load(b).Evaluate
+		}),
 		// Tiny pages force every scan across many page boundaries,
 		// stressing the B+ tree cursor logic itself.
-		EngineConfig{Name: "btree", Make: func(d *bench.Dataset) bench.RowEngine { return d.BTreeRows(4) }},
-		EngineConfig{Name: "triad", Make: func(d *bench.Dataset) bench.RowEngine { return d.TriADRows(0) }},
-		// The distributed serving tier: a 2-shard × 2-replica loopback
-		// coordinator, diffed against the oracle like any local engine.
-		clusterConfig(),
+		baseline("btree", func(b []rdf.Triple) readOnly {
+			return rdf3x.LoadWithPageSize(b, 4).Evaluate
+		}),
+		baseline("triad", func(b []rdf.Triple) readOnly {
+			return triad.Load(b, triad.Options{Workers: 2, SimulateParallel: runtime.NumCPU() < 2}).Evaluate
+		}),
 	)
 	return out
 }
@@ -123,14 +171,8 @@ func WCOJConfigs(workers []int) []EngineConfig {
 	var out []EngineConfig
 	for _, j := range joinAlgos {
 		for _, w := range workers {
-			j, w := j, w
 			name := fmt.Sprintf("parj-%s-%s-w%d", j, core.AdaptiveBinary, w)
-			out = append(out, EngineConfig{
-				Name: name,
-				Make: func(d *bench.Dataset) bench.RowEngine {
-					return d.PARJRows(name, core.Options{Threads: w, Strategy: core.AdaptiveBinary, Join: j}, nil)
-				},
-			})
+			out = append(out, parjConfig(name, core.Options{Threads: w, Strategy: core.AdaptiveBinary, Join: j}, false))
 		}
 	}
 	return out
@@ -157,14 +199,8 @@ func MorselConfigs(workers []int, sizes []int) []EngineConfig {
 	for _, s := range strategies {
 		for _, w := range workers {
 			for _, m := range sizes {
-				s, w, m := s, w, m
 				name := fmt.Sprintf("parj-%s-w%d-m%d", s, w, m)
-				out = append(out, EngineConfig{
-					Name: name,
-					Make: func(d *bench.Dataset) bench.RowEngine {
-						return d.PARJRows(name, core.Options{Threads: w, Strategy: s, MorselSize: m}, nil)
-					},
-				})
+				out = append(out, parjConfig(name, core.Options{Threads: w, Strategy: s, MorselSize: m}, false))
 			}
 		}
 	}
@@ -181,80 +217,67 @@ func EntailConfigs(workers []int) []EngineConfig {
 	var out []EngineConfig
 	for _, s := range strategies {
 		for _, w := range workers {
-			s, w := s, w
-			name := fmt.Sprintf("parj-entail-%s-w%d", s, w)
-			out = append(out, EngineConfig{
-				Name:   name,
-				Entail: true,
-				Make: func(d *bench.Dataset) bench.RowEngine {
-					st, _ := d.Store()
-					return d.PARJRows(name, core.Options{Threads: w, Strategy: s}, rdfs.New(st, "", "", ""))
-				},
-			})
+			out = append(out, parjConfig(fmt.Sprintf("parj-entail-%s-w%d", s, w), core.Options{Threads: w, Strategy: s}, true))
 		}
 	}
 	return out
 }
 
 // FindConfig resolves an engine-configuration name as produced by Configs,
-// MorselConfigs or EntailConfigs, for replaying shrunk repros. PARJ names
-// are parsed rather than looked up, so a repro recorded on a many-core host
-// replays on any machine ("parj-AdBinary-w8-m7" works on a dual-core
-// laptop).
+// WCOJConfigs, MorselConfigs or EntailConfigs, for replaying shrunk repros.
+// PARJ names are parsed rather than looked up, so a repro recorded on a
+// many-core host replays on any machine ("parj-AdBinary-w8-m7" works on a
+// dual-core laptop). The grammar is
+// parj[-entail][-(wcoj|pipe|auto)]-<strategy>-w<N>[-m<M>], with N and M
+// positive decimal integers and nothing after them.
 func FindConfig(name string) (EngineConfig, error) {
 	for _, c := range append(Configs(nil), EntailConfigs(nil)...) {
 		if c.Name == name {
 			return c, nil
 		}
 	}
+	unknown := fmt.Errorf("difftest: unknown engine config %q", name)
 	rest, entail := strings.CutPrefix(name, "parj-entail-")
 	if !entail {
 		var plain bool
-		rest, plain = strings.CutPrefix(name, "parj-")
-		if !plain {
-			return EngineConfig{}, fmt.Errorf("difftest: unknown engine config %q", name)
+		if rest, plain = strings.CutPrefix(name, "parj-"); !plain {
+			return EngineConfig{}, unknown
 		}
 	}
-	// Optional join-operator token (the WCOJConfigs grammar):
-	// parj[-entail]-(wcoj|pipe|auto)-<strategy>-w<N>[-m<M>].
-	join := core.JoinAuto
+	var opts core.Options
 	for _, j := range joinAlgos {
 		if r, ok := strings.CutPrefix(rest, j.String()+"-"); ok {
-			join = j
-			rest = r
+			opts.Join, rest = j, r
 			break
 		}
 	}
-	morsel := 0
 	if mIdx := strings.LastIndex(rest, "-m"); mIdx >= 0 && mIdx > strings.LastIndex(rest, "-w") {
-		m, err := strconv.Atoi(rest[mIdx+2:])
-		if err != nil || m < 1 {
-			return EngineConfig{}, fmt.Errorf("difftest: unknown engine config %q", name)
+		m, ok := positive(rest[mIdx+2:])
+		if !ok {
+			return EngineConfig{}, unknown
 		}
-		morsel = m
-		rest = rest[:mIdx]
+		opts.MorselSize, rest = m, rest[:mIdx]
 	}
 	wIdx := strings.LastIndex(rest, "-w")
 	if wIdx < 0 {
-		return EngineConfig{}, fmt.Errorf("difftest: unknown engine config %q", name)
+		return EngineConfig{}, unknown
 	}
-	w, err := strconv.Atoi(rest[wIdx+2:])
-	if err != nil || w < 1 {
-		return EngineConfig{}, fmt.Errorf("difftest: unknown engine config %q", name)
+	w, ok := positive(rest[wIdx+2:])
+	if !ok {
+		return EngineConfig{}, unknown
 	}
-	stratName := rest[:wIdx]
 	for _, s := range strategies {
-		if s.String() == stratName {
-			s := s
-			return EngineConfig{Name: name, Entail: entail, Make: func(d *bench.Dataset) bench.RowEngine {
-				var x optimizer.Expander
-				if entail {
-					st, _ := d.Store()
-					x = rdfs.New(st, "", "", "")
-				}
-				return d.PARJRows(name, core.Options{Threads: w, Strategy: s, Join: join, MorselSize: morsel}, x)
-			}}, nil
+		if s.String() == rest[:wIdx] {
+			opts.Threads, opts.Strategy = w, s
+			return parjConfig(name, opts, entail), nil
 		}
 	}
-	return EngineConfig{}, fmt.Errorf("difftest: unknown engine config %q", name)
+	return EngineConfig{}, unknown
+}
+
+// positive parses s as a positive decimal integer written in its canonical
+// form: no sign, no leading zeros, nothing after the digits.
+func positive(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 1 && strconv.Itoa(n) == s
 }

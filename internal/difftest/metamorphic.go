@@ -8,22 +8,20 @@ import (
 	"sort"
 	"time"
 
-	"parj/internal/bench"
 	"parj/internal/core"
-	"parj/internal/optimizer"
+	"parj/internal/live"
 	"parj/internal/reference"
 	"parj/internal/sparql"
-	"parj/internal/stats"
 	"parj/internal/store"
 )
 
-// metamorphicChecks applies the oracle-free invariants to one (dataset,
-// query) pair on a single PARJ configuration (AdaptiveBinary, 2 workers —
-// the default strategy under real parallelism). The oracle diff already
-// covers the full matrix, so one configuration here keeps these checks
-// cheap while still catching invariant violations the oracle could share
-// with the engine (both would have to break the same way for a bug to slip
-// past both layers).
+// metamorphicChecks applies the oracle-free invariants to one query q of
+// the read case c on eng, a PARJ engine over c's base in one configuration
+// (AdaptiveBinary, 2 workers — the default strategy under real
+// parallelism). The oracle diff already covers the full matrix, so one
+// configuration here keeps these checks cheap while still catching
+// invariant violations the oracle could share with the engine (both would
+// have to break the same way for a bug to slip past both layers).
 //
 // Checks:
 //
@@ -34,15 +32,12 @@ import (
 //     of materialized rows;
 //   - snapshot round-trip (once per dataset): Save + LoadSnapshot must
 //     yield a store that answers the query identically.
-func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Query, parsed *sparql.Query, checkSnapshot bool) []Failure {
+func metamorphicChecks(rng *rand.Rand, eng *parjEngine, c *Case, q *Query, parsed *sparql.Query, checkSnapshot bool) []Failure {
 	var fails []Failure
 	fail := func(check, diff string) {
-		fails = append(fails, Failure{
-			Engine: check, Query: q.Src(), Diff: diff, Triples: ds.Triples,
-		})
+		fails = append(fails, Failure{Engine: check, Case: queryCase(c.Seed, c.Base, q.Src()), Diff: diff})
 	}
 
-	eng := benchDS.PARJRows("meta", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}, nil)
 	base, err := eng.Evaluate(parsed)
 	if err != nil {
 		fail("meta-base", "error: "+err.Error())
@@ -94,10 +89,12 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 
 	// COUNT agreement: the silent path must count what the materializing
 	// path returns. Same strategy and worker count as eng.
-	if n, _, err := benchDS.PARJ("meta-count", core.Options{Threads: 2, Strategy: core.AdaptiveBinary}).Count(parsed); err != nil {
+	silent := eng.opts
+	silent.Silent = true
+	if res, _, err := eng.run(parsed, silent); err != nil {
 		fail("meta-count", "error: "+err.Error())
-	} else if n != int64(len(base)) {
-		fail("meta-count", fmt.Sprintf("silent COUNT %d vs %d materialized rows", n, len(base)))
+	} else if res.Count != int64(len(base)) {
+		fail("meta-count", fmt.Sprintf("silent COUNT %d vs %d materialized rows", res.Count, len(base)))
 	}
 
 	// Join-operator equivalence: the forced worst-case-optimal operator and
@@ -107,10 +104,10 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 	// is allowed to show in the result. Under LIMIT only the row count is
 	// comparable: which rows survive truncation legitimately differs.
 	{
-		wcojEng := benchDS.PARJRows("meta-wcoj", core.Options{Threads: 2, Strategy: core.AdaptiveBinary, Join: core.JoinWCOJ}, nil)
-		pipeEng := benchDS.PARJRows("meta-pipe", core.Options{Threads: 2, Strategy: core.AdaptiveBinary, Join: core.JoinPipeline}, nil)
-		wRows, err := wcojEng.Evaluate(parsed)
-		pRows, err2 := pipeEng.Evaluate(parsed)
+		wcoj, pipe := eng.opts, eng.opts
+		wcoj.Join, pipe.Join = core.JoinWCOJ, core.JoinPipeline
+		wRows, err := eng.rows(parsed, wcoj)
+		pRows, err2 := eng.rows(parsed, pipe)
 		switch {
 		case err != nil:
 			fail("meta-wcoj", "error: "+err.Error())
@@ -134,7 +131,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 	// LIMIT sits this out like the permutation check: truncation order is
 	// not part of the contract.
 	if !q.HasLimit {
-		if rows, err := governedEvaluate(benchDS, parsed); err != nil {
+		if rows, err := governedEvaluate(eng, parsed); err != nil {
 			fail("meta-governed", "error: "+err.Error())
 		} else if diff := reference.DiffMultisets(base, rows); diff != "" {
 			fail("meta-governed", diff)
@@ -151,13 +148,15 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 		if q.HasLimit {
 			threads = 1
 			var err error
-			want, err = benchDS.PARJRows("meta-snapshot-base", core.Options{Threads: 1, Strategy: core.AdaptiveBinary}, nil).Evaluate(parsed)
+			single := eng.opts
+			single.Threads = 1
+			want, err = eng.rows(parsed, single)
 			if err != nil {
 				fail("meta-snapshot", "error: "+err.Error())
 				return fails
 			}
 		}
-		if rows, err := snapshotEvaluate(benchDS, parsed, threads); err != nil {
+		if rows, err := snapshotEvaluate(eng, parsed, threads); err != nil {
 			fail("meta-snapshot", "error: "+err.Error())
 		} else if diff := reference.DiffMultisets(want, rows); diff != "" {
 			fail("meta-snapshot", diff)
@@ -167,7 +166,7 @@ func metamorphicChecks(rng *rand.Rand, benchDS *bench.Dataset, ds *Dataset, q *Q
 }
 
 // evalSrc renders, parses and evaluates q on eng.
-func evalSrc(eng bench.RowEngine, q *Query) ([][]string, error) {
+func evalSrc(eng Engine, q *Query) ([][]string, error) {
 	parsed, err := sparql.Parse(q.Src())
 	if err != nil {
 		return nil, fmt.Errorf("parse %q: %w", q.Src(), err)
@@ -176,48 +175,28 @@ func evalSrc(eng bench.RowEngine, q *Query) ([][]string, error) {
 }
 
 // governedEvaluate runs parsed with a one-hour deadline, effectively
-// unlimited budgets, and a tiny check interval, so the governed workers check in
-// many times even on difftest-sized data.
-func governedEvaluate(benchDS *bench.Dataset, parsed *sparql.Query) ([][]string, error) {
-	st, ss := benchDS.Store()
-	plan, err := optimizer.Optimize(parsed, st, ss)
-	if err != nil {
-		return nil, err
-	}
+// unlimited budgets, and a tiny check interval, so the governed workers
+// check in many times even on difftest-sized data.
+func governedEvaluate(eng *parjEngine, parsed *sparql.Query) ([][]string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	res, err := core.Execute(st, plan, core.Options{
-		Threads: 2, Strategy: core.AdaptiveBinary,
-		Context:       ctx,
-		MaxResultRows: 1 << 40,
-		MemoryBudget:  1 << 40,
-		CheckInterval: 64,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.StringRows(st), nil
+	opts := eng.opts
+	opts.Context, opts.MaxResultRows, opts.MemoryBudget, opts.CheckInterval = ctx, 1<<40, 1<<40, 64
+	return eng.rows(parsed, opts)
 }
 
-// snapshotEvaluate round-trips the PARJ store through Save/LoadSnapshot and
+// snapshotEvaluate round-trips eng's store through Save/LoadSnapshot and
 // evaluates parsed on the copy.
-func snapshotEvaluate(benchDS *bench.Dataset, parsed *sparql.Query, threads int) ([][]string, error) {
-	st, _ := benchDS.Store()
+func snapshotEvaluate(eng *parjEngine, parsed *sparql.Query, threads int) ([][]string, error) {
 	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	if err := eng.h.View().Store().Save(&buf); err != nil {
 		return nil, fmt.Errorf("save snapshot: %w", err)
 	}
-	st2, err := store.LoadSnapshot(&buf)
+	st, err := store.LoadSnapshot(&buf)
 	if err != nil {
 		return nil, fmt.Errorf("load snapshot: %w", err)
 	}
-	plan, err := optimizer.Optimize(parsed, st2, stats.New(st2))
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Execute(st2, plan, core.Options{Threads: threads, Strategy: core.AdaptiveBinary})
-	if err != nil {
-		return nil, err
-	}
-	return res.StringRows(st2), nil
+	opts := eng.opts
+	opts.Threads = threads
+	return (&parjEngine{h: live.New(st, nil, store.BuildOptions{})}).rows(parsed, opts)
 }

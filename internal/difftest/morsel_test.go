@@ -3,32 +3,11 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
-	"parj/internal/bench"
 	"parj/internal/reference"
 	"parj/internal/sparql"
 )
-
-// morselWorkers is the worker axis for the scheduler matrix: serial, an odd
-// count that never divides the outer evenly, and everything the host has.
-func morselWorkers() []int {
-	counts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	var out []int
-	for _, c := range counts {
-		dup := false
-		for _, o := range out {
-			if o == c {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // TestMorselSizeMatrix runs every probe strategy at every worker count under
 // each morsel size in MorselSizes, diffing each run against the oracle and —
@@ -38,7 +17,9 @@ func morselWorkers() []int {
 // runs dwarf the smaller bounds. Run it under -race: the interesting
 // failures here are claim/steal races, not wrong plans.
 func TestMorselSizeMatrix(t *testing.T) {
-	workers := morselWorkers()
+	// Serial, an odd count that never divides the outer evenly, and
+	// everything the host has.
+	workers := WCOJWorkerCounts()
 	const datasets = 4
 	const queriesPer = 3
 	pairs := 0
@@ -46,7 +27,13 @@ func TestMorselSizeMatrix(t *testing.T) {
 		dsSeed := int64(900_001 + di*1_000_003)
 		rng := rand.New(rand.NewSource(dsSeed))
 		ds := GenDataset(rng, DatasetConfig{MaxTriples: 220, Skewed: di%2 == 0})
-		benchDS := bench.NewDataset(ds.Triples, 2)
+		// One engine per configuration and dataset, built on first use.
+		engines := map[string]Engine{}
+		defer func() {
+			for _, e := range engines {
+				e.Close()
+			}
+		}()
 
 		done := 0
 		for qi := 0; done < queriesPer && qi < queriesPer*4; qi++ {
@@ -72,11 +59,16 @@ func TestMorselSizeMatrix(t *testing.T) {
 						name := fmt.Sprintf("parj-%s-w%d-m%d", s, w, m)
 						// Resolve through FindConfig so the repro-replay
 						// parse path for -m names is in the loop too.
-						ec, err := FindConfig(name)
-						if err != nil {
-							t.Fatalf("FindConfig(%q): %v", name, err)
+						if engines[name] == nil {
+							ec, err := FindConfig(name)
+							if err != nil {
+								t.Fatalf("FindConfig(%q): %v", name, err)
+							}
+							if engines[name], err = ec.Make(ds.Triples); err != nil {
+								t.Fatal(err)
+							}
 						}
-						got, err := ec.Make(benchDS).Evaluate(parsed)
+						got, err := engines[name].Evaluate(parsed)
 						if err != nil {
 							t.Fatalf("%s on %q: %v", name, q.Src(), err)
 						}

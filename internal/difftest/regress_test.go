@@ -10,11 +10,13 @@ package difftest
 //     or the soak CLI
 //         go run ./cmd/parj-fuzz -trials 0
 //  2. Both print a shrunk, ready-to-paste test function (built by
-//     FormatRepro) next to the failure: a minimal triple set, the minimal
-//     query, and the failing engine-configuration name.
+//     FormatRepro) next to the failure: the shrunk case — a minimal base
+//     triple set and op list, whose queries are structurally simplified
+//     too — and the failing engine-configuration name. Read and write
+//     failures take the same form; a read repro's ops are all queries.
 //  3. Paste it below, rename TestRegress_RENAME_ME to something
 //     descriptive, and keep it after the fix lands: CheckRepro replays the
-//     pair against the oracle on every test run.
+//     case against the oracle on every test run.
 //
 // Engine names embed strategy and worker count (e.g. "parj-AdBinary-w64");
 // FindConfig resolves them on any host, so repros recorded on a wide
@@ -60,5 +62,5 @@ func TestRegress_TriadLimit0(t *testing.T) {
 		{S: "<a>", P: "<p>", O: "<b>"},
 		{S: "<b>", P: "<p>", O: "<c>"},
 	}
-	CheckRepro(t, triples, "SELECT * WHERE { ?s <p> ?o } LIMIT 0", "triad")
+	CheckRepro(t, triples, []Op{{Query: "SELECT * WHERE { ?s <p> ?o } LIMIT 0"}}, "triad")
 }

@@ -5,8 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"parj/internal/bench"
-	"parj/internal/governance"
+	"parj/internal/core"
 	"parj/internal/rdf"
 	"parj/internal/rdfs"
 	"parj/internal/reference"
@@ -55,54 +54,82 @@ func (c *Config) fill() {
 		c.MaxTriples = 300
 	}
 	if c.OracleBudget <= 0 {
-		c.OracleBudget = 2_000_000
+		c.OracleBudget = defaultLimits.budget
 	}
 	if c.MaxOracleRows <= 0 {
-		c.MaxOracleRows = 20_000
+		c.MaxOracleRows = defaultLimits.maxRows
 	}
 	if c.MaxFailures <= 0 {
 		c.MaxFailures = 5
 	}
 }
 
+func (c *Config) limits() limits { return limits{budget: c.OracleBudget, maxRows: c.MaxOracleRows} }
+
 // Failure is one detected divergence between an engine configuration and
-// the oracle (or a violated metamorphic invariant).
+// the oracle (or a violated metamorphic invariant) while replaying a case.
 type Failure struct {
-	Engine  string
-	Query   string
+	Engine string
+	Case   *Case
+	// OpIndex is the case position of the diverging query (or erroring
+	// op); -1 when the engine could not be built.
+	OpIndex int
 	Diff    string
-	Triples []rdf.Triple
-	// Repro is a ready-to-paste Go regression test over the shrunk
-	// (triples, query) pair; empty when shrinking was disabled or the
-	// failure came from a metamorphic check.
+	// Repro is a ready-to-paste Go regression test over the shrunk case;
+	// empty when shrinking was disabled or the failure came from a
+	// metamorphic check.
 	Repro string
 }
 
 func (f *Failure) String() string {
-	return fmt.Sprintf("engine %s on %q (%d triples): %s", f.Engine, f.Query, len(f.Triples), f.Diff)
+	at := fmt.Sprintf("op %d", f.OpIndex)
+	if f.OpIndex >= 0 && f.Case.Ops[f.OpIndex].Query != "" {
+		at += fmt.Sprintf(" %q", f.Case.Ops[f.OpIndex].Query)
+	}
+	return fmt.Sprintf("engine %s, case seed %d (%d base triples, %d ops), %s: %s",
+		f.Engine, f.Case.Seed, len(f.Case.Base), len(f.Case.Ops), at, f.Diff)
 }
 
 // Report summarizes a run.
 type Report struct {
-	// Pairs is the number of completed (dataset, query) pairs — each one
-	// evaluated on the oracle and on the full engine matrix.
-	Pairs int
-	// EngineRuns is the number of engine evaluations diffed.
-	EngineRuns int
-	// Skipped counts pairs abandoned by the oracle budget or row cap.
-	Skipped  int
 	Datasets int
+	// Pairs is the number of completed (dataset, query) pairs of the read
+	// cases — each one diffed on its whole engine matrix.
+	Pairs int
+	// Checkpoints counts the (engine, query op) comparisons of the write
+	// cases.
+	Checkpoints int
+	// EngineRuns counts every (engine, query) comparison, reads and
+	// writes alike.
+	EngineRuns int
+	// Skipped counts queries abandoned by the oracle limits or refused by
+	// a governance policy.
+	Skipped  int
 	Failures []Failure
 }
 
-// Run executes the differential matrix and returns what it found. The same
-// Config always yields the same Report.
+// writeCaseEvery spaces the write cases: dataset i yields one when
+// i%writeCaseEvery == 1, its ops four times the per-dataset query quota.
+const writeCaseEvery = 4
+
+// Run executes the differential matrix and returns what it found. Every
+// dataset yields a read case on the plain matrix, a second one on the
+// entailment matrix when it carries an ontology, and every fourth a write
+// case on the writable engines. The same Config always yields the same
+// cases (engine-internal goroutine timing may vary; results must not).
 func Run(cfg Config) *Report {
 	cfg.fill()
 	rep := &Report{}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	plain, entail := Configs(cfg.Workers), EntailConfigs(cfg.Workers)
+	var writable []EngineConfig
+	for _, ec := range plain {
+		if !ec.ReadOnly {
+			writable = append(writable, ec)
+		}
 	}
 
 	for di := 0; di < cfg.Datasets && len(rep.Failures) < cfg.MaxFailures; di++ {
@@ -119,38 +146,46 @@ func Run(cfg Config) *Report {
 			Dense:  di%7 == 5,
 		})
 		rep.Datasets++
-		benchDS := bench.NewDataset(ds.Triples, 2)
-		runDataset(cfg, rep, ds, benchDS, dsSeed, false)
+		c, ans := rep.readCase(&cfg, ds, dsSeed, false)
+		rep.run(&cfg, plain, c, ans)
 		if ds.HasOntology() {
-			runDataset(cfg, rep, ds, benchDS, dsSeed, true)
+			c, ans := rep.readCase(&cfg, ds, dsSeed, true)
+			rep.run(&cfg, entail, c, ans)
 		}
-		logf("dataset %d/%d (seed %d, %d triples, ontology %v): %d pairs, %d engine runs, %d failures",
-			di+1, cfg.Datasets, dsSeed, len(ds.Triples), ds.HasOntology(), rep.Pairs, rep.EngineRuns, len(rep.Failures))
+		if di%writeCaseEvery == 1 {
+			c := GenWriteCase(rand.New(rand.NewSource(dsSeed^1<<41)), ds, 4*cfg.QueriesPerDataset)
+			c.Seed = dsSeed
+			ans, skipped, opIdx, err := cfg.limits().answers(c, false)
+			rep.Skipped += skipped
+			if err != nil {
+				rep.Failures = append(rep.Failures, Failure{Engine: "sparql-parse", Case: c, OpIndex: opIdx, Diff: err.Error()})
+			} else {
+				rep.run(&cfg, writable, c, ans)
+			}
+		}
+		logf("dataset %d/%d (seed %d, %d triples, ontology %v): %d pairs, %d checkpoints, %d engine runs, %d failures",
+			di+1, cfg.Datasets, dsSeed, len(ds.Triples), ds.HasOntology(), rep.Pairs, rep.Checkpoints, rep.EngineRuns, len(rep.Failures))
 	}
 	return rep
 }
 
-// runDataset completes the per-dataset query quota for one side of the
-// matrix (plain or entailment).
-func runDataset(cfg Config, rep *Report, ds *Dataset, benchDS *bench.Dataset, dsSeed int64, entail bool) {
+// readCase draws the read case of one dataset: generated queries the
+// oracle answers within its limits, up to the per-dataset quota (a third
+// of it for entailment). Every plain query also passes the metamorphic
+// checks.
+func (rep *Report) readCase(cfg *Config, ds *Dataset, dsSeed int64, entail bool) (*Case, []*answer) {
 	quota := cfg.QueriesPerDataset
-	var configs []EngineConfig
-	var oracleTriples []rdf.Triple
+	oracleTriples := ds.Triples
+	var meta *parjEngine
 	if entail {
 		quota = quota/3 + 1
-		configs = EntailConfigs(cfg.Workers)
 		oracleTriples = rdfs.ForwardChain(ds.Triples, "", "", "")
 	} else {
-		configs = Configs(cfg.Workers)
-		oracleTriples = ds.Triples
+		meta = newPARJ(ds.Triples, core.Options{Threads: 2, Strategy: core.AdaptiveBinary}, false)
 	}
-	engines := make([]bench.RowEngine, len(configs))
-	for i, c := range configs {
-		engines[i] = c.Make(benchDS)
-	}
-
-	done := 0
-	for qi := 0; done < quota && qi < quota*4 && len(rep.Failures) < cfg.MaxFailures; qi++ {
+	c := &Case{Seed: dsSeed, Base: ds.Triples}
+	var ans []*answer
+	for qi := 0; len(c.Ops) < quota && qi < quota*4 && len(rep.Failures) < cfg.MaxFailures; qi++ {
 		qSeed := dsSeed ^ (int64(qi+1) * 7919)
 		if entail {
 			qSeed ^= 1 << 40
@@ -162,59 +197,49 @@ func runDataset(cfg Config, rep *Report, ds *Dataset, benchDS *bench.Dataset, ds
 		} else {
 			q = GenQuery(qRng, ds)
 		}
-		parsed, err := sparql.Parse(q.Src())
+		a, err := cfg.limits().ask(q.Src(), oracleTriples)
 		if err != nil {
-			// The generator stays inside the supported fragment by
-			// construction, so a parse error is itself a finding.
 			rep.Failures = append(rep.Failures, Failure{
-				Engine: "sparql-parse", Query: q.Src(), Diff: err.Error(), Triples: ds.Triples,
+				Engine: "sparql-parse", Case: queryCase(dsSeed, ds.Triples, q.Src()), Diff: err.Error(),
 			})
 			continue
 		}
-		want, ok := reference.EvaluateBudget(parsed, oracleTriples, cfg.OracleBudget)
-		if !ok || len(want) > cfg.MaxOracleRows {
+		if a == nil {
 			rep.Skipped++
 			continue
 		}
-		done++
+		c.Ops = append(c.Ops, Op{Query: q.Src()})
+		ans = append(ans, a)
 		rep.Pairs++
-
-		for i, eng := range engines {
-			rep.EngineRuns++
-			got, err := eng.Evaluate(parsed)
-			var diff string
-			if err != nil {
-				// A governance outcome (deadline, budget, shed) is a policy
-				// result, not an engine divergence: engines under different
-				// limits may legitimately disagree on whether a query runs.
-				if governance.IsPolicy(err) {
-					rep.Skipped++
-					continue
-				}
-				diff = "error: " + err.Error()
-			} else {
-				diff = Compare(parsed, want, got)
-			}
-			if diff == "" {
-				continue
-			}
-			f := Failure{Engine: configs[i].Name, Query: q.Src(), Diff: diff, Triples: ds.Triples}
-			if !cfg.NoShrink {
-				st, sq := Shrink(ds.Triples, q, configs[i], cfg.OracleBudget, cfg.MaxOracleRows)
-				f.Repro = FormatRepro(st, sq, configs[i].Name)
-			}
-			rep.Failures = append(rep.Failures, f)
-			if len(rep.Failures) >= cfg.MaxFailures {
-				return
-			}
+		if meta != nil {
+			rep.Failures = append(rep.Failures, metamorphicChecks(qRng, meta, c, q, a.q, len(c.Ops) == 1)...)
 		}
+	}
+	return c, ans
+}
 
-		if !entail {
-			rep.Failures = append(rep.Failures, metamorphicChecks(qRng, benchDS, ds, q, parsed, done == 1)...)
-			if len(rep.Failures) >= cfg.MaxFailures {
-				return
-			}
+// run replays c on every engine of configs against the oracle's answers
+// ans, shrinking each divergence into a repro unless cfg.NoShrink.
+func (rep *Report) run(cfg *Config, configs []EngineConfig, c *Case, ans []*answer) {
+	writes := c.hasWrites()
+	for _, ec := range configs {
+		if len(rep.Failures) >= cfg.MaxFailures {
+			return
 		}
+		opIdx, diff, checks, skipped := replay(ec, c, ans)
+		rep.EngineRuns += checks
+		if writes {
+			rep.Checkpoints += checks
+		}
+		rep.Skipped += skipped
+		if diff == "" {
+			continue
+		}
+		f := Failure{Engine: ec.Name, Case: c, OpIndex: opIdx, Diff: diff}
+		if !cfg.NoShrink {
+			f.Repro = FormatRepro(Shrink(c, ec, cfg.OracleBudget, cfg.MaxOracleRows), ec.Name)
+		}
+		rep.Failures = append(rep.Failures, f)
 	}
 }
 
@@ -248,30 +273,24 @@ func Compare(q *sparql.Query, want, got [][]string) string {
 	return reference.DiffMultisets(want, got)
 }
 
-// CheckRepro replays a shrunk repro: it evaluates query src over triples on
-// the named engine configuration and on the oracle, failing the test on any
+// CheckRepro replays a shrunk case — base triples, then ops — on the named
+// engine configuration and on the oracle, failing the test on any
 // divergence. Regression tests recorded from shrunk failures call this.
-func CheckRepro(t testingTB, triples []rdf.Triple, src, engine string) {
+func CheckRepro(t testingTB, base []rdf.Triple, ops []Op, engine string) {
 	t.Helper()
 	ec, err := FindConfig(engine)
 	if err != nil {
 		t.Fatal(err)
+		return
 	}
-	parsed, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	oracleTriples := triples
-	if ec.Entail {
-		oracleTriples = rdfs.ForwardChain(triples, "", "", "")
-	}
-	want := reference.Evaluate(parsed, oracleTriples)
-	got, err := ec.Make(bench.NewDataset(triples, 2)).Evaluate(parsed)
-	if err != nil {
-		t.Fatalf("engine %s on %q: %v", engine, src, err)
-	}
-	if diff := Compare(parsed, want, got); diff != "" {
-		t.Errorf("engine %s on %q: %s", engine, src, diff)
+	checkCase(t, &Case{Base: base, Ops: ops}, ec)
+}
+
+// checkCase is CheckRepro on a resolved configuration.
+func checkCase(t testingTB, c *Case, ec EngineConfig) {
+	t.Helper()
+	if opIdx, diff := defaultLimits.check(ec, c); diff != "" {
+		t.Errorf("engine %s, op %d: %s", ec.Name, opIdx, diff)
 	}
 }
 

@@ -60,20 +60,12 @@ var crashFaults = []crashFault{
 // crashRun is the outcome of replaying one schedule until its armed fault
 // (or the end of the schedule) killed the process.
 type crashRun struct {
-	// states[i] is the oracle triple set after write batch i (states[0]
+	// states[i] is the oracle's triple set after write batch i (states[0]
 	// is the base). The final entry may be a batch the crash refused.
-	states []map[rdf.Triple]bool
+	states [][]rdf.Triple
 	// acked is the highest sequence whose Apply returned nil — the floor
 	// recovery must reach for fsync-honoring faults.
 	acked uint64
-}
-
-func copyTriples(m map[rdf.Triple]bool) map[rdf.Triple]bool {
-	out := make(map[rdf.Triple]bool, len(m))
-	for t := range m {
-		out[t] = true
-	}
-	return out
 }
 
 // storeTriples decodes a store's full triple set back to terms.
@@ -108,9 +100,10 @@ func openCrashStore(fs *wal.MemFS, base []rdf.Triple) (*live.Handle, error) {
 // replayUntilCrash drives the schedule through a durable handle on fs until
 // the armed fault kills it (or the schedule ends, when it crashes the
 // filesystem itself — a clean kill with everything acknowledged durable).
-func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRun {
+func replayUntilCrash(t *testing.T, sched *Case, fs *wal.MemFS) crashRun {
 	t.Helper()
-	run := crashRun{states: []map[rdf.Triple]bool{newCrashOracle(sched.Base)}}
+	o := newOracle(sched.Base)
+	run := crashRun{states: [][]rdf.Triple{o.triples()}}
 	h, err := openCrashStore(fs, sched.Base)
 	if err != nil {
 		// The fault fired during seed load or the initial checkpoint:
@@ -120,7 +113,6 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 		}
 		return run
 	}
-	cur := copyTriples(run.states[0])
 	reconciles := 0
 	for i := range sched.Ops {
 		op := &sched.Ops[i]
@@ -138,14 +130,8 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 		if op.Query != "" || (len(op.Inserts) == 0 && len(op.Deletes) == 0) {
 			continue
 		}
-		next := copyTriples(cur)
-		for _, tr := range op.Deletes {
-			delete(next, tr)
-		}
-		for _, tr := range op.Inserts {
-			next[tr] = true
-		}
-		run.states = append(run.states, next)
+		o.apply(op.Inserts, op.Deletes)
+		run.states = append(run.states, o.triples())
 		seq, err := h.Apply(0, op.Inserts, op.Deletes)
 		if err != nil {
 			break
@@ -154,7 +140,6 @@ func replayUntilCrash(t *testing.T, sched *WriteSchedule, fs *wal.MemFS) crashRu
 			t.Fatalf("apply returned seq %d, want %d", seq, want)
 		}
 		run.acked = seq
-		cur = next
 	}
 	if !fs.Crashed() {
 		fs.Crash()
@@ -190,7 +175,7 @@ func checkRecovery(t *testing.T, label string, run crashRun, fs *wal.MemFS, base
 	if len(got) != len(want) {
 		t.Fatalf("%s: recovered %d triples at seq %d, oracle has %d", label, len(got), rec, len(want))
 	}
-	for tr := range want {
+	for _, tr := range want {
 		if !got[tr] {
 			t.Fatalf("%s: recovered state at seq %d missing oracle triple %v", label, rec, tr)
 		}
@@ -207,14 +192,6 @@ func checkRecovery(t *testing.T, label string, run crashRun, fs *wal.MemFS, base
 	}
 }
 
-func newCrashOracle(base []rdf.Triple) map[rdf.Triple]bool {
-	m := make(map[rdf.Triple]bool, len(base))
-	for _, tr := range base {
-		m[tr] = true
-	}
-	return m
-}
-
 // TestWALCrashMatrix is the tentpole verification: seeded write schedules
 // under every fault family, each at several injection points, every run
 // recovered and diffed against the per-sequence oracle states.
@@ -227,7 +204,7 @@ func TestWALCrashMatrix(t *testing.T) {
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		ds := GenDataset(rng, DatasetConfig{MaxTriples: 120})
-		sched := GenWriteSchedule(rng, ds, 30)
+		sched := GenWriteCase(rng, ds, 30)
 		for _, f := range crashFaults {
 			// Scatter the injection point: early (mid-boot or the first
 			// batches), mid-schedule, and deep enough that checkpoints
