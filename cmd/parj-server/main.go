@@ -49,8 +49,8 @@
 // peer that is draining still serves snapshots, so a successor can warm
 // from the node it replaces), retrying across the listed peers until one
 // succeeds. Only once the snapshot is resident does /readyz report 200 —
-// which is exactly when a coordinator's Reconfigure will agree to admit
-// the node into the routing table.
+// which is when a coordinator whose table lists the node's address can
+// Resync it: replay the writes the snapshot lacks and route to it again.
 package main
 
 import (

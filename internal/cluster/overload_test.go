@@ -31,16 +31,14 @@ func startTunedNode(t *testing.T, f *fixture, gov live.Options) (*remote.Node, *
 	return n, httptest.NewServer(n.Handler())
 }
 
-// breakerAllows reads one endpoint's registry breaker under the topology
-// lock; in-package tests use it to pin "overload never tripped the
-// breaker" directly rather than only through routing behavior.
+// breakerAllows reads one endpoint's breaker from the routing table;
+// in-package tests use it to pin "overload never tripped the breaker"
+// directly rather than only through routing behavior.
 func breakerAllows(t *testing.T, r *Remote, endpoint string) bool {
 	t.Helper()
-	r.topoMu.Lock()
-	st, ok := r.endpoints[endpoint]
-	r.topoMu.Unlock()
-	if !ok {
-		t.Fatalf("endpoint %s not in registry", endpoint)
+	st := r.endpoint(endpoint)
+	if st == nil {
+		t.Fatalf("endpoint %s not in the routing table", endpoint)
 	}
 	return st.breaker.Allow()
 }
@@ -54,26 +52,25 @@ func TestReplicaOrderPrefersLighterReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	ep := r.pin()
-	defer r.unpin(ep)
+	a, b := r.groups[0][0].load, r.groups[0][1].load
 
 	// Two in-flight attempts on replica 0: every order must lead with 1.
-	ep.loads[0][0].Start()
-	ep.loads[0][0].Start()
+	a.Start()
+	a.Start()
 	for i := 0; i < 32; i++ {
-		if order := r.replicaOrder(ep, 0); order[0] != 1 {
+		if order := r.replicaOrder(0); order[0] != 1 {
 			t.Fatalf("iteration %d: order %v leads with the loaded replica", i, order)
 		}
 	}
 
 	// Tip the balance the other way: now replica 0 is the lighter one.
 	for j := 0; j < 3; j++ {
-		ep.loads[0][1].Start()
+		b.Start()
 	}
-	ep.loads[0][0].Finish(time.Millisecond)
-	ep.loads[0][0].Finish(time.Millisecond)
+	a.Finish(time.Millisecond)
+	a.Finish(time.Millisecond)
 	for i := 0; i < 32; i++ {
-		if order := r.replicaOrder(ep, 0); order[0] != 0 {
+		if order := r.replicaOrder(0); order[0] != 0 {
 			t.Fatalf("iteration %d: order %v ignores the load flip", i, order)
 		}
 	}
@@ -93,29 +90,28 @@ func TestReplicaOrderSheddingTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	ep := r.pin()
-	defer r.unpin(ep)
+	a := r.groups[0][0].load
 
-	if r.saturated(ep) {
+	if r.saturated() {
 		t.Fatal("fresh tier reports saturated")
 	}
-	ep.loads[0][0].MarkOverloaded(time.Second)
+	a.MarkOverloaded(time.Second)
 	for i := 0; i < 32; i++ {
-		order := r.replicaOrder(ep, 0)
+		order := r.replicaOrder(0)
 		if len(order) != 2 || order[0] != 1 || order[1] != 0 {
 			t.Fatalf("order %v — overloaded replica must trail, not vanish", order)
 		}
 	}
 	// 1 of 2 distinct endpoints shedding: half the tier, so saturated.
-	if !r.saturated(ep) {
+	if !r.saturated() {
 		t.Fatal("half the endpoints in shed backoff, tier not saturated")
 	}
 
 	clk.Advance(2 * time.Second)
-	if r.saturated(ep) {
+	if r.saturated() {
 		t.Fatal("shed backoff expired but the tier still reads saturated")
 	}
-	if ep.loads[0][0].Overloaded() {
+	if a.Overloaded() {
 		t.Fatal("shed backoff did not expire with the clock")
 	}
 }

@@ -158,22 +158,18 @@ type RemoteResult struct {
 // around slow or failed replicas, trips per-endpoint circuit breakers, and
 // merges the shard results with coordinator-side DISTINCT/LIMIT.
 //
-// The routing table is live: Reconfigure swaps in a new replica layout
-// while queries are in flight (see topology.go).
+// The routing table is fixed at NewRemote (topology.go); a replica that
+// misses a write batch is fenced out of routing until Resync (write.go).
 type Remote struct {
 	opts   RemoteOptions
 	jitter *resilience.Jitter
 	clock  resilience.Clock
 	health *resilience.HealthChecker
 
-	// topoMu guards the epoch machinery in topology.go: the current
-	// epoch, retired epochs still draining, and the endpoint registry.
-	topoMu         sync.Mutex
-	cur            *epoch
-	drainingEpochs []*epoch
-	endpoints      map[string]*endpointState
-	version        int64
-	closed         bool
+	// groups[s] lists shard group s's replicas; endpoints lists every
+	// distinct endpoint once. Both are built by NewRemote and never change.
+	groups    [][]*endpointState
+	endpoints []*endpointState
 
 	// writeMu serializes the cluster write stream (write.go): one batch at
 	// a time gets the next sequence number, is appended to wlog and fans
@@ -208,60 +204,29 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		return nil, err
 	}
 	r := &Remote{
-		opts:      opts,
-		jitter:    resilience.NewJitter(opts.Seed),
-		clock:     opts.Clock,
-		endpoints: make(map[string]*endpointState),
-		wlog:      wlog,
+		opts:   opts,
+		jitter: resilience.NewJitter(opts.Seed),
+		clock:  opts.Clock,
+		wlog:   wlog,
 	}
-	r.topoMu.Lock()
-	r.cur = r.buildEpochLocked(opts.Replicas, nil)
-	r.topoMu.Unlock()
+	r.buildTable(opts.Replicas)
 	if opts.HealthInterval > 0 {
-		// The probe resolves the endpoint through the live registry, so
-		// replicas admitted later are probed with their own clients and
-		// retired ones stop being dialed.
 		r.health = resilience.NewHealthChecker(opts.Clock, opts.HealthInterval, distinctEndpoints(opts.Replicas),
-			func(ctx context.Context, ep string) error {
-				c := r.endpointClient(ep)
-				if c == nil {
-					return nil // retired mid-sweep; verdict is moot
-				}
-				return c.Health(ctx)
-			})
+			func(ctx context.Context, ep string) error { return r.endpoint(ep).client.Health(ctx) })
 	}
 	return r, nil
 }
 
-// endpointClient resolves an endpoint to its registered client (nil if the
-// endpoint has been retired).
-func (r *Remote) endpointClient(ep string) *remote.Client {
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	if st := r.endpoints[ep]; st != nil {
-		return st.client
-	}
-	return nil
-}
-
 // Close stops the health checker, closes the replay log (later writes fail
-// with wal.ErrClosed), and releases every epoch and endpoint.
+// with wal.ErrClosed), and releases every endpoint's connections.
 func (r *Remote) Close() {
 	r.health.Close()
 	r.writeMu.Lock()
 	r.wlog.Close()
 	r.writeMu.Unlock()
-	r.topoMu.Lock()
-	defer r.topoMu.Unlock()
-	if r.closed {
-		return
+	for _, st := range r.endpoints {
+		st.client.Close()
 	}
-	r.closed = true
-	r.cur.retired = true
-	for _, e := range append([]*epoch{r.cur}, r.drainingEpochs...) {
-		r.releaseEpochLocked(e)
-	}
-	r.drainingEpochs = nil
 }
 
 // ErrNeedsDecodedRows rejects a query with ORDER BY or OFFSET: both apply
@@ -280,11 +245,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 	if q.Buffered() {
 		return nil, ErrNeedsDecodedRows
 	}
-	// Pin the current epoch: this query routes every attempt, retry and
-	// hedge on it, even if Reconfigure swaps the table mid-flight.
-	ep := r.pin()
-	defer r.unpin(ep)
-	S := len(ep.replicas)
+	S := len(r.groups)
 	total := S * r.opts.ThreadsPerShard
 	// DISTINCT needs the actual rows at the coordinator to dedup globally,
 	// even when the caller only wants a count.
@@ -321,7 +282,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 			req := base
 			req.ShardFrom = s * r.opts.ThreadsPerShard
 			req.ShardTo = (s + 1) * r.opts.ThreadsPerShard
-			resp, err := r.execShard(groupCtx, ep, s, &req, &attempts)
+			resp, err := r.execShard(groupCtx, s, &req, &attempts)
 			outs[s] = shardOut{resp: resp, err: err}
 			if err != nil && r.opts.Policy == FailFast {
 				failFastOnce.Do(cancelGroup)
@@ -402,8 +363,11 @@ func (r *Remote) Count(ctx context.Context, query string) (int64, error) {
 	return res.Count, nil
 }
 
-// replicaOrder returns the replica indices for shard s of epoch ep in
-// routing preference order. Replicas split into three tiers: ready
+// replicaOrder returns the replica indices for shard group s in routing
+// preference order. A stale replica (one that missed a write batch) is
+// never offered while the group has a current one; a group whose replicas
+// are all stale keeps routing to them, and Write reports it until Resync.
+// The offered replicas split into three tiers: ready
 // (healthy, not inside a shed backoff window), shedding (healthy but
 // recently rejected work with an overload — still eligible, because when
 // every peer is also busy a busy replica beats no replica), and down
@@ -414,14 +378,25 @@ func (r *Remote) Count(ctx context.Context, query string) (int64, error) {
 // choices track load nearly as well as global knowledge, without a
 // coordination point. The rest of each tier rotates by shard index so
 // concurrent shards spread instead of all hammering one replica.
-func (r *Remote) replicaOrder(ep *epoch, s int) []int {
-	reps := ep.replicas[s]
+func (r *Remote) replicaOrder(s int) []int {
+	group := r.groups[s]
+	var current, stale []int
+	for i, st := range group {
+		if st.stale.Load() {
+			stale = append(stale, i)
+		} else {
+			current = append(current, i)
+		}
+	}
+	if len(current) == 0 {
+		current = stale
+	}
 	var ready, shedding, down []int
-	for i := range reps {
+	for _, i := range current {
 		switch {
-		case !r.health.Healthy(reps[i]):
+		case !r.health.Healthy(group[i].url):
 			down = append(down, i)
-		case ep.loads[s][i].Overloaded():
+		case group[i].load.Overloaded():
 			shedding = append(shedding, i)
 		default:
 			ready = append(ready, i)
@@ -440,7 +415,7 @@ func (r *Remote) replicaOrder(ep *epoch, s int) []int {
 		if b >= a {
 			b++
 		}
-		if ep.loads[s][ready[b]].Less(ep.loads[s][ready[a]]) {
+		if group[ready[b]].load.Less(group[ready[a]].load) {
 			a, b = b, a
 		}
 		lead := []int{ready[a], ready[b]}
@@ -455,27 +430,19 @@ func (r *Remote) replicaOrder(ep *epoch, s int) []int {
 	return append(append(ready, rotate(shedding)...), rotate(down)...)
 }
 
-// saturated reports whether at least half of the epoch's distinct
-// endpoints are inside a shed backoff window — the tier as a whole is
-// overloaded, not one replica. Hedging is suppressed in that state: a
-// hedge helps when one replica is slow among idle peers, but against a
-// saturated tier it only doubles the offered load and feeds the storm.
-func (r *Remote) saturated(ep *epoch) bool {
-	total, over := 0, 0
-	seen := make(map[string]bool)
-	for s, reps := range ep.replicas {
-		for i, e := range reps {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			total++
-			if ep.loads[s][i].Overloaded() {
-				over++
-			}
+// saturated reports whether at least half of the distinct endpoints are
+// inside a shed backoff window — the tier as a whole is overloaded, not one
+// replica. Hedging is suppressed in that state: a hedge helps when one
+// replica is slow among idle peers, but against a saturated tier it only
+// doubles the offered load and feeds the storm.
+func (r *Remote) saturated() bool {
+	over := 0
+	for _, st := range r.endpoints {
+		if st.load.Overloaded() {
+			over++
 		}
 	}
-	return total > 0 && over*2 >= total
+	return over*2 >= len(r.endpoints)
 }
 
 // attemptOut is one replica attempt's outcome.
@@ -489,10 +456,9 @@ type attemptOut struct {
 // retrying retryable failures with jittered backoff, hedging a second
 // attempt when the first is slow, and consulting each endpoint's circuit
 // breaker before sending. The first success wins; pending siblings are
-// canceled and their breaker slots released. All routing state (endpoints,
-// clients, breakers) comes from the pinned epoch.
-func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.ExecRequest, attempts *atomic.Int64) (*remote.ExecResponse, error) {
-	order := r.replicaOrder(ep, s)
+// canceled and their breaker slots released.
+func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, attempts *atomic.Int64) (*remote.ExecResponse, error) {
+	order := r.replicaOrder(s)
 	maxAttempts := r.opts.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 2 * len(order)
@@ -508,16 +474,14 @@ func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.Ex
 	// launch sends req to the next replica whose breaker admits it.
 	launch := func() bool {
 		for probe := 0; probe < len(order); probe++ {
-			rep := order[launched%len(order)]
+			st := r.groups[s][order[launched%len(order)]]
 			launched++
-			breaker := ep.breakers[s][rep]
+			breaker, client, load := st.breaker, st.client, st.load
 			if !breaker.Allow() {
 				continue
 			}
 			pending++
 			attempts.Add(1)
-			client := ep.clients[s][rep]
-			load := ep.loads[s][rep]
 			// Deadline propagation: stamp this attempt with the client's
 			// remaining budget, measured now — a retry after a slow first
 			// attempt carries a smaller budget than the first did, and the
@@ -608,7 +572,7 @@ func (r *Remote) execShard(ctx context.Context, ep *epoch, s int, req *remote.Ex
 		return nil, fmt.Errorf("cluster: shard %d: all replica breakers open: %w", s, governance.ErrOverloaded)
 	}
 	hedge := r.opts.HedgeAfter
-	if hedge > 0 && r.saturated(ep) {
+	if hedge > 0 && r.saturated() {
 		// Hedge suppression: with half the tier shedding, a duplicate
 		// attempt is pure storm amplification, not tail-latency insurance.
 		hedge = 0

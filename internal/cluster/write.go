@@ -16,19 +16,21 @@ import (
 // The coordinator is the single sequencer of the cluster write stream:
 // Write serializes batches under writeMu, stamps each with the next
 // sequence number, appends it to the replay log, and fans it out to every
-// distinct replica endpoint of the pinned routing epoch. Replicas apply
-// batches in identical order with deletes before inserts, which keeps their
+// current replica endpoint of the routing table. Replicas apply batches in
+// identical order with deletes before inserts, which keeps their
 // append-only dictionaries — and therefore their dictionary-encoded shard
 // results — byte-identical.
 //
 // Fault model: a replica that misses a batch (killed mid-burst, network
-// cut, or already past it) is removed from the routing table so queries
-// stop landing on its stale store; the batch itself still commits on the
-// surviving replicas. The replay log is one wal.Log in every configuration
-// (durable on disk, or volatile on a wal.MemFS), so a replica that comes
-// back (or a fresh one warmed from a peer snapshot that embeds its
-// write-stream position) is caught up by Resync — replaying exactly the log
-// suffix the snapshot does not contain — before it is re-admitted.
+// cut, a sequence gap, or already past it) is fenced: its stale flag is set
+// under writeMu, so queries stop landing on its stale store while its group
+// has a current replica, and later batches skip it. The batch itself still
+// commits on the current replicas. The replay log is one wal.Log in every
+// configuration (durable on disk, or volatile on a wal.MemFS), so a replica
+// that comes back at its URL (restarted, or a fresh node warmed from a peer
+// snapshot that embeds its write-stream position) is caught up by Resync —
+// replaying exactly the log suffix it does not hold — and Resync is the
+// only way it is readmitted.
 
 // defaultRetain is the replay span kept when WriteOptions.Retain is zero.
 const defaultRetain = 1024
@@ -82,14 +84,14 @@ func (r *Remote) WriteSeq() uint64 {
 
 // Write commits one write batch to the cluster: it assigns the next
 // sequence number, appends the batch to the replay log, and fans it out to
-// every distinct replica endpoint. Endpoints that fail to apply the batch —
-// or acknowledge it at another sequence (ErrReplicaAhead) — are removed
-// from the routing table (queries must not read their stale stores); the
-// returned error is non-nil only when some shard group would be left with
-// no current replica. The batch is still committed on the survivors and
-// recorded in the log either way, so a recovered replica can be caught up
-// with Resync. Once any replica has been found ahead, Write refuses every
-// batch with ErrReplicaAhead before it takes a sequence number.
+// every current (not stale) replica endpoint. Endpoints that fail to apply
+// the batch — or acknowledge it at another sequence (ErrReplicaAhead) — are
+// marked stale, so queries stop reading their stores; the returned error is
+// non-nil only while some shard group has no current replica left. The
+// batch is still committed on the current replicas and recorded in the log
+// either way, so a recovered replica can be caught up with Resync. Once any
+// replica has been found ahead, Write refuses every batch with
+// ErrReplicaAhead before it takes a sequence number.
 func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (uint64, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
@@ -107,27 +109,13 @@ func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (u
 		return 0, fmt.Errorf("cluster: write log append %d: %w", batch.Seq, err)
 	}
 
-	ep := r.pin()
-	defer r.unpin(ep)
-	targets := distinctEndpoints(ep.replicas)
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, target := range targets {
-		client := r.endpointClient(target)
-		if client == nil {
-			continue // retired between pin and now; nothing to apply
+	errs := r.fanOut(func(st *endpointState) error {
+		resp, err := st.client.Write(ctx, &batch)
+		if err == nil && resp.Seq != batch.Seq {
+			err = fmt.Errorf("%w: %s acknowledged batch %d at seq %d", ErrReplicaAhead, st.url, batch.Seq, resp.Seq)
 		}
-		wg.Add(1)
-		go func(i int, c *remote.Client) {
-			defer wg.Done()
-			resp, err := c.Write(ctx, &batch)
-			if err == nil && resp.Seq != batch.Seq {
-				err = fmt.Errorf("%w: %s acknowledged batch %d at seq %d", ErrReplicaAhead, targets[i], batch.Seq, resp.Seq)
-			}
-			errs[i] = err
-		}(i, client)
-	}
-	wg.Wait()
+		return err
+	})
 
 	// Retention: drop log segments wholly behind the replay span. Best
 	// effort — a failed prune costs space, not correctness.
@@ -135,84 +123,78 @@ func (r *Remote) Write(ctx context.Context, inserts, deletes []remote.Triple) (u
 		r.wlog.Prune(batch.Seq - retain)
 	}
 
-	var failed []string
 	for i, err := range errs {
 		if err != nil {
-			failed = append(failed, targets[i])
+			r.endpoints[i].stale.Store(true)
 			if r.forked == nil && errors.Is(err, ErrReplicaAhead) {
 				r.forked = err
 			}
 		}
 	}
-	if len(failed) == 0 {
+	// A group with no current replica keeps routing to its stale ones (it
+	// would be unroutable otherwise); every write reports it until Resync.
+	var soleStale []string
+	for s, group := range r.groups {
+		if allStale(group) {
+			soleStale = append(soleStale, fmt.Sprintf("group %d: %v", s, r.opts.Replicas[s]))
+		}
+	}
+	if len(soleStale) == 0 {
 		return batch.Seq, nil
 	}
-	err := r.evictStale(ctx, failed)
-	if err != nil && r.forked != nil {
+	err := fmt.Errorf("cluster: write missed sole replicas (%v); resync required", soleStale)
+	if r.forked != nil {
 		err = fmt.Errorf("%w: %w", r.forked, err)
 	}
 	return batch.Seq, err
 }
 
-// evictStale removes endpoints that missed a write batch from every shard
-// group that retains at least one other replica. An endpoint that is the
-// sole replica of some group cannot be removed (the group would be
-// unroutable); that is reported as an error — the group is serving a stale
-// store until the replica is resynced.
-func (r *Remote) evictStale(ctx context.Context, failed []string) error {
-	stale := make(map[string]bool, len(failed))
-	for _, ep := range failed {
-		stale[ep] = true
-	}
-	var soleStale []string
-	_, err := r.mutate(ctx, func(replicas [][]string) ([][]string, error) {
-		soleStale = nil
-		changed := false
-		for s, reps := range replicas {
-			kept := reps[:0]
-			for _, ep := range reps {
-				if !stale[ep] {
-					kept = append(kept, ep)
-				}
-			}
-			if len(kept) == 0 {
-				// Removing every replica would orphan the group; keep it
-				// as-is and surface the staleness.
-				soleStale = append(soleStale, fmt.Sprintf("group %d: %v", s, reps))
-				continue
-			}
-			if len(kept) != len(reps) {
-				changed = true
-				replicas[s] = kept
-			}
+// allStale reports whether every replica of group is stale.
+func allStale(group []*endpointState) bool {
+	for _, st := range group {
+		if !st.stale.Load() {
+			return false
 		}
-		if !changed {
-			return nil, nil
+	}
+	return true
+}
+
+// fanOut calls do on every current endpoint concurrently and returns the
+// errors indexed like r.endpoints (nil for stale endpoints, which it skips).
+func (r *Remote) fanOut(do func(st *endpointState) error) []error {
+	errs := make([]error, len(r.endpoints))
+	var wg sync.WaitGroup
+	for i, st := range r.endpoints {
+		if st.stale.Load() {
+			continue
 		}
-		return replicas, nil
-	})
-	var errs []error
-	if err != nil {
-		errs = append(errs, fmt.Errorf("cluster: evicting stale replicas %v: %w", failed, err))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = do(st)
+		}()
 	}
-	if len(soleStale) > 0 {
-		errs = append(errs, fmt.Errorf("cluster: write missed sole replicas (%v); resync required", soleStale))
-	}
-	return errors.Join(errs...)
+	wg.Wait()
+	return errs
 }
 
 // Resync catches a replica up with the write stream: it reads the
 // replica's applied sequence from /statz and replays the missing log
 // suffix in order. The write stream is held still for the duration, so a
-// successful resync leaves the replica exactly current — ready for
-// AddReplica. Returns ErrLogTruncated when the replica is further behind
-// than the log reaches (it must warm from a peer snapshot, which embeds a
-// newer stream position, and try again), and ErrReplicaAhead when it is
-// past the coordinator's head or any replica has been found ahead before.
+// successful resync leaves the replica exactly current; for an endpoint of
+// the routing table it also clears the stale fence before the stream moves
+// again, so the next batch reaches it and queries route to it. Any other
+// URL is caught up the same way, with no effect on routing.
+// Returns ErrLogTruncated when the replica is further behind than the log
+// reaches (it must warm from a peer snapshot, which embeds a newer stream
+// position, and try again), and ErrReplicaAhead when it is past the
+// coordinator's head or any replica has been found ahead before.
 func (r *Remote) Resync(ctx context.Context, endpoint string) error {
-	client := r.endpointClient(endpoint)
-	if client == nil {
-		// Not (or no longer) in the routing table — a rejoining node.
+	st := r.endpoint(endpoint)
+	var client *remote.Client
+	if st != nil {
+		client = st.client
+	} else {
 		client = remote.NewClient(endpoint, 0)
 		defer client.Close()
 	}
@@ -231,7 +213,6 @@ func (r *Remote) Resync(ctx context.Context, endpoint string) error {
 		r.forked = fmt.Errorf("%w: replica %s at %d, coordinator at %d", ErrReplicaAhead, endpoint, sz.WriteSeq, head)
 		return r.forked
 	case sz.WriteSeq == head:
-		return nil
 	case from < r.wlog.FirstSeq():
 		return fmt.Errorf("%w: replica at %d, log starts at %d", ErrLogTruncated, sz.WriteSeq, r.wlog.FirstSeq())
 	default:
@@ -242,35 +223,23 @@ func (r *Remote) Resync(ctx context.Context, endpoint string) error {
 		if err != nil {
 			return fmt.Errorf("cluster: resync %s: %w", endpoint, err)
 		}
-		return nil
 	}
+	if st != nil {
+		st.stale.Store(false)
+	}
+	return nil
 }
 
 // WriteLog reports the replay log's span and durable position: LastSeq is
 // the sequencer head, FirstSeq the oldest batch Resync can still replay.
 func (r *Remote) WriteLog() wal.Stats { return r.wlog.Stats() }
 
-// ReconcileAll forces a synchronous reconciliation on every distinct
-// replica endpoint of the current epoch, so pending deltas everywhere are
-// merged into fresh base stores.
+// ReconcileAll forces a synchronous reconciliation on every current
+// replica endpoint, so pending deltas everywhere are merged into fresh base
+// stores. Stale endpoints are skipped: Resync comes first for them.
 func (r *Remote) ReconcileAll(ctx context.Context) error {
-	ep := r.pin()
-	defer r.unpin(ep)
-	targets := distinctEndpoints(ep.replicas)
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, target := range targets {
-		client := r.endpointClient(target)
-		if client == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c *remote.Client) {
-			defer wg.Done()
-			_, err := c.Reconcile(ctx)
-			errs[i] = err
-		}(i, client)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(r.fanOut(func(st *endpointState) error {
+		_, err := st.client.Reconcile(ctx)
+		return err
+	})...)
 }

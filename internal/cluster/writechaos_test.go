@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,15 +40,41 @@ func writeNode(t *testing.T, base []rdf.Triple) (*remote.Node, *httptest.Server)
 	return n, httptest.NewServer(n.Handler())
 }
 
+// rebind serves h on addr, the address a killed replica's listener just
+// released, so the replacement answers at the URL the routing table lists.
+func rebind(t *testing.T, addr string, h http.Handler) *httptest.Server {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	srv := httptest.NewUnstartedServer(h)
+	srv.Listener.Close()
+	srv.Listener = ln
+	srv.Start()
+	return srv
+}
+
+// fenced reads an endpoint's stale flag from the routing table.
+func fenced(t *testing.T, r *Remote, endpoint string) bool {
+	t.Helper()
+	st := r.endpoint(endpoint)
+	if st == nil {
+		t.Fatalf("endpoint %s not in the routing table", endpoint)
+	}
+	return st.stale.Load()
+}
+
 // TestRemoteWriteChaos is the write-path acceptance scenario: a sequenced
 // write burst flows through the coordinator while a query stream runs; one
 // replica (behind a killable proxy, listed in both shard groups) dies mid-
-// burst and is evicted without forking the sequence; a brand-new replica
-// warms from a peer snapshot embedding the write-stream position, catches
-// up through coordinator log replay, is admitted, and takes the rest of the
-// stream; after ReconcileAll every surviving replica holds exactly the
-// oracle triple set. LeakCheck covers the whole churn; coordinator timers
-// run on a driven FakeClock.
+// burst and is fenced without forking the sequence; a brand-new replica
+// warms from a peer snapshot embedding the write-stream position, comes up
+// at the dead replica's address, catches up through coordinator log replay
+// — which readmits it — and takes the rest of the stream and its share of
+// the queries; after ReconcileAll every replica holds exactly the oracle
+// triple set. LeakCheck covers the whole churn; coordinator timers run on a
+// driven FakeClock.
 func TestRemoteWriteChaos(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	base := lubm.Triples(2, lubm.Config{})
@@ -121,7 +150,7 @@ func TestRemoteWriteChaos(t *testing.T) {
 	// oracle-exact rows no matter what the write path is doing. The queries
 	// touch only the immutable LUBM predicates, so their answer is epoch-
 	// independent — what's being tested is that the serving path stays
-	// exact while epochs swap under it.
+	// exact while a replica is fenced and readmitted under it.
 	var (
 		stop    atomic.Bool
 		wg      sync.WaitGroup
@@ -156,24 +185,14 @@ func TestRemoteWriteChaos(t *testing.T) {
 	}
 
 	// Phase 2: kill the proxied replica mid-burst. The first write to fail
-	// against it evicts the endpoint from both groups; the sequence keeps
+	// against it fences the endpoint in both groups; the sequence keeps
 	// advancing on the survivor and never forks.
 	pB.Kill()
 	for i := 0; i < 30; i++ {
 		write(t)
 	}
-	// The eviction is synchronous with the failed write, so the routing
-	// table is clean now; the endpoint registry lets go of the dead
-	// endpoint only when the last query pinned to the pre-eviction epoch
-	// drains, which is asserted once the query stream has stopped.
-	if _, replicas := r.Topology(); len(replicas) != 2 {
-		t.Fatalf("routing table lost a shard group: %v", replicas)
-	} else {
-		for _, ep := range distinctEndpoints(replicas) {
-			if ep == pB.URL() {
-				t.Fatalf("dead write target still in the routing table: %v", replicas)
-			}
-		}
+	if !fenced(t, r, pB.URL()) || fenced(t, r, srvA.URL) {
+		t.Fatalf("after the kill: dead target fenced=%v, survivor fenced=%v", fenced(t, r, pB.URL()), fenced(t, r, srvA.URL))
 	}
 	szA := nodeA.Statz()
 	if szA.WriteSeq != 60 || szA.PendingWrites == 0 {
@@ -193,26 +212,24 @@ func TestRemoteWriteChaos(t *testing.T) {
 	}
 	joiner := remote.NewNode(warmSt, nil, remote.NodeOptions{})
 	joiner.Live().SeedSeq(warmSeq)
-	srvJ := httptest.NewServer(joiner.Handler())
+	srvJ := rebind(t, pB.Addr(), joiner.Handler())
 	defer srvJ.Close()
 
-	// The stream moves on while the joiner sits outside the table...
+	// The stream moves on while the joiner answers at the fenced URL...
 	for i := 0; i < 20; i++ {
 		write(t)
 	}
-	// ...so admission needs a log replay first: Resync brings the joiner
-	// from its snapshot position to the coordinator's head.
-	if err := r.Resync(context.Background(), srvJ.URL); err != nil {
+	if sz := joiner.Statz(); sz.WriteSeq != 60 || sz.Queries != 0 || !fenced(t, r, pB.URL()) {
+		t.Fatalf("fenced joiner at seq %d served %d queries (fenced=%v), want seq 60, none, fenced",
+			sz.WriteSeq, sz.Queries, fenced(t, r, pB.URL()))
+	}
+	// ...so readmission is a log replay: Resync brings the joiner from its
+	// snapshot position to the coordinator's head and lifts the fence.
+	if err := r.Resync(context.Background(), pB.URL()); err != nil {
 		t.Fatalf("resync: %v", err)
 	}
-	if sz := joiner.Statz(); sz.WriteSeq != 80 {
-		t.Fatalf("joiner after resync at seq %d, want 80", sz.WriteSeq)
-	}
-	if _, err := r.AddReplica(context.Background(), 0, srvJ.URL); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AddReplica(context.Background(), 1, srvJ.URL); err != nil {
-		t.Fatal(err)
+	if sz := joiner.Statz(); sz.WriteSeq != 80 || fenced(t, r, pB.URL()) {
+		t.Fatalf("joiner after resync at seq %d (fenced=%v), want 80, readmitted", sz.WriteSeq, fenced(t, r, pB.URL()))
 	}
 
 	// Phase 4: the rest of the burst reaches survivor and joiner alike.
@@ -222,6 +239,7 @@ func TestRemoteWriteChaos(t *testing.T) {
 	if sz := joiner.Statz(); sz.WriteSeq != 100 {
 		t.Fatalf("joiner at seq %d after post-admission burst, want 100", sz.WriteSeq)
 	}
+	waitForCond(t, func() bool { return joiner.Statz().Queries > 0 })
 
 	// Phase 5: reconcile everywhere and require exact convergence: stream
 	// position preserved, no pending deltas, and the effective triple count
@@ -276,16 +294,6 @@ func TestRemoteWriteChaos(t *testing.T) {
 	if served == 0 {
 		t.Fatal("query stream never completed a query")
 	}
-	// No query is in flight any more: every retired epoch has drained and
-	// released its endpoints, the dead one included.
-	if n := r.DrainingEpochs(); n != 0 {
-		t.Fatalf("%d retired epochs still draining with no query in flight", n)
-	}
-	for _, ep := range r.Endpoints() {
-		if ep == pB.URL() {
-			t.Fatal("dead write target still in the endpoint registry after every epoch drained")
-		}
-	}
 }
 
 // decodeRows decodes gathered rows through the mirror replica's current
@@ -314,7 +322,7 @@ func decodeRows(t *testing.T, mirror *live.Handle, src string, rows [][]uint32) 
 // back from its own write-ahead log. Local replay must restore every batch
 // the replica acknowledged before the kill — exactly, no fork, no loss —
 // and the coordinator's Resync then ships only the suffix the replica
-// missed while it was down.
+// missed while it was down, readmitting it at its own URL.
 func TestRemoteWriteWALKillRestart(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	ctx := context.Background()
@@ -376,14 +384,12 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 	fs.Crash()
 	h1.Close() // the error is the crash itself
 
-	// The stream moves on; the first write that fails against B evicts it.
+	// The stream moves on; the first write that fails against B fences it.
 	for i := 26; i <= 40; i++ {
 		write(i)
 	}
-	for _, ep := range r.Endpoints() {
-		if ep == srvB.URL {
-			t.Fatal("killed replica still in the routing table")
-		}
+	if !fenced(t, r, srvB.URL) {
+		t.Fatal("killed replica not fenced")
 	}
 
 	// Restart from the crashed filesystem image: recovery is checkpoint +
@@ -399,19 +405,16 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 		t.Fatalf("local replay recovered seq %d, want %d (acked at kill)", got, killSeq)
 	}
 	node2 := remote.NewNodeHandle(h2, remote.NodeOptions{})
-	srv2 := httptest.NewServer(node2.Handler())
+	srv2 := rebind(t, hostport(srvB), node2.Handler())
 	defer srv2.Close()
 
 	// Resync ships only the missed suffix (the coordinator reads the
-	// replica's recovered position from /statz), then the replica rejoins.
-	if err := r.Resync(ctx, srv2.URL); err != nil {
+	// replica's recovered position from /statz) and readmits the replica.
+	if err := r.Resync(ctx, srvB.URL); err != nil {
 		t.Fatalf("resync recovered replica: %v", err)
 	}
-	if sz := node2.Statz(); sz.WriteSeq != r.WriteSeq() {
-		t.Fatalf("sequence fork after rejoin: replica %d, coordinator %d", sz.WriteSeq, r.WriteSeq())
-	}
-	if _, err := r.AddReplica(ctx, 0, srv2.URL); err != nil {
-		t.Fatal(err)
+	if sz := node2.Statz(); sz.WriteSeq != r.WriteSeq() || fenced(t, r, srvB.URL) {
+		t.Fatalf("after rejoin: replica at %d, coordinator at %d, fenced=%v", sz.WriteSeq, r.WriteSeq(), fenced(t, r, srvB.URL))
 	}
 	for i := 41; i <= 50; i++ {
 		write(i)
@@ -445,6 +448,20 @@ func TestRemoteWriteWALKillRestart(t *testing.T) {
 	if count != len(oracle) {
 		t.Fatalf("recovered replica holds %d written triples, oracle %d", count, len(oracle))
 	}
+	servesAgain(t, r, node2, `SELECT ?s ?o WHERE { ?s <wp> ?o }`, int64(len(oracle)))
+}
+
+// servesAgain runs src through the coordinator until node has answered a
+// query, checking every count against want.
+func servesAgain(t *testing.T, r *Remote, node *remote.Node, src string, want int64) {
+	t.Helper()
+	waitForCond(t, func() bool {
+		n, err := r.Count(context.Background(), src)
+		if err != nil || n != want {
+			t.Fatalf("count %d (%v), want %d", n, err, want)
+		}
+		return node.Statz().Queries > 0
+	})
 }
 
 // TestRemoteCoordinatorWALRestart: the coordinator's replay log is a WAL on
@@ -711,52 +728,149 @@ func TestRemoteWriteOptionsRefuseIgnoredLogFields(t *testing.T) {
 	}
 }
 
-// TestRemoteWriteSeqGapEviction: a stale replica admitted without a resync
-// rejects the next batch with a sequence gap (HTTP 409, non-retryable) and
-// is evicted rather than silently diverging.
-func TestRemoteWriteSeqGapEviction(t *testing.T) {
-	defer testutil.LeakCheck(t)()
+// gapReplica builds the sequence-gap scenario: a coordinator restarted on
+// its durable log (head 1) over a table of A, which applied batch 1, and a
+// fresh replica at seq 0 listed without a resync. Batch 2 applies on A,
+// and the fresh replica rejects it with a sequence gap (HTTP 409, not
+// retryable), which fences it.
+func gapReplica(t *testing.T) (r *Remote, gapped *remote.Node, gappedURL string, stop func()) {
+	t.Helper()
+	ctx := context.Background()
 	base := lubm.Triples(1, lubm.Config{})
 	_, srvA := writeNode(t, base)
-	defer srvA.Close()
+	node, srv := writeNode(t, base)
+	fs := wal.NewMemFS()
+	first, err := NewRemote(RemoteOptions{Replicas: [][]string{{srvA.URL}}, Write: WriteOptions{Log: wal.Options{FS: fs}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Write(ctx, []remote.Triple{{S: "<w1>", P: "<wp>", O: "<o>"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	r, err = NewRemote(RemoteOptions{
+		Replicas: [][]string{{srvA.URL, srv.URL}},
+		Write:    WriteOptions{Log: wal.Options{FS: fs}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Write(ctx, []remote.Triple{{S: "<w2>", P: "<wp>", O: "<o>"}}, nil); err != nil {
+		t.Fatalf("write with a current replica left: %v", err)
+	}
+	if sz := node.Statz(); sz.WriteSeq != 0 || !fenced(t, r, srv.URL) || fenced(t, r, srvA.URL) {
+		t.Fatalf("gapped replica at seq %d, fenced=%v; survivor fenced=%v", sz.WriteSeq, fenced(t, r, srv.URL), fenced(t, r, srvA.URL))
+	}
+	return r, node, srv.URL, func() { r.Close(); srv.Close(); srvA.Close() }
+}
 
-	r, err := NewRemote(RemoteOptions{Replicas: [][]string{{srvA.URL}}})
+// TestRemoteWriteSeqGapEviction: a replica listed without a resync rejects
+// the next batch with a sequence gap and is fenced rather than silently
+// diverging; a resync readmits it at its own URL and it serves again.
+func TestRemoteWriteSeqGapEviction(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	r, gapped, url, stop := gapReplica(t)
+	defer stop()
+	if err := r.Resync(context.Background(), url); err != nil {
+		t.Fatal(err)
+	}
+	if sz := gapped.Statz(); sz.WriteSeq != r.WriteSeq() || fenced(t, r, url) {
+		t.Fatalf("resynced replica at seq %d (fenced=%v), coordinator at %d", sz.WriteSeq, fenced(t, r, url), r.WriteSeq())
+	}
+	servesAgain(t, r, gapped, `SELECT ?s WHERE { ?s <wp> <o> }`, 2)
+}
+
+// TestRemoteStaleReplicaReadmittedOnlyByResync pins the readmission window.
+// A fenced replica answers no query until Resync, so FailFast queries on
+// the written predicate always see the latest batch. Resync lifts the fence
+// before the write stream moves again: with a writer racing it, the
+// replica is at the coordinator's head after every later write, and it
+// serves queries again.
+func TestRemoteStaleReplicaReadmittedOnlyByResync(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	ctx := context.Background()
+	r, gapped, url, stop := gapReplica(t)
+	defer stop()
+	src := `SELECT ?s WHERE { ?s <wp> <o> }`
+	for i := 0; i < 20; i++ {
+		if n, err := r.Count(ctx, src); err != nil || n != 2 {
+			t.Fatalf("query %d on the written predicate: count %d (%v), want 2", i, n, err)
+		}
+	}
+	if q := gapped.Statz().Queries; q != 0 {
+		t.Fatalf("fenced replica answered %d queries", q)
+	}
+
+	// A writer keeps the stream moving while the replica is resynced.
+	var (
+		writes atomic.Int64
+		halt   atomic.Bool
+		werr   = make(chan error, 1)
+	)
+	defer halt.Store(true)
+	go func() {
+		for i := 3; !halt.Load(); i++ {
+			if _, err := r.Write(ctx, []remote.Triple{{S: fmt.Sprintf("<w%d>", i), P: "<wp>", O: "<o>"}}, nil); err != nil {
+				werr <- err
+				return
+			}
+			writes.Add(1)
+		}
+		werr <- nil
+	}()
+	waitForCond(t, func() bool { return writes.Load() >= 3 })
+	if err := r.Resync(ctx, url); err != nil {
+		t.Fatal(err)
+	}
+	after := writes.Load()
+	waitForCond(t, func() bool { return writes.Load() >= after+5 })
+	halt.Store(true)
+	if err := <-werr; err != nil {
+		t.Fatalf("write beside the resync: %v", err)
+	}
+	for i := 0; ; i++ {
+		if sz := gapped.Statz(); sz.WriteSeq != r.WriteSeq() || fenced(t, r, url) {
+			t.Fatalf("readmitted replica at seq %d (fenced=%v), coordinator at %d", sz.WriteSeq, fenced(t, r, url), r.WriteSeq())
+		}
+		if i == 5 {
+			break
+		}
+		if _, err := r.Write(ctx, []remote.Triple{{S: fmt.Sprintf("<x%d>", i), P: "<wp>", O: "<o>"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servesAgain(t, r, gapped, src, int64(r.WriteSeq()))
+}
+
+// TestReplicaOrderFencesStaleReplicas: a stale replica is never offered
+// while its group has a current one; a group of stale replicas still routes
+// to them, and every write reports it until a resync.
+func TestReplicaOrderFencesStaleReplicas(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	dead := deadEndpoint(t)
+	r, err := NewRemote(RemoteOptions{Replicas: [][]string{{"http://a", dead}, {dead}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	ins := []remote.Triple{{S: "<s1>", P: "<wp>", O: "<o1>"}}
-	if _, err := r.Write(context.Background(), ins, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh replica at seq 0 joins without replaying the stream.
-	stale, srvStale := writeNode(t, base)
-	defer srvStale.Close()
-	if _, err := r.AddReplica(context.Background(), 0, srvStale.URL); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Write(context.Background(), []remote.Triple{{S: "<s2>", P: "<wp>", O: "<o2>"}}, nil); err != nil {
-		t.Fatalf("write after stale admission: %v", err)
-	}
-	for _, ep := range r.Endpoints() {
-		if ep == srvStale.URL {
-			t.Fatal("gap-rejecting replica still in the routing table")
+	r.groups[0][0].stale.Store(true) // fenced so no write dials it: it names no real host
+	for i := 0; i < 2; i++ {
+		if _, err := r.Write(context.Background(), []remote.Triple{{S: "<s>", P: "<p>", O: "<o>"}}, nil); err == nil ||
+			!strings.Contains(err.Error(), "resync required") {
+			t.Fatalf("write %d with every replica fenced returned %v, want a resync-required error", i, err)
 		}
 	}
-	if sz := stale.Statz(); sz.WriteSeq != 0 {
-		t.Fatalf("stale replica applied a gapped batch: seq %d", sz.WriteSeq)
+	if !fenced(t, r, dead) {
+		t.Fatal("failed write did not fence the dead endpoint")
 	}
-	// A resync heals it for re-admission.
-	if err := r.Resync(context.Background(), srvStale.URL); err != nil {
-		t.Fatal(err)
+	for s := range r.groups {
+		if order := r.replicaOrder(s); len(order) != len(r.groups[s]) {
+			t.Fatalf("group %d, every replica fenced: order %v, want all of them", s, order)
+		}
 	}
-	if sz := stale.Statz(); sz.WriteSeq != r.WriteSeq() {
-		t.Fatalf("resynced replica at seq %d, coordinator at %d", sz.WriteSeq, r.WriteSeq())
-	}
-	if _, err := r.AddReplica(context.Background(), 0, srvStale.URL); err != nil {
-		t.Fatal(err)
+	r.groups[0][0].stale.Store(false)
+	if order := r.replicaOrder(0); len(order) != 1 || order[0] != 0 {
+		t.Fatalf("order %v offers the fenced replica beside a current one", order)
 	}
 }
 

@@ -232,30 +232,6 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any, limit i
 // transport fault — the process is up, the replica isn't.
 var ErrNotReady = errors.New("remote: node not ready")
 
-// Ready probes the node's readiness endpoint: nil means the node is loaded
-// and accepting queries, ErrNotReady means it answered 503 (warming or
-// draining), and a TransportError means it could not be reached at all.
-func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint+ReadyPath, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &TransportError{Endpoint: c.endpoint, Err: err}
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusServiceUnavailable:
-		return fmt.Errorf("%s: %w", c.endpoint, ErrNotReady)
-	default:
-		return &TransportError{Endpoint: c.endpoint, Err: fmt.Errorf("readyz status %d", resp.StatusCode)}
-	}
-}
-
 // Statz fetches the node's cumulative statistics.
 func (c *Client) Statz(ctx context.Context) (*StatzResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint+StatzPath, nil)

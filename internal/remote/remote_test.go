@@ -461,27 +461,24 @@ func TestSnapshotCutMidStream(t *testing.T) {
 }
 
 // TestClientReady distinguishes "warming" (ErrNotReady) from transport
-// failure.
+// failure, on the one client call a warming node refuses: its snapshot.
 func TestClientReady(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	n, c, stop := testNode(t, NodeOptions{NotReady: true})
 	defer stop()
 	defer c.Close()
 
-	if err := c.Ready(context.Background()); !errors.Is(err, ErrNotReady) {
-		t.Fatalf("warming node: %v, want ErrNotReady", err)
-	}
 	if _, err := c.Snapshot(context.Background()); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("snapshot from warming node: %v, want ErrNotReady", err)
 	}
 	n.SetReady(true)
-	if err := c.Ready(context.Background()); err != nil {
-		t.Fatalf("ready node: %v", err)
+	if _, err := c.Snapshot(context.Background()); err != nil {
+		t.Fatalf("snapshot from ready node: %v", err)
 	}
 	dead := NewClient("http://127.0.0.1:1", time.Second)
 	defer dead.Close()
 	var te *TransportError
-	if err := dead.Ready(context.Background()); !errors.As(err, &te) {
+	if _, err := dead.Snapshot(context.Background()); !errors.As(err, &te) {
 		t.Fatalf("dead node: %v, want TransportError", err)
 	}
 }

@@ -10,24 +10,21 @@ import (
 // up/down verdict per target. The coordinator orders replicas healthy-first,
 // so a node that stops answering its health endpoint is routed around even
 // before its circuit breaker trips — and a recovered node is routed back to
-// without waiting for a live request to probe it.
-//
-// The target set is live: SetTargets swaps it while the checker runs, which
-// is what a reconfigurable topology needs — a freshly admitted replica is
-// probed on the next sweep and a retired one stops being probed at all.
+// without waiting for a live request to probe it. The target set is fixed
+// at construction.
 type HealthChecker struct {
 	probe    func(ctx context.Context, target string) error
 	interval time.Duration
 	timeout  time.Duration
 	clock    Clock
+	targets  []string
 
-	mu      sync.Mutex
-	targets []string
-	down    map[string]bool
+	mu   sync.Mutex
+	down map[string]bool
 
 	stop chan struct{}
 	done chan struct{}
-	wake chan struct{} // tests and SetTargets poke this to trigger a sweep
+	wake chan struct{} // CheckNow pokes this to trigger a sweep
 }
 
 // NewHealthChecker starts a checker over targets, probing each one every
@@ -58,9 +55,6 @@ func NewHealthChecker(clock Clock, interval time.Duration, targets []string, pro
 		done:     make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 	}
-	for _, t := range targets {
-		h.down[t] = false
-	}
 	go h.run()
 	return h
 }
@@ -78,12 +72,9 @@ func (h *HealthChecker) run() {
 	}
 }
 
-// sweep probes every current target once.
+// sweep probes every target once.
 func (h *HealthChecker) sweep() {
-	h.mu.Lock()
-	targets := append([]string(nil), h.targets...)
-	h.mu.Unlock()
-	for _, t := range targets {
+	for _, t := range h.targets {
 		select {
 		case <-h.stop:
 			return
@@ -93,31 +84,9 @@ func (h *HealthChecker) sweep() {
 		err := h.probe(ctx, t)
 		cancel()
 		h.mu.Lock()
-		// A target retired mid-sweep must not be resurrected in the map.
-		if _, live := h.down[t]; live {
-			h.down[t] = err != nil
-		}
+		h.down[t] = err != nil
 		h.mu.Unlock()
 	}
-}
-
-// SetTargets replaces the probed set. New targets start healthy (advisory
-// until the next sweep demotes them); removed targets are forgotten. A
-// sweep is triggered immediately so membership changes take effect without
-// waiting out the interval.
-func (h *HealthChecker) SetTargets(targets []string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	next := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		next[t] = h.down[t] // carry the last verdict for survivors
-	}
-	h.targets = append(h.targets[:0:0], targets...)
-	h.down = next
-	h.mu.Unlock()
-	h.CheckNow()
 }
 
 // Healthy reports the last verdict for target (unknown targets read

@@ -241,31 +241,6 @@ func TestHealthCheckerProbesImmediately(t *testing.T) {
 	waitFor(t, func() bool { return !h.Healthy("dead") })
 }
 
-func TestHealthCheckerSetTargets(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	var mu sync.Mutex
-	dead := map[string]bool{"a": true, "b": true}
-	h := NewHealthChecker(RealClock{}, time.Hour, []string{"a"},
-		func(ctx context.Context, target string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if dead[target] {
-				return errors.New("down")
-			}
-			return nil
-		})
-	defer h.Close()
-	waitFor(t, func() bool { return !h.Healthy("a") })
-
-	// Swap membership: a retired, b joins — b starts healthy (advisory)
-	// and the triggered sweep demotes it; a's stale verdict is forgotten.
-	h.SetTargets([]string{"b"})
-	waitFor(t, func() bool { return !h.Healthy("b") })
-	if !h.Healthy("a") {
-		t.Fatal("retired target must read healthy (unknown = advisory pass)")
-	}
-}
-
 func TestHealthCheckerCloseStopsGoroutine(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	h := NewHealthChecker(nil, time.Millisecond, []string{"x"},
