@@ -235,12 +235,5 @@ func (d *Data) Decode(q *sparql.Query, rows [][]uint32) [][]string {
 			}
 		}
 	}
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		out[i] = make([]string, len(row))
-		for j, id := range row {
-			out[i][j] = dicts[j].Decode(id)
-		}
-	}
-	return out
+	return dict.DecodeRows(dicts, rows)
 }

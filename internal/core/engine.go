@@ -220,36 +220,17 @@ func (r *Result) Decode(st *store.Store, row []uint32) []string {
 	return out
 }
 
-// StringRows decodes all rows as one batch: one dictionary snapshot per
-// column (append-only, so the prefix stays valid while writes land) instead
-// of a lock round trip per ID, and one backing array for all the strings. An ID
-// past a snapshot goes back to the dictionary, which decodes a term encoded
-// since and panics on an unknown one exactly as Decode does.
+// StringRows decodes all rows as one batch (dict.DecodeRows), each column
+// through the dictionary its slot draws from.
 func (r *Result) StringRows(st *store.Store) [][]string {
-	n := len(r.Plan.Project)
-	dicts := make([]*dict.Dict, n)
-	terms := make([]dict.View, n) // used in place: At per cell copies nothing
+	dicts := make([]*dict.Dict, len(r.Plan.Project))
 	for i, slot := range r.Plan.Project {
 		dicts[i] = st.Resources
 		if r.Plan.SlotIsPred[slot] {
 			dicts[i] = st.Predicates
 		}
-		terms[i] = dicts[i].SnapshotStrings()
 	}
-	flat := make([]string, n*len(r.Rows))
-	out := make([][]string, len(r.Rows))
-	for i, row := range r.Rows {
-		dst := flat[i*n : (i+1)*n : (i+1)*n]
-		for c, id := range row {
-			if t := &terms[c]; id-1 < uint32(t.Len()) { // ID 0 wraps past every length
-				dst[c] = t.At(id)
-			} else {
-				dst[c] = dicts[c].Decode(id)
-			}
-		}
-		out[i] = dst
-	}
-	return out
+	return dict.DecodeRows(dicts, r.Rows)
 }
 
 // Execute runs plan against st. It returns an error only for option/plan

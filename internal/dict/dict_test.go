@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"parj/internal/lubm"
 )
 
 func TestEncodeAssignsDenseIDs(t *testing.T) {
@@ -112,6 +114,97 @@ func TestQuickBijection(t *testing.T) {
 	}
 }
 
+// TestTermShapes round-trips the terms the prefix split must get right
+// through Encode, Lookup, Decode, View.At, View.Append and DecodeRows, and
+// checks which of them share a stored prefix.
+func TestTermShapes(t *testing.T) {
+	long := "<http://a/" + strings.Repeat("l", 2*maxChunk) + ">"
+	terms := []string{
+		"<http://a/x#frag>",  // '#' after the last '/'
+		"<http://a/x#other>", // same prefix
+		"<http://a/>",        // the bare prefix: local part ">"
+		"<http://a/x/>",      // ends in '/'
+		"<>",                 // no split point
+		"<urn:isbn:1>",       // no split point
+		`"a/b#c"`,            // a literal holding '/' and '#'
+		`"1"^^<http://www.w3.org/2001/XMLSchema#int>`,
+		"_:b/1",       // a blank node holding '/'
+		"<http://a/y", // no closing '>'
+		"http://a/z>", // no opening '<'
+		"",
+		long, // a prefixed term longer than maxChunk
+	}
+	d := New()
+	for i, s := range terms {
+		if id := d.Encode(s); id != uint32(i+1) {
+			t.Fatalf("Encode(%.30q) = %d, want %d", s, id, i+1)
+		}
+	}
+	v := d.SnapshotStrings()
+	rows := make([][]uint32, len(terms))
+	for i, s := range terms {
+		id := uint32(i + 1)
+		rows[i] = []uint32{id}
+		if got := d.Lookup(strings.Clone(s)); got != id {
+			t.Errorf("Lookup(%.30q) = %d, want %d", s, got, id)
+		}
+		if got := d.Decode(id); got != s {
+			t.Errorf("Decode(%d) = %.30q, want %.30q", id, got, s)
+		}
+		if got := v.At(id); got != s {
+			t.Errorf("At(%d) = %.30q, want %.30q", id, got, s)
+		}
+		if got := string(v.Append([]byte("x"), id)); got != "x"+s {
+			t.Errorf("Append(%d) = %.30q, want %.30q", id, got, "x"+s)
+		}
+	}
+	for i, row := range DecodeRows([]*Dict{d}, rows) {
+		if row[0] != terms[i] {
+			t.Errorf("DecodeRows row %d = %.30q, want %.30q", i, row[0], terms[i])
+		}
+	}
+	for _, s := range []string{"<http://a/x#>", "<http://a/", "<http://a/x#frag", "<http://b/x#frag>", "<"} {
+		if id := d.Lookup(s); id != NoID {
+			t.Errorf("Lookup(%q) = %d, want NoID", s, id)
+		}
+	}
+	// <http://a/x#, <http://a/ (also the long term's) and <http://a/x/.
+	if n := len(d.pstr); n != 3 {
+		t.Errorf("%d prefixes stored, want 3", n)
+	}
+	// Prefix IDs past 1<<14 take three header bytes.
+	for i := 0; i < 1<<14+8; i++ {
+		s := fmt.Sprintf("<http://p%d/x>", i)
+		if got := d.Decode(d.Encode(s)); got != s {
+			t.Fatalf("Decode(Encode(%q)) = %q", s, got)
+		}
+	}
+}
+
+// maxResourceBytesPerTerm is TestResourceBytesPerTerm's ceiling: the
+// retained bytes per term of LUBM 8's resource dictionary with IRIs split
+// (37.83, of which the 15 634 terms' slots are 16.8), plus 2 %. The same
+// dictionary held 62.62 B/term with every term stored whole.
+const maxResourceBytesPerTerm = 38.59
+
+// TestResourceBytesPerTerm builds the resource dictionary of LUBM 8 and
+// bounds what it retains per distinct term: arena chunks, locators and
+// slots. A change that stops sharing IRI prefixes fails it on a count.
+func TestResourceBytesPerTerm(t *testing.T) {
+	ts := lubm.Triples(8, lubm.Config{})
+	so := make([]string, 0, 2*len(ts))
+	for _, tr := range ts {
+		so = append(so, tr.S, tr.O)
+	}
+	d := New()
+	d.EncodeAll(so, make([]uint32, len(so)))
+	got := float64(footprint(d)) / float64(d.Len())
+	t.Logf("%d terms, %d prefixes, %.2f B/term", d.Len(), len(d.pstr), got)
+	if got > maxResourceBytesPerTerm {
+		t.Fatalf("resource dictionary retains %.2f B/term, ceiling %.2f", got, maxResourceBytesPerTerm)
+	}
+}
+
 // tagSeed is the hash seed of the dictionaries FuzzDict builds, so that
 // tagPairs can hold keys whose tags collide in them.
 var tagSeed = maphash.MakeSeed()
@@ -132,26 +225,41 @@ var tagPairs = sync.OnceValue(func() [][2]string {
 	return pairs
 })
 
-// fuzzTerm takes one term off the front of p: a byte below 0xe0 is followed
-// by its value mod 8 bytes of literal term; 0xe0+k is the next byte repeated
-// minChunk−1, minChunk, 3×maxChunk or 1 times (k mod 4); 0xf0+k is a key of
-// tagPairs.
+// iriPrefixes are the namespaces fuzzTerm builds IRI-shaped terms in: a '/'
+// one, a '#' one, and two with no split point unless the local part brings
+// one.
+var iriPrefixes = []string{"<http://a/", "<http://a/b#", "<urn:x:", "<"}
+
+// fuzzTerm takes one term off the front of p: a byte below 0xd0 is followed
+// by its value mod 8 bytes of literal term; 0xd0+k is an IRI of
+// iriPrefixes[k mod 4], the next k/4 bytes and '>'; 0xe0+k is the next byte
+// repeated minChunk−1, minChunk, 3×maxChunk or 1 times (k mod 4), inside
+// "<http://a/…>" when k&4 is set; 0xf0+k is a key of tagPairs.
 func fuzzTerm(p []byte) (string, []byte) {
 	if len(p) == 0 {
 		return "", p
 	}
 	b, p := p[0], p[1:]
 	switch {
-	case b < 0xe0:
+	case b < 0xd0:
 		n := min(int(b%8), len(p))
 		return string(p[:n]), p[n:]
+	case b < 0xe0:
+		k := int(b - 0xd0)
+		n := min(k/4, len(p))
+		return iriPrefixes[k%4] + string(p[:n]) + ">", p[n:]
 	case b < 0xf0:
 		fill := byte('x')
 		if len(p) > 0 {
 			fill, p = p[0], p[1:]
 		}
+		k := int(b - 0xe0)
 		sizes := []int{minChunk - 1, minChunk, 3 * maxChunk, 1}
-		return strings.Repeat(string(fill), sizes[int(b-0xe0)%len(sizes)]), p
+		s := strings.Repeat(string(fill), sizes[k%len(sizes)])
+		if k&4 != 0 {
+			s = "<http://a/" + s + ">"
+		}
+		return s, p
 	default:
 		k := int(b - 0xf0)
 		pairs := tagPairs()
@@ -169,6 +277,13 @@ func FuzzDict(f *testing.F) {
 	f.Add([]byte{0, 0xe0, 'x', 4, 0, 0xe1, 'y', 0, 0xe2, 'z', 4, 0, 0xe3, 'v', 3, 5, 3, 3, 1, 1, 'q', 0xe0, 'x', 4})
 	// Keys sharing a tag: misses, hits and a batch that repeats one.
 	f.Add([]byte{0, 0xf0, 2, 0xf1, 0, 0xf1, 2, 0xf0, 2, 0xf1, 1, 0xf2, 0xf3, 0xf2, 2, 0xf3, 4, 3, 2, 3, 3})
+	// IRIs over shared prefixes: a '/' and a '#' namespace, the bare prefix
+	// "<http://a/>", "<>", local parts that bring their own '/' or '#', a
+	// literal that holds a '/', a prefixed term 3× the chunk cap, and a
+	// batch that repeats a subject two places on.
+	f.Add([]byte{0, 0xd4, 'x', 0, 0xd5, 'f', 0, 0xd0, 0, 0xd3, 2, 0xd4, 'x', 2, 0xd0, 4,
+		0, 0xd9, '/', '#', 0, 0xd7, 'y', 0, 3, '"', '/', '"', 0, 0xe6, 'z',
+		1, 0xd4, 'x', 0xd4, 'y', 0xd4, 'x', 3, 2, 3, 5, 4, 2, 0xd5, 'g', 2, 0xd6, 'q'})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		d := &Dict{seed: tagSeed}
 		ids := make(map[string]uint32)
@@ -242,6 +357,20 @@ func FuzzDict(f *testing.F) {
 				if v.At(id) != terms[id-1] {
 					t.Fatalf("view of %d terms: At(%d) = %.20q, want %.20q", v.Len(), id, v.At(id), terms[id-1])
 				}
+				if got := v.Append([]byte("#"), id); string(got[1:]) != terms[id-1] {
+					t.Fatalf("view of %d terms: Append(%d) = %.20q, want %.20q", v.Len(), id, got[1:], terms[id-1])
+				}
+			}
+		}
+		// A batch decode: one column of every ID, one that repeats each
+		// ID in the row after.
+		rows := make([][]uint32, len(terms))
+		for i := range rows {
+			rows[i] = []uint32{uint32(i + 1), uint32(i/2 + 1)}
+		}
+		for i, row := range DecodeRows([]*Dict{d, d}, rows) {
+			if row[0] != terms[i] || row[1] != terms[i/2] {
+				t.Fatalf("DecodeRows row %d = %.20q, want %.20q, %.20q", i, row, terms[i], terms[i/2])
 			}
 		}
 		for _, h := range handed {
@@ -257,13 +386,20 @@ func FuzzDict(f *testing.F) {
 // than a chunk and table doublings. Run under -race, it checks the arena
 // invariant: nothing handed out is ever written again.
 func TestDictViewsStableUnderGrowth(t *testing.T) {
-	term := func(i int) string { return fmt.Sprintf("<http://example.org/resource/%d>", i) }
+	// Split IRIs, which decode into new strings, and literals, which
+	// decode to views of the arena.
+	term := func(i int) string {
+		if i%4 == 3 {
+			return fmt.Sprintf(`"literal %d"`, i)
+		}
+		return fmt.Sprintf("<http://example.org/resource/%d/%d>", i%50, i)
+	}
 	d := New()
 	for i := 0; i < 1000; i++ {
 		d.Encode(term(i))
 	}
 	old := d.SnapshotStrings()
-	const total = 60000 // ≈ 2.3 MB of terms: chunks up to the cap, six doublings
+	const total = 60000 // ≈ 1.9 MB of terms in ≈ 0.6 MB of chunks: chunks up to the cap, table doublings
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	kept := make([][][2]string, 2)
@@ -278,10 +414,11 @@ func TestDictViewsStableUnderGrowth(t *testing.T) {
 					return
 				default:
 				}
-				if n := d.Len(); len(kept[r]) < 20000 {
+				if n := d.Len(); len(kept[r]) < 30000 {
 					s := d.Decode(uint32(rng.Intn(n) + 1))
 					o := old.At(uint32(rng.Intn(old.Len()) + 1))
-					kept[r] = append(kept[r], [2]string{s, strings.Clone(s)}, [2]string{o, strings.Clone(o)})
+					b := DecodeRows([]*Dict{d}, [][]uint32{{uint32(rng.Intn(n) + 1)}})[0][0]
+					kept[r] = append(kept[r], [2]string{s, strings.Clone(s)}, [2]string{o, strings.Clone(o)}, [2]string{b, strings.Clone(b)})
 				}
 				if i := rng.Intn(1000); d.Lookup(term(i)) != uint32(i+1) {
 					t.Errorf("Lookup(%s) = %d during growth, want %d", term(i), d.Lookup(term(i)), i+1)
@@ -310,7 +447,20 @@ func TestDictViewsStableUnderGrowth(t *testing.T) {
 			t.Fatalf("old view At(%d) = %q, want %q", id, got, term(int(id-1)))
 		}
 	}
-	if d.Len() != total+1 || len(d.chunks) < 8 {
-		t.Fatalf("writer left %d terms in %d chunks, want %d terms in at least 8", d.Len(), len(d.chunks), total+1)
+	if d.Len() != total+1 || len(d.terms.chunks) < 8 {
+		t.Fatalf("writer left %d terms in %d chunks, want %d terms in at least 8", d.Len(), len(d.terms.chunks), total+1)
 	}
+}
+
+// footprint is the bytes d retains: arena chunks, locators and slots, of
+// both the term and the prefix table, and the prefix strings' headers.
+func footprint(d *Dict) int {
+	n := 16 * cap(d.pstr)
+	for _, t := range []*table{&d.terms, &d.prefixes} {
+		for _, c := range t.chunks {
+			n += cap(c)
+		}
+		n += 8*cap(t.locs) + 8*cap(t.slots)
+	}
+	return n
 }

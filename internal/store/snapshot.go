@@ -322,9 +322,10 @@ func writeDict(w io.Writer, d *dict.Dict) error {
 	v := d.SnapshotStrings()
 	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 64<<10), uint32(v.Len()))
 	for id := uint32(1); id <= uint32(v.Len()); id++ {
-		term := v.At(id)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(term)))
-		buf = append(buf, term...)
+		// A split IRI is built in place, so its length is known after.
+		n := len(buf)
+		buf = v.Append(append(buf, 0, 0, 0, 0), id)
+		binary.LittleEndian.PutUint32(buf[n:], uint32(len(buf)-n-4))
 		if len(buf) >= 64<<10 {
 			if _, err := w.Write(buf); err != nil {
 				return err

@@ -174,6 +174,11 @@ type Builder struct {
 	// ID p, packed subject-high for cheap sorting.
 	perPred [][]uint64
 	ids     []uint32 // addBlock's scratch
+	// subject and subjectID are the last subject Add encoded: a document
+	// lists a subject's triples together, so Add mostly meets it again and
+	// skips its dictionary probe.
+	subject   string
+	subjectID uint32
 }
 
 // NewBuilder returns an empty Builder.
@@ -184,7 +189,12 @@ func NewBuilder() *Builder {
 // Add encodes and buffers one triple given as term strings, taking each
 // dictionary's lock once.
 func (b *Builder) Add(subject, predicate, object string) {
-	b.addBlock([]string{subject, object}, []string{predicate})
+	if b.subjectID == dict.NoID || subject != b.subject {
+		b.addBlock([]string{subject, object}, []string{predicate})
+		b.subject, b.subjectID = subject, b.ids[0]
+		return
+	}
+	b.AddEncoded(b.subjectID, b.predicates.Encode(predicate), b.resources.Encode(object))
 }
 
 // AddTriple buffers one parsed triple.
