@@ -368,7 +368,9 @@ func BenchmarkMaterializeBatch(b *testing.B) {
 // them, on the endpoint benchmark's shape: LUBM 16, one shard of two on one
 // worker, the three large-result queries (the ones internal/remote's
 // BenchmarkFrame encodes), Silent against rows. Rows minus silent is the
-// materialization layer (core.materialize_ms) on its own.
+// materialization layer (core.materialize_ms) on its own. B/row is the
+// bytes allocated per row returned (internal/core TestMaterializeBytesPerRow
+// gates the rows case).
 func BenchmarkExecRows(b *testing.B) {
 	st := store.LoadTriples(lubm.Triples(16, lubm.Config{}), store.BuildOptions{})
 	ss := stats.New(st)
@@ -389,6 +391,8 @@ func BenchmarkExecRows(b *testing.B) {
 			b.Run(nq.Name+"/"+mode, func(b *testing.B) {
 				b.ReportAllocs()
 				var rows int64
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
 				for i := 0; i < b.N; i++ {
 					res, err := core.ExecuteShardRange(st, plan, opts, 0, 1)
 					if err != nil {
@@ -396,7 +400,10 @@ func BenchmarkExecRows(b *testing.B) {
 					}
 					rows = res.Count
 				}
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
 				b.ReportMetric(float64(rows), "rows")
+				b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(int64(b.N)*max(rows, 1)), "B/row")
 			})
 		}
 	}

@@ -314,7 +314,7 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 			res.Vars = o.resp.Vars
 		}
 		res.PerShard[s] = o.resp.Count
-		gathered += len(o.resp.Rows)
+		gathered += int(o.resp.Count)
 		res.Stats.Add(o.resp.Stats)
 	}
 	res.Completeness = float64(served) / float64(S)
@@ -331,12 +331,14 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 	// Gather phase, in shard order for determinism. Every shard has
 	// already applied DISTINCT and LIMIT locally; the coordinator repeats
 	// exactly the same compaction on the merged rows, which yields the
-	// global answer (min(LIMIT, |distinct global rows|)).
+	// global answer (min(LIMIT, |distinct global rows|)). The query's one
+	// row-header array slices the shards' blocks; a shard's row count is
+	// its Count, which also holds for rows of no columns.
 	if !wireSilent {
 		rows := make([][]uint32, 0, gathered)
 		for _, o := range outs {
 			if o.err == nil {
-				rows = append(rows, o.resp.Rows...)
+				rows = core.AppendRows(rows, o.resp.Rows, len(o.resp.Vars), int(o.resp.Count))
 			}
 		}
 		rows, res.Count = core.Compact(rows, 0, q.Distinct, q.Limit)

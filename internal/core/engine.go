@@ -273,35 +273,32 @@ func ExecuteShardRange(st *store.Store, plan *optimizer.Plan, opts Options, from
 		res.simMakespan = listScheduleMakespan(s.durations, x.nworkers)
 	}
 
-	total := 0
+	var total int64
 	for _, w := range workers {
 		res.Stats.Add(w.stats)
 		res.Sched.Workers = append(res.Sched.Workers, w.wstat)
-		total += len(w.rows)
+		total += w.count
 	}
 	if err := x.gov.Err(); err != nil {
 		// Governed failure or contained panic: report partial progress
 		// (count and probe stats) alongside the typed error, but never hand
 		// out partial rows.
-		for _, w := range workers {
-			res.Count += w.produced()
-		}
+		res.Count = total
 		return res, err
 	}
 	if x.materialize {
+		// The result's one row-header array, each row a slice of the chunk
+		// its worker wrote it into.
 		rows := make([][]uint32, 0, total)
 		for _, w := range workers {
-			rows = append(rows, w.rows...)
+			rows = w.appendRows(rows)
 		}
 		rows, res.Count = Compact(rows, 0, plan.Distinct, plan.Limit)
 		if !opts.Silent {
 			res.Rows = rows
 		}
 	} else {
-		for _, w := range workers {
-			res.Count += w.count
-		}
-		_, res.Count = Compact(nil, res.Count, plan.Distinct, plan.Limit)
+		_, res.Count = Compact(nil, total, plan.Distinct, plan.Limit)
 	}
 	return res, nil
 }
@@ -570,13 +567,14 @@ type worker struct {
 	binding []uint32
 	cursors []int // per-pattern key-array cursor for sequential resumption
 
+	// chunks holds the chunks materialized rows are written into, back to
+	// back; arena is the unused tail of the last one (growArena). count is
+	// the rows emitted so far, kept or counted.
 	materialize bool
-	rows        [][]uint32
-	// arena is the unused tail of the chunk materialized rows are carved
-	// from (growArena).
-	arena []uint32
-	count int64
-	limit int
+	chunks      [][]uint32
+	arena       []uint32
+	count       int64
+	limit       int
 	// seen, non-nil only under DISTINCT+LIMIT, dedups incrementally so
 	// the limit cutoff below counts distinct rows, not produced rows —
 	// stopping at `limit` produced rows could dedup to fewer than the
@@ -591,8 +589,8 @@ type worker struct {
 	// owns — no pointer chase, no inlined slow-path code. gov is nil when
 	// the query is ungoverned; rowBytes is the per-row memory charge when
 	// rows are materialized; flushed is how many produced rows have been
-	// charged to gov so far (production itself is read off count/rows, so
-	// emit carries no governance code at all).
+	// charged to gov so far (production itself is read off count, so emit
+	// carries no governance code at all).
 	tick     int64
 	gov      *governance.Governor
 	rowBytes int64
@@ -652,14 +650,12 @@ func (w *worker) emit() bool {
 			w.seen[string(w.seenKey)] = true
 		}
 		w.arena = w.arena[n:]
-		w.rows = append(w.rows, row)
-		return w.limit == 0 || len(w.rows) < w.limit
 	}
 	w.count++
 	return w.limit == 0 || w.count < int64(w.limit)
 }
 
-// Rows are carved from chunks, each as large as all the rows before it,
+// Rows are written into chunks, each as large as all the rows before it,
 // from firstChunkRows rows up to maxChunk values: a point query's single row
 // costs one small allocation as it always did, a large result one allocation
 // per 64 KB instead of one per row, and a caller that keeps a single row
@@ -669,11 +665,49 @@ const (
 	maxChunk       = 16 << 10 // uint32 values: 64 KB
 )
 
-// growArena starts a new chunk with room for at least one n-value row. What
-// is left of the old chunk (less than one row) is dropped.
+// growArena starts a new chunk with room for at least one n-value row. The
+// last chunk is cut to the rows written into it (what is left is less than
+// one row) and kept.
 func (w *worker) growArena(n int) {
-	size := min(max(firstChunkRows, len(w.rows))*n, maxChunk)
-	w.arena = make([]uint32, max(size, n))
+	w.sealChunk()
+	size := max(min(max(firstChunkRows, int(w.count))*n, maxChunk), n)
+	w.chunks = append(w.chunks, make([]uint32, size))
+	w.arena = w.chunks[len(w.chunks)-1]
+}
+
+// sealChunk cuts the last chunk to the rows written into it, so that every
+// chunk holds whole rows and nothing else.
+func (w *worker) sealChunk() {
+	if k := len(w.chunks) - 1; k >= 0 {
+		w.chunks[k] = w.chunks[k][:len(w.chunks[k])-len(w.arena)]
+		w.arena = nil
+	}
+}
+
+// appendRows appends the worker's materialized rows to dst, in emit order,
+// as slices of its chunks (AppendRows). Zero-width rows take no chunk.
+func (w *worker) appendRows(dst [][]uint32) [][]uint32 {
+	n := len(w.plan.Project)
+	if n == 0 {
+		return AppendRows(dst, nil, 0, int(w.count))
+	}
+	w.sealChunk()
+	for _, c := range w.chunks {
+		dst = AppendRows(dst, c, n, len(c)/n)
+	}
+	return dst
+}
+
+// AppendRows appends the n rows of width IDs that block holds back to back
+// to dst. Each row is a slice of block whose capacity is its width, so
+// appending to one row never writes its neighbour. Zero-width rows take
+// nothing from block, so n, not len(block), says how many there are.
+func AppendRows(dst [][]uint32, block []uint32, width, n int) [][]uint32 {
+	for off := 0; n > 0; n-- {
+		dst = append(dst, block[off:off+width:off+width])
+		off += width
+	}
+	return dst
 }
 
 // table returns the replica pattern pi uses for predicate p.
@@ -806,22 +840,12 @@ func (w *worker) slowTick() bool {
 	return w.flushProduced()
 }
 
-// produced reports how many result rows the worker has emitted so far,
-// read off the counters emit maintains anyway.
-func (w *worker) produced() int64 {
-	if w.materialize {
-		return int64(len(w.rows))
-	}
-	return w.count
-}
-
 // flushProduced charges the rows emitted since the last flush (and their
 // materialized bytes) to the governor and reports whether the worker should
 // continue. Only called when w.gov != nil.
 func (w *worker) flushProduced() bool {
-	p := w.produced()
-	n := p - w.flushed
-	w.flushed = p
+	n := w.count - w.flushed
+	w.flushed = w.count
 	return w.gov.Produced(n, n*w.rowBytes)
 }
 

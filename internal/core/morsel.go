@@ -386,7 +386,7 @@ func (s *scheduler) steal(self *worker) *morsel {
 func (w *worker) runScheduler(s *scheduler) {
 	start := time.Now()
 	defer func() {
-		w.wstat.Rows = w.produced()
+		w.wstat.Rows = w.count
 		w.wstat.Busy += time.Since(start)
 	}()
 	for !s.stopped() {

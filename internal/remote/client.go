@@ -123,11 +123,14 @@ func (c *Client) Exec(ctx context.Context, req *ExecRequest) (*ExecResponse, err
 		return nil, err
 	}
 	if !req.Silent {
-		rows, err := decodeFrame(out.Frame, out.Count)
+		block, cols, err := decodeFrame(out.Frame, out.Count)
+		if err == nil && out.Count > 0 && cols != len(out.Vars) {
+			err = fmt.Errorf("%w: %d columns for %d variables", ErrCorruptFrame, cols, len(out.Vars))
+		}
 		if err != nil {
 			return nil, &TransportError{Endpoint: c.endpoint, Err: err}
 		}
-		out.Rows, out.Frame = rows, nil
+		out.Rows, out.Frame = block, nil
 	}
 	return &out, nil
 }
@@ -201,7 +204,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any, limit i
 	}
 	defer resp.Body.Close()
 	// Reading the body can fail mid-stream (chaos cut): that's transport.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	raw, err := readBody(io.LimitReader(resp.Body, limit+1), min(resp.ContentLength, limit+1))
 	if err != nil {
 		return &TransportError{Endpoint: c.endpoint, Err: err}
 	}
@@ -225,6 +228,35 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any, limit i
 		return &TransportError{Endpoint: c.endpoint, Err: fmt.Errorf("malformed response: %w", err)}
 	}
 	return nil
+}
+
+// maxPrealloc caps how much of a declared Content-Length readBody allocates
+// before the bytes arrive; a longer body grows the buffer as it comes.
+const maxPrealloc = 64 << 20
+
+// readBody reads r to its end. A body of declared length n ≥ 0 lands in one
+// buffer of n+1 bytes (the last read, which finds the end, needs room
+// too), so reading it copies nothing; with n < 0 the buffer starts small
+// and doubles, as io.ReadAll's does.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	size := int64(512)
+	if n >= 0 {
+		size = min(n, maxPrealloc) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		k, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // ErrNotReady reports a node that answered but is not (yet) serving

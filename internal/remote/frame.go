@@ -55,55 +55,53 @@ func encodeFrame(rows [][]uint32, cols int) []byte {
 }
 
 // decodeFrame verifies and unpacks a frame that must hold exactly want rows
-// (ExecResponse.Count): all rows are slices of one flat allocation. Nothing
-// is allocated before the header is checked against the body: every value
-// costs at least one byte, so cols × rows cannot exceed the body length,
-// and a zero-column frame, whose rows cost nothing, is held to want.
-func decodeFrame(frame []byte, want int64) ([][]uint32, error) {
+// (ExecResponse.Count): it returns the rows back to back in one block and
+// their width, and allocates nothing else. Nothing is allocated before the
+// header is checked against the body: every value costs at least one byte,
+// so cols × rows cannot exceed the body length, and a zero-column frame,
+// whose rows cost nothing, is held to want. The block is empty, not nil,
+// when the frame holds no values.
+func decodeFrame(frame []byte, want int64) ([]uint32, int, error) {
 	if len(frame) < frameOverhead || frame[0] != frameVersion {
-		return nil, fmt.Errorf("%w: %d bytes, not a version-%d frame", ErrCorruptFrame, len(frame), frameVersion)
+		return nil, 0, fmt.Errorf("%w: %d bytes, not a version-%d frame", ErrCorruptFrame, len(frame), frameVersion)
 	}
 	body, sum := frame[:len(frame)-crc32.Size], binary.LittleEndian.Uint32(frame[len(frame)-crc32.Size:])
 	if crc32.Checksum(body, castagnoli()) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptFrame)
 	}
 	cols, n := binary.Uvarint(body[1:])
 	nrows, m := binary.Uvarint(body[1+max(n, 0):])
 	if n <= 0 || m <= 0 {
-		return nil, fmt.Errorf("%w: unterminated header", ErrCorruptFrame)
+		return nil, 0, fmt.Errorf("%w: unterminated header", ErrCorruptFrame)
 	}
 	body = body[1+n+m:]
 	if want < 0 || nrows != uint64(want) {
-		return nil, fmt.Errorf("%w: %d rows where the response counts %d", ErrCorruptFrame, nrows, want)
+		return nil, 0, fmt.Errorf("%w: %d rows where the response counts %d", ErrCorruptFrame, nrows, want)
 	}
 	if nrows == 0 {
 		cols = 0 // no values to read, whatever width the header names
 	} else if cols > uint64(len(body))/nrows {
-		return nil, fmt.Errorf("%w: %d × %d values in %d bytes", ErrCorruptFrame, nrows, cols, len(body))
+		return nil, 0, fmt.Errorf("%w: %d × %d values in %d bytes", ErrCorruptFrame, nrows, cols, len(body))
 	}
 	w := int(cols)
-	flat := make([]uint32, w*int(nrows))
-	rows := make([][]uint32, nrows)
-	for r := range rows {
-		rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
-	}
+	block := make([]uint32, w*int(nrows))
 	for c := 0; c < w; c++ {
 		prev := int64(0)
-		for i := c; i < len(flat); i += w {
+		for i := c; i < len(block); i += w {
 			u, n := binary.Uvarint(body)
 			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated column %d", ErrCorruptFrame, c)
+				return nil, 0, fmt.Errorf("%w: truncated column %d", ErrCorruptFrame, c)
 			}
 			body = body[n:]
 			prev += int64(u>>1) ^ -int64(u&1)
 			if prev < 0 || prev > math.MaxUint32 {
-				return nil, fmt.Errorf("%w: ID out of range in column %d", ErrCorruptFrame, c)
+				return nil, 0, fmt.Errorf("%w: ID out of range in column %d", ErrCorruptFrame, c)
 			}
-			flat[i] = uint32(prev)
+			block[i] = uint32(prev)
 		}
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptFrame, len(body))
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorruptFrame, len(body))
 	}
-	return rows, nil
+	return block, w, nil
 }

@@ -47,6 +47,8 @@ func seal(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, castagnoli()))
 }
 
+// TestFrameRoundTrip also covers rows of no columns (cols 0, n > 0): their
+// block is empty, and the gather slices n rows from the response's Count.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 10000} {
@@ -54,12 +56,19 @@ func TestFrameRoundTrip(t *testing.T) {
 			for _, ascending := range []bool{true, false} {
 				rows := frameRows(rng, n, cols, ascending)
 				frame := encodeFrame(rows, cols)
-				got, err := decodeFrame(frame, int64(n))
+				block, width, err := decodeFrame(frame, int64(n))
 				if err != nil {
 					t.Fatalf("%d rows × %d cols (ascending %v): %v", n, cols, ascending, err)
 				}
+				if n > 0 && width != cols {
+					t.Fatalf("%d rows × %d cols: decoded width %d", n, cols, width)
+				}
+				if want := slices.Concat(rows...); block == nil || !slices.Equal(block, want) {
+					t.Fatalf("%d rows × %d cols (ascending %v): block of %d values is not the %d rows concatenated", n, cols, ascending, len(block), n)
+				}
+				got := core.AppendRows(nil, block, cols, n)
 				if len(got) != n {
-					t.Fatalf("%d rows × %d cols: decoded %d rows", n, cols, len(got))
+					t.Fatalf("%d rows × %d cols: sliced %d rows", n, cols, len(got))
 				}
 				for r := range rows {
 					if len(got[r]) != cols || !slices.Equal(got[r], rows[r]) {
@@ -74,19 +83,49 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameDecodedRowsAreDisjoint: the rows share one allocation but no
-// element, and appending to one cannot run into the next.
+// TestFrameDecodedRowsAreDisjoint: rows handed out as slices of one block —
+// a decoded frame as the coordinator's gather slices it, and the worker
+// chunks core.ExecuteShardRange slices — share no element, and writing or
+// appending to one cannot run into the next.
 func TestFrameDecodedRowsAreDisjoint(t *testing.T) {
-	rows := [][]uint32{{1, 2}, {3, 4}, {5, 6}}
-	got, err := decodeFrame(encodeFrame(rows, 2), 3)
-	if err != nil {
-		t.Fatal(err)
+	disjoint := func(t *testing.T, got [][]uint32) {
+		t.Helper()
+		if len(got) < 3 {
+			t.Fatalf("%d rows, need three", len(got))
+		}
+		want := [][]uint32{slices.Clone(got[0]), slices.Clone(got[2])}
+		for i := range got[1] {
+			got[1][i] = 99
+		}
+		_ = append(got[1], 77)
+		if !slices.Equal(got[0], want[0]) || !slices.Equal(got[2], want[1]) {
+			t.Fatalf("writing row 1 changed its neighbours: %v", got[:3])
+		}
 	}
-	got[1][0], got[1][1] = 99, 99
-	_ = append(got[1], 77)
-	if !slices.Equal(got[0], rows[0]) || !slices.Equal(got[2], rows[2]) {
-		t.Fatalf("writing row 1 changed its neighbours: %v", got)
-	}
+	t.Run("gather", func(t *testing.T) {
+		rows := [][]uint32{{1, 2}, {3, 4}, {5, 6}}
+		block, width, err := decodeFrame(encodeFrame(rows, 2), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disjoint(t, core.AppendRows(nil, block, width, 3))
+	})
+	t.Run("ExecuteShardRange", func(t *testing.T) {
+		st := testStore()
+		q, err := sparql.Parse(`SELECT ?x ?y WHERE { ?x <p> ?y }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := optimizer.Optimize(q, st, stats.New(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.ExecuteShardRange(st, plan, core.Options{Threads: 1}, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disjoint(t, res.Rows)
+	})
 }
 
 // decodeAllocs is how many bytes one decodeFrame call allocates. Other
@@ -140,17 +179,17 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		{"unterminated column count", seal([]byte{frameVersion, 0x80, 0x80}), 0},
 	}
 	for _, c := range cases {
-		got, err := decodeFrame(c.frame, c.want)
+		got, _, err := decodeFrame(c.frame, c.want)
 		if !errors.Is(err, ErrCorruptFrame) {
-			t.Errorf("%s: decoded %d rows, err %v; want ErrCorruptFrame", c.name, len(got), err)
+			t.Errorf("%s: decoded %d values, err %v; want ErrCorruptFrame", c.name, len(got), err)
 		}
 		if grew := decodeAllocs(c.frame, c.want, 4096); grew > 4096 {
 			t.Errorf("%s: rejecting a %d-byte frame allocated %d bytes", c.name, len(c.frame), grew)
 		}
 	}
 	// A frame of no rows may name any width: there are no values to size.
-	if got, err := decodeFrame(seal(append([]byte{frameVersion}, uv(1<<40, 0)...)), 0); err != nil || len(got) != 0 {
-		t.Errorf("empty wide frame: %d rows, err %v", len(got), err)
+	if got, _, err := decodeFrame(seal(append([]byte{frameVersion}, uv(1<<40, 0)...)), 0); err != nil || len(got) != 0 {
+		t.Errorf("empty wide frame: %d values, err %v", len(got), err)
 	}
 }
 
@@ -158,7 +197,8 @@ func TestFrameRejectsCorruption(t *testing.T) {
 // and resealed with a valid checksum so mutations reach the parser behind
 // the CRC. The decoder must never panic, never allocate more than a small
 // multiple of its input, classify every rejection as ErrCorruptFrame, and
-// whatever it accepts must survive an encode/decode round trip unchanged.
+// whatever it accepts must survive an encode/decode round trip unchanged,
+// its block equal to the encoded rows concatenated.
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, seed := range []struct {
@@ -169,6 +209,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{[][]uint32{{42}}, 1},
 		{[][]uint32{{}}, 0},
 		{frameRows(rng, 1000, 3, true), 3},
+		{make([][]uint32, 9), 0},
 	} {
 		frame := encodeFrame(seed.rows, seed.cols)
 		f.Add(frame, uint16(len(seed.rows)))
@@ -180,7 +221,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, count uint16) {
 		for _, frame := range [][]byte{data, seal(data)} {
-			rows, err := decodeFrame(frame, int64(count))
+			block, cols, err := decodeFrame(frame, int64(count))
 			if limit := uint64(4096 + 32*(len(frame)+int(count))); decodeAllocs(frame, int64(count), limit) > limit {
 				t.Fatalf("decoding %d bytes (count %d) allocated more than %d bytes", len(frame), count, limit)
 			}
@@ -190,21 +231,19 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 				continue
 			}
+			if len(block) != int(count)*cols {
+				t.Fatalf("accepted %d values for %d rows of %d columns", len(block), count, cols)
+			}
+			rows := core.AppendRows(nil, block, cols, int(count))
 			if len(rows) != int(count) {
-				t.Fatalf("accepted %d rows for a response counting %d", len(rows), count)
+				t.Fatalf("sliced %d rows for a response counting %d", len(rows), count)
 			}
-			cols := 0
-			if len(rows) > 0 {
-				cols = len(rows[0])
+			again, againCols, err := decodeFrame(encodeFrame(rows, cols), int64(count))
+			if err != nil || (count > 0 && againCols != cols) {
+				t.Fatalf("re-encoding an accepted frame: %d columns, err %v", againCols, err)
 			}
-			again, err := decodeFrame(encodeFrame(rows, cols), int64(count))
-			if err != nil || len(again) != len(rows) {
-				t.Fatalf("re-encoding an accepted frame: %d rows, err %v", len(again), err)
-			}
-			for r := range rows {
-				if len(again[r]) != cols || !slices.Equal(again[r], rows[r]) {
-					t.Fatalf("row %d changed across a round trip: %v → %v", r, rows[r], again[r])
-				}
+			if !slices.Equal(again, block) || !slices.Equal(again, slices.Concat(rows...)) {
+				t.Fatalf("block changed across a round trip: %v → %v", block, again)
 			}
 		}
 	})
@@ -275,7 +314,7 @@ func BenchmarkFrame(b *testing.B) {
 				if err := json.Unmarshal(wire, &frame); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := decodeFrame(frame, int64(len(rows))); err != nil {
+				if _, _, err := decodeFrame(frame, int64(len(rows))); err != nil {
 					b.Fatal(err)
 				}
 			}

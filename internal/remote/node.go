@@ -462,10 +462,20 @@ func statusKind(err error) (int, string) {
 	}
 }
 
+// writeJSON sends v, newline-terminated as json.Encoder writes it, as one
+// body of known Content-Length, which the client reads into a buffer of
+// exactly that size.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)+1))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
+	w.Write([]byte{'\n'})
 }
 
 func writeError(w http.ResponseWriter, status int, kind string, err error) {

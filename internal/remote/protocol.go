@@ -155,9 +155,11 @@ type ExecResponse struct {
 	Count int64 `json:"count"`
 	// Vars names the projected columns.
 	Vars []string `json:"vars"`
-	// Rows holds dictionary-encoded projected rows (nil in silent mode).
-	// They travel in Frame; Client.Exec fills Rows from it.
-	Rows [][]uint32 `json:"-"`
+	// Rows holds the dictionary-encoded projected rows back to back, Count
+	// rows of len(Vars) IDs each (nil in silent mode; core.AppendRows
+	// slices it into rows). They travel in Frame; Client.Exec fills Rows
+	// from it.
+	Rows []uint32 `json:"-"`
 	// Frame is the row frame (frame.go) of a non-silent response, base64 in
 	// the JSON envelope. Client.Exec clears it once decoded.
 	Frame []byte `json:"frame,omitempty"`

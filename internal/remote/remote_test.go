@@ -18,6 +18,7 @@ import (
 	"parj/internal/core"
 	"parj/internal/governance"
 	"parj/internal/live"
+	"parj/internal/lubm"
 	"parj/internal/rdf"
 	"parj/internal/store"
 	"parj/internal/testutil"
@@ -64,8 +65,8 @@ func TestNodeExecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != 3 || len(resp.Rows) != 3 {
-		t.Fatalf("count %d rows %d, want 3/3", resp.Count, len(resp.Rows))
+	if resp.Count != 3 || len(resp.Rows) != 3*2 {
+		t.Fatalf("count %d values %d, want 3 rows of 2", resp.Count, len(resp.Rows))
 	}
 	if len(resp.Vars) != 2 {
 		t.Fatalf("vars %v, want [x y]", resp.Vars)
@@ -243,13 +244,13 @@ func TestClientCorruptFrame(t *testing.T) {
 	defer c.Close()
 	req := &ExecRequest{Query: `SELECT ?x ?y WHERE { ?x <p> ?y }`, TotalShards: 1, ShardTo: 1}
 	clean, err := c.Exec(context.Background(), req)
-	if err != nil || len(clean.Rows) != 3 {
-		t.Fatalf("clean run: %d rows, err %v", len(clean.Rows), err)
+	if err != nil || clean.Count != 3 || len(clean.Rows) != 3*2 {
+		t.Fatalf("clean run: %d values, err %v", len(clean.Rows), err)
 	}
 	flip := &flipFrameBit{rt: c.hc.Transport}
 	c.hc.Transport = flip
 	defer func() { c.hc.Transport = flip.rt }()
-	bits := 8 * len(encodeFrame(clean.Rows, 2))
+	bits := 8 * len(encodeFrame(core.AppendRows(nil, clean.Rows, 2, 3), 2))
 	for flip.bit = 0; flip.bit < bits; flip.bit++ {
 		resp, err := c.Exec(context.Background(), req)
 		var te *TransportError
@@ -299,6 +300,46 @@ func TestExecBodyShape(t *testing.T) {
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()
+}
+
+// TestExecBodyHasLength: a response too large for the server's buffer
+// still declares its Content-Length, and the client reads a body of
+// declared length into one buffer of that size, with no growth.
+func TestExecBodyHasLength(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	st := store.LoadTriples(lubm.Triples(1, lubm.Config{}), store.BuildOptions{})
+	srv := httptest.NewServer(NewNode(st, nil, NodeOptions{}).Handler())
+	defer srv.Close()
+	body, _ := json.Marshal(ExecRequest{Query: `SELECT ?x ?y ?z WHERE { ?x ?y ?z }`, TotalShards: 1, ShardTo: 1})
+	resp, err := http.Post(srv.URL+ExecPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, err %v", resp.StatusCode, err)
+	}
+	if len(raw) < 16<<10 || resp.ContentLength != int64(len(raw)) {
+		t.Fatalf("%d-byte body declared Content-Length %d; want a large body declaring its length", len(raw), resp.ContentLength)
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	var got []byte
+	r := bytes.NewReader(raw)
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(raw)
+		got, err = readBody(r, int64(len(raw)))
+	}); err != nil || allocs != 1 || !bytes.Equal(got, raw) || cap(got) != len(raw)+1 {
+		t.Errorf("readBody of a declared %d bytes: %d allocations, %d bytes in a buffer of %d, err %v; want one buffer of %d",
+			len(raw), int(allocs), len(got), cap(got), err, len(raw)+1)
+	}
+	// Undeclared, and declared past what arrives: read to the end either way.
+	for _, n := range []int64{-1, int64(len(raw)) * 2} {
+		if got, err := readBody(bytes.NewReader(raw), n); err != nil || !bytes.Equal(got, raw) {
+			t.Errorf("readBody declared %d: %d bytes, err %v; want the %d sent", n, len(got), err, len(raw))
+		}
+	}
 }
 
 // TestClientBoundsResponseRead: a request that carried a row or memory

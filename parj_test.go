@@ -505,7 +505,10 @@ func execHalves(db *Store, c *remote.Client, q *sparql.Query, src string, silent
 		if err != nil {
 			return nil, 0, err
 		}
-		ids, count = append(ids, resp.Rows...), count+resp.Count
+		if !wireSilent {
+			ids = core.AppendRows(ids, resp.Rows, len(resp.Vars), int(resp.Count))
+		}
+		count += resp.Count
 	}
 	// A silent half carries no rows, so ids stays nil: a count-only gather.
 	ids, count = core.Compact(ids, count, q.Distinct, q.Limit)
