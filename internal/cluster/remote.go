@@ -84,9 +84,6 @@ type RemoteOptions struct {
 	Policy Policy
 	// Breaker configures the per-endpoint circuit breakers.
 	Breaker resilience.BreakerOptions
-	// HealthInterval enables background health probing of every endpoint
-	// (0 = disabled); unhealthy replicas are deprioritized, not excluded.
-	HealthInterval time.Duration
 	// Clock injects time for retries, hedging and breakers (nil = wall
 	// clock). Tests pass a FakeClock to make every timer deterministic.
 	Clock resilience.Clock
@@ -164,7 +161,6 @@ type Remote struct {
 	opts   RemoteOptions
 	jitter *resilience.Jitter
 	clock  resilience.Clock
-	health *resilience.HealthChecker
 
 	// groups[s] lists shard group s's replicas; endpoints lists every
 	// distinct endpoint once. Both are built by NewRemote and never change.
@@ -184,8 +180,8 @@ type Remote struct {
 	forked error
 }
 
-// NewRemote builds a coordinator. Close must be called to release clients
-// and the health checker.
+// NewRemote builds a coordinator. Close must be called to release its
+// clients and replay log.
 func NewRemote(opts RemoteOptions) (*Remote, error) {
 	if err := validateReplicas(opts.Replicas); err != nil {
 		return nil, err
@@ -210,17 +206,12 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		wlog:   wlog,
 	}
 	r.buildTable(opts.Replicas)
-	if opts.HealthInterval > 0 {
-		r.health = resilience.NewHealthChecker(opts.Clock, opts.HealthInterval, distinctEndpoints(opts.Replicas),
-			func(ctx context.Context, ep string) error { return r.endpoint(ep).client.Health(ctx) })
-	}
 	return r, nil
 }
 
-// Close stops the health checker, closes the replay log (later writes fail
-// with wal.ErrClosed), and releases every endpoint's connections.
+// Close closes the replay log (later writes fail with wal.ErrClosed) and
+// releases every endpoint's connections.
 func (r *Remote) Close() {
-	r.health.Close()
 	r.writeMu.Lock()
 	r.wlog.Close()
 	r.writeMu.Unlock()
@@ -259,9 +250,6 @@ func (r *Remote) Execute(ctx context.Context, query string, silent bool) (*Remot
 		Silent:        wireSilent,
 		MaxResultRows: r.opts.MaxResultRows,
 		MemoryBudget:  r.opts.MemoryBudget,
-	}
-	if r.opts.ShardTimeout > 0 {
-		base.TimeoutMS = r.opts.ShardTimeout.Milliseconds()
 	}
 
 	groupCtx, cancelGroup := context.WithCancel(ctx)
@@ -369,11 +357,11 @@ func (r *Remote) Count(ctx context.Context, query string) (int64, error) {
 // preference order. A stale replica (one that missed a write batch) is
 // never offered while the group has a current one; a group whose replicas
 // are all stale keeps routing to them, and Write reports it until Resync.
-// The offered replicas split into three tiers: ready
-// (healthy, not inside a shed backoff window), shedding (healthy but
-// recently rejected work with an overload — still eligible, because when
-// every peer is also busy a busy replica beats no replica), and down
-// (failing health probes). Within the ready tier the leader is chosen by
+// The offered replicas split into two tiers: ready (not inside a shed
+// backoff window) and shedding (recently rejected work with an overload —
+// still eligible, because when every peer is also busy a busy replica beats
+// no replica). A broken replica needs no tier of its own: its breaker
+// refuses it at launch. Within the ready tier the leader is chosen by
 // power-of-two-choices: sample two distinct candidates from the seeded
 // jitter stream and lead with the one carrying fewer in-flight attempts
 // (smoothed latency as tiebreak) — the classic result that two random
@@ -393,14 +381,11 @@ func (r *Remote) replicaOrder(s int) []int {
 	if len(current) == 0 {
 		current = stale
 	}
-	var ready, shedding, down []int
+	var ready, shedding []int
 	for _, i := range current {
-		switch {
-		case !r.health.Healthy(group[i].url):
-			down = append(down, i)
-		case group[i].load.Overloaded():
+		if group[i].load.Overloaded() {
 			shedding = append(shedding, i)
-		default:
+		} else {
 			ready = append(ready, i)
 		}
 	}
@@ -429,7 +414,7 @@ func (r *Remote) replicaOrder(s int) []int {
 		}
 		ready = append(lead, rest...)
 	}
-	return append(append(ready, rotate(shedding)...), rotate(down)...)
+	return append(ready, rotate(shedding)...)
 }
 
 // saturated reports whether at least half of the distinct endpoints are
@@ -484,19 +469,23 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 			}
 			pending++
 			attempts.Add(1)
-			// Deadline propagation: stamp this attempt with the client's
-			// remaining budget, measured now — a retry after a slow first
-			// attempt carries a smaller budget than the first did, and the
-			// node refuses outright once the budget drops below its queue
-			// delay. Context deadlines are wall-clock, so the budget is
-			// computed against wall time even when r.clock is injected.
+			// Deadline propagation: stamp this attempt with one budget, the
+			// smaller of ShardTimeout and the client's remaining deadline
+			// measured now — a retry after a slow first attempt carries a
+			// smaller budget than the first did, and the node refuses
+			// outright once the budget drops below its queue delay. Context
+			// deadlines are wall-clock, so the budget is computed against
+			// wall time even when r.clock is injected.
 			areq := *req
+			budget, bounded := r.opts.ShardTimeout, r.opts.ShardTimeout > 0
 			if dl, ok := ctx.Deadline(); ok {
-				budgetMS := time.Until(dl).Milliseconds()
-				if budgetMS < 1 {
-					budgetMS = 1 // expired budgets fail via ctx, not a 0="no deadline" wire value
+				if left := time.Until(dl); !bounded || left < budget {
+					budget, bounded = left, true
 				}
-				areq.DeadlineBudgetMS = budgetMS
+			}
+			if bounded {
+				// Expired budgets fail via ctx, not a 0="no deadline" wire value.
+				areq.DeadlineBudgetMS = max(budget.Milliseconds(), 1)
 			}
 			load.Start()
 			wg.Add(1)
@@ -515,7 +504,10 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 				resp, err := client.Exec(actx, &areq)
 				elapsed := r.clock.Now().Sub(start)
 				switch {
-				case err == nil:
+				case err == nil, attemptTimedOut(err, ctx):
+					// A timed-out attempt's elapsed time is a latency
+					// sample too: without it a replica whose every attempt
+					// hangs would read 0 and win every tiebreak.
 					load.Finish(elapsed)
 				case remote.Overloaded(err):
 					// Feed the routing signal: back this endpoint off for
@@ -538,25 +530,20 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 		return false
 	}
 
-	// settle reports an attempt's outcome to its breaker. Attempts that
-	// died because we canceled them are abandoned, not failed. Overload is
-	// never a breaker failure: a 503 is the node's admission control doing
-	// its job, and opening the breaker on it would evict a healthy-but-busy
-	// replica and dump its traffic on peers — the launch goroutine already
-	// fed it into the endpoint's load signal instead.
-	settle := func(o attemptOut, abandoned bool) {
-		br := o.breaker
+	// settle reports an attempt's outcome to its breaker: only a node fault
+	// counts as a failure. Everything else is abandoned — an attempt we
+	// canceled, a timeout, and overload: a 503 is the node's admission
+	// control doing its job, and opening the breaker on it would evict a
+	// healthy-but-busy replica and dump its traffic on peers — the launch
+	// goroutine already fed it into the endpoint's load signal instead.
+	settle := func(o attemptOut) {
 		switch {
 		case o.err == nil:
-			br.Success()
-		case remote.Overloaded(o.err):
-			br.Abandon()
-		case abandoned && !remote.NodeFault(o.err):
-			br.Abandon()
+			o.breaker.Success()
 		case remote.NodeFault(o.err):
-			br.Failure()
+			o.breaker.Failure()
 		default:
-			br.Abandon()
+			o.breaker.Abandon()
 		}
 	}
 	// finish cancels outstanding attempts, waits for them, and settles
@@ -565,7 +552,7 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 		cancelAttempts()
 		go func() { wg.Wait(); close(results) }()
 		for o := range results {
-			settle(o, true)
+			settle(o)
 		}
 	}
 
@@ -591,7 +578,7 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 		case o := <-results:
 			pending--
 			if o.err == nil {
-				settle(o, false)
+				settle(o)
 				finish()
 				return o.resp, nil
 			}
@@ -599,7 +586,7 @@ func (r *Remote) execShard(ctx context.Context, s int, req *remote.ExecRequest, 
 			// ShardTimeout" (retryable elsewhere) from "the caller's
 			// context expired" (fatal).
 			timedOut := attemptTimedOut(o.err, ctx)
-			settle(o, ctx.Err() != nil)
+			settle(o)
 			if ctx.Err() != nil {
 				finish()
 				return nil, governance.CtxError(ctx)

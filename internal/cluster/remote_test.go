@@ -506,10 +506,11 @@ func TestRemoteHedgingWinsOverSlowReplica(t *testing.T) {
 	}
 }
 
-// TestRemoteHealthFailover: with background health checking on, a dead
-// first replica is demoted so even MaxAttempts=1 queries succeed once the
-// checker has swept.
-func TestRemoteHealthFailover(t *testing.T) {
+// TestRemoteBreakerFailover: a dead first replica needs no health probe.
+// With MaxAttempts=1 a query that lands on it fails, but each such failure
+// counts against its breaker; once the breaker opens, launch skips the
+// dead replica and every query succeeds on the live one.
+func TestRemoteBreakerFailover(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	f := lubmFixture(t)
 	_, live := startNode(t, f)
@@ -517,9 +518,8 @@ func TestRemoteHealthFailover(t *testing.T) {
 	dead := deadEndpoint(t)
 
 	r, err := NewRemote(RemoteOptions{
-		Replicas:       [][]string{{dead, live.URL}},
-		MaxAttempts:    1,
-		HealthInterval: 20 * time.Millisecond,
+		Replicas:    [][]string{{dead, live.URL}},
+		MaxAttempts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -528,19 +528,25 @@ func TestRemoteHealthFailover(t *testing.T) {
 
 	src := `SELECT ?x ?y WHERE { ?x ` + lubm.PredTakesCourse + ` ?y }`
 	want := oracle(t, f, src, 1, true)
+	breaker := r.endpoint(dead).breaker
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for served := 0; served < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker failover never kicked in (breaker %v)", breaker.State())
+		}
+		open := breaker.State() == resilience.Open
 		res, err := r.Execute(context.Background(), src, true)
-		if err == nil {
+		switch {
+		case err == nil:
 			if res.Count != want.Count {
 				t.Fatalf("count %d, oracle %d", res.Count, want.Count)
 			}
-			return // the checker demoted the dead replica
+			if open {
+				served++
+			}
+		case open:
+			t.Fatalf("query failed after the dead replica's breaker opened: %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health failover never kicked in: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // driveClock runs a FakeClock forward whenever any coordinator timer
-// (backoff sleep, hedge delay, health tick) is parked on it, so every
+// (backoff sleep, hedge delay) is parked on it, so every
 // time-based decision in a chaos test is driven by the deterministic fake
 // schedule instead of the wall clock. Returns a stop function.
 func driveClock(clk *resilience.FakeClock) func() {
@@ -108,6 +108,58 @@ func TestRemoteSlowLoris(t *testing.T) {
 	loris.Close()
 }
 
+// TestRemoteHungReplicaLosesTiebreak: a replica whose every attempt hangs
+// until ShardTimeout must not keep winning power-of-two-choices. Sequential
+// queries leave both replicas with nothing in flight, so the smoothed
+// latency decides; a timed-out attempt feeds its elapsed time into it, so
+// after one query has met the loris it ranks behind the live replica and
+// every later query is served by a single attempt.
+func TestRemoteHungReplicaLosesTiebreak(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	f := lubmFixture(t)
+	_, live := startNode(t, f)
+	defer live.Close()
+	loris, err := chaos.New(hostport(live), chaos.SlowLoris(1, 50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loris.Close()
+	const timeout = 100 * time.Millisecond
+	r, err := NewRemote(RemoteOptions{
+		Replicas:     [][]string{{loris.URL(), live.URL}},
+		ShardTimeout: timeout,
+		Backoff:      resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	src := `SELECT ?x ?y WHERE { ?x ` + lubm.PredTakesCourse + ` ?y }`
+	want := oracle(t, f, src, 1, true)
+	attempts := make([]int64, 8)
+	met := 0 // queries whose first attempt went to the loris
+	for i := range attempts {
+		res, err := r.Execute(context.Background(), src, true)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if res.Count != want.Count {
+			t.Fatalf("query %d: count %d, oracle %d", i, res.Count, want.Count)
+		}
+		attempts[i] = res.Attempts
+		if res.Attempts > 1 {
+			met++
+		}
+	}
+	if met > 1 {
+		t.Errorf("attempts per query %v: the hung replica led %d queries, want at most 1", attempts, met)
+	}
+	if lat := r.endpoint(loris.URL()).load.Latency(); lat < timeout {
+		t.Errorf("hung replica's latency reads %v, want at least its %v timeout", lat, timeout)
+	}
+}
+
 // TestRemoteChaosMigration is the acceptance scenario for replica death
 // under load: while a stream of queries runs under FailFast, one replica
 // per shard group is killed, and every single query in the stream returns
@@ -159,7 +211,6 @@ func TestRemoteChaosMigration(t *testing.T) {
 		MaxAttempts:     6,
 		Backoff:         resilience.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		Seed:            42,
-		HealthInterval:  100 * time.Millisecond,
 		Clock:           clk,
 	})
 	if err != nil {

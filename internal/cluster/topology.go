@@ -13,7 +13,7 @@ import (
 // node is a full replica and the paper's cluster has no live membership, so
 // a fixed table of shard groups is the whole model. Each distinct endpoint
 // gets one endpointState, shared by every group that lists it, and Execute,
-// Write, ReconcileAll and the health probe read the table without a lock.
+// Write and ReconcileAll read the table without a lock.
 // Besides the breaker and load signal, which keep their own locks, one bit
 // per endpoint moves: stale, which fences a replica that missed a write
 // batch out of routing until Resync catches it up.
@@ -50,38 +50,25 @@ func validateReplicas(replicas [][]string) error {
 	return nil
 }
 
-// distinctEndpoints lists each endpoint once, in first-appearance order.
-func distinctEndpoints(replicas [][]string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, reps := range replicas {
-		for _, ep := range reps {
-			if !seen[ep] {
-				seen[ep] = true
-				out = append(out, ep)
-			}
-		}
-	}
-	return out
-}
-
-// buildTable fills r.endpoints and r.groups from the configured replicas.
+// buildTable fills r.endpoints (each distinct endpoint once, in
+// first-appearance order) and r.groups from the configured replicas.
 func (r *Remote) buildTable(replicas [][]string) {
 	byURL := make(map[string]*endpointState)
-	for _, ep := range distinctEndpoints(replicas) {
-		st := &endpointState{
-			url:     ep,
-			client:  remote.NewClient(ep, 0),
-			breaker: resilience.NewBreaker(r.clock, r.opts.Breaker),
-			load:    resilience.NewLoadSignal(r.clock),
-		}
-		byURL[ep] = st
-		r.endpoints = append(r.endpoints, st)
-	}
 	for _, reps := range replicas {
 		group := make([]*endpointState, len(reps))
 		for i, ep := range reps {
-			group[i] = byURL[ep]
+			st := byURL[ep]
+			if st == nil {
+				st = &endpointState{
+					url:     ep,
+					client:  remote.NewClient(ep, 0),
+					breaker: resilience.NewBreaker(r.clock, r.opts.Breaker),
+					load:    resilience.NewLoadSignal(r.clock),
+				}
+				byURL[ep] = st
+				r.endpoints = append(r.endpoints, st)
+			}
+			group[i] = st
 		}
 		r.groups = append(r.groups, group)
 	}

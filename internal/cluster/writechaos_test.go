@@ -99,7 +99,6 @@ func TestRemoteWriteChaos(t *testing.T) {
 		MaxAttempts:     4,
 		Backoff:         resilience.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		Seed:            7,
-		HealthInterval:  100 * time.Millisecond,
 		Clock:           clk,
 	})
 	if err != nil {

@@ -327,21 +327,3 @@ func (c *Client) SnapshotSeq(ctx context.Context) (*store.Store, uint64, error) 
 	}
 	return st, seq, nil
 }
-
-// Health probes the node's liveness endpoint.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint+HealthPath, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &TransportError{Endpoint: c.endpoint, Err: err}
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &TransportError{Endpoint: c.endpoint, Err: fmt.Errorf("healthz status %d", resp.StatusCode)}
-	}
-	return nil
-}

@@ -284,7 +284,7 @@ func (n *Node) handleExec(w http.ResponseWriter, r *http.Request) {
 	if hook := n.ExecStarted; hook != nil {
 		hook(&req)
 	}
-	n.serve(w, r, time.Duration(req.TimeoutMS)*time.Millisecond, time.Duration(req.DeadlineBudgetMS)*time.Millisecond,
+	n.serve(w, r, time.Duration(req.DeadlineBudgetMS)*time.Millisecond,
 		func(ctx context.Context, pool *governance.Pool) (any, error) { return n.exec(ctx, pool, &req) })
 }
 
@@ -302,7 +302,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	silent := r.URL.Query().Get("silent") == "1"
-	n.serve(w, r, n.defaults.Timeout, 0,
+	n.serve(w, r, n.defaults.Timeout,
 		func(ctx context.Context, pool *governance.Pool) (any, error) { return n.query(ctx, pool, src, silent) })
 }
 
@@ -334,19 +334,15 @@ func querySource(r *http.Request) (string, error) {
 // serve runs eval under the request path /query and /exec share: the
 // node-side deadline, admission on the replica's controller, the /statz
 // counters and the error-to-status mapping; eval charges pool, the
-// replica's shared memory budget. timeout is the request's own limit, clientBudget the remaining
-// client deadline a coordinator propagated; 0 means none for either. A
-// request whose deadline is below the admission queue-delay estimate while
-// every slot is taken cannot finish here: Acquire refuses it with
-// ErrDeadlineExceeded before it takes a slot, so the coordinator's attempt
-// fails fast (non-retryable) instead of timing out in the queue.
-func (n *Node) serve(w http.ResponseWriter, r *http.Request, timeout, clientBudget time.Duration, eval func(context.Context, *governance.Pool) (any, error)) {
+// replica's shared memory budget. budget is the request's node-side
+// deadline (0 = none): QueryDefaults.Timeout on /query, the coordinator's
+// per-attempt budget on /exec. A request whose deadline is below the
+// admission queue-delay estimate while every slot is taken cannot finish
+// here: Acquire refuses it with ErrDeadlineExceeded before it takes a slot,
+// so the coordinator's attempt fails fast (non-retryable) instead of timing
+// out in the queue.
+func (n *Node) serve(w http.ResponseWriter, r *http.Request, budget time.Duration, eval func(context.Context, *governance.Pool) (any, error)) {
 	ctx := r.Context()
-	// Effective node-side deadline: the smaller of the two.
-	budget := timeout
-	if clientBudget > 0 && (budget == 0 || clientBudget < budget) {
-		budget = clientBudget
-	}
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)

@@ -121,15 +121,14 @@ type ExecRequest struct {
 	ShardTo   int `json:"shard_to"`
 	// Silent counts rows without returning them.
 	Silent bool `json:"silent,omitempty"`
-	// TimeoutMS bounds the node-side evaluation wall clock (0 = none).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// DeadlineBudgetMS is the client's remaining deadline budget as
-	// measured by the coordinator when it launched this attempt (0 = no
-	// client deadline). Deadline propagation: the node clamps its own
-	// deadline to this budget and refuses work on arrival when the budget
-	// is already smaller than its admission queue-delay estimate — a
-	// request that would expire in the queue must not burn a slot, and the
-	// coordinator must not burn replica attempts on dead requests.
+	// DeadlineBudgetMS is the attempt's one node-side deadline: the
+	// smaller of the coordinator's per-attempt ShardTimeout and the
+	// client's remaining deadline, measured when the coordinator launched
+	// this attempt (0 = neither). Deadline propagation: the node runs under
+	// this budget and refuses work on arrival when it is already smaller
+	// than its admission queue-delay estimate — a request that would expire
+	// in the queue must not burn a slot, and the coordinator must not burn
+	// replica attempts on dead requests.
 	DeadlineBudgetMS int64 `json:"deadline_budget_ms,omitempty"`
 	// MaxResultRows/MemoryBudget forward the coordinator's per-query
 	// governance budgets to the node (0 = unlimited).

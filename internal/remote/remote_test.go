@@ -160,32 +160,32 @@ func TestNodeReadiness(t *testing.T) {
 		t.Error("not-ready must be retryable (another replica may serve)")
 	}
 
-	readyStatus := func() int {
-		resp, err := http.Get(c.Endpoint() + ReadyPath)
+	status := func(path string) int {
+		resp, err := http.Get(c.Endpoint() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if s := readyStatus(); s != http.StatusServiceUnavailable {
+	if s := status(ReadyPath); s != http.StatusServiceUnavailable {
 		t.Fatalf("readyz on unloaded node = %d, want 503", s)
 	}
 	n.SetReady(true)
-	if s := readyStatus(); s != http.StatusOK {
+	if s := status(ReadyPath); s != http.StatusOK {
 		t.Fatalf("readyz after load = %d, want 200", s)
 	}
 	if _, err := c.Exec(context.Background(), req); err != nil {
 		t.Fatalf("exec after ready: %v", err)
 	}
 	n.StartDrain()
-	if s := readyStatus(); s != http.StatusServiceUnavailable {
+	if s := status(ReadyPath); s != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining = %d, want 503", s)
 	}
 	// Liveness stays OK during drain: the process is healthy, just not
 	// accepting new work.
-	if err := c.Health(context.Background()); err != nil {
-		t.Fatalf("healthz while draining: %v", err)
+	if s := status(HealthPath); s != http.StatusOK {
+		t.Fatalf("healthz while draining = %d, want 200", s)
 	}
 }
 

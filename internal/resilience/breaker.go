@@ -13,8 +13,8 @@ const (
 	Closed BreakerState = iota
 	// Open rejects requests until the open interval elapses.
 	Open
-	// HalfOpen admits a bounded number of probe requests; one success
-	// closes the breaker, one failure reopens it.
+	// HalfOpen admits one probe request at a time; its success closes the
+	// breaker, its failure reopens it.
 	HalfOpen
 )
 
@@ -37,9 +37,6 @@ type BreakerOptions struct {
 	// OpenFor is how long the breaker rejects before moving to half-open
 	// (default 5s).
 	OpenFor time.Duration
-	// HalfOpenProbes bounds concurrent trial requests in half-open
-	// (default 1), preventing a thundering herd onto a recovering node.
-	HalfOpenProbes int
 }
 
 func (o BreakerOptions) fill() BreakerOptions {
@@ -49,25 +46,23 @@ func (o BreakerOptions) fill() BreakerOptions {
 	if o.OpenFor <= 0 {
 		o.OpenFor = 5 * time.Second
 	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = 1
-	}
 	return o
 }
 
 // Breaker is a per-node circuit breaker. The coordinator keeps one per
 // replica endpoint: transport-level failures trip it, an open breaker
-// routes requests to the node's peers, and half-open probes detect
-// recovery. Safe for concurrent use.
+// routes requests to the node's peers, and a half-open probe detects
+// recovery: one at a time, so a recovering node sees no thundering herd.
+// Safe for concurrent use.
 type Breaker struct {
 	mu    sync.Mutex
 	clock Clock
 	opt   BreakerOptions
 
-	state    BreakerState
-	fails    int       // consecutive failures while closed
-	until    time.Time // when the open interval ends
-	inflight int       // outstanding half-open probes
+	state   BreakerState
+	fails   int       // consecutive failures while closed
+	until   time.Time // when the open interval ends
+	probing bool      // a half-open probe is outstanding
 }
 
 // NewBreaker returns a closed breaker on the given clock (nil = RealClock).
@@ -92,13 +87,13 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.state = HalfOpen
-		b.inflight = 0
+		b.probing = false
 		fallthrough
 	default: // HalfOpen
-		if b.inflight >= b.opt.HalfOpenProbes {
+		if b.probing {
 			return false
 		}
-		b.inflight++
+		b.probing = true
 		return true
 	}
 }
@@ -108,9 +103,7 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.inflight > 0 {
-		b.inflight--
-	}
+	b.probing = false
 	b.state = Closed
 	b.fails = 0
 }
@@ -127,9 +120,7 @@ func (b *Breaker) Failure() {
 			b.open()
 		}
 	case HalfOpen:
-		if b.inflight > 0 {
-			b.inflight--
-		}
+		b.probing = false
 		b.open()
 	case Open:
 		// A straggler from before the trip; the breaker is already open.
@@ -142,9 +133,7 @@ func (b *Breaker) Failure() {
 func (b *Breaker) Abandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.inflight > 0 {
-		b.inflight--
-	}
+	b.probing = false
 }
 
 // open transitions to Open. Callers hold b.mu.

@@ -2,7 +2,7 @@
 // distributed serving tier: an injectable clock (so every time-based
 // behavior is unit-testable without wall-clock sleeps), exponential backoff
 // with deterministic jitter, per-node circuit breakers with half-open
-// probing, and a background health checker for replica failover.
+// probing, and the per-endpoint load signal replica routing reads.
 //
 // The package is engine-agnostic: it never imports the query engine or the
 // wire protocol. The coordinator in internal/cluster composes these

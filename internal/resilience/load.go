@@ -7,8 +7,9 @@ import (
 
 // LoadSignal is the per-endpoint load estimate the coordinator's routing
 // layer reads: how many attempts are in flight against the endpoint right
-// now, a smoothed latency of its recent successes, and a shed marker set
-// when the endpoint rejected work with an overload (503 + Retry-After).
+// now, a smoothed latency of its recent successes and timeouts, and a shed
+// marker set when the endpoint rejected work with an overload (503 +
+// Retry-After).
 //
 // Overload is deliberately kept apart from the circuit breaker: a breaker
 // models "this endpoint is broken, stop sending", while a load signal
@@ -42,8 +43,10 @@ func (s *LoadSignal) Start() {
 	s.inflight.Add(1)
 }
 
-// Finish records a completed successful attempt and folds its latency into
-// the smoothed estimate.
+// Finish records a completed attempt whose elapsed time says how fast the
+// endpoint is — a success, or a per-attempt timeout (a lower bound, and the
+// only sample a hung endpoint ever gives) — and folds it into the smoothed
+// estimate.
 func (s *LoadSignal) Finish(elapsed time.Duration) {
 	if s == nil {
 		return
@@ -68,7 +71,8 @@ func (s *LoadSignal) Finish(elapsed time.Duration) {
 }
 
 // Abort records a completed attempt whose latency should not feed the
-// estimate (failure, cancellation, or an overload rejection).
+// estimate (a failure other than a timeout, a cancellation, or an overload
+// rejection).
 func (s *LoadSignal) Abort() {
 	if s == nil {
 		return
@@ -110,7 +114,7 @@ func (s *LoadSignal) InFlight() int64 {
 	return s.inflight.Load()
 }
 
-// Latency reports the smoothed success latency (0 = no samples yet).
+// Latency reports the smoothed latency (0 = no samples yet).
 func (s *LoadSignal) Latency() time.Duration {
 	if s == nil {
 		return 0

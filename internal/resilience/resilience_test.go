@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"parj/internal/testutil"
 )
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
@@ -47,7 +45,7 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(clk, BreakerOptions{FailureThreshold: 1, OpenFor: time.Second, HalfOpenProbes: 1})
+	b := NewBreaker(clk, BreakerOptions{FailureThreshold: 1, OpenFor: time.Second})
 	b.Failure()
 	if b.State() != Open {
 		t.Fatal("want open")
@@ -107,7 +105,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 func TestBreakerHalfOpenProbeContention(t *testing.T) {
 	for _, probeOK := range []bool{true, false} {
 		clk := NewFakeClock(time.Unix(0, 0))
-		b := NewBreaker(clk, BreakerOptions{FailureThreshold: 1, OpenFor: time.Second, HalfOpenProbes: 1})
+		b := NewBreaker(clk, BreakerOptions{FailureThreshold: 1, OpenFor: time.Second})
 		b.Failure() // trip it
 		clk.Advance(time.Second)
 
@@ -195,67 +193,5 @@ func TestSleepRespectsContext(t *testing.T) {
 	clk.Advance(time.Minute)
 	if err := <-done2; err != nil {
 		t.Fatalf("Sleep returned %v after Advance", err)
-	}
-}
-
-func TestHealthCheckerFailover(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	var mu sync.Mutex
-	dead := map[string]bool{"b": true}
-	h := NewHealthChecker(RealClock{}, time.Hour, []string{"a", "b"},
-		func(ctx context.Context, target string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if dead[target] {
-				return errors.New("down")
-			}
-			return nil
-		})
-	defer h.Close()
-
-	// The immediate start-up sweep demotes b without CheckNow and without
-	// waiting out the one-hour interval.
-	waitFor(t, func() bool { return !h.Healthy("b") })
-	if !h.Healthy("a") {
-		t.Fatal("a demoted incorrectly")
-	}
-	// b recovers.
-	mu.Lock()
-	dead["b"] = false
-	mu.Unlock()
-	h.CheckNow()
-	waitFor(t, func() bool { return h.Healthy("b") })
-}
-
-// TestHealthCheckerProbesImmediately is the regression test for the
-// start-up gap: a just-constructed checker used to report every endpoint
-// healthy until the first interval tick. With a FakeClock that is never
-// advanced, the only way the dead target can be demoted is the immediate
-// first sweep.
-func TestHealthCheckerProbesImmediately(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	clk := NewFakeClock(time.Unix(0, 0))
-	h := NewHealthChecker(clk, time.Hour, []string{"dead"},
-		func(ctx context.Context, target string) error { return errors.New("down") })
-	defer h.Close()
-	waitFor(t, func() bool { return !h.Healthy("dead") })
-}
-
-func TestHealthCheckerCloseStopsGoroutine(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	h := NewHealthChecker(nil, time.Millisecond, []string{"x"},
-		func(ctx context.Context, target string) error { return nil })
-	h.Close()
-	h.Close() // idempotent
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
